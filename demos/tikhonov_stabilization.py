@@ -9,7 +9,7 @@ an imprecise stopping rule no longer ruins the reconstruction.
 import numpy as np
 
 from hessketch.problems import make_tomography
-from hessketch.solvers import SolverConfig, lslu, lsqr, slslu, slslu_tikhonov
+from hessketch.solvers import SolverConfig, lslu, lsqr, slslu
 
 problem = make_tomography(48, 36, noise_level=0.01, seed=0)
 LAM = 26.0
@@ -28,7 +28,7 @@ def curve(solver, lam, **kw):
 rows = [
     ("lsqr", curve(lsqr, 0.0), curve(lsqr, LAM)),
     ("lslu", curve(lslu, 0.0), curve(lslu, LAM)),
-    ("slslu", curve(slslu, 0.0, seed=0), curve(slslu_tikhonov, LAM, seed=0)),
+    ("slslu", curve(slslu, 0.0, seed=0), curve(slslu, LAM, seed=0)),
 ]
 
 print(f"damping parameter lambda = {LAM}\n")

@@ -9,7 +9,8 @@ The package is organized bottom up:
 * :mod:`hessketch.hessenberg` -- the pivoted Hessenberg processes (square
   and rectangular) that build Krylov bases without inner products.
 * :mod:`hessketch.solvers` -- GMRES/LSQR references, the quasi-minimal
-  residual solvers CMRH/LSLU, their sketched variants, and damped forms.
+  residual solvers CMRH/LSLU and their sketched variants, all run by one
+  Krylov driver and all taking a damping parameter.
 * :mod:`hessketch.problems` -- reproducible deblurring and tomography
   test problems, noise injection, and image I/O.
 * :mod:`hessketch.cli` -- the ``hessketch`` experiment harness.
@@ -18,6 +19,7 @@ The package is organized bottom up:
 from .hessenberg import (
     HessenbergState,
     GeneralizedHessenbergState,
+    KrylovFactorization,
     PivotStrategy,
     TrivialSolution,
     dump_factorization,
@@ -64,6 +66,7 @@ from .sketch import (
 from .solvers import (
     CSV_COLUMNS,
     SOLVERS,
+    OrthonormalState,
     SolveResult,
     SolverConfig,
     SolverTrace,
@@ -74,9 +77,7 @@ from .solvers import (
     lsqr,
     projected_minres_oracle,
     scmrh,
-    scmrh_tikhonov,
     slslu,
-    slslu_tikhonov,
     trace_to_csv,
 )
 

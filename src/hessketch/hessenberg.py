@@ -34,6 +34,7 @@ from .linops import save_array
 __all__ = [
     "PivotStrategy",
     "TrivialSolution",
+    "KrylovFactorization",
     "HessenbergState",
     "GeneralizedHessenbergState",
     "pivot_select",
@@ -129,9 +130,82 @@ def _swap_to_position(perm, used, idx):
     perm[used], perm[pos] = perm[pos], perm[used]
 
 
+def _reduce(u, cols, perm, k, strategy, rng):
+    """Eliminate u against cols at the pivots perm[:k], then pivot the rest.
+
+    Returns the k+1 coefficients (the last is the new pivot value, 0 on
+    breakdown) and the remainder scaled to a unit pivot, or None when no
+    nonzero entry is left or the basis already spans the whole space.
+    """
+    h = np.empty(k + 1)
+    for j in range(k):
+        c = u[perm[j]]
+        h[j] = c
+        u = u - c * cols[j]
+    if k < u.size:
+        idx, val = _pivot_with_fallback(u, perm[k:], strategy, rng)
+    else:
+        val = 0.0
+    h[k] = val
+    if val == 0.0:
+        return h, None
+    _swap_to_position(perm, k, idx)
+    return h, u / val
+
+
+def _pivoted_start(A, b, x0, strategy):
+    # r0 = b - A x0, its scale beta and first basis column, the pivots, the
+    # sampling generator and the starting point; TrivialSolution if r0 = 0
+    b = np.asarray(b, dtype=float)
+    if b.shape != (A.rows,):
+        raise ValueError(f"b must have length {A.rows}, got shape {b.shape}")
+    x_start = np.zeros(A.cols) if x0 is None else np.asarray(x0, dtype=float).copy()
+    r0 = b.copy() if x0 is None else b - A.apply(np.asarray(x0, dtype=float))
+    rng = np.random.default_rng(strategy.seed) if strategy.kind == "sampled" else None
+    t = np.arange(A.rows)
+    h, u1 = _reduce(r0, [], t, 0, strategy, rng)
+    if u1 is None:
+        raise TrivialSolution(
+            "initial residual is zero; starting point is exact", x_start
+        )
+    return r0, h[0], u1, t, rng, x_start
+
+
+class KrylovFactorization:
+    """The state shape every basis builder shows the solver driver.
+
+    After k steps, with u the data-space and v the solution-space basis:
+
+    * ``U_cols`` holds u_1..u_{k+1} (only k after a breakdown), with
+      r0 = beta u_1;
+    * ``V_cols`` holds v_1..v_{k+1} (fewer after a breakdown);
+    * ``h_cols`` holds the columns of H_{k+1,k}, column j with its first
+      j+2 entries, so that A V_k = U_{k+1} H_{k+1,k};
+    * ``r0``, ``beta``, ``breakdown``, and ``last_product``, the product
+      A v_k before any reduction.
+
+    ``orthonormal`` marks bases built with inner products; their damped
+    block condition number kappa(diag(U_{k+1}, V_k)) is 1.
+    """
+
+    orthonormal = False
+
+    def H_matrix(self, rows=None):
+        """Dense H with k+1 rows; pass rows=len(U_cols) at breakdown to
+        drop the structurally zero last row."""
+        k = len(self.h_cols)
+        H = np.zeros((k + 1, k))
+        for j, col in enumerate(self.h_cols):
+            H[: j + 2, j] = col
+        return H if rows is None else H[:rows]
+
+
 @dataclass
-class HessenbergState:
-    """Running factorization A L_k = L_{k+1} H_{k+1,k} for square A."""
+class HessenbergState(KrylovFactorization):
+    """Running factorization A L_k = L_{k+1} H_{k+1,k} for square A.
+
+    The one basis L serves as both ``U_cols`` and ``V_cols``.
+    """
 
     L_cols: list
     h_cols: list
@@ -147,36 +221,20 @@ class HessenbergState:
     def L_matrix(self):
         return np.column_stack(self.L_cols)
 
-    def H_matrix(self, rows=None):
-        """Dense H with k+1 rows; pass rows=len(L_cols) at breakdown to
-        drop the structurally zero last row."""
-        k = len(self.h_cols)
-        H = np.zeros((k + 1, k))
-        for j, col in enumerate(self.h_cols):
-            H[: j + 2, j] = col
-        return H if rows is None else H[:rows]
+    @property
+    def U_cols(self):
+        return self.L_cols
+
+    V_cols = U_cols
 
 
 def init_square(A, b, x0=None, strategy=_FULL):
     """Start the square Hessenberg process from the residual b - A x0."""
     if not A.is_square:
         raise ValueError("the square Hessenberg process needs a square operator")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.rows,):
-        raise ValueError(f"b must have length {A.rows}, got shape {b.shape}")
-    if x0 is None:
-        r0 = b.copy()
-    else:
-        r0 = b - A.apply(np.asarray(x0, dtype=float))
-    rng = np.random.default_rng(strategy.seed) if strategy.kind == "sampled" else None
-    t = np.arange(A.rows)
-    idx, beta = _pivot_with_fallback(r0, t, strategy, rng)
-    if beta == 0.0:
-        x = np.zeros(A.cols) if x0 is None else np.asarray(x0, dtype=float).copy()
-        raise TrivialSolution("initial residual is zero; starting point is exact", x)
-    _swap_to_position(t, 0, idx)
+    r0, beta, l1, t, rng, _ = _pivoted_start(A, b, x0, strategy)
     return HessenbergState(
-        L_cols=[r0 / beta],
+        L_cols=[l1],
         h_cols=[],
         t=t,
         beta=beta,
@@ -188,46 +246,34 @@ def init_square(A, b, x0=None, strategy=_FULL):
     )
 
 
-def step_square(state, A, keep_product=False):
+def step_square(state, A):
     """Advance the square factorization by one column.
 
     Applies A to the newest basis column, eliminates against all previous
     columns by reading coefficients at pivot positions, then pivots the
     remainder.  An all-zero remainder is a lucky breakdown: H gains a
     column with a zero subdiagonal entry and the basis stops growing.
-    With ``keep_product`` the unreduced A l_k is kept on the state (the
+    The unreduced A l_k stays on the state as ``last_product`` (the
     sketched solvers sketch exactly this vector).
     """
     if state.breakdown:
         raise RuntimeError("factorization already broke down")
     k = state.k + 1
-    n = A.rows
-    u = A.apply(state.L_cols[-1])
-    if keep_product:
-        state.last_product = u.copy()
-    h = np.empty(k + 1)
-    for j in range(k):
-        c = u[state.t[j]]
-        h[j] = c
-        u = u - c * state.L_cols[j]
-    if k < n:
-        idx, val = _pivot_with_fallback(u, state.t[k:], state.strategy, state.rng)
-    else:
-        val = 0.0
-    if val == 0.0:
-        h[k] = 0.0
+    state.last_product = A.apply(state.L_cols[-1])
+    h, l_new = _reduce(
+        state.last_product, state.L_cols, state.t, k, state.strategy, state.rng
+    )
+    if l_new is None:
         state.breakdown = True
     else:
-        h[k] = val
-        _swap_to_position(state.t, k, idx)
-        state.L_cols.append(u / val)
+        state.L_cols.append(l_new)
     state.h_cols.append(h)
     state.k = k
     return state
 
 
 @dataclass
-class GeneralizedHessenbergState:
+class GeneralizedHessenbergState(KrylovFactorization):
     """Running factorization pair for rectangular A.
 
     D_cols spans the data-space Krylov subspace (m-vectors, pivots t),
@@ -248,7 +294,6 @@ class GeneralizedHessenbergState:
     strategy: PivotStrategy
     rng: object = None
     last_data_product: np.ndarray = None
-    last_solution_product: np.ndarray = None
 
     def D_matrix(self):
         return np.column_stack(self.D_cols)
@@ -256,12 +301,17 @@ class GeneralizedHessenbergState:
     def L_matrix(self):
         return np.column_stack(self.L_cols)
 
-    def H_matrix(self, rows=None):
-        k = len(self.h_cols)
-        H = np.zeros((k + 1, k))
-        for j, col in enumerate(self.h_cols):
-            H[: j + 2, j] = col
-        return H if rows is None else H[:rows]
+    @property
+    def U_cols(self):
+        return self.D_cols
+
+    @property
+    def V_cols(self):
+        return self.L_cols
+
+    @property
+    def last_product(self):
+        return self.last_data_product
 
     def W_matrix(self, rows=None):
         """Upper triangular W with one column per D column."""
@@ -279,35 +329,15 @@ def init_generalized(A, b, x0=None, strategy=_FULL):
     A^T r0 to get the first solution column l_1 and scale alpha, and
     seeds W with the coefficient of A^T d_1 along l_1.
     """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.rows,):
-        raise ValueError(f"b must have length {A.rows}, got shape {b.shape}")
-    if x0 is None:
-        r0 = b.copy()
-    else:
-        r0 = b - A.apply(np.asarray(x0, dtype=float))
-    rng = np.random.default_rng(strategy.seed) if strategy.kind == "sampled" else None
-    zero_x = np.zeros(A.cols) if x0 is None else np.asarray(x0, dtype=float).copy()
-
-    t = np.arange(A.rows)
-    idx, beta = _pivot_with_fallback(r0, t, strategy, rng)
-    if beta == 0.0:
-        raise TrivialSolution("initial residual is zero; starting point is exact", zero_x)
-    d1 = r0 / beta
-    _swap_to_position(t, 0, idx)
-
-    v0 = A.apply_transpose(r0)
+    r0, beta, d1, t, rng, x_start = _pivoted_start(A, b, x0, strategy)
     g = np.arange(A.cols)
-    idx2, alpha = _pivot_with_fallback(v0, g, strategy, rng)
-    if alpha == 0.0:
+    h, l1 = _reduce(A.apply_transpose(r0), [], g, 0, strategy, rng)
+    if l1 is None:
         raise TrivialSolution(
-            "transposed residual is zero; the normal equations already hold", zero_x
+            "transposed residual is zero; the normal equations already hold", x_start
         )
-    l1 = v0 / alpha
-    _swap_to_position(g, 0, idx2)
-
     r = A.apply_transpose(d1)
-    state = GeneralizedHessenbergState(
+    return GeneralizedHessenbergState(
         D_cols=[d1],
         L_cols=[l1],
         h_cols=[],
@@ -315,78 +345,47 @@ def init_generalized(A, b, x0=None, strategy=_FULL):
         t=t,
         g=g,
         beta=beta,
-        alpha=alpha,
+        alpha=h[0],
         k=0,
         breakdown=False,
         r0=r0,
         strategy=strategy,
         rng=rng,
     )
-    state.last_solution_product = r.copy()
-    return state
 
 
-def step_generalized(state, A, keep_products=False):
+def step_generalized(state, A):
     """Advance both bases by one column.
 
     Data side: A l_k is eliminated against d_1..d_k at the t pivots,
     giving H column k and, after pivoting, d_{k+1}.  Solution side:
     A^T d_{k+1} is eliminated against l_1..l_k at the g pivots, giving W
     column k+1 and l_{k+1}.  Breakdown on either side (all remaining
-    entries zero, or a basis reaching full dimension) is terminal.
+    entries zero, or a basis reaching full dimension) is terminal.  The
+    unreduced A l_k stays on the state as ``last_data_product``.
     """
     if state.breakdown:
         raise RuntimeError("factorization already broke down")
     k = state.k + 1
-    m, n = A.rows, A.cols
-
-    u = A.apply(state.L_cols[-1])
-    if keep_products:
-        state.last_data_product = u.copy()
-    h = np.empty(k + 1)
-    for j in range(k):
-        c = u[state.t[j]]
-        h[j] = c
-        u = u - c * state.D_cols[j]
-    if k < m:
-        idx, val = _pivot_with_fallback(u, state.t[k:], state.strategy, state.rng)
-    else:
-        val = 0.0
-    if val == 0.0:
-        h[k] = 0.0
-        state.h_cols.append(h)
-        state.k = k
-        state.breakdown = True
-        return state
-    h[k] = val
-    _swap_to_position(state.t, k, idx)
-    d_new = u / val
-    state.D_cols.append(d_new)
-    state.h_cols.append(h)
-
-    q = A.apply_transpose(d_new)
-    if keep_products:
-        state.last_solution_product = q.copy()
-    w = np.empty(k + 1)
-    for j in range(k):
-        c = q[state.g[j]]
-        w[j] = c
-        q = q - c * state.L_cols[j]
-    if k < n:
-        idx2, val2 = _pivot_with_fallback(q, state.g[k:], state.strategy, state.rng)
-    else:
-        val2 = 0.0
-    if val2 == 0.0:
-        w[k] = 0.0
-        state.w_cols.append(w)
-        state.k = k
-        state.breakdown = True
-        return state
-    w[k] = val2
-    _swap_to_position(state.g, k, idx2)
-    state.L_cols.append(q / val2)
-    state.w_cols.append(w)
     state.k = k
+    state.last_data_product = A.apply(state.L_cols[-1])
+    h, d_new = _reduce(
+        state.last_data_product, state.D_cols, state.t, k, state.strategy, state.rng
+    )
+    state.h_cols.append(h)
+    if d_new is None:
+        state.breakdown = True
+        return state
+    state.D_cols.append(d_new)
+
+    w, l_new = _reduce(
+        A.apply_transpose(d_new), state.L_cols, state.g, k, state.strategy, state.rng
+    )
+    state.w_cols.append(w)
+    if l_new is None:
+        state.breakdown = True
+        return state
+    state.L_cols.append(l_new)
     return state
 
 

@@ -68,6 +68,15 @@ class OpCounters:
         )
 
 
+def _checked_output(out, direction, length):
+    out = np.asarray(out, dtype=float)
+    if out.shape != (length,):
+        raise ValueError(
+            f"operator {direction} returned shape {out.shape}, expected ({length},)"
+        )
+    return out
+
+
 @dataclass
 class LinearOperator:
     """A real m-by-n linear map accessed only through its action on vectors.
@@ -112,7 +121,7 @@ class LinearOperator:
                 f"operator expects a vector of length {self.cols}, got shape {x.shape}"
             )
         self.counters.matvec_count += 1
-        return np.asarray(self.forward(x), dtype=float)
+        return _checked_output(self.forward(x), "forward", self.rows)
 
     def apply_transpose(self, y):
         """Return A.T @ y and count one transpose application."""
@@ -122,7 +131,7 @@ class LinearOperator:
                 f"operator transpose expects a vector of length {self.rows}, got shape {y.shape}"
             )
         self.counters.transpose_matvec_count += 1
-        return np.asarray(self.transpose(y), dtype=float)
+        return _checked_output(self.transpose(y), "transpose", self.cols)
 
     def with_fresh_counters(self):
         """A view of the same map with a new, zeroed counter object.

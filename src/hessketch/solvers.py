@@ -1,22 +1,29 @@
-"""Iterative solvers built on the pivoted Hessenberg bases, plus references.
+"""Iterative solvers: one Krylov driver, four basis builders, three projections.
 
-Six solvers share one interface ``solver(A, b, cfg, x_true=None)``:
+Six solvers share one interface ``solver(A, b, cfg, x_true=None)`` and one
+loop.  Each step, a basis builder extends a data-space basis U_{k+1}, a
+solution-space basis V_k and the Hessenberg matrix H with
+A V_k = U_{k+1} H_{k+1,k}; a projected-problem form turns that state into
+a small least-squares problem min ||M y - rhs||; the iterate is
+x_k = x0 + V_k y.
 
-* ``gmres`` and ``lsqr`` are the classical references (orthonormal bases,
-  inner products, here with one reorthogonalization pass);
-* ``cmrh`` and ``lslu`` replace the orthonormal basis by the pivoted
-  (generalized) Hessenberg basis and quasi-minimize the residual through
-  the projected problem min ||beta e1 - H y||;
-* ``scmrh`` and ``slslu`` solve the projected problem under a Gaussian
-  sketch instead: min ||S (A L_k y - r0)||, with the sketched system
-  grown one column per iteration.
+=========  ======================  ========================================
+solver     basis builder           projected problem
+=========  ======================  ========================================
+``gmres``  Arnoldi                 quasi-minimal on H: min ||beta e1 - H y||
+``lsqr``   Golub-Kahan             quasi-minimal on H (H is bidiagonal)
+``cmrh``   pivoted Hessenberg      quasi-minimal on H
+``lslu``   generalized Hessenberg  quasi-minimal on H
+``scmrh``  pivoted Hessenberg      sketched products min ||S (A V_k y - r0)||,
+                                   or sketched basis times H, (S U_{k+1}) H
+``slslu``  generalized Hessenberg  as ``scmrh``
+=========  ======================  ========================================
 
-Every solver honors ``cfg.lam``: a positive value adds lam^2 times a
-penalty (||y||^2 through the basis for the unsketched methods, the
-sketched basis norm ||S1 L_k y||^2 for the sketched ones).  The
-``*_tikhonov`` names are kept as explicit entry points for the penalized
-forms; with lam = 0 they reduce, bit for bit, to their unregularized
-counterparts.
+The references (Arnoldi, Golub-Kahan) orthonormalize with inner products;
+the Hessenberg builders read every coefficient off a pivot entry instead.
+Every solver honors ``cfg.lam``: a positive value adds lam^2 ||y||^2 to the
+quasi-minimal forms and the sketched penalty lam^2 ||S1 V_k y||^2 to the
+sketched ones.
 
 Counter semantics: the counters on the returned trace report the
 operations the algorithm itself performed (forward/transpose
@@ -32,8 +39,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .hessenberg import (
+    KrylovFactorization,
     PivotStrategy,
     TrivialSolution,
     init_generalized,
@@ -44,6 +53,7 @@ from .hessenberg import (
 from .linops import (
     RankDeficiencyError,
     dense_qr_ls,
+    spectral_condition_number,
     stacked_tikhonov_ls,
     tracked_dot,
     tracked_norm,
@@ -55,6 +65,7 @@ __all__ = [
     "TraceRecord",
     "SolverTrace",
     "SolveResult",
+    "OrthonormalState",
     "trace_to_csv",
     "gmres",
     "lsqr",
@@ -62,8 +73,6 @@ __all__ = [
     "lslu",
     "scmrh",
     "slslu",
-    "scmrh_tikhonov",
-    "slslu_tikhonov",
     "projected_minres_oracle",
     "SOLVERS",
 ]
@@ -157,7 +166,7 @@ class SolveResult:
     x: np.ndarray
     trace: SolverTrace
     termination: str  # maxiter | breakdown | trivial
-    factorization: object = None
+    factorization: KrylovFactorization = None
 
 
 def _cell(value):
@@ -177,21 +186,9 @@ def trace_to_csv(trace, target, include_timing=False):
     """
     lines = [",".join(CSV_COLUMNS)]
     for r in trace.records:
-        cells = [
-            str(r.iteration),
-            _cell(r.res_norm),
-            _cell(r.sres_norm),
-            _cell(r.proj_obj),
-            _cell(r.rel_err),
-            _cell(r.kappa_basis),
-            _cell(r.kappa_dbar),
-            _cell(r.eps_embed),
-            str(r.matvecs),
-            str(r.tmatvecs),
-            str(r.dots),
-            str(r.sketches),
-            _cell(r.wall_ms) if include_timing else "",
-        ]
+        cells = [str(r.iteration)]
+        cells += [_cell(getattr(r, name)) for name in CSV_COLUMNS[1:-1]]
+        cells.append(_cell(r.wall_ms) if include_timing else "")
         lines.append(",".join(cells))
     content = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
@@ -209,13 +206,10 @@ def _projected_solve(M, rhs, lam, N=None):
             return dense_qr_ls(M, rhs), False
         return stacked_tikhonov_ls(M, N, rhs, lam), False
     except RankDeficiencyError:
-        if lam == 0.0:
-            stacked, srhs = M, rhs
-        else:
-            stacked = np.vstack([M, lam * N])
-            srhs = np.concatenate([rhs, np.zeros(N.shape[0])])
-        y, _, _, _ = np.linalg.lstsq(stacked, srhs, rcond=None)
-        return y, True
+        if lam > 0.0:
+            M = np.vstack([M, lam * N])
+            rhs = np.concatenate([rhs, np.zeros(N.shape[0])])
+        return np.linalg.lstsq(M, rhs, rcond=None)[0], True
 
 
 def _objective(M, rhs, y, lam, N=None):
@@ -225,14 +219,6 @@ def _objective(M, rhs, y, lam, N=None):
     return float(np.sqrt(val))
 
 
-def _union_condition(*mats):
-    s = np.concatenate([np.linalg.svd(M, compute_uv=False) for M in mats])
-    smin = s.min()
-    if smin < 1e-300:
-        return np.inf
-    return float(s.max() / smin)
-
-
 def _relative_error(x, x_true):
     denom = np.linalg.norm(x_true)
     if denom == 0.0:
@@ -240,17 +226,276 @@ def _relative_error(x, x_true):
     return float(np.linalg.norm(x - x_true) / denom)
 
 
-def _trivial_result(x):
-    return SolveResult(x=x, trace=SolverTrace(), termination="trivial")
-
-
 def _exact_residual(A, b, x):
     # diagnostics-only: raw forward application, no counter update
     return float(np.linalg.norm(b - np.asarray(A.forward(x), dtype=float)))
 
 
+def _finite_vector(name, v, length):
+    v = np.asarray(v, dtype=float)
+    if v.shape != (length,):
+        raise ValueError(f"{name} must have length {length}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite; it contains NaN or inf")
+    return v
+
+
 # ---------------------------------------------------------------------------
-# reference solvers
+# the driver
+
+
+def _krylov(A, b, cfg, x_true, init, step, form):
+    """Run one solve with basis builder ``init``/``step`` and projection ``form``.
+
+    ``init(A, b, x0=, strategy=)`` returns a :class:`KrylovFactorization`
+    or raises TrivialSolution; ``step(state, A)`` extends it by one
+    column.  This is the only iteration loop: it owns input checks,
+    trivial returns, the damped projected solve with its rank fallback,
+    and the trace records.
+    """
+    cfg = cfg or SolverConfig()
+    A = A.with_fresh_counters()
+    b = _finite_vector("b", b, A.rows)
+    x0 = None if cfg.x0 is None else _finite_vector("x0", cfg.x0, A.cols)
+    try:
+        state = init(A, b, x0=x0, strategy=cfg.pivot)
+    except TrivialSolution as sig:
+        return SolveResult(x=sig.x, trace=SolverTrace(), termination="trivial")
+    form.start(A, cfg, state)
+    trace = SolverTrace()
+    # a Krylov space has at most A.cols dimensions: the Hessenberg builders
+    # break down by then, and the references stop here
+    for k in range(1, min(cfg.maxiter, A.cols) + 1):
+        tic = time.perf_counter()
+        step(state, A)
+        M, rhs, N = form.system(state, k)
+        y, fallback = _projected_solve(M, rhs, cfg.lam, N)
+        # the n-by-k stack is released at once, so the next one can reuse it
+        x = np.column_stack(state.V_cols[:k]) @ y
+        if x0 is not None:
+            x = x0 + x
+        rec = TraceRecord(
+            iteration=k,
+            proj_obj=_objective(M, rhs, y, cfg.lam, N),
+            rank_fallback=fallback,
+        )
+        if form.sketched:
+            rec.sres_norm = float(np.linalg.norm(M @ y - rhs))
+        if x_true is not None:
+            rec.rel_err = _relative_error(x, x_true)
+        if cfg.compute_diagnostics:
+            rec.res_norm = _exact_residual(A, b, x)
+            U = np.column_stack(state.U_cols)
+            rec.kappa_basis = spectral_condition_number(U)
+            if cfg.lam > 0.0 and not state.orthonormal:
+                block = scipy.linalg.block_diag(U, np.column_stack(state.V_cols[:k]))
+                rec.kappa_dbar = spectral_condition_number(block)
+            if form.sketched:
+                rec.eps_embed = form.distortion(state)
+        rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = A.counters.snapshot()
+        rec.wall_ms = (time.perf_counter() - tic) * 1e3
+        trace.records.append(rec)
+        if state.breakdown:
+            break
+    termination = "breakdown" if state.breakdown else "maxiter"
+    return SolveResult(x=x, trace=trace, termination=termination, factorization=state)
+
+
+# ---------------------------------------------------------------------------
+# projected-problem forms
+
+
+class _QuasiMinimal:
+    """min ||beta e1 - H_{k+1,k} y|| (+ lam^2 ||y||^2).
+
+    Minimizes the residual's coordinates in the data basis; the true
+    residual then sits within a factor kappa(U_{k+1}) of the best one in
+    the same subspace (exactly the best one for an orthonormal basis).
+    """
+
+    sketched = False
+
+    def start(self, A, cfg, state):
+        self.lam = cfg.lam
+
+    def system(self, state, k):
+        rhs = np.zeros(k + 1)
+        rhs[0] = state.beta
+        return state.H_matrix(), rhs, np.eye(k) if self.lam > 0.0 else None
+
+
+class _Sketched:
+    """min ||S (A V_k y - r0)|| (+ lam^2 ||S1 V_k y||^2) under Gaussian sketches.
+
+    The sketched-products form appends S (A v_k) as each product appears;
+    the sketched-basis form assembles (S U_{k+1}) H_{k+1,k} instead, the
+    same matrix in exact arithmetic.  S is drawn from cfg.seed unless a
+    prebuilt ``sketch`` is given; S1 from a seed derived from cfg.seed.
+    """
+
+    sketched = True
+
+    def __init__(self, sketch, basis):
+        self.S, self.basis = sketch, basis
+
+    def start(self, A, cfg, state):
+        if self.S is not None and self.S.in_rows != A.rows:
+            raise ValueError(
+                f"sketch expects vectors of length {self.S.in_rows}, "
+                f"operator produces length {A.rows}"
+            )
+        ell = cfg.effective_sketch_rows() if self.S is None else self.S.out_rows
+        if ell < cfg.maxiter + 1:
+            raise ValueError(
+                f"sketch_rows={ell} cannot embed a {cfg.maxiter}-dimensional "
+                "projected problem; need at least maxiter+1 rows"
+            )
+        if self.S is None:
+            self.S = make_gaussian_sketch(ell, A.rows, cfg.seed)
+        self.counters = A.counters
+        self.diagnostics = cfg.compute_diagnostics
+        self.sr0 = self._apply(self.S, state.r0)
+        self.cols = [self._apply(self.S, state.U_cols[0])] if self.basis else []
+        self.products, self.S1 = [], None
+        if cfg.lam > 0.0:
+            self.S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
+            self.penalty_cols = [self._apply(self.S1, state.V_cols[0])]
+
+    def _apply(self, S, v):
+        return sketch_apply(S, v, self.counters)
+
+    def system(self, state, k):
+        # each new product or basis column is sketched exactly once
+        if not self.basis:
+            self.cols.append(self._apply(self.S, state.last_product))
+        elif len(self.cols) < len(state.U_cols):
+            self.cols.append(self._apply(self.S, state.U_cols[-1]))
+        M = np.column_stack(self.cols)
+        if self.basis:
+            M = M @ state.H_matrix(rows=M.shape[1])
+        if self.diagnostics:
+            self.products.append(state.last_product)
+        if self.S1 is None:
+            return M, self.sr0, None
+        if len(self.penalty_cols) < len(state.V_cols):
+            self.penalty_cols.append(self._apply(self.S1, state.V_cols[-1]))
+        return M, self.sr0, np.column_stack(self.penalty_cols[:k])
+
+    def distortion(self, state):
+        """Measured distortion of S on span(A V_k, r0) (diagnostics only)."""
+        return measured_epsilon(self.S, np.column_stack(self.products + [state.r0]))
+
+
+# ---------------------------------------------------------------------------
+# orthonormal basis builders (the references)
+
+
+@dataclass
+class OrthonormalState(KrylovFactorization):
+    """Arnoldi or Golub-Kahan factorization A V_k = U_{k+1} H_{k+1,k}.
+
+    Arnoldi's single basis is one list shared by ``U_cols`` and
+    ``V_cols``.  Golub-Kahan's H is lower bidiagonal, and ``alpha`` holds
+    the diagonal entry of its next column.
+    """
+
+    orthonormal = True
+
+    U_cols: list
+    V_cols: list
+    r0: np.ndarray
+    beta: float
+    alpha: float = None
+    h_cols: list = field(default_factory=list)
+    breakdown: bool = False
+    last_product: np.ndarray = None
+
+
+def _trivial(A, x0, reason):
+    return TrivialSolution(reason, np.zeros(A.cols) if x0 is None else x0.copy())
+
+
+def _normalized_residual(A, b, x0):
+    r0 = b.copy() if x0 is None else b - A.apply(x0)
+    beta = tracked_norm(A.counters, r0)
+    if beta == 0.0:
+        raise _trivial(A, x0, "initial residual is zero; starting point is exact")
+    return r0, beta
+
+
+def _init_arnoldi(A, b, x0=None, strategy=None):
+    if not A.is_square:
+        raise ValueError("gmres needs a square operator")
+    r0, beta = _normalized_residual(A, b, x0)
+    V = [r0 / beta]
+    return OrthonormalState(U_cols=V, V_cols=V, r0=r0, beta=beta)
+
+
+def _step_arnoldi(state, A):
+    # modified Gram-Schmidt, then one reorthogonalization pass
+    c, V = A.counters, state.V_cols
+    k = len(state.h_cols) + 1
+    w = state.last_product = A.apply(V[-1])
+    h = np.empty(k + 1)
+    for j in range(k):
+        h[j] = tracked_dot(c, V[j], w)
+        w = w - h[j] * V[j]
+    for j in range(k):
+        corr = tracked_dot(c, V[j], w)
+        w = w - corr * V[j]
+        h[j] += corr
+    h[k] = tracked_norm(c, w)
+    state.h_cols.append(h)
+    # relative test: an exactly-zero norm never survives rounding
+    state.breakdown = bool(h[k] <= 1e-14 * np.linalg.norm(h))
+    if not state.breakdown:
+        V.append(w / h[k])
+
+
+def _init_golub_kahan(A, b, x0=None, strategy=None):
+    r0, beta = _normalized_residual(A, b, x0)
+    u = r0 / beta
+    z = A.apply_transpose(u)
+    alpha = tracked_norm(A.counters, z)
+    if alpha == 0.0:
+        raise _trivial(
+            A, x0, "transposed residual is zero; the normal equations already hold"
+        )
+    return OrthonormalState(
+        U_cols=[u], V_cols=[z / alpha], r0=r0, beta=beta, alpha=alpha
+    )
+
+
+def _step_golub_kahan(state, A):
+    # H column k is (alpha_k, beta_{k+1}) in rows k, k+1; the same step
+    # prepares v_{k+1} and alpha_{k+1}; both sides reorthogonalize once
+    c, U, V = A.counters, state.U_cols, state.V_cols
+    k = len(state.h_cols) + 1
+    state.last_product = A.apply(V[-1])
+    w = state.last_product - state.alpha * U[-1]
+    for u in U:
+        w = w - tracked_dot(c, u, w) * u
+    beta = tracked_norm(c, w)
+    h = np.zeros(k + 1)
+    h[k - 1 :] = state.alpha, beta
+    state.h_cols.append(h)
+    if beta <= 1e-14 * state.alpha:
+        state.breakdown = True
+        return
+    U.append(w / beta)
+    z = A.apply_transpose(U[-1]) - beta * V[-1]
+    for v in V:
+        z = z - tracked_dot(c, v, z) * v
+    alpha = tracked_norm(c, z)
+    if alpha <= 1e-14 * beta:
+        state.breakdown = True
+        return
+    V.append(z / alpha)
+    state.alpha = alpha
+
+
+# ---------------------------------------------------------------------------
+# the six solvers; builder names are looked up when a solver is called
 
 
 def gmres(A, b, cfg=None, x_true=None):
@@ -262,67 +507,7 @@ def gmres(A, b, cfg=None, x_true=None):
     positive cfg.lam damps the projected problem with lam^2 ||y||^2
     (equal to lam^2 ||x||^2 on the orthonormal basis).
     """
-    cfg = cfg or SolverConfig()
-    if not A.is_square:
-        raise ValueError("gmres needs a square operator")
-    A = A.with_fresh_counters()
-    c = A.counters
-    b = np.asarray(b, dtype=float)
-    x0 = None if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
-    r0 = b.copy() if x0 is None else b - A.apply(x0)
-    beta = tracked_norm(c, r0)
-    if beta == 0.0:
-        return _trivial_result(np.zeros(A.cols) if x0 is None else x0.copy())
-    V = [r0 / beta]
-    h_cols = []
-    trace = SolverTrace()
-    x = None
-    termination = "maxiter"
-    n = A.rows
-    for k in range(1, min(cfg.maxiter, n) + 1):
-        tic = time.perf_counter()
-        w = A.apply(V[-1])
-        h = np.empty(k + 1)
-        for j in range(k):
-            h[j] = tracked_dot(c, V[j], w)
-            w = w - h[j] * V[j]
-        for j in range(k):
-            corr = tracked_dot(c, V[j], w)
-            w = w - corr * V[j]
-            h[j] += corr
-        h[k] = tracked_norm(c, w)
-        h_cols.append(h)
-        # relative test: an exactly-zero norm never survives rounding
-        lucky = h[k] <= 1e-14 * np.linalg.norm(h)
-        if not lucky:
-            V.append(w / h[k])
-        H = np.zeros((k + 1, k))
-        for j, col in enumerate(h_cols):
-            H[: j + 2, j] = col
-        rhs = np.zeros(k + 1)
-        rhs[0] = beta
-        N = np.eye(k) if cfg.lam > 0.0 else None
-        y, fallback = _projected_solve(H, rhs, cfg.lam, N)
-        x = np.column_stack(V[:k]) @ y
-        if x0 is not None:
-            x = x0 + x
-        rec = TraceRecord(
-            iteration=k,
-            proj_obj=_objective(H, rhs, y, cfg.lam, N),
-            rank_fallback=fallback,
-        )
-        if x_true is not None:
-            rec.rel_err = _relative_error(x, x_true)
-        if cfg.compute_diagnostics:
-            rec.res_norm = _exact_residual(A, b, x)
-            rec.kappa_basis = _union_condition(np.column_stack(V))
-        rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = c.snapshot()
-        rec.wall_ms = (time.perf_counter() - tic) * 1e3
-        trace.records.append(rec)
-        if lucky:
-            termination = "breakdown"
-            break
-    return SolveResult(x=x, trace=trace, termination=termination)
+    return _krylov(A, b, cfg, x_true, _init_arnoldi, _step_arnoldi, _QuasiMinimal())
 
 
 def lsqr(A, b, cfg=None, x_true=None):
@@ -332,211 +517,9 @@ def lsqr(A, b, cfg=None, x_true=None):
     cfg.lam > 0 gives damped least squares min ||Ax-b||^2 + lam^2||x||^2
     restricted to the Krylov subspace.
     """
-    cfg = cfg or SolverConfig()
-    A = A.with_fresh_counters()
-    c = A.counters
-    b = np.asarray(b, dtype=float)
-    x0 = None if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
-    r0 = b.copy() if x0 is None else b - A.apply(x0)
-    beta1 = tracked_norm(c, r0)
-    if beta1 == 0.0:
-        return _trivial_result(np.zeros(A.cols) if x0 is None else x0.copy())
-    U = [r0 / beta1]
-    z = A.apply_transpose(U[0])
-    alpha = tracked_norm(c, z)
-    if alpha == 0.0:
-        # normal equations already satisfied at the start vector
-        return _trivial_result(np.zeros(A.cols) if x0 is None else x0.copy())
-    V = [z / alpha]
-    alphas = [alpha]
-    betas = []
-    trace = SolverTrace()
-    x = None
-    termination = "maxiter"
-    for k in range(1, min(cfg.maxiter, A.cols) + 1):
-        tic = time.perf_counter()
-        w = A.apply(V[-1]) - alphas[-1] * U[-1]
-        for u in U:
-            w = w - tracked_dot(c, u, w) * u
-        beta = tracked_norm(c, w)
-        exhausted = beta <= 1e-14 * alphas[-1]
-        if not exhausted:
-            U.append(w / beta)
-        betas.append(beta)
-        B = np.zeros((k + 1, k))
-        for j in range(k):
-            B[j, j] = alphas[j]
-            B[j + 1, j] = betas[j]
-        rhs = np.zeros(k + 1)
-        rhs[0] = beta1
-        N = np.eye(k) if cfg.lam > 0.0 else None
-        y, fallback = _projected_solve(B, rhs, cfg.lam, N)
-        x = np.column_stack(V[:k]) @ y
-        if x0 is not None:
-            x = x0 + x
-        rec = TraceRecord(
-            iteration=k,
-            proj_obj=_objective(B, rhs, y, cfg.lam, N),
-            rank_fallback=fallback,
-        )
-        if x_true is not None:
-            rec.rel_err = _relative_error(x, x_true)
-        if cfg.compute_diagnostics:
-            rec.res_norm = _exact_residual(A, b, x)
-            rec.kappa_basis = _union_condition(np.column_stack(V))
-        if not exhausted:
-            z = A.apply_transpose(U[-1]) - beta * V[-1]
-            for v in V:
-                z = z - tracked_dot(c, v, z) * v
-            alpha = tracked_norm(c, z)
-            if alpha <= 1e-14 * beta:
-                exhausted = True
-            else:
-                V.append(z / alpha)
-                alphas.append(alpha)
-        rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = c.snapshot()
-        rec.wall_ms = (time.perf_counter() - tic) * 1e3
-        trace.records.append(rec)
-        if exhausted:
-            termination = "breakdown"
-            break
-    return SolveResult(x=x, trace=trace, termination=termination)
-
-
-# ---------------------------------------------------------------------------
-# Hessenberg family
-
-
-def _hessenberg_solve(
-    A, b, cfg, x_true, square, sketched, sketch_basis, f_unreduced, sketch=None
-):
-    cfg = cfg or SolverConfig()
-    if square and not A.is_square:
-        raise ValueError("this solver needs a square operator")
-    A = A.with_fresh_counters()
-    c = A.counters
-    b = np.asarray(b, dtype=float)
-    x0 = None if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
-
-    init = init_square if square else init_generalized
-    step = step_square if square else step_generalized
-    try:
-        state = init(A, b, x0=x0, strategy=cfg.pivot)
-    except TrivialSolution as sig:
-        return _trivial_result(sig.x)
-
-    keep = sketched and (not sketch_basis or cfg.compute_diagnostics)
-    S2 = S1 = None
-    sr0 = None
-    Z_cols = []
-    G_cols = []
-    F_cols = []
-    AL_cols = []
-    if sketched:
-        if sketch is not None:
-            if sketch.in_rows != A.rows:
-                raise ValueError(
-                    f"sketch expects vectors of length {sketch.in_rows}, "
-                    f"operator produces length {A.rows}"
-                )
-            S2 = sketch
-            ell = S2.out_rows
-        else:
-            ell = cfg.effective_sketch_rows()
-            S2 = None
-        if ell < cfg.maxiter + 1:
-            raise ValueError(
-                f"sketch_rows={ell} cannot embed a {cfg.maxiter}-dimensional "
-                "projected problem; need at least maxiter+1 rows"
-            )
-        if S2 is None:
-            S2 = make_gaussian_sketch(ell, A.rows, cfg.seed)
-        sr0 = sketch_apply(S2, state.r0, c)
-        if sketch_basis:
-            first = state.L_cols[0] if square else state.D_cols[0]
-            G_cols.append(sketch_apply(S2, first, c))
-        if cfg.lam > 0.0:
-            S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
-            if f_unreduced and not square:
-                F_cols.append(sketch_apply(S1, state.last_solution_product, c))
-            else:
-                F_cols.append(sketch_apply(S1, state.L_cols[0], c))
-
-    trace = SolverTrace()
-    x = None
-    termination = "maxiter"
-    for k in range(1, cfg.maxiter + 1):
-        tic = time.perf_counter()
-        n_basis_before = len(state.L_cols) if square else len(state.D_cols)
-        n_sol_before = len(state.L_cols)
-        if square:
-            step_square(state, A, keep_product=keep)
-        else:
-            step_generalized(state, A, keep_products=keep)
-        if sketched:
-            if keep:
-                prod = state.last_product if square else state.last_data_product
-                if not sketch_basis:
-                    Z_cols.append(sketch_apply(S2, prod, c))
-                if cfg.compute_diagnostics:
-                    AL_cols.append(prod)
-            if sketch_basis:
-                cols = state.L_cols if square else state.D_cols
-                if len(cols) > n_basis_before:
-                    G_cols.append(sketch_apply(S2, cols[-1], c))
-            if cfg.lam > 0.0:
-                if f_unreduced and not square:
-                    if len(state.D_cols) > n_basis_before:
-                        F_cols.append(sketch_apply(S1, state.last_solution_product, c))
-                elif len(state.L_cols) > n_sol_before:
-                    F_cols.append(sketch_apply(S1, state.L_cols[-1], c))
-
-        Lk = np.column_stack(state.L_cols[:k])
-        if sketched:
-            if sketch_basis:
-                G = np.column_stack(G_cols)
-                M = G @ state.H_matrix(rows=G.shape[1])
-            else:
-                M = np.column_stack(Z_cols)
-            rhs = sr0
-        else:
-            M = state.H_matrix()
-            rhs = np.zeros(M.shape[0])
-            rhs[0] = state.beta
-        N = np.column_stack(F_cols[:k]) if (sketched and cfg.lam > 0.0) else (
-            np.eye(k) if cfg.lam > 0.0 else None
-        )
-        y, fallback = _projected_solve(M, rhs, cfg.lam, N)
-        x = Lk @ y
-        if x0 is not None:
-            x = x0 + x
-
-        rec = TraceRecord(
-            iteration=k,
-            proj_obj=_objective(M, rhs, y, cfg.lam, N),
-            rank_fallback=fallback,
-        )
-        if sketched:
-            rec.sres_norm = float(np.linalg.norm(M @ y - rhs))
-        if x_true is not None:
-            rec.rel_err = _relative_error(x, x_true)
-        if cfg.compute_diagnostics:
-            rec.res_norm = _exact_residual(A, b, x)
-            basis = state.L_matrix() if square else state.D_matrix()
-            rec.kappa_basis = _union_condition(basis)
-            if cfg.lam > 0.0:
-                rec.kappa_dbar = _union_condition(basis, Lk)
-            if sketched and AL_cols:
-                rec.eps_embed = measured_epsilon(
-                    S2, np.column_stack(AL_cols + [state.r0])
-                )
-        rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = c.snapshot()
-        rec.wall_ms = (time.perf_counter() - tic) * 1e3
-        trace.records.append(rec)
-        if state.breakdown:
-            termination = "breakdown"
-            break
-    return SolveResult(x=x, trace=trace, termination=termination, factorization=state)
+    return _krylov(
+        A, b, cfg, x_true, _init_golub_kahan, _step_golub_kahan, _QuasiMinimal()
+    )
 
 
 def cmrh(A, b, cfg=None, x_true=None):
@@ -547,7 +530,7 @@ def cmrh(A, b, cfg=None, x_true=None):
     true residual then sits within a factor kappa(L_{k+1}) of the best
     residual in the same subspace.
     """
-    return _hessenberg_solve(A, b, cfg, x_true, True, False, False, False)
+    return _krylov(A, b, cfg, x_true, init_square, step_square, _QuasiMinimal())
 
 
 def lslu(A, b, cfg=None, x_true=None):
@@ -556,7 +539,9 @@ def lslu(A, b, cfg=None, x_true=None):
     Rectangular analogue of cmrh: the data-space basis D plays the role
     of L_{k+1}, and the residual bound factor is kappa(D_{k+1}).
     """
-    return _hessenberg_solve(A, b, cfg, x_true, False, False, False, False)
+    return _krylov(
+        A, b, cfg, x_true, init_generalized, step_generalized, _QuasiMinimal()
+    )
 
 
 def scmrh(A, b, cfg=None, x_true=None, *, sketch_basis=False, sketch=None):
@@ -567,42 +552,22 @@ def scmrh(A, b, cfg=None, x_true=None, *, sketch_basis=False, sketch=None):
     S (A l_k) as it appears.  With ``sketch_basis`` the sketched system
     is instead assembled as (S L_{k+1}) H_{k+1,k}, which is the same
     matrix in exact arithmetic.  A prebuilt ``sketch`` overrides the
-    seeded draw.
+    seeded draw.  A positive cfg.lam adds lam^2 ||S1 L_k y||^2, with S1
+    drawn from a seed derived from cfg.seed.
     """
-    return _hessenberg_solve(
-        A, b, cfg, x_true, True, True, sketch_basis, False, sketch=sketch
-    )
+    form = _Sketched(sketch, sketch_basis)
+    return _krylov(A, b, cfg, x_true, init_square, step_square, form)
 
 
 def slslu(A, b, cfg=None, x_true=None, *, sketch_basis=False, sketch=None):
-    """Sketched projected least squares on the generalized bases."""
-    return _hessenberg_solve(
-        A, b, cfg, x_true, False, True, sketch_basis, False, sketch=sketch
-    )
+    """Sketched projected least squares on the generalized bases.
 
-
-def scmrh_tikhonov(A, b, cfg=None, x_true=None):
-    """scmrh with the sketched penalty lam^2 ||S1 L_k y||^2.
-
-    S1 is drawn from a seed derived from cfg.seed, so the pair of
-    embeddings is reproducible from the single configured seed.  With
-    cfg.lam = 0 this is exactly scmrh.
+    Solves min ||S2(A L_k y - r0)||^2 + lam^2 ||S1 L_k y||^2 (the penalty
+    only when cfg.lam > 0), with the same ``sketch_basis`` and ``sketch``
+    options as :func:`scmrh`.
     """
-    return _hessenberg_solve(A, b, cfg, x_true, True, True, False, False)
-
-
-def slslu_tikhonov(A, b, cfg=None, x_true=None, *, printed_f_columns=False):
-    """slslu with the sketched penalty lam^2 ||S1 L_k y||^2.
-
-    By default the penalty columns are the sketches of the final
-    normalized basis vectors, so the minimized objective is exactly
-    ||S2(A L_k y - r0)||^2 + lam^2 ||S1 L_k y||^2.  The
-    ``printed_f_columns`` variant sketches the unreduced transpose
-    products (A^T d_k before elimination) instead, which penalizes
-    through a different matrix than S1 L_k; it is kept for comparison
-    only.
-    """
-    return _hessenberg_solve(A, b, cfg, x_true, False, True, False, printed_f_columns)
+    form = _Sketched(sketch, sketch_basis)
+    return _krylov(A, b, cfg, x_true, init_generalized, step_generalized, form)
 
 
 def projected_minres_oracle(A, basis, b):

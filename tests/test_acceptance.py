@@ -9,6 +9,7 @@ than imported from the unit-test helpers.
 
 import io
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hessketch.hessenberg import (
     step_generalized,
     step_square,
 )
-from hessketch.linops import LinearOperator
+from hessketch import solvers
+from hessketch.linops import LinearOperator, stacked_tikhonov_ls
 from hessketch.problems import make_deblur, make_tomography, motion_psf
 from hessketch.sketch import make_gaussian_sketch, sketch_and_solve_ls
 from hessketch.solvers import (
@@ -31,9 +33,7 @@ from hessketch.solvers import (
     lsqr,
     projected_minres_oracle,
     scmrh,
-    scmrh_tikhonov,
     slslu,
-    slslu_tikhonov,
     trace_to_csv,
 )
 
@@ -367,7 +367,7 @@ def test_criterion_09_tikhonov_stabilization(tomo48):
         sketched = [
             upturn(
                 err_curve(
-                    slslu_tikhonov(
+                    slslu(
                         p.operator,
                         p.b,
                         SolverConfig(maxiter=30, lam=lam, seed=seed),
@@ -421,7 +421,7 @@ def test_criterion_09_tikhonov_stabilization(tomo48):
     )
 
 
-def test_criterion_10_reductions_and_replay():
+def test_criterion_10_reductions_and_replay(monkeypatch):
     rng = np.random.default_rng(1010)
     Ms = rng.standard_normal((20, 20))
     bs = rng.standard_normal(20)
@@ -430,14 +430,33 @@ def test_criterion_10_reductions_and_replay():
     As, Ar = LinearOperator.from_matrix(Ms), LinearOperator.from_matrix(Mr)
     cfg = SolverConfig(maxiter=6, seed=3)
 
-    a, b_ = scmrh(As, bs, cfg), scmrh_tikhonov(As, bs, cfg)
-    zero_lam_sq = np.array_equal(a.x, b_.x) and a.trace.column(
-        "proj_obj"
-    ) == b_.trace.column("proj_obj")
-    c, d = slslu(Ar, br, cfg), slslu_tikhonov(Ar, br, cfg)
-    zero_lam_rect = np.array_equal(c.x, d.x) and (
-        c.trace.final().sketches == d.trace.final().sketches
+    # lambda = 0 reduces to the plain solve on the shared stacked-QR path:
+    # on every projected system of real sketched runs, the stacked solve
+    # at lambda = 0 equals the plain QR solve bit for bit
+    plain_qr = solvers.dense_qr_ls
+    systems = []
+
+    def recording_qr(M, rhs):
+        systems.append((M, rhs))
+        return plain_qr(M, rhs)
+
+    monkeypatch.setattr(solvers, "dense_qr_ls", recording_qr)
+    scmrh(As, bs, cfg)
+    slslu(Ar, br, cfg)
+    monkeypatch.undo()
+    zero_lam_solve = len(systems) == 2 * cfg.maxiter and all(
+        np.array_equal(
+            stacked_tikhonov_ls(M, np.eye(M.shape[1]), rhs, 0.0), plain_qr(M, rhs)
+        )
+        for M, rhs in systems
     )
+    # and the penalty sketches are only charged when lambda > 0
+    K = cfg.maxiter
+    sketches = (
+        slslu(Ar, br, cfg).trace.final().sketches,
+        slslu(Ar, br, replace(cfg, lam=0.5)).trace.final().sketches,
+    )
+    zero_lam_cost = sketches == (K + 1, 2 * K + 2)
 
     full_sq = cmrh(As, bs, SolverConfig(maxiter=6))
     samp_sq = cmrh(
@@ -456,11 +475,12 @@ def test_criterion_10_reductions_and_replay():
     trace_to_csv(slslu(Ar, br, cfg).trace, buf2)
     replay = buf1.getvalue() == buf2.getvalue()
 
-    ok = zero_lam_sq and zero_lam_rect and superset and replay
+    ok = zero_lam_solve and zero_lam_cost and superset and replay
     report(
         10,
         ok,
-        f"lambda=0 regularized solvers bitwise equal plain ones "
-        f"({zero_lam_sq}, {zero_lam_rect}); whole-set sampling equals full "
-        f"pivoting ({superset}); CSV replay byte-identical ({replay})",
+        f"lambda=0 stacked solves bitwise equal plain ones on "
+        f"{len(systems)} sketched systems ({zero_lam_solve}); slslu sketches "
+        f"{sketches} at lambda 0, 0.5 ({zero_lam_cost}); whole-set sampling "
+        f"equals full pivoting ({superset}); CSV replay byte-identical ({replay})",
     )

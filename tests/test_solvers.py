@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hessketch.hessenberg import PivotStrategy
-from hessketch.linops import LinearOperator, dense_qr_ls
+from hessketch.linops import LinearOperator, dense_qr_ls, spectral_condition_number
 from hessketch.sketch import SketchOperator, derive_seed, make_gaussian_sketch
 from hessketch.solvers import (
     CSV_COLUMNS,
+    SOLVERS,
     SolverConfig,
     cmrh,
     gmres,
@@ -15,9 +16,7 @@ from hessketch.solvers import (
     lsqr,
     projected_minres_oracle,
     scmrh,
-    scmrh_tikhonov,
     slslu,
-    slslu_tikhonov,
     trace_to_csv,
 )
 
@@ -32,6 +31,13 @@ def make_rect(seed, m, n):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((m, n))
     return M, LinearOperator.from_matrix(M), rng.standard_normal(m)
+
+
+SQUARE_ONLY = {"gmres", "cmrh", "scmrh"}
+
+
+def problem_for(name, seed):
+    return make_square(seed, 20) if name in SQUARE_ONLY else make_rect(seed, 30, 15)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +62,88 @@ def test_sketched_solver_rejects_tiny_sketch():
     _, A, b = make_square(0, 8)
     with pytest.raises(ValueError):
         scmrh(A, b, SolverConfig(maxiter=6, sketch_rows=4))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_nonfinite_b_rejected(name):
+    _, A, b = make_square(41, 6)
+    b[2] = np.nan
+    with pytest.raises(ValueError, match="b must be finite"):
+        SOLVERS[name](A, b, SolverConfig(maxiter=3))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_nonfinite_x0_rejected(name):
+    _, A, b = make_square(42, 6)
+    x0 = np.zeros(6)
+    x0[0] = np.inf
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        SOLVERS[name](A, b, SolverConfig(maxiter=3, x0=x0))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_x0_of_wrong_length_rejected(name):
+    _, A, b = make_square(43, 6)
+    with pytest.raises(ValueError, match="x0 must have length 6"):
+        SOLVERS[name](A, b, SolverConfig(maxiter=3, x0=np.zeros(5)))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_misshapen_operator_output_rejected(name):
+    # forward and transpose both return columns; the first one applied
+    # (forward for the square solvers, transpose for the others) is named
+    M, _, b = make_square(44, 6)
+    A = LinearOperator(6, 6, lambda x: (M @ x)[:, None], lambda y: (M.T @ y)[:, None])
+    with pytest.raises(
+        ValueError,
+        match=r"operator (forward|transpose) returned shape \(6, 1\), expected \(6,\)",
+    ):
+        SOLVERS[name](A, b, SolverConfig(maxiter=3))
+
+
+# ---------------------------------------------------------------------------
+# invariants shared by all six solvers
+
+
+def expected_counters(name, K, damped):
+    """Final (matvecs, tmatvecs, dots, sketches) after K steps, no breakdown."""
+    tmatvecs = {"lsqr": K + 1, "lslu": K + 2, "slslu": K + 2}.get(name, 0)
+    dots = {"gmres": (K + 1) ** 2, "lsqr": 2 + K * (K + 1) + 2 * K}.get(name, 0)
+    sketched = name in ("scmrh", "slslu")
+    sketches = (2 * K + 2 if damped else K + 1) if sketched else 0
+    return K, tmatvecs, dots, sketches
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_diagnostics_change_neither_iterates_nor_counters(name, lam):
+    _, A, b = problem_for(name, 45)
+    K = 6
+    off, on = (
+        SOLVERS[name](
+            A, b, SolverConfig(maxiter=K, lam=lam, seed=1, compute_diagnostics=diag)
+        )
+        for diag in (False, True)
+    )
+    assert np.array_equal(off.x, on.x)
+    assert off.trace.column("proj_obj") == on.trace.column("proj_obj")
+    counts = [
+        [(r.matvecs, r.tmatvecs, r.dots, r.sketches) for r in res.trace.records]
+        for res in (off, on)
+    ]
+    assert counts[0] == counts[1]
+    assert len(counts[0]) == K
+    assert counts[0][-1] == expected_counters(name, K, lam > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_kappa_basis_is_condition_of_data_basis(name):
+    _, A, b = problem_for(name, 46)
+    res = SOLVERS[name](A, b, SolverConfig(maxiter=6, seed=2, compute_diagnostics=True))
+    U_cols = res.factorization.U_cols
+    for k, rec in enumerate(res.trace.records, start=1):
+        U = np.column_stack(U_cols[: k + 1])
+        assert rec.kappa_basis == spectral_condition_number(U)
 
 
 # ---------------------------------------------------------------------------
@@ -388,34 +476,13 @@ def test_slslu_sampled_pivoting_runs_clean():
 # Tikhonov forms
 
 
-def test_scmrh_tikhonov_zero_lam_reduces_bitwise():
-    _, A, b = make_square(27, 12)
-    cfg = SolverConfig(maxiter=5, seed=8)
-    plain = scmrh(A, b, cfg)
-    tik = scmrh_tikhonov(A, b, cfg)
-    assert np.array_equal(plain.x, tik.x)
-    assert plain.trace.column("proj_obj") == tik.trace.column("proj_obj")
-    final_p, final_t = plain.trace.final(), tik.trace.final()
-    assert final_p.sketches == final_t.sketches
-    assert final_p.matvecs == final_t.matvecs
-
-
-def test_slslu_tikhonov_zero_lam_reduces_bitwise():
-    _, A, b = make_rect(28, 22, 11)
-    cfg = SolverConfig(maxiter=5, seed=9)
-    plain = slslu(A, b, cfg)
-    tik = slslu_tikhonov(A, b, cfg)
-    assert np.array_equal(plain.x, tik.x)
-    assert plain.trace.column("sres_norm") == tik.trace.column("sres_norm")
-
-
 def test_slslu_tikhonov_solves_stated_objective():
     # the minimizer must satisfy the normal equations of
     # ||Z y - S2 r0||^2 + lam^2 ||S1 L_k y||^2 with F = S1 L_k exactly
     M, A, b = make_rect(29, 24, 12)
     lam = 0.7
     cfg = SolverConfig(maxiter=6, seed=3, lam=lam)
-    res = slslu_tikhonov(A, b, cfg)
+    res = slslu(A, b, cfg)
     state = res.factorization
     k = len(res.trace.records)
     ell = cfg.effective_sketch_rows()
@@ -432,24 +499,14 @@ def test_slslu_tikhonov_solves_stated_objective():
 def test_slslu_tikhonov_heavy_damping():
     _, A, b = make_rect(30, 20, 10)
     x_plain = slslu(A, b, SolverConfig(maxiter=4, seed=1)).x
-    x_damped = slslu_tikhonov(A, b, SolverConfig(maxiter=4, seed=1, lam=1e8)).x
+    x_damped = slslu(A, b, SolverConfig(maxiter=4, seed=1, lam=1e8)).x
     assert np.linalg.norm(x_damped) <= 1e-4 * np.linalg.norm(x_plain)
-
-
-def test_slslu_tikhonov_printed_variant_differs_but_runs():
-    _, A, b = make_rect(31, 24, 12)
-    cfg = SolverConfig(maxiter=5, seed=6, lam=0.5)
-    default = slslu_tikhonov(A, b, cfg)
-    printed = slslu_tikhonov(A, b, cfg, printed_f_columns=True)
-    assert len(printed.trace.records) == 5
-    assert np.all(np.isfinite(printed.x))
-    assert not np.allclose(default.x, printed.x)
 
 
 def test_tikhonov_diagnostics_record_block_condition():
     _, A, b = make_rect(32, 20, 10)
     cfg = SolverConfig(maxiter=4, seed=2, lam=0.3, compute_diagnostics=True)
-    res = slslu_tikhonov(A, b, cfg)
+    res = slslu(A, b, cfg)
     for rec in res.trace.records:
         assert rec.kappa_dbar is not None
         assert rec.kappa_dbar >= rec.kappa_basis - 1e-12
