@@ -27,14 +27,14 @@ state = init_square(A, b)
 for _ in range(4):
     step_square(state, A)
 
-L = state.L_matrix()
+L = np.column_stack(state.V_cols)
 H = state.H_matrix()
-print("pivot order t:", state.t[: len(state.L_cols)])
+print("pivot order t:", state.t[: len(state.V_cols)])
 print("L (rows in pivot order form a unit lower triangle):")
-print(L[state.t[: len(state.L_cols)]])
+print(L[state.t[: len(state.V_cols)]])
 print("H (Hessenberg coefficients):")
 print(H)
-gap = np.linalg.norm(M @ L[:, : state.k] - L @ H)
+gap = np.linalg.norm(M @ L[:, : len(state.h_cols)] - L @ H)
 print(f"relation |A L_k - L_(k+1) H| = {gap:.2e}")
 print(f"matvecs={A.counters.matvec_count}  dots={A.counters.dot_product_count}")
 
@@ -47,12 +47,12 @@ gstate = init_generalized(A2, b2)
 for _ in range(3):
     step_generalized(gstate, A2)
 
-D = gstate.D_matrix()
-L2 = gstate.L_matrix()
-print("data-space pivots t:", gstate.t[: len(gstate.D_cols)])
-print("solution-space pivots g:", gstate.g[: len(gstate.L_cols)])
-gap1 = np.linalg.norm(M2 @ L2[:, : gstate.k] - D @ gstate.H_matrix())
-W = gstate.W_matrix(rows=len(gstate.L_cols))
+D = np.column_stack(gstate.U_cols)
+L2 = np.column_stack(gstate.V_cols)
+print("data-space pivots t:", gstate.t[: len(gstate.U_cols)])
+print("solution-space pivots g:", gstate.g[: len(gstate.V_cols)])
+gap1 = np.linalg.norm(M2 @ L2[:, : len(gstate.h_cols)] - D @ gstate.H_matrix())
+W = gstate.W_matrix(rows=len(gstate.V_cols))
 gap2 = np.linalg.norm(M2.T @ D - L2 @ W[:, : D.shape[1]])
 print(f"relation |A L_k - D_(k+1) H| = {gap1:.2e}")
 print(f"relation |A' D_(k+1) - L_(k+1) W| = {gap2:.2e}")

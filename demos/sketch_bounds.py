@@ -28,7 +28,7 @@ print(
     f"{'lsqr':>9}  {'eps':>6}"
 )
 for k, rec in enumerate(res.trace.records, start=1):
-    basis = np.column_stack(state.L_cols[:k])
+    basis = np.column_stack(state.V_cols[:k])
     _, oracle = projected_minres_oracle(A, basis, b)
     envelope = (1.0 + rec.eps_embed) / (1.0 - rec.eps_embed) * oracle
     ref_res = ref.trace.records[k - 1].res_norm

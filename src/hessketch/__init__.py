@@ -17,8 +17,6 @@ The package is organized bottom up:
 """
 
 from .hessenberg import (
-    HessenbergState,
-    GeneralizedHessenbergState,
     KrylovFactorization,
     PivotStrategy,
     TrivialSolution,
@@ -66,7 +64,6 @@ from .sketch import (
 from .solvers import (
     CSV_COLUMNS,
     SOLVERS,
-    OrthonormalState,
     SolveResult,
     SolverConfig,
     SolverTrace,

@@ -436,12 +436,10 @@ def _compare_rows(label, trace):
 
 
 def _summary_line(label, problem, result):
-    errs = [r.rel_err for r in result.trace.records]
     final = result.trace.final()
-    best = min(errs)
-    at = errs.index(best) + 1
+    best = min(result.trace.records, key=lambda r: r.rel_err)
     return (
-        f"{label}: min_rel_err={best:.6e} at_iter={at} "
+        f"{label}: min_rel_err={best.rel_err:.6e} at_iter={best.iteration} "
         f"final_res={_final_residual(problem, result.x):.6e} "
         f"matvecs={final.matvecs} tmatvecs={final.tmatvecs} "
         f"dots={final.dots} sketches={final.sketches}"

@@ -12,6 +12,9 @@ grows a data-space basis D and a solution-space basis L simultaneously:
     A L_k = D_{k+1} H_{k+1,k},        A^T D_{k+1} = L_{k+1} W_{k+1},
 
 with D unit lower triangular under t, L under g, and W upper triangular.
+Both processes return a :class:`KrylovFactorization`, the state shape the
+solver driver also gets from its Arnoldi and Golub-Kahan builders: the
+data basis (L or D) is its ``U_cols``, the solution basis L its ``V_cols``.
 
 Every elimination coefficient is read off a single entry at a pivot
 position, so the construction performs no inner products; the counters on
@@ -35,8 +38,6 @@ __all__ = [
     "PivotStrategy",
     "TrivialSolution",
     "KrylovFactorization",
-    "HessenbergState",
-    "GeneralizedHessenbergState",
     "pivot_select",
     "init_square",
     "step_square",
@@ -80,15 +81,11 @@ _FULL = PivotStrategy.full()
 class TrivialSolution(Exception):
     """The start vector already solves the problem; no iteration is needed.
 
-    Raised when the initial residual is zero (square or rectangular) or
-    when the initial transposed residual is zero (rectangular: the normal
-    equations are already satisfied).  Carries the trivial solution in
-    ``x``.
+    Raised by a builder's init when the initial residual is zero (square
+    or rectangular) or when the initial transposed residual is zero
+    (rectangular: the normal equations are already satisfied).  The
+    message gives the reason; the solver driver returns the start vector.
     """
-
-    def __init__(self, message, x):
-        super().__init__(message)
-        self.x = x
 
 
 def pivot_select(v, admissible, strategy, rng=None):
@@ -130,13 +127,15 @@ def _swap_to_position(perm, used, idx):
     perm[used], perm[pos] = perm[pos], perm[used]
 
 
-def _reduce(u, cols, perm, k, strategy, rng):
-    """Eliminate u against cols at the pivots perm[:k], then pivot the rest.
+def _reduce(u, cols, perm, strategy, rng):
+    """Eliminate u against cols at the pivots perm[:k], k = len(cols), then
+    pivot the rest.
 
     Returns the k+1 coefficients (the last is the new pivot value, 0 on
     breakdown) and the remainder scaled to a unit pivot, or None when no
     nonzero entry is left or the basis already spans the whole space.
     """
+    k = len(cols)
     h = np.empty(k + 1)
     for j in range(k):
         c = u[perm[j]]
@@ -153,42 +152,57 @@ def _reduce(u, cols, perm, k, strategy, rng):
     return h, u / val
 
 
-def _pivoted_start(A, b, x0, strategy):
-    # r0 = b - A x0, its scale beta and first basis column, the pivots, the
-    # sampling generator and the starting point; TrivialSolution if r0 = 0
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.rows,):
-        raise ValueError(f"b must have length {A.rows}, got shape {b.shape}")
-    x_start = np.zeros(A.cols) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r0 = b.copy() if x0 is None else b - A.apply(np.asarray(x0, dtype=float))
+def _pivoted_start(r0, strategy):
+    # scale beta and first basis column of r0, its pivots and the sampling
+    # generator; TrivialSolution if r0 = 0
     rng = np.random.default_rng(strategy.seed) if strategy.kind == "sampled" else None
-    t = np.arange(A.rows)
-    h, u1 = _reduce(r0, [], t, 0, strategy, rng)
+    t = np.arange(r0.size)
+    h, u1 = _reduce(r0, [], t, strategy, rng)
     if u1 is None:
-        raise TrivialSolution(
-            "initial residual is zero; starting point is exact", x_start
-        )
-    return r0, h[0], u1, t, rng, x_start
+        raise TrivialSolution("initial residual is zero; starting point is exact")
+    return h[0], u1, t, rng
 
 
+@dataclass
 class KrylovFactorization:
-    """The state shape every basis builder shows the solver driver.
+    """Running factorization A V_k = U_{k+1} H_{k+1,k}, the one state every
+    basis builder returns and the solver driver reads.
 
     After k steps, with u the data-space and v the solution-space basis:
 
     * ``U_cols`` holds u_1..u_{k+1} (only k after a breakdown), with
       r0 = beta u_1;
-    * ``V_cols`` holds v_1..v_{k+1} (fewer after a breakdown);
+    * ``V_cols`` holds v_1..v_{k+1} (fewer after a breakdown); the square
+      builders pass the same list as ``U_cols``;
     * ``h_cols`` holds the columns of H_{k+1,k}, column j with its first
-      j+2 entries, so that A V_k = U_{k+1} H_{k+1,k};
-    * ``r0``, ``beta``, ``breakdown``, and ``last_product``, the product
-      A v_k before any reduction.
+      j+2 entries, so k = len(h_cols);
+    * ``last_product`` is the product A v_k before any reduction.
 
     ``orthonormal`` marks bases built with inner products; their damped
-    block condition number kappa(diag(U_{k+1}, V_k)) is 1.
+    block condition number kappa(diag(U_{k+1}, V_k)) is 1.  The remaining
+    fields belong to single builders and stay None elsewhere: ``alpha``,
+    the scale of A^T r0 (Golub-Kahan then keeps its next diagonal entry
+    there); ``t`` and ``g``, the pivot orders
+    under which U and V are unit lower triangular; ``w_cols``, the columns
+    of the generalized process's upper triangular W with
+    A^T U_{k+1} = V_{k+1} W_{k+1}; ``strategy`` and ``rng``, the pivot
+    rule and its sampling generator.
     """
 
-    orthonormal = False
+    r0: np.ndarray
+    beta: float
+    U_cols: list
+    V_cols: list
+    h_cols: list = field(default_factory=list)
+    breakdown: bool = False
+    last_product: np.ndarray = None
+    orthonormal: bool = False
+    alpha: float = None
+    t: np.ndarray = None
+    g: np.ndarray = None
+    w_cols: list = None
+    strategy: PivotStrategy = None
+    rng: object = None
 
     def H_matrix(self, rows=None):
         """Dense H with k+1 rows; pass rows=len(U_cols) at breakdown to
@@ -199,122 +213,8 @@ class KrylovFactorization:
             H[: j + 2, j] = col
         return H if rows is None else H[:rows]
 
-
-@dataclass
-class HessenbergState(KrylovFactorization):
-    """Running factorization A L_k = L_{k+1} H_{k+1,k} for square A.
-
-    The one basis L serves as both ``U_cols`` and ``V_cols``.
-    """
-
-    L_cols: list
-    h_cols: list
-    t: np.ndarray
-    beta: float
-    k: int
-    breakdown: bool
-    r0: np.ndarray
-    strategy: PivotStrategy
-    rng: object = None
-    last_product: np.ndarray = None
-
-    def L_matrix(self):
-        return np.column_stack(self.L_cols)
-
-    @property
-    def U_cols(self):
-        return self.L_cols
-
-    V_cols = U_cols
-
-
-def init_square(A, b, x0=None, strategy=_FULL):
-    """Start the square Hessenberg process from the residual b - A x0."""
-    if not A.is_square:
-        raise ValueError("the square Hessenberg process needs a square operator")
-    r0, beta, l1, t, rng, _ = _pivoted_start(A, b, x0, strategy)
-    return HessenbergState(
-        L_cols=[l1],
-        h_cols=[],
-        t=t,
-        beta=beta,
-        k=0,
-        breakdown=False,
-        r0=r0,
-        strategy=strategy,
-        rng=rng,
-    )
-
-
-def step_square(state, A):
-    """Advance the square factorization by one column.
-
-    Applies A to the newest basis column, eliminates against all previous
-    columns by reading coefficients at pivot positions, then pivots the
-    remainder.  An all-zero remainder is a lucky breakdown: H gains a
-    column with a zero subdiagonal entry and the basis stops growing.
-    The unreduced A l_k stays on the state as ``last_product`` (the
-    sketched solvers sketch exactly this vector).
-    """
-    if state.breakdown:
-        raise RuntimeError("factorization already broke down")
-    k = state.k + 1
-    state.last_product = A.apply(state.L_cols[-1])
-    h, l_new = _reduce(
-        state.last_product, state.L_cols, state.t, k, state.strategy, state.rng
-    )
-    if l_new is None:
-        state.breakdown = True
-    else:
-        state.L_cols.append(l_new)
-    state.h_cols.append(h)
-    state.k = k
-    return state
-
-
-@dataclass
-class GeneralizedHessenbergState(KrylovFactorization):
-    """Running factorization pair for rectangular A.
-
-    D_cols spans the data-space Krylov subspace (m-vectors, pivots t),
-    L_cols the solution-space one (n-vectors, pivots g).
-    """
-
-    D_cols: list
-    L_cols: list
-    h_cols: list
-    w_cols: list
-    t: np.ndarray
-    g: np.ndarray
-    beta: float
-    alpha: float
-    k: int
-    breakdown: bool
-    r0: np.ndarray
-    strategy: PivotStrategy
-    rng: object = None
-    last_data_product: np.ndarray = None
-
-    def D_matrix(self):
-        return np.column_stack(self.D_cols)
-
-    def L_matrix(self):
-        return np.column_stack(self.L_cols)
-
-    @property
-    def U_cols(self):
-        return self.D_cols
-
-    @property
-    def V_cols(self):
-        return self.L_cols
-
-    @property
-    def last_product(self):
-        return self.last_data_product
-
     def W_matrix(self, rows=None):
-        """Upper triangular W with one column per D column."""
+        """Upper triangular W with one column per U column."""
         cols = len(self.w_cols)
         W = np.zeros((cols, cols))
         for j, col in enumerate(self.w_cols):
@@ -322,33 +222,66 @@ class GeneralizedHessenbergState(KrylovFactorization):
         return W if rows is None else W[:rows]
 
 
-def init_generalized(A, b, x0=None, strategy=_FULL):
-    """Start the generalized process from r0 = b - A x0 and A^T r0.
+def init_square(A, r0, strategy=_FULL):
+    """Start the square Hessenberg process from the residual r0.
 
-    Pivots r0 to get the first data column d_1 and scale beta, pivots
-    A^T r0 to get the first solution column l_1 and scale alpha, and
-    seeds W with the coefficient of A^T d_1 along l_1.
+    One basis L serves as both ``U_cols`` and ``V_cols``.
     """
-    r0, beta, d1, t, rng, x_start = _pivoted_start(A, b, x0, strategy)
+    if not A.is_square:
+        raise ValueError("the square Hessenberg process needs a square operator")
+    beta, l1, t, rng = _pivoted_start(r0, strategy)
+    L = [l1]
+    return KrylovFactorization(
+        r0=r0, beta=beta, U_cols=L, V_cols=L, t=t, strategy=strategy, rng=rng
+    )
+
+
+def step_square(state, A):
+    """Advance the data side of the factorization by one column.
+
+    Applies A to the newest solution-basis column, eliminates against all
+    data-basis columns by reading coefficients at the t pivots, then
+    pivots the remainder.  An all-zero remainder is a lucky breakdown: H
+    gains a column with a zero subdiagonal entry and the basis stops
+    growing.  The unreduced A v_k stays on the state as ``last_product``
+    (the sketched solvers sketch exactly this vector).
+    """
+    if state.breakdown:
+        raise RuntimeError("factorization already broke down")
+    u = state.last_product = A.apply(state.V_cols[-1])
+    h, u_new = _reduce(u, state.U_cols, state.t, state.strategy, state.rng)
+    if u_new is None:
+        state.breakdown = True
+    else:
+        state.U_cols.append(u_new)
+    state.h_cols.append(h)
+    return state
+
+
+def init_generalized(A, r0, strategy=_FULL):
+    """Start the generalized process from r0 and A^T r0.
+
+    Pivots r0 to get the first data column u_1 and scale beta, pivots
+    A^T r0 to get the first solution column v_1 and scale alpha, and
+    seeds W with the coefficient of A^T u_1 along v_1.
+    """
+    beta, u1, t, rng = _pivoted_start(r0, strategy)
     g = np.arange(A.cols)
-    h, l1 = _reduce(A.apply_transpose(r0), [], g, 0, strategy, rng)
-    if l1 is None:
+    h, v1 = _reduce(A.apply_transpose(r0), [], g, strategy, rng)
+    if v1 is None:
         raise TrivialSolution(
-            "transposed residual is zero; the normal equations already hold", x_start
+            "transposed residual is zero; the normal equations already hold"
         )
-    r = A.apply_transpose(d1)
-    return GeneralizedHessenbergState(
-        D_cols=[d1],
-        L_cols=[l1],
-        h_cols=[],
-        w_cols=[np.array([r[g[0]]])],
+    r = A.apply_transpose(u1)
+    return KrylovFactorization(
+        r0=r0,
+        beta=beta,
+        U_cols=[u1],
+        V_cols=[v1],
+        alpha=h[0],
         t=t,
         g=g,
-        beta=beta,
-        alpha=h[0],
-        k=0,
-        breakdown=False,
-        r0=r0,
+        w_cols=[np.array([r[g[0]]])],
         strategy=strategy,
         rng=rng,
     )
@@ -357,49 +290,43 @@ def init_generalized(A, b, x0=None, strategy=_FULL):
 def step_generalized(state, A):
     """Advance both bases by one column.
 
-    Data side: A l_k is eliminated against d_1..d_k at the t pivots,
-    giving H column k and, after pivoting, d_{k+1}.  Solution side:
-    A^T d_{k+1} is eliminated against l_1..l_k at the g pivots, giving W
-    column k+1 and l_{k+1}.  Breakdown on either side (all remaining
-    entries zero, or a basis reaching full dimension) is terminal.  The
-    unreduced A l_k stays on the state as ``last_data_product``.
+    Data side: :func:`step_square`, which gives H column k and u_{k+1}.
+    Solution side: A^T u_{k+1} is eliminated against v_1..v_k at the g
+    pivots, giving W column k+1 and v_{k+1}.  Breakdown on either side
+    (all remaining entries zero, or a basis reaching full dimension) is
+    terminal.
     """
+    step_square(state, A)
     if state.breakdown:
-        raise RuntimeError("factorization already broke down")
-    k = state.k + 1
-    state.k = k
-    state.last_data_product = A.apply(state.L_cols[-1])
-    h, d_new = _reduce(
-        state.last_data_product, state.D_cols, state.t, k, state.strategy, state.rng
-    )
-    state.h_cols.append(h)
-    if d_new is None:
-        state.breakdown = True
         return state
-    state.D_cols.append(d_new)
-
-    w, l_new = _reduce(
-        A.apply_transpose(d_new), state.L_cols, state.g, k, state.strategy, state.rng
-    )
+    q = A.apply_transpose(state.U_cols[-1])
+    w, v_new = _reduce(q, state.V_cols, state.g, state.strategy, state.rng)
     state.w_cols.append(w)
-    if l_new is None:
+    if v_new is None:
         state.breakdown = True
-        return state
-    state.L_cols.append(l_new)
+    else:
+        state.V_cols.append(v_new)
     return state
 
 
 def dump_factorization(state, directory, prefix=""):
-    """Write the factorization pieces as MatrixMarket files for inspection."""
+    """Write the factorization pieces as MatrixMarket files for inspection.
+
+    ``L.mm`` (the solution basis) and ``H.mm`` always; ``D.mm`` (the data
+    basis) when it is a separate list; ``pivots_t.mm`` when the builder
+    pivots; ``W.mm`` and ``pivots_g.mm`` for the generalized process.
+    """
     import os
 
     def path(name):
         return os.path.join(str(directory), prefix + name)
 
-    save_array(path("L.mm"), state.L_matrix())
+    save_array(path("L.mm"), np.column_stack(state.V_cols))
     save_array(path("H.mm"), state.H_matrix())
-    save_array(path("pivots_t.mm"), np.asarray(state.t, dtype=float))
-    if isinstance(state, GeneralizedHessenbergState):
-        save_array(path("D.mm"), state.D_matrix())
+    if state.U_cols is not state.V_cols:
+        save_array(path("D.mm"), np.column_stack(state.U_cols))
+    if state.t is not None:
+        save_array(path("pivots_t.mm"), np.asarray(state.t, dtype=float))
+    if state.w_cols is not None:
         save_array(path("W.mm"), state.W_matrix())
         save_array(path("pivots_g.mm"), np.asarray(state.g, dtype=float))

@@ -65,7 +65,6 @@ __all__ = [
     "TraceRecord",
     "SolverTrace",
     "SolveResult",
-    "OrthonormalState",
     "trace_to_csv",
     "gmres",
     "lsqr",
@@ -219,18 +218,6 @@ def _objective(M, rhs, y, lam, N=None):
     return float(np.sqrt(val))
 
 
-def _relative_error(x, x_true):
-    denom = np.linalg.norm(x_true)
-    if denom == 0.0:
-        raise ValueError("x_true must be nonzero for relative errors")
-    return float(np.linalg.norm(x - x_true) / denom)
-
-
-def _exact_residual(A, b, x):
-    # diagnostics-only: raw forward application, no counter update
-    return float(np.linalg.norm(b - np.asarray(A.forward(x), dtype=float)))
-
-
 def _finite_vector(name, v, length):
     v = np.asarray(v, dtype=float)
     if v.shape != (length,):
@@ -244,23 +231,42 @@ def _finite_vector(name, v, length):
 # the driver
 
 
+def _observe(rec, A, b, x, cfg, x_true):
+    # the fields every record carries, the iteration-0 record of a trivial
+    # solve included; the exact residual is a diagnostic, so it applies the
+    # raw forward map and no counter moves
+    if x_true is not None:
+        denom = np.linalg.norm(x_true)
+        if denom == 0.0:
+            raise ValueError("x_true must be nonzero for relative errors")
+        rec.rel_err = float(np.linalg.norm(x - x_true) / denom)
+    if cfg.compute_diagnostics:
+        r = b - np.asarray(A.forward(x), dtype=float)
+        rec.res_norm = float(np.linalg.norm(r))
+    rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = A.counters.snapshot()
+    return rec
+
+
 def _krylov(A, b, cfg, x_true, init, step, form):
     """Run one solve with basis builder ``init``/``step`` and projection ``form``.
 
-    ``init(A, b, x0=, strategy=)`` returns a :class:`KrylovFactorization`
-    or raises TrivialSolution; ``step(state, A)`` extends it by one
-    column.  This is the only iteration loop: it owns input checks,
-    trivial returns, the damped projected solve with its rank fallback,
-    and the trace records.
+    ``init(A, r0, strategy)`` returns a :class:`KrylovFactorization` or
+    raises TrivialSolution; ``step(state, A)`` extends it by one column.
+    This is the only iteration loop and the only place that reads ``b``
+    and ``cfg.x0``: it owns input checks, r0, trivial returns, the damped
+    projected solve with its rank fallback, and the trace records.
     """
     cfg = cfg or SolverConfig()
     A = A.with_fresh_counters()
     b = _finite_vector("b", b, A.rows)
     x0 = None if cfg.x0 is None else _finite_vector("x0", cfg.x0, A.cols)
+    r0 = b.copy() if x0 is None else b - A.apply(x0)
     try:
-        state = init(A, b, x0=x0, strategy=cfg.pivot)
-    except TrivialSolution as sig:
-        return SolveResult(x=sig.x, trace=SolverTrace(), termination="trivial")
+        state = init(A, r0, cfg.pivot)
+    except TrivialSolution:
+        x = np.zeros(A.cols) if x0 is None else x0.copy()
+        trace = SolverTrace([_observe(TraceRecord(iteration=0), A, b, x, cfg, x_true)])
+        return SolveResult(x=x, trace=trace, termination="trivial")
     form.start(A, cfg, state)
     trace = SolverTrace()
     # a Krylov space has at most A.cols dimensions: the Hessenberg builders
@@ -281,10 +287,7 @@ def _krylov(A, b, cfg, x_true, init, step, form):
         )
         if form.sketched:
             rec.sres_norm = float(np.linalg.norm(M @ y - rhs))
-        if x_true is not None:
-            rec.rel_err = _relative_error(x, x_true)
         if cfg.compute_diagnostics:
-            rec.res_norm = _exact_residual(A, b, x)
             U = np.column_stack(state.U_cols)
             rec.kappa_basis = spectral_condition_number(U)
             if cfg.lam > 0.0 and not state.orthonormal:
@@ -292,7 +295,7 @@ def _krylov(A, b, cfg, x_true, init, step, form):
                 rec.kappa_dbar = spectral_condition_number(block)
             if form.sketched:
                 rec.eps_embed = form.distortion(state)
-        rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = A.counters.snapshot()
+        _observe(rec, A, b, x, cfg, x_true)
         rec.wall_ms = (time.perf_counter() - tic) * 1e3
         trace.records.append(rec)
         if state.breakdown:
@@ -390,45 +393,19 @@ class _Sketched:
 # orthonormal basis builders (the references)
 
 
-@dataclass
-class OrthonormalState(KrylovFactorization):
-    """Arnoldi or Golub-Kahan factorization A V_k = U_{k+1} H_{k+1,k}.
-
-    Arnoldi's single basis is one list shared by ``U_cols`` and
-    ``V_cols``.  Golub-Kahan's H is lower bidiagonal, and ``alpha`` holds
-    the diagonal entry of its next column.
-    """
-
-    orthonormal = True
-
-    U_cols: list
-    V_cols: list
-    r0: np.ndarray
-    beta: float
-    alpha: float = None
-    h_cols: list = field(default_factory=list)
-    breakdown: bool = False
-    last_product: np.ndarray = None
-
-
-def _trivial(A, x0, reason):
-    return TrivialSolution(reason, np.zeros(A.cols) if x0 is None else x0.copy())
-
-
-def _normalized_residual(A, b, x0):
-    r0 = b.copy() if x0 is None else b - A.apply(x0)
+def _unit_start(A, r0):
     beta = tracked_norm(A.counters, r0)
     if beta == 0.0:
-        raise _trivial(A, x0, "initial residual is zero; starting point is exact")
-    return r0, beta
+        raise TrivialSolution("initial residual is zero; starting point is exact")
+    return beta, r0 / beta
 
 
-def _init_arnoldi(A, b, x0=None, strategy=None):
+def _init_arnoldi(A, r0, strategy=None):
     if not A.is_square:
         raise ValueError("gmres needs a square operator")
-    r0, beta = _normalized_residual(A, b, x0)
-    V = [r0 / beta]
-    return OrthonormalState(U_cols=V, V_cols=V, r0=r0, beta=beta)
+    beta, v1 = _unit_start(A, r0)
+    V = [v1]
+    return KrylovFactorization(r0=r0, beta=beta, U_cols=V, V_cols=V, orthonormal=True)
 
 
 def _step_arnoldi(state, A):
@@ -452,17 +429,16 @@ def _step_arnoldi(state, A):
         V.append(w / h[k])
 
 
-def _init_golub_kahan(A, b, x0=None, strategy=None):
-    r0, beta = _normalized_residual(A, b, x0)
-    u = r0 / beta
+def _init_golub_kahan(A, r0, strategy=None):
+    beta, u = _unit_start(A, r0)
     z = A.apply_transpose(u)
     alpha = tracked_norm(A.counters, z)
     if alpha == 0.0:
-        raise _trivial(
-            A, x0, "transposed residual is zero; the normal equations already hold"
+        raise TrivialSolution(
+            "transposed residual is zero; the normal equations already hold"
         )
-    return OrthonormalState(
-        U_cols=[u], V_cols=[z / alpha], r0=r0, beta=beta, alpha=alpha
+    return KrylovFactorization(
+        r0=r0, beta=beta, U_cols=[u], V_cols=[z / alpha], orthonormal=True, alpha=alpha
     )
 
 

@@ -85,11 +85,11 @@ def test_criterion_01_factorization_fidelity():
             if state.breakdown:
                 break
             step_square(state, A)
-            Lk = np.column_stack(state.L_cols[: state.k])
-            H = state.H_matrix(rows=len(state.L_cols))
-            gap = np.linalg.norm(M @ Lk - state.L_matrix() @ H)
+            Lk = np.column_stack(state.V_cols[: len(state.h_cols)])
+            H = state.H_matrix(rows=len(state.V_cols))
+            gap = np.linalg.norm(M @ Lk - np.column_stack(state.V_cols) @ H)
             worst = max(worst, gap / (scale * np.linalg.norm(Lk)))
-            triangular &= unit_triangular_exact(state.L_cols, state.t)
+            triangular &= unit_triangular_exact(state.V_cols, state.t)
     for _ in range(10):
         m = int(rng.integers(20, 61))
         n = int(rng.integers(10, 31))
@@ -102,16 +102,18 @@ def test_criterion_01_factorization_fidelity():
             if state.breakdown:
                 break
             step_generalized(state, A)
-            Lk = np.column_stack(state.L_cols[: state.k])
-            D = state.D_matrix()
-            H = state.H_matrix(rows=len(state.D_cols))
+            Lk = np.column_stack(state.V_cols[: len(state.h_cols)])
+            D = np.column_stack(state.U_cols)
+            H = state.H_matrix(rows=len(state.U_cols))
             gap = np.linalg.norm(M @ Lk - D @ H)
             worst = max(worst, gap / (scale * np.linalg.norm(Lk)))
-            W = state.W_matrix(rows=len(state.L_cols))
-            gap_w = np.linalg.norm(M.T @ D - state.L_matrix() @ W[:, : D.shape[1]])
+            W = state.W_matrix(rows=len(state.V_cols))
+            gap_w = np.linalg.norm(
+                M.T @ D - np.column_stack(state.V_cols) @ W[:, : D.shape[1]]
+            )
             worst = max(worst, gap_w / (scale * np.linalg.norm(D)))
-            triangular &= unit_triangular_exact(state.D_cols, state.t)
-            triangular &= unit_triangular_exact(state.L_cols, state.g)
+            triangular &= unit_triangular_exact(state.U_cols, state.t)
+            triangular &= unit_triangular_exact(state.V_cols, state.g)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and triangular and elapsed < 10.0
     report(
@@ -160,7 +162,7 @@ def test_criterion_03_quasi_minimal_sandwich():
         res = cmrh(A, b, SolverConfig(maxiter=10, compute_diagnostics=True))
         state = res.factorization
         for k, rec in enumerate(res.trace.records, start=1):
-            basis = np.column_stack(state.L_cols[:k])
+            basis = np.column_stack(state.V_cols[:k])
             _, oracle = projected_minres_oracle(A, basis, b)
             slack = 1e-9 * (1.0 + oracle)
             worst_low = max(worst_low, oracle - rec.res_norm - slack)
@@ -176,7 +178,7 @@ def test_criterion_03_quasi_minimal_sandwich():
         res = lslu(A, b, SolverConfig(maxiter=10, compute_diagnostics=True))
         state = res.factorization
         for k, rec in enumerate(res.trace.records, start=1):
-            basis = np.column_stack(state.L_cols[:k])
+            basis = np.column_stack(state.V_cols[:k])
             _, oracle = projected_minres_oracle(A, basis, b)
             slack = 1e-9 * (1.0 + oracle)
             worst_low = max(worst_low, oracle - rec.res_norm - slack)
@@ -214,7 +216,7 @@ def test_criterion_04_sketched_sandwich():
             res = solver(A, b, cfg)
             state = res.factorization
             for k, rec in enumerate(res.trace.records, start=1):
-                basis = np.column_stack(state.L_cols[:k])
+                basis = np.column_stack(state.V_cols[:k])
                 _, oracle = projected_minres_oracle(A, basis, b)
                 slack = 1e-9 * (1.0 + oracle)
                 envelope = (1.0 + rec.eps_embed) / (1.0 - rec.eps_embed)

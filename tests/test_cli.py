@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hessketch import cli
-from hessketch.problems import read_image
-from hessketch.solvers import CSV_COLUMNS
+from hessketch.linops import LinearOperator
+from hessketch.problems import Problem, read_image
+from hessketch.solvers import CSV_COLUMNS, cmrh
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -297,3 +298,13 @@ def test_sweep_sketch_rows_only_touches_sketched_solvers(tmp_path):
     assert code == 0
     assert (out / "slslu.sketch_rows.60.trace.csv").exists()
     assert not (out / "lslu.sketch_rows.60.trace.csv").exists()
+
+
+def test_summary_line_of_trivial_solve_reports_iteration_zero():
+    problem = Problem(LinearOperator.identity(4), np.zeros(4), x_true=np.ones(4))
+    result = cmrh(problem.operator, problem.b, x_true=problem.x_true)
+    line = cli._summary_line("cmrh", problem, result)
+    assert line == (
+        "cmrh: min_rel_err=1.000000e+00 at_iter=0 final_res=0.000000e+00 "
+        "matvecs=0 tmatvecs=0 dots=0 sketches=0"
+    )

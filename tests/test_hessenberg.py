@@ -3,8 +3,6 @@ import pytest
 import scipy.linalg
 
 from hessketch.hessenberg import (
-    GeneralizedHessenbergState,
-    HessenbergState,
     PivotStrategy,
     TrivialSolution,
     dump_factorization,
@@ -15,6 +13,7 @@ from hessketch.hessenberg import (
     step_square,
 )
 from hessketch.linops import LinearOperator, load_array
+from hessketch.solvers import SolverConfig, cmrh
 
 FULL = PivotStrategy.full()
 
@@ -101,9 +100,9 @@ def dense_generalized_reference(M, b, steps):
     return np.column_stack(D), np.column_stack(L), H, W, t, g
 
 
-def run_square(M, b, steps, strategy=FULL, x0=None):
+def run_square(M, b, steps, strategy=FULL):
     A = LinearOperator.from_matrix(M)
-    state = init_square(A, b, x0=x0, strategy=strategy)
+    state = init_square(A, b, strategy=strategy)
     for _ in range(steps):
         if state.breakdown:
             break
@@ -111,9 +110,9 @@ def run_square(M, b, steps, strategy=FULL, x0=None):
     return state, A
 
 
-def run_generalized(M, b, steps, strategy=FULL, x0=None):
+def run_generalized(M, b, steps, strategy=FULL):
     A = LinearOperator.from_matrix(M)
-    state = init_generalized(A, b, x0=x0, strategy=strategy)
+    state = init_generalized(A, b, strategy=strategy)
     for _ in range(steps):
         if state.breakdown:
             break
@@ -201,17 +200,16 @@ def test_init_square_identity_example():
     A = LinearOperator.identity(3)
     state = init_square(A, np.array([3.0, -5.0, 2.0]))
     assert state.beta == -5.0
-    assert np.allclose(state.L_cols[0], [-0.6, 1.0, -0.4])
+    assert np.allclose(state.V_cols[0], [-0.6, 1.0, -0.4])
     assert list(state.t) == [1, 0, 2]
 
 
 def test_init_square_trivial_when_start_exact():
-    M = np.array([[2.0, 0.0], [0.0, 3.0]])
-    A = LinearOperator.from_matrix(M)
-    x0 = np.array([1.0, 2.0])
-    with pytest.raises(TrivialSolution) as exc:
-        init_square(A, M @ x0, x0=x0)
-    assert np.array_equal(exc.value.x, x0)
+    # an exact start leaves the residual r0 = b - A x0 the process starts
+    # from at zero; the solvers return x0 (test_cmrh_trivial_when_start_exact)
+    A = LinearOperator.from_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]))
+    with pytest.raises(TrivialSolution, match="starting point is exact"):
+        init_square(A, np.zeros(2))
 
 
 def test_init_square_rejects_rectangular():
@@ -225,7 +223,7 @@ def test_step_square_identity_lucky_breakdown():
     step_square(state, A)
     assert state.breakdown
     assert np.array_equal(state.h_cols[0], [1.0, 0.0])
-    assert len(state.L_cols) == 1
+    assert len(state.V_cols) == 1
 
 
 def test_step_square_diag_hand_computed():
@@ -237,7 +235,7 @@ def test_step_square_diag_hand_computed():
     assert state.breakdown
     H = state.H_matrix()
     assert np.array_equal(H, [[1.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
-    assert np.array_equal(state.L_cols[1], [0.0, 1.0])
+    assert np.array_equal(state.V_cols[1], [0.0, 1.0])
 
 
 def test_square_matches_dense_reference():
@@ -248,7 +246,7 @@ def test_square_matches_dense_reference():
         state, _ = run_square(M, b, 5)
         L_ref, H_ref, t_ref = dense_square_reference(M, b, 5)
         assert list(state.t[:6]) == t_ref
-        assert np.allclose(state.L_matrix(), L_ref, atol=1e-10)
+        assert np.allclose(np.column_stack(state.V_cols), L_ref, atol=1e-10)
         assert np.allclose(state.H_matrix(), H_ref, atol=1e-10)
 
 
@@ -264,13 +262,13 @@ def test_square_relation_and_triangularity():
             if state.breakdown:
                 break
             step_square(state, A)
-            k = state.k
-            Lk = np.column_stack(state.L_cols[:k])
-            Lfull = state.L_matrix()
-            H = state.H_matrix(rows=len(state.L_cols))
+            k = len(state.h_cols)
+            Lk = np.column_stack(state.V_cols[:k])
+            Lfull = np.column_stack(state.V_cols)
+            H = state.H_matrix(rows=len(state.V_cols))
             rel = np.linalg.norm(M @ Lk - Lfull @ H)
             assert rel <= 1e-10 * scale * np.linalg.norm(Lk)
-        assert_unit_triangular(state.L_cols, state.t)
+        assert_unit_triangular(state.V_cols, state.t)
 
 
 def test_square_inner_product_free_and_matvec_count():
@@ -285,9 +283,10 @@ def test_square_inner_product_free_and_matvec_count():
 
 def test_square_x0_costs_one_matvec():
     rng = np.random.default_rng(6)
-    M = rng.standard_normal((7, 7))
-    state, A = run_square(M, rng.standard_normal(7), 3, x0=rng.standard_normal(7))
-    assert A.counters.matvec_count == 4
+    A = LinearOperator.from_matrix(rng.standard_normal((7, 7)))
+    b, x0 = rng.standard_normal(7), rng.standard_normal(7)
+    res = cmrh(A, b, SolverConfig(maxiter=3, x0=x0))
+    assert res.trace.final().matvecs == 4
 
 
 def test_square_sampled_superset_bitwise_equals_full():
@@ -296,7 +295,9 @@ def test_square_sampled_superset_bitwise_equals_full():
     b = rng.standard_normal(12)
     full_state, _ = run_square(M, b, 8)
     samp_state, _ = run_square(M, b, 8, strategy=PivotStrategy.sampled(12, seed=5))
-    assert np.array_equal(full_state.L_matrix(), samp_state.L_matrix())
+    assert np.array_equal(
+        np.column_stack(full_state.V_cols), np.column_stack(samp_state.V_cols)
+    )
     assert np.array_equal(full_state.H_matrix(), samp_state.H_matrix())
     assert np.array_equal(full_state.t, samp_state.t)
 
@@ -306,10 +307,10 @@ def test_square_sampled_small_keeps_structure():
     M = rng.standard_normal((15, 15))
     b = rng.standard_normal(15)
     state, A = run_square(M, b, 8, strategy=PivotStrategy.sampled(3, seed=2))
-    assert_unit_triangular(state.L_cols, state.t)
-    Lk = np.column_stack(state.L_cols[: state.k])
-    H = state.H_matrix(rows=len(state.L_cols))
-    rel = np.linalg.norm(M @ Lk - state.L_matrix() @ H)
+    assert_unit_triangular(state.V_cols, state.t)
+    Lk = np.column_stack(state.V_cols[: len(state.h_cols)])
+    H = state.H_matrix(rows=len(state.V_cols))
+    rel = np.linalg.norm(M @ Lk - np.column_stack(state.V_cols) @ H)
     assert rel <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(Lk)
     assert A.counters.dot_product_count == 0
 
@@ -333,7 +334,7 @@ def test_square_keep_product_stores_unreduced_matvec():
     A = LinearOperator.from_matrix(M)
     state = init_square(A, b)
     for _ in range(4):
-        prev = state.L_cols[-1].copy()
+        prev = state.V_cols[-1].copy()
         step_square(state, A)
         assert np.allclose(state.last_product, M @ prev, atol=1e-12)
 
@@ -349,7 +350,7 @@ def test_square_range_spans_krylov_space():
     for _ in range(5):
         vecs.append(M @ vecs[-1])
     Q, _ = np.linalg.qr(np.column_stack(vecs))
-    for j, l in enumerate(state.L_cols):
+    for j, l in enumerate(state.V_cols):
         Qj = Q[:, : j + 1]
         assert np.linalg.norm(l - Qj @ (Qj.T @ l)) <= 1e-8 * np.linalg.norm(l)
 
@@ -362,10 +363,10 @@ def test_init_generalized_hand_example():
     A = LinearOperator.from_matrix(np.array([[1.0], [1.0]]))
     state = init_generalized(A, np.array([1.0, 3.0]))
     assert state.beta == 3.0
-    assert np.allclose(state.D_cols[0], [1.0 / 3.0, 1.0])
+    assert np.allclose(state.U_cols[0], [1.0 / 3.0, 1.0])
     assert list(state.t) == [1, 0]
     assert state.alpha == 4.0
-    assert np.array_equal(state.L_cols[0], [1.0])
+    assert np.array_equal(state.V_cols[0], [1.0])
     assert list(state.g) == [0]
     assert state.w_cols[0][0] == pytest.approx(4.0 / 3.0)
 
@@ -378,13 +379,13 @@ def test_step_generalized_hand_example():
     state, _ = run_generalized(M, np.array([1.0, 3.0]), 1)
     assert state.breakdown
     assert np.allclose(state.H_matrix(), [[1.0], [2.0 / 3.0]])
-    assert np.array_equal(state.D_cols[1], [1.0, 0.0])
+    assert np.array_equal(state.U_cols[1], [1.0, 0.0])
     W = state.W_matrix()
     assert W == pytest.approx(np.array([[4.0 / 3.0, 1.0], [0.0, 0.0]]))
     # relations hold exactly here
-    D = state.D_matrix()
-    assert np.allclose(M @ state.L_matrix(), D @ state.H_matrix(), atol=1e-14)
-    assert np.allclose(M.T @ D, state.L_matrix() @ W[:1], atol=1e-14)
+    D, L = np.column_stack(state.U_cols), np.column_stack(state.V_cols)
+    assert np.allclose(M @ L, D @ state.H_matrix(), atol=1e-14)
+    assert np.allclose(M.T @ D, L @ W[:1], atol=1e-14)
 
 
 def test_init_generalized_normal_equations_signal():
@@ -402,8 +403,8 @@ def test_generalized_matches_dense_reference():
         D_ref, L_ref, H_ref, W_ref, t_ref, g_ref = dense_generalized_reference(M, b, 4)
         assert list(state.t[: len(t_ref)]) == t_ref
         assert list(state.g[: len(g_ref)]) == g_ref
-        assert np.allclose(state.D_matrix(), D_ref, atol=1e-10)
-        assert np.allclose(state.L_matrix(), L_ref, atol=1e-10)
+        assert np.allclose(np.column_stack(state.U_cols), D_ref, atol=1e-10)
+        assert np.allclose(np.column_stack(state.V_cols), L_ref, atol=1e-10)
         assert np.allclose(state.H_matrix(), H_ref, atol=1e-10)
         assert np.allclose(state.W_matrix(), W_ref, atol=1e-10)
 
@@ -420,18 +421,19 @@ def test_generalized_relations_and_triangularity():
             if state.breakdown:
                 break
             step_generalized(state, A)
-            k = state.k
-            Lk = np.column_stack(state.L_cols[:k])
-            D = state.D_matrix()
-            H = state.H_matrix(rows=len(state.D_cols))
+            k = len(state.h_cols)
+            Lk = np.column_stack(state.V_cols[:k])
+            D = np.column_stack(state.U_cols)
+            H = state.H_matrix(rows=len(state.U_cols))
             assert np.linalg.norm(M @ Lk - D @ H) <= 1e-10 * scale * np.linalg.norm(Lk)
-            W = state.W_matrix(rows=len(state.L_cols))
+            W = state.W_matrix(rows=len(state.V_cols))
+            L = np.column_stack(state.V_cols)
             assert (
-                np.linalg.norm(M.T @ D - state.L_matrix() @ W[:, : D.shape[1]])
+                np.linalg.norm(M.T @ D - L @ W[:, : D.shape[1]])
                 <= 1e-10 * scale * np.linalg.norm(D)
             )
-        assert_unit_triangular(state.D_cols, state.t)
-        assert_unit_triangular(state.L_cols, state.g)
+        assert_unit_triangular(state.U_cols, state.t)
+        assert_unit_triangular(state.V_cols, state.g)
 
 
 def test_generalized_counters():
@@ -450,8 +452,11 @@ def test_generalized_sampled_superset_bitwise_equals_full():
     b = rng.standard_normal(16)
     full_state, _ = run_generalized(M, b, 6)
     samp_state, _ = run_generalized(M, b, 6, strategy=PivotStrategy.sampled(16, seed=3))
-    assert np.array_equal(full_state.D_matrix(), samp_state.D_matrix())
-    assert np.array_equal(full_state.L_matrix(), samp_state.L_matrix())
+    for side in ("U_cols", "V_cols"):
+        assert np.array_equal(
+            np.column_stack(getattr(full_state, side)),
+            np.column_stack(getattr(samp_state, side)),
+        )
     assert np.array_equal(full_state.H_matrix(), samp_state.H_matrix())
     assert np.array_equal(full_state.W_matrix(), samp_state.W_matrix())
 
@@ -461,13 +466,13 @@ def test_generalized_sampled_small_keeps_relations():
     M = rng.standard_normal((20, 12))
     b = rng.standard_normal(20)
     state, A = run_generalized(M, b, 7, strategy=PivotStrategy.sampled(5, seed=8))
-    k = state.k
-    Lk = np.column_stack(state.L_cols[:k])
-    D = state.D_matrix()
-    H = state.H_matrix(rows=len(state.D_cols))
+    k = len(state.h_cols)
+    Lk = np.column_stack(state.V_cols[:k])
+    D = np.column_stack(state.U_cols)
+    H = state.H_matrix(rows=len(state.U_cols))
     assert np.linalg.norm(M @ Lk - D @ H) <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(Lk)
-    assert_unit_triangular(state.D_cols, state.t)
-    assert_unit_triangular(state.L_cols, state.g)
+    assert_unit_triangular(state.U_cols, state.t)
+    assert_unit_triangular(state.V_cols, state.g)
     assert A.counters.dot_product_count == 0
 
 
@@ -478,9 +483,9 @@ def test_generalized_keep_products():
     A = LinearOperator.from_matrix(M)
     state = init_generalized(A, b)
     for _ in range(3):
-        prev_l = state.L_cols[-1].copy()
+        prev_l = state.V_cols[-1].copy()
         step_generalized(state, A)
-        assert np.allclose(state.last_data_product, M @ prev_l, atol=1e-12)
+        assert np.allclose(state.last_product, M @ prev_l, atol=1e-12)
 
 
 def test_generalized_range_spans_normal_krylov_space():
@@ -492,7 +497,7 @@ def test_generalized_range_spans_normal_krylov_space():
     for _ in range(4):
         vecs.append(M.T @ (M @ vecs[-1]))
     Q, _ = np.linalg.qr(np.column_stack(vecs))
-    for j, l in enumerate(state.L_cols):
+    for j, l in enumerate(state.V_cols):
         Qj = Q[:, : j + 1]
         assert np.linalg.norm(l - Qj @ (Qj.T @ l)) <= 1e-8 * np.linalg.norm(l)
 
@@ -511,8 +516,9 @@ def test_dump_factorization_roundtrip(tmp_path):
     M = rng.standard_normal((9, 6))
     state, _ = run_generalized(M, rng.standard_normal(9), 3)
     dump_factorization(state, tmp_path, prefix="gh_")
-    assert np.allclose(load_array(tmp_path / "gh_L.mm"), state.L_matrix())
-    assert np.allclose(load_array(tmp_path / "gh_D.mm"), state.D_matrix())
+    L, D = np.column_stack(state.V_cols), np.column_stack(state.U_cols)
+    assert np.allclose(load_array(tmp_path / "gh_L.mm"), L)
+    assert np.allclose(load_array(tmp_path / "gh_D.mm"), D)
     assert np.allclose(load_array(tmp_path / "gh_H.mm"), state.H_matrix())
     assert np.allclose(load_array(tmp_path / "gh_W.mm"), state.W_matrix())
     assert np.array_equal(load_array(tmp_path / "gh_pivots_g.mm"), state.g)

@@ -3,8 +3,13 @@ import io
 import numpy as np
 import pytest
 
-from hessketch.hessenberg import PivotStrategy
-from hessketch.linops import LinearOperator, dense_qr_ls, spectral_condition_number
+from hessketch.hessenberg import PivotStrategy, dump_factorization
+from hessketch.linops import (
+    LinearOperator,
+    dense_qr_ls,
+    load_array,
+    spectral_condition_number,
+)
 from hessketch.sketch import SketchOperator, derive_seed, make_gaussian_sketch
 from hessketch.solvers import (
     CSV_COLUMNS,
@@ -146,6 +151,55 @@ def test_kappa_basis_is_condition_of_data_basis(name):
         assert rec.kappa_basis == spectral_condition_number(U)
 
 
+@pytest.mark.parametrize("exact_x0", [False, True], ids=["zero_b", "exact_x0"])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_trivial_solve_returns_iteration_zero_record(name, exact_x0):
+    M, A, _ = problem_for(name, 47)
+    x_true = np.arange(1.0, M.shape[1] + 1)
+    b = M @ x_true if exact_x0 else np.zeros(M.shape[0])
+    x0 = x_true.copy() if exact_x0 else None
+    cfg = SolverConfig(maxiter=3, x0=x0, compute_diagnostics=True)
+    res = SOLVERS[name](A, b, cfg, x_true=x_true)
+    assert res.termination == "trivial"
+    assert np.array_equal(res.x, x_true if exact_x0 else np.zeros(M.shape[1]))
+    (rec,) = res.trace.records
+    assert rec.iteration == 0
+    # r0 = b - A x0 costs the one matvec; the references take its norm
+    dots = 1 if name in ("gmres", "lsqr") else 0
+    counts = (rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches)
+    assert counts == (int(exact_x0), 0, dots, 0)
+    assert rec.rel_err == (0.0 if exact_x0 else 1.0)
+    assert rec.res_norm == 0.0
+
+
+DUMPED = {
+    "gmres": {"L.mm", "H.mm"},
+    "lsqr": {"L.mm", "H.mm", "D.mm"},
+    "cmrh": {"L.mm", "H.mm", "pivots_t.mm"},
+    "scmrh": {"L.mm", "H.mm", "pivots_t.mm"},
+    "lslu": {"L.mm", "H.mm", "D.mm", "pivots_t.mm", "W.mm", "pivots_g.mm"},
+    "slslu": {"L.mm", "H.mm", "D.mm", "pivots_t.mm", "W.mm", "pivots_g.mm"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_dump_factorization_of_every_solver(name, tmp_path):
+    _, A, b = problem_for(name, 48)
+    state = SOLVERS[name](A, b, SolverConfig(maxiter=4, seed=3)).factorization
+    dump_factorization(state, tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == DUMPED[name]
+    stored = {
+        "L.mm": np.column_stack(state.V_cols),
+        "H.mm": state.H_matrix(),
+        "D.mm": np.column_stack(state.U_cols),
+        "pivots_t.mm": state.t,
+        "W.mm": state.W_matrix() if state.w_cols is not None else None,
+        "pivots_g.mm": state.g,
+    }
+    for file in DUMPED[name]:
+        assert np.allclose(load_array(tmp_path / file), stored[file])
+
+
 # ---------------------------------------------------------------------------
 # references
 
@@ -212,7 +266,7 @@ def test_gmres_trivial_on_zero_rhs():
     A = LinearOperator.identity(4)
     res = gmres(A, np.zeros(4))
     assert res.termination == "trivial"
-    assert not res.trace.records
+    assert [r.iteration for r in res.trace.records] == [0]
     assert np.array_equal(res.x, np.zeros(4))
 
 
@@ -279,7 +333,7 @@ def test_cmrh_sandwich_bound():
     res = cmrh(A, b, SolverConfig(maxiter=8, compute_diagnostics=True))
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
-        basis = np.column_stack(state.L_cols[:k])
+        basis = np.column_stack(state.V_cols[:k])
         _, oracle = projected_minres_oracle(A, basis, b)
         assert rec.res_norm >= oracle - 1e-9 * (1.0 + oracle)
         assert rec.res_norm <= rec.kappa_basis * oracle + 1e-9 * (1.0 + oracle)
@@ -326,7 +380,7 @@ def test_lslu_sandwich_bound():
     res = lslu(A, b, SolverConfig(maxiter=9, compute_diagnostics=True))
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
-        basis = np.column_stack(state.L_cols[:k])
+        basis = np.column_stack(state.V_cols[:k])
         _, oracle = projected_minres_oracle(A, basis, b)
         assert rec.res_norm >= oracle - 1e-9 * (1.0 + oracle)
         assert rec.res_norm <= rec.kappa_basis * oracle + 1e-9 * (1.0 + oracle)
@@ -384,7 +438,7 @@ def test_scmrh_scaled_orthogonal_sketch_is_exact_projection():
     )
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
-        basis = np.column_stack(state.L_cols[:k])
+        basis = np.column_stack(state.V_cols[:k])
         _, oracle = projected_minres_oracle(A, basis, b)
         assert abs(rec.res_norm - oracle) <= 1e-9 * (1.0 + oracle)
 
@@ -396,7 +450,7 @@ def test_scmrh_sandwich_and_reference_floor():
     ref = gmres(A, b, SolverConfig(maxiter=8, compute_diagnostics=True))
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
-        basis = np.column_stack(state.L_cols[:k])
+        basis = np.column_stack(state.V_cols[:k])
         _, oracle = projected_minres_oracle(A, basis, b)
         envelope = (1.0 + rec.eps_embed) / (1.0 - rec.eps_embed)
         assert rec.res_norm >= oracle - 1e-9 * (1.0 + oracle)
@@ -445,7 +499,7 @@ def test_slslu_reference_floor_and_sandwich():
     ref = lsqr(A, b, SolverConfig(maxiter=8, compute_diagnostics=True))
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
-        basis = np.column_stack(state.L_cols[:k])
+        basis = np.column_stack(state.V_cols[:k])
         _, oracle = projected_minres_oracle(A, basis, b)
         envelope = (1.0 + rec.eps_embed) / (1.0 - rec.eps_embed)
         assert rec.res_norm >= oracle - 1e-9 * (1.0 + oracle)
@@ -488,7 +542,7 @@ def test_slslu_tikhonov_solves_stated_objective():
     ell = cfg.effective_sketch_rows()
     S2 = make_gaussian_sketch(ell, 24, cfg.seed)
     S1 = make_gaussian_sketch(ell, 12, derive_seed(cfg.seed, 1))
-    Lk = np.column_stack(state.L_cols[:k])
+    Lk = np.column_stack(state.V_cols[:k])
     Z = S2.entries @ (M @ Lk)
     F = S1.entries @ Lk
     sr0 = S2.entries @ state.r0
