@@ -17,6 +17,7 @@ The package is organized bottom up:
 """
 
 from .hessenberg import (
+    ColumnStore,
     KrylovFactorization,
     PivotStrategy,
     TrivialSolution,

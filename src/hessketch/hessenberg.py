@@ -14,7 +14,8 @@ grows a data-space basis D and a solution-space basis L simultaneously:
 with D unit lower triangular under t, L under g, and W upper triangular.
 Both processes return a :class:`KrylovFactorization`, the state shape the
 solver driver also gets from its Arnoldi and Golub-Kahan builders: the
-data basis (L or D) is its ``U_cols``, the solution basis L its ``V_cols``.
+data basis (L or D) is its ``U_cols``, the solution basis L its ``V_cols``;
+each basis lives in one column-major array (a :class:`ColumnStore`).
 
 Every elimination coefficient is read off a single entry at a pivot
 position, so the construction performs no inner products; the counters on
@@ -28,6 +29,7 @@ an all-zero set signals breakdown.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,7 @@ from .linops import save_array
 __all__ = [
     "PivotStrategy",
     "TrivialSolution",
+    "ColumnStore",
     "KrylovFactorization",
     "pivot_select",
     "init_square",
@@ -163,6 +166,66 @@ def _pivoted_start(r0, strategy):
     return h[0], u1, t, rng
 
 
+class ColumnStore(Sequence):
+    """Basis columns kept side by side in one Fortran-order array.
+
+    Reads like a list of columns: ``len``, indexing, slicing (which gives a
+    list), ``[-1]`` and iteration return read-only views into the array,
+    never copies.  ``append`` writes the next column into the next free
+    slot, and ``matrix(k)`` is the first k columns as one (rows, k) view,
+    ready for a single BLAS call.  A store made without a ``capacity``
+    doubles it when full (earlier views stay valid, on the old array); the
+    solver driver passes the most columns a solve can produce.
+    """
+
+    def __init__(self, rows, capacity=None):
+        self._data = np.empty((rows, capacity or 16), order="F")
+        self._views = []
+
+    @classmethod
+    def from_column(cls, column, capacity=None):
+        store = cls(column.size, capacity)
+        store.append(column)
+        return store
+
+    @property
+    def capacity(self):
+        """Columns the current array has room for."""
+        return self._data.shape[1]
+
+    def __len__(self):
+        return len(self._views)
+
+    def __getitem__(self, index):
+        return self._views[index]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def append(self, column):
+        k = len(self._views)
+        if k == self.capacity:
+            data = np.empty((self._data.shape[0], 2 * k), order="F")
+            data[:, :k] = self._data
+            self._data = data
+            self._views = [self._readonly(data[:, j]) for j in range(k)]
+        self._data[:, k] = column
+        self._views.append(self._readonly(self._data[:, k]))
+
+    def matrix(self, k=None):
+        """The first k columns (all by default) as one read-only view."""
+        if k is None:
+            k = len(self._views)
+        elif k > len(self._views):
+            raise IndexError(f"store holds {len(self._views)} columns, asked for {k}")
+        return self._readonly(self._data[:, :k])
+
+    @staticmethod
+    def _readonly(view):
+        view.flags.writeable = False
+        return view
+
+
 @dataclass
 class KrylovFactorization:
     """Running factorization A V_k = U_{k+1} H_{k+1,k}, the one state every
@@ -173,7 +236,7 @@ class KrylovFactorization:
     * ``U_cols`` holds u_1..u_{k+1} (only k after a breakdown), with
       r0 = beta u_1;
     * ``V_cols`` holds v_1..v_{k+1} (fewer after a breakdown); the square
-      builders pass the same list as ``U_cols``;
+      builders pass the same store as ``U_cols``;
     * ``h_cols`` holds the columns of H_{k+1,k}, column j with its first
       j+2 entries, so k = len(h_cols);
     * ``last_product`` is the product A v_k before any reduction.
@@ -187,12 +250,15 @@ class KrylovFactorization:
     of the generalized process's upper triangular W with
     A^T U_{k+1} = V_{k+1} W_{k+1}; ``strategy`` and ``rng``, the pivot
     rule and its sampling generator.
+
+    Both bases are :class:`ColumnStore` objects: their columns are
+    read-only views into one array per basis.
     """
 
     r0: np.ndarray
     beta: float
-    U_cols: list
-    V_cols: list
+    U_cols: ColumnStore
+    V_cols: ColumnStore
     h_cols: list = field(default_factory=list)
     breakdown: bool = False
     last_product: np.ndarray = None
@@ -222,15 +288,16 @@ class KrylovFactorization:
         return W if rows is None else W[:rows]
 
 
-def init_square(A, r0, strategy=_FULL):
+def init_square(A, r0, strategy=_FULL, *, capacity=None):
     """Start the square Hessenberg process from the residual r0.
 
-    One basis L serves as both ``U_cols`` and ``V_cols``.
+    One basis L serves as both ``U_cols`` and ``V_cols``; ``capacity``
+    reserves room for that many columns (see :class:`ColumnStore`).
     """
     if not A.is_square:
         raise ValueError("the square Hessenberg process needs a square operator")
     beta, l1, t, rng = _pivoted_start(r0, strategy)
-    L = [l1]
+    L = ColumnStore.from_column(l1, capacity)
     return KrylovFactorization(
         r0=r0, beta=beta, U_cols=L, V_cols=L, t=t, strategy=strategy, rng=rng
     )
@@ -258,12 +325,13 @@ def step_square(state, A):
     return state
 
 
-def init_generalized(A, r0, strategy=_FULL):
+def init_generalized(A, r0, strategy=_FULL, *, capacity=None):
     """Start the generalized process from r0 and A^T r0.
 
     Pivots r0 to get the first data column u_1 and scale beta, pivots
     A^T r0 to get the first solution column v_1 and scale alpha, and
-    seeds W with the coefficient of A^T u_1 along v_1.
+    seeds W with the coefficient of A^T u_1 along v_1.  ``capacity``
+    reserves room for that many columns in each basis.
     """
     beta, u1, t, rng = _pivoted_start(r0, strategy)
     g = np.arange(A.cols)
@@ -276,8 +344,8 @@ def init_generalized(A, r0, strategy=_FULL):
     return KrylovFactorization(
         r0=r0,
         beta=beta,
-        U_cols=[u1],
-        V_cols=[v1],
+        U_cols=ColumnStore.from_column(u1, capacity),
+        V_cols=ColumnStore.from_column(v1, capacity),
         alpha=h[0],
         t=t,
         g=g,
@@ -321,10 +389,10 @@ def dump_factorization(state, directory, prefix=""):
     def path(name):
         return os.path.join(str(directory), prefix + name)
 
-    save_array(path("L.mm"), np.column_stack(state.V_cols))
+    save_array(path("L.mm"), state.V_cols.matrix())
     save_array(path("H.mm"), state.H_matrix())
     if state.U_cols is not state.V_cols:
-        save_array(path("D.mm"), np.column_stack(state.U_cols))
+        save_array(path("D.mm"), state.U_cols.matrix())
     if state.t is not None:
         save_array(path("pivots_t.mm"), np.asarray(state.t, dtype=float))
     if state.w_cols is not None:

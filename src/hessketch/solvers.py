@@ -42,6 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .hessenberg import (
+    ColumnStore,
     KrylovFactorization,
     PivotStrategy,
     TrivialSolution,
@@ -211,8 +212,9 @@ def _projected_solve(M, rhs, lam, N=None):
         return np.linalg.lstsq(M, rhs, rcond=None)[0], True
 
 
-def _objective(M, rhs, y, lam, N=None):
-    val = np.linalg.norm(M @ y - rhs) ** 2
+def _objective(res_norm, y, lam, N=None):
+    # the projected objective from the norm of its residual M y - rhs
+    val = res_norm**2
     if lam > 0.0:
         val += lam**2 * np.linalg.norm(N @ y) ** 2
     return float(np.sqrt(val))
@@ -250,8 +252,10 @@ def _observe(rec, A, b, x, cfg, x_true):
 def _krylov(A, b, cfg, x_true, init, step, form):
     """Run one solve with basis builder ``init``/``step`` and projection ``form``.
 
-    ``init(A, r0, strategy)`` returns a :class:`KrylovFactorization` or
-    raises TrivialSolution; ``step(state, A)`` extends it by one column.
+    ``init(A, r0, strategy, capacity=...)`` returns a
+    :class:`KrylovFactorization` whose bases have room for every column
+    the solve can produce, or raises TrivialSolution; ``step(state, A)``
+    extends it by one column.
     This is the only iteration loop and the only place that reads ``b``
     and ``cfg.x0``: it owns input checks, r0, trivial returns, the damped
     projected solve with its rank fallback, and the trace records.
@@ -261,37 +265,40 @@ def _krylov(A, b, cfg, x_true, init, step, form):
     b = _finite_vector("b", b, A.rows)
     x0 = None if cfg.x0 is None else _finite_vector("x0", cfg.x0, A.cols)
     r0 = b.copy() if x0 is None else b - A.apply(x0)
+    # a Krylov space has at most A.cols dimensions: the Hessenberg builders
+    # break down by then, and the references stop here
+    steps = min(cfg.maxiter, A.cols)
     try:
-        state = init(A, r0, cfg.pivot)
+        state = init(A, r0, cfg.pivot, capacity=steps + 1)
     except TrivialSolution:
         x = np.zeros(A.cols) if x0 is None else x0.copy()
         trace = SolverTrace([_observe(TraceRecord(iteration=0), A, b, x, cfg, x_true)])
         return SolveResult(x=x, trace=trace, termination="trivial")
-    form.start(A, cfg, state)
+    form.start(A, cfg, state, steps + 1)
     trace = SolverTrace()
-    # a Krylov space has at most A.cols dimensions: the Hessenberg builders
-    # break down by then, and the references stop here
-    for k in range(1, min(cfg.maxiter, A.cols) + 1):
+    for k in range(1, steps + 1):
         tic = time.perf_counter()
         step(state, A)
         M, rhs, N = form.system(state, k)
         y, fallback = _projected_solve(M, rhs, cfg.lam, N)
-        # the n-by-k stack is released at once, so the next one can reuse it
-        x = np.column_stack(state.V_cols[:k]) @ y
+        # one GEMV on a view of the solution basis
+        Vk = state.V_cols.matrix(k)
+        x = Vk @ y
         if x0 is not None:
             x = x0 + x
+        res_norm = np.linalg.norm(M @ y - rhs)
         rec = TraceRecord(
             iteration=k,
-            proj_obj=_objective(M, rhs, y, cfg.lam, N),
+            proj_obj=_objective(res_norm, y, cfg.lam, N),
             rank_fallback=fallback,
         )
         if form.sketched:
-            rec.sres_norm = float(np.linalg.norm(M @ y - rhs))
+            rec.sres_norm = float(res_norm)
         if cfg.compute_diagnostics:
-            U = np.column_stack(state.U_cols)
+            U = state.U_cols.matrix()
             rec.kappa_basis = spectral_condition_number(U)
             if cfg.lam > 0.0 and not state.orthonormal:
-                block = scipy.linalg.block_diag(U, np.column_stack(state.V_cols[:k]))
+                block = scipy.linalg.block_diag(U, Vk)
                 rec.kappa_dbar = spectral_condition_number(block)
             if form.sketched:
                 rec.eps_embed = form.distortion(state)
@@ -318,7 +325,7 @@ class _QuasiMinimal:
 
     sketched = False
 
-    def start(self, A, cfg, state):
+    def start(self, A, cfg, state, capacity):
         self.lam = cfg.lam
 
     def system(self, state, k):
@@ -341,7 +348,7 @@ class _Sketched:
     def __init__(self, sketch, basis):
         self.S, self.basis = sketch, basis
 
-    def start(self, A, cfg, state):
+    def start(self, A, cfg, state, capacity):
         if self.S is not None and self.S.in_rows != A.rows:
             raise ValueError(
                 f"sketch expects vectors of length {self.S.in_rows}, "
@@ -358,11 +365,19 @@ class _Sketched:
         self.counters = A.counters
         self.diagnostics = cfg.compute_diagnostics
         self.sr0 = self._apply(self.S, state.r0)
-        self.cols = [self._apply(self.S, state.U_cols[0])] if self.basis else []
-        self.products, self.S1 = [], None
+        # one store each for the sketched columns, the penalty's S1 v_j
+        # and (diagnostics only) r0 followed by the products A v_k
+        self.cols = ColumnStore(ell, capacity)
+        if self.basis:
+            self.cols.append(self._apply(self.S, state.U_cols[0]))
+        if self.diagnostics:
+            self.products = ColumnStore.from_column(state.r0, capacity)
+        self.S1 = None
         if cfg.lam > 0.0:
             self.S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
-            self.penalty_cols = [self._apply(self.S1, state.V_cols[0])]
+            self.penalty_cols = ColumnStore.from_column(
+                self._apply(self.S1, state.V_cols[0]), capacity
+            )
 
     def _apply(self, S, v):
         return sketch_apply(S, v, self.counters)
@@ -373,7 +388,7 @@ class _Sketched:
             self.cols.append(self._apply(self.S, state.last_product))
         elif len(self.cols) < len(state.U_cols):
             self.cols.append(self._apply(self.S, state.U_cols[-1]))
-        M = np.column_stack(self.cols)
+        M = self.cols.matrix()
         if self.basis:
             M = M @ state.H_matrix(rows=M.shape[1])
         if self.diagnostics:
@@ -382,11 +397,11 @@ class _Sketched:
             return M, self.sr0, None
         if len(self.penalty_cols) < len(state.V_cols):
             self.penalty_cols.append(self._apply(self.S1, state.V_cols[-1]))
-        return M, self.sr0, np.column_stack(self.penalty_cols[:k])
+        return M, self.sr0, self.penalty_cols.matrix(k)
 
     def distortion(self, state):
-        """Measured distortion of S on span(A V_k, r0) (diagnostics only)."""
-        return measured_epsilon(self.S, np.column_stack(self.products + [state.r0]))
+        """Measured distortion of S on span(r0, A V_k) (diagnostics only)."""
+        return measured_epsilon(self.S, self.products.matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +415,11 @@ def _unit_start(A, r0):
     return beta, r0 / beta
 
 
-def _init_arnoldi(A, r0, strategy=None):
+def _init_arnoldi(A, r0, strategy=None, *, capacity=None):
     if not A.is_square:
         raise ValueError("gmres needs a square operator")
     beta, v1 = _unit_start(A, r0)
-    V = [v1]
+    V = ColumnStore.from_column(v1, capacity)
     return KrylovFactorization(r0=r0, beta=beta, U_cols=V, V_cols=V, orthonormal=True)
 
 
@@ -429,7 +444,7 @@ def _step_arnoldi(state, A):
         V.append(w / h[k])
 
 
-def _init_golub_kahan(A, r0, strategy=None):
+def _init_golub_kahan(A, r0, strategy=None, *, capacity=None):
     beta, u = _unit_start(A, r0)
     z = A.apply_transpose(u)
     alpha = tracked_norm(A.counters, z)
@@ -438,7 +453,12 @@ def _init_golub_kahan(A, r0, strategy=None):
             "transposed residual is zero; the normal equations already hold"
         )
     return KrylovFactorization(
-        r0=r0, beta=beta, U_cols=[u], V_cols=[z / alpha], orthonormal=True, alpha=alpha
+        r0=r0,
+        beta=beta,
+        U_cols=ColumnStore.from_column(u, capacity),
+        V_cols=ColumnStore.from_column(z / alpha, capacity),
+        orthonormal=True,
+        alpha=alpha,
     )
 
 
@@ -557,8 +577,9 @@ def projected_minres_oracle(A, basis, b):
     if basis.ndim == 1:
         basis = basis.reshape(-1, 1)
     b = np.asarray(b, dtype=float)
-    cols = [np.asarray(A.forward(basis[:, j]), dtype=float) for j in range(basis.shape[1])]
-    M = np.column_stack(cols)
+    M = np.empty((A.rows, basis.shape[1]))
+    for j in range(basis.shape[1]):
+        M[:, j] = A.forward(basis[:, j])
     y = dense_qr_ls(M, b)
     return y, float(np.linalg.norm(M @ y - b))
 

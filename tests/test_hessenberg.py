@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from hessketch.hessenberg import (
+    ColumnStore,
     PivotStrategy,
     TrivialSolution,
     dump_factorization,
@@ -522,3 +523,91 @@ def test_dump_factorization_roundtrip(tmp_path):
     assert np.allclose(load_array(tmp_path / "gh_H.mm"), state.H_matrix())
     assert np.allclose(load_array(tmp_path / "gh_W.mm"), state.W_matrix())
     assert np.array_equal(load_array(tmp_path / "gh_pivots_g.mm"), state.g)
+
+
+# ---------------------------------------------------------------------------
+# column storage
+
+
+def test_column_store_reads_like_a_list_of_views():
+    store = ColumnStore(3, capacity=2)
+    cols = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])]
+    for c in cols:
+        store.append(c)
+    assert len(store) == 2
+    assert np.array_equal(store[-1], cols[1])
+    assert [c.tolist() for c in store] == [c.tolist() for c in cols]
+    assert isinstance(store[:1], list) and np.array_equal(store[:1][0], cols[0])
+    assert np.shares_memory(store[0], store.matrix())
+    assert np.array_equal(store.matrix(), np.column_stack(cols))
+    assert store.matrix().flags.f_contiguous
+    assert np.array_equal(store.matrix(1), cols[0][:, None])
+    with pytest.raises(IndexError):
+        store.matrix(3)
+    with pytest.raises(ValueError):
+        store[0][0] = 9.0
+    with pytest.raises(ValueError):
+        store.matrix()[0, 0] = 9.0
+
+
+def test_column_store_growth_keeps_earlier_views():
+    store = ColumnStore(2, capacity=1)
+    store.append(np.array([1.0, 2.0]))
+    first = store[0]
+    for j in range(2, 6):
+        store.append(np.array([j, -j], dtype=float))
+    assert store.capacity == 8
+    assert np.array_equal(first, [1.0, 2.0])
+    assert np.array_equal(store.matrix()[:, 0], [1.0, 2.0])
+    assert np.array_equal(store.matrix()[:, -1], [5.0, -5.0])
+
+
+@pytest.mark.parametrize("capacity", [None, 2, 13])
+def test_square_views_equal_fresh_stack_at_full_dimension(capacity):
+    rng = np.random.default_rng(61)
+    M = rng.standard_normal((12, 12))
+    b = rng.standard_normal(12)
+    A = LinearOperator.from_matrix(M)
+    state = init_square(A, b, capacity=capacity)
+    while not state.breakdown:
+        step_square(state, A)
+    k = len(state.h_cols)
+    assert k == 12 and state.U_cols is state.V_cols
+    L = np.column_stack([c.copy() for c in state.V_cols])
+    assert np.array_equal(state.V_cols.matrix(), L)
+    reference, _ = run_square(M, b, 12)
+    assert np.array_equal(np.column_stack(reference.V_cols), L)
+    assert np.array_equal(reference.H_matrix(), state.H_matrix())
+    assert np.array_equal(reference.t, state.t)
+    H = state.H_matrix(rows=len(state.V_cols))
+    assert np.linalg.norm(M @ L[:, :k] - L @ H) <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(L)
+    assert_unit_triangular(state.V_cols, state.t)
+
+
+@pytest.mark.parametrize("capacity", [None, 2, 10])
+def test_generalized_views_equal_fresh_stack_at_full_dimension(capacity):
+    rng = np.random.default_rng(67)
+    M = rng.standard_normal((15, 9))
+    b = rng.standard_normal(15)
+    A = LinearOperator.from_matrix(M)
+    state = init_generalized(A, b, capacity=capacity)
+    while not state.breakdown:
+        step_generalized(state, A)
+    assert len(state.V_cols) == 9
+    D = np.column_stack([c.copy() for c in state.U_cols])
+    L = np.column_stack([c.copy() for c in state.V_cols])
+    assert np.array_equal(state.U_cols.matrix(), D)
+    assert np.array_equal(state.V_cols.matrix(), L)
+    reference, _ = run_generalized(M, b, 9)
+    assert np.array_equal(np.column_stack(reference.U_cols), D)
+    assert np.array_equal(np.column_stack(reference.V_cols), L)
+    assert np.array_equal(reference.H_matrix(), state.H_matrix())
+    assert np.array_equal(reference.W_matrix(), state.W_matrix())
+    k = len(state.h_cols)
+    scale = np.linalg.norm(M)
+    H = state.H_matrix(rows=D.shape[1])
+    assert np.linalg.norm(M @ L[:, :k] - D @ H) <= 1e-10 * scale * np.linalg.norm(L)
+    W = state.W_matrix(rows=L.shape[1])
+    assert np.linalg.norm(M.T @ D - L @ W[:, : D.shape[1]]) <= 1e-10 * scale * np.linalg.norm(D)
+    assert_unit_triangular(state.U_cols, state.t)
+    assert_unit_triangular(state.V_cols, state.g)

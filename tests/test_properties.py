@@ -7,8 +7,12 @@ sampled pivots, and its ``factorization`` must satisfy
 A V_k = U_{k+1} H_{k+1,k}.  The Hessenberg builders must also keep their
 bases unit lower triangular under the pivot orders and count no inner
 products; the generalized one must satisfy A^T U_{k+1} = V_{k+1} W.
+All six solvers must also replay: two runs on the same input give
+byte-identical traces and iterates, and the iterate is finite.
 Examples are derandomized, so the suite stays deterministic.
 """
+
+import io
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 
 from hessketch.hessenberg import PivotStrategy
 from hessketch.linops import LinearOperator
-from hessketch.solvers import SOLVERS, SolverConfig
+from hessketch.solvers import SOLVERS, SolverConfig, trace_to_csv
 
 PIVOTS = st.one_of(
     st.just(PivotStrategy.full()),
@@ -67,3 +71,32 @@ def test_factorization_relations(name, seed, m, n, pivot):
         W = state.W_matrix(rows=V.shape[1])
         gap = np.linalg.norm(M.T @ U - V @ W)
         assert gap <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(U)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 10),
+    n=st.integers(2, 10),
+    pivot=PIVOTS,
+    lam=st.sampled_from([0.0, 0.5]),
+    diagnostics=st.booleans(),
+)
+def test_replay_is_byte_identical_and_finite(name, seed, m, n, pivot, lam, diagnostics):
+    if name in SQUARE | {"scmrh"}:
+        n = m
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    cfg = SolverConfig(
+        maxiter=n, pivot=pivot, lam=lam, seed=seed, compute_diagnostics=diagnostics
+    )
+    runs = []
+    for _ in range(2):
+        res = SOLVERS[name](LinearOperator.from_matrix(M), b, cfg)
+        assert np.all(np.isfinite(res.x))
+        csv = io.StringIO()
+        trace_to_csv(res.trace, csv)
+        runs.append((csv.getvalue(), res.x.tobytes(), res.termination))
+    assert runs[0] == runs[1]

@@ -9,6 +9,7 @@ from hessketch.linops import (
     dense_qr_ls,
     load_array,
     spectral_condition_number,
+    stacked_tikhonov_ls,
 )
 from hessketch.sketch import SketchOperator, derive_seed, make_gaussian_sketch
 from hessketch.solvers import (
@@ -198,6 +199,75 @@ def test_dump_factorization_of_every_solver(name, tmp_path):
     }
     for file in DUMPED[name]:
         assert np.allclose(load_array(tmp_path / file), stored[file])
+
+
+def recomputed_iterate(name, M, b, cfg, state):
+    """x_K from the returned factorization: stack V_K, rebuild the projected
+    problem from scratch, solve it."""
+    k = len(state.h_cols)
+    Vk = np.column_stack(state.V_cols[:k])
+    if name in ("scmrh", "slslu"):
+        ell = cfg.effective_sketch_rows()
+        S = make_gaussian_sketch(ell, M.shape[0], cfg.seed).entries
+        P = np.column_stack([S @ (M @ v) for v in state.V_cols[:k]])
+        rhs = S @ b
+        S1 = make_gaussian_sketch(ell, M.shape[1], derive_seed(cfg.seed, 1)).entries
+        N = np.column_stack([S1 @ v for v in state.V_cols[:k]])
+    else:
+        P = state.H_matrix()
+        rhs = np.zeros(k + 1)
+        rhs[0] = state.beta
+        N = np.eye(k)
+    return Vk @ stacked_tikhonov_ls(P, N, rhs, cfg.lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_iterate_agrees_with_restacked_basis(name, lam):
+    M, A, b = problem_for(name, 50)
+    cfg = SolverConfig(maxiter=8, lam=lam, seed=4)
+    res = SOLVERS[name](A, b, cfg)
+    assert len(res.trace.records) == 8
+    x = recomputed_iterate(name, M, b, cfg, res.factorization)
+    assert np.linalg.norm(res.x - x) <= 1e-13 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_builders_never_write_into_operator_output(name):
+    # the sketched-products form sketches last_product, so the elimination
+    # must leave every A v_k as the operator returned it
+    M, _, b = problem_for(name, 51)
+    outputs = []
+
+    def forward(x):
+        out = M @ x
+        outputs.append((out, out.copy()))
+        return out
+
+    A = LinearOperator(M.shape[0], M.shape[1], forward, lambda y: M.T @ y)
+    res = SOLVERS[name](A, b, SolverConfig(maxiter=6, seed=5))
+    assert len(outputs) == 6
+    assert res.factorization.last_product is outputs[-1][0]
+    for out, saved in outputs:
+        assert np.array_equal(out, saved)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_capacity_when_maxiter_exceeds_dimension(name):
+    # the driver reserves min(maxiter, A.cols) + 1 columns per basis, and
+    # a solve asked for more steps than dimensions never needs more
+    _, A, b = problem_for(name, 52)
+    runs = []
+    for maxiter in (A.cols, A.cols + 5):
+        cfg = SolverConfig(maxiter=maxiter, sketch_rows=10 * (A.cols + 6), seed=6)
+        res = SOLVERS[name](A, b, cfg)
+        state = res.factorization
+        assert state.U_cols.capacity == state.V_cols.capacity == A.cols + 1
+        assert len(res.trace.records) <= A.cols
+        csv = io.StringIO()
+        trace_to_csv(res.trace, csv)
+        runs.append((csv.getvalue(), res.x.tobytes(), res.termination))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
