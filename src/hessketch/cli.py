@@ -11,6 +11,10 @@ lines ignored.  Problem keys use the ``problem.`` prefix; each solver is a
 group of ``solver.<label>.<field>`` keys where the label names the output
 files and doubles as the solver name unless ``solver.<label>.name`` says
 otherwise (so the same method can be listed twice under different labels).
+The other solver fields become one :class:`SolverConfig` (``lambda`` is its
+``lam``) with a :class:`PivotStrategy` (``pivot``, ``sample_size``, and
+``pivot_seed``, which defaults to ``seed``); ``diagnostics`` turns on
+``compute_diagnostics`` for every solver.
 
 ::
 
@@ -30,30 +34,38 @@ otherwise (so the same method can be listed twice under different labels).
     solver.scmrh.sample_size = 5
     solver.scmrh.seed = 3
 
-Exit codes: 0 success, 1 solver runtime failure (a PARTIAL marker file in
-the output directory lists what completed), 2 config error with a message
-naming the offending field and line.
+Exit codes:
+
+* 0: success.
+* 2: config error.  The message names the offending field (with its line
+  for syntax errors and unknown keys) and nothing is written.  Solver values
+  are checked by SolverConfig and PivotStrategy, whether they come from the
+  file, from ``sweep --values`` or from ``HESSKETCH_SEED``, all before the
+  problem is built.
+* 1: a solver raised at run time, such as a sketch with fewer than
+  maxiter+1 rows.  Every run before it has written its files, and a
+  ``PARTIAL`` file in the output directory names the failure and lists the
+  runs that completed: labels for ``solve`` and ``compare``,
+  ``<label>.<param>.<value>`` stems for ``sweep``.
 
 The environment variable ``HESSKETCH_SEED`` replaces every seed read from
 the config (problem noise, solver sketch, sampled pivot) so CI runs are
 reproducible; explicit ``sweep --param seed`` values still take effect.
-Reruns with the same config produce byte-identical CSVs: trace timing is
-left blank and all randomness is seed-derived.  Output files are written
-to a temporary name and renamed into place.
+Every output replays byte for byte: timings are never written and all
+randomness is seed-derived.  Output files are written to a temporary name
+and renamed into place.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
+import pathlib
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
-from .hessenberg import PivotStrategy
 from .linops import save_array
 from .problems import (
     gaussian_psf,
@@ -80,28 +92,28 @@ SKETCHED_SOLVERS = {"scmrh", "slslu"}
 PIVOTED_SOLVERS = {"cmrh", "lslu", "scmrh", "slslu"}
 SQUARE_ONLY_SOLVERS = {"gmres", "cmrh", "scmrh"}
 
-_TOP_KEYS = {"output_dir", "diagnostics"}
+# every accepted problem.<key> and solver.<label>.<key>, with its type
 _PROBLEM_KEYS = {
-    "type",
-    "size",
-    "grid",
-    "angles",
-    "psf",
-    "psf_sigma",
-    "psf_length",
-    "psf_angle",
-    "noise_level",
-    "seed",
+    "type": str,
+    "size": int,
+    "grid": int,
+    "angles": int,
+    "psf": str,
+    "psf_sigma": float,
+    "psf_length": float,
+    "psf_angle": float,
+    "noise_level": float,
+    "seed": int,
 }
 _SOLVER_KEYS = {
-    "name",
-    "maxiter",
-    "pivot",
-    "sample_size",
-    "pivot_seed",
-    "sketch_rows",
-    "lambda",
-    "seed",
+    "name": str,
+    "maxiter": int,
+    "pivot": str,
+    "sample_size": int,
+    "pivot_seed": int,
+    "sketch_rows": int,
+    "lambda": float,
+    "seed": int,
 }
 
 
@@ -111,33 +123,11 @@ class ConfigError(Exception):
 
 @dataclass
 class SolverSpec:
-    """One solver entry from a config file."""
+    """One solver entry from a config file: its label, solver and settings."""
 
     label: str
     name: str
-    maxiter: int = 30
-    pivot: str = "full"
-    sample_size: Optional[int] = None
-    pivot_seed: Optional[int] = None
-    sketch_rows: Optional[int] = None
-    lam: float = 0.0
-    seed: int = 0
-
-    def pivot_strategy(self):
-        if self.pivot == "full":
-            return PivotStrategy.full()
-        seed = self.seed if self.pivot_seed is None else self.pivot_seed
-        return PivotStrategy.sampled(self.sample_size, seed=seed)
-
-    def solver_config(self, diagnostics):
-        return SolverConfig(
-            maxiter=self.maxiter,
-            pivot=self.pivot_strategy(),
-            sketch_rows=self.sketch_rows,
-            lam=self.lam,
-            seed=self.seed,
-            compute_diagnostics=diagnostics,
-        )
+    config: SolverConfig
 
 
 @dataclass
@@ -147,7 +137,6 @@ class ExperimentConfig:
     problem: dict
     solvers: list
     output_dir: str
-    diagnostics: bool = False
     path: str = "<config>"
 
     @classmethod
@@ -165,14 +154,34 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"HESSKETCH_SEED must be an integer, got {seed_env!r}"
                 ) from None
-            cfg.override_seeds(seed)
+            cfg.problem["seed"] = seed
+            cfg.solvers = [
+                _respec(spec, "HESSKETCH_SEED", _reseed, seed=seed)
+                for spec in cfg.solvers
+            ]
         return cfg
 
-    def override_seeds(self, seed):
-        self.problem["seed"] = seed
-        for spec in self.solvers:
-            spec.seed = seed
-            spec.pivot_seed = seed
+
+def _with_pivot(config, **changes):
+    return replace(config, pivot=replace(config.pivot, **changes))
+
+
+def _reseed(config, seed):
+    # one seed for the sketch and the sampled pivots; the config checks it
+    # first, so a bad value is reported as the seed it is
+    return _with_pivot(replace(config, seed=seed), seed=seed)
+
+
+def _respec(spec, where, change, **changes):
+    """``spec`` with config ``change(spec.config, **changes)``.
+
+    The new values pass SolverConfig's and PivotStrategy's checks again; a
+    rejected one is a ConfigError naming ``where``, the label and the field.
+    """
+    try:
+        return replace(spec, config=change(spec.config, **changes))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: solver.{spec.label}: {exc}") from None
 
 
 def _parse_scalar(raw, kind, where):
@@ -212,40 +221,23 @@ def parse_config(text, source="<config>"):
 
     problem = {"noise_level": 0.0, "seed": 0}
     solver_fields = {}
-    solver_order = []
     output_dir = None
     diagnostics = False
     for key, (raw, lineno) in entries.items():
         where = f"{source}:{lineno}: {key}"
         parts = key.split(".")
         if parts[0] == "problem" and len(parts) == 2:
-            name = parts[1]
-            if name not in _PROBLEM_KEYS:
+            if parts[1] not in _PROBLEM_KEYS:
                 raise ConfigError(f"{where}: unknown problem field")
-            kind = {
-                "type": str,
-                "psf": str,
-                "size": int,
-                "grid": int,
-                "angles": int,
-                "seed": int,
-            }.get(name, float)
-            problem[name] = _parse_scalar(raw, kind, where)
+            problem[parts[1]] = _parse_scalar(raw, _PROBLEM_KEYS[parts[1]], where)
         elif parts[0] == "solver" and len(parts) == 3:
             label, name = parts[1], parts[2]
             if not label.replace("_", "").replace("-", "").isalnum():
                 raise ConfigError(f"{where}: solver label must be alphanumeric")
             if name not in _SOLVER_KEYS:
                 raise ConfigError(f"{where}: unknown solver field")
-            if label not in solver_fields:
-                solver_fields[label] = {}
-                solver_order.append(label)
-            kind = {
-                "name": str,
-                "pivot": str,
-                "lambda": float,
-            }.get(name, int)
-            solver_fields[label][name] = (_parse_scalar(raw, kind, where), where)
+            value = _parse_scalar(raw, _SOLVER_KEYS[name], where)
+            solver_fields.setdefault(label, {})[name] = (value, where)
         elif key == "output_dir":
             output_dir = raw
         elif key == "diagnostics":
@@ -257,40 +249,46 @@ def parse_config(text, source="<config>"):
         raise ConfigError(f"{source}: missing required key problem.type")
     if output_dir is None:
         raise ConfigError(f"{source}: missing required key output_dir")
-    if not solver_order:
+    if not solver_fields:
         raise ConfigError(f"{source}: no solver.<label>.* entries")
 
-    specs = []
-    for label in solver_order:
-        fields = {k: v for k, (v, _) in solver_fields[label].items()}
-        wheres = {k: w for k, (_, w) in solver_fields[label].items()}
-        name = fields.pop("name", label)
-        if name not in SOLVERS:
-            where = wheres.get("name", f"{source}: solver.{label}.name")
-            raise ConfigError(
-                f"{where}: unknown solver name {name!r}; "
-                f"choose from {sorted(SOLVERS)}"
-            )
-        if "lambda" in fields:
-            fields["lam"] = fields.pop("lambda")
-        spec = SolverSpec(label=label, name=name, **fields)
-        if spec.pivot not in ("full", "sampled"):
-            raise ConfigError(
-                f"{wheres['pivot']}: pivot must be 'full' or 'sampled'"
-            )
-        if spec.pivot == "sampled" and spec.sample_size is None:
-            raise ConfigError(
-                f"{source}: solver.{label}.sample_size required for "
-                "sampled pivoting"
-            )
-        specs.append(spec)
-
-    cfg = ExperimentConfig(problem, specs, output_dir, diagnostics, source)
+    specs = [
+        _solver_spec(label, fields, diagnostics, source)
+        for label, fields in solver_fields.items()
+    ]
+    cfg = ExperimentConfig(problem, specs, output_dir, source)
     validate_config(cfg)
     return cfg
 
 
+def _solver_spec(label, fields, diagnostics, source):
+    """The SolverSpec of one label's parsed ``(value, where)`` fields."""
+    name, where = fields.pop("name", (label, f"{source}: solver.{label}.name"))
+    if name not in SOLVERS:
+        raise ConfigError(
+            f"{where}: unknown solver name {name!r}; choose from {sorted(SOLVERS)}"
+        )
+    values = {key: value for key, (value, _) in fields.items()}
+    kind = values.pop("pivot", "full")
+    sample_size = values.pop("sample_size", 0)
+    pivot_seed = values.pop("pivot_seed", None)
+    if "lambda" in values:
+        values["lam"] = values.pop("lambda")
+    try:
+        config = SolverConfig(compute_diagnostics=diagnostics, **values)
+        config = _with_pivot(
+            config,
+            kind=kind,
+            sample_size=sample_size,
+            seed=config.seed if pivot_seed is None else pivot_seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{source}: solver.{label}: {exc}") from None
+    return SolverSpec(label, name, config)
+
+
 def validate_config(cfg):
+    """Check the problem keys, and that each solver suits the problem."""
     ptype = cfg.problem.get("type")
     if ptype not in ("deblur", "tomography"):
         raise ConfigError(
@@ -315,15 +313,6 @@ def validate_config(cfg):
                     f"{cfg.path}: solver.{spec.label}.name: {spec.name} "
                     "requires a square operator; tomography is rectangular"
                 )
-    for spec in cfg.solvers:
-        if spec.maxiter < 1:
-            raise ConfigError(
-                f"{cfg.path}: solver.{spec.label}.maxiter must be positive"
-            )
-        if spec.lam < 0:
-            raise ConfigError(
-                f"{cfg.path}: solver.{spec.label}.lambda must be nonnegative"
-            )
 
 
 def build_problem(cfg):
@@ -347,89 +336,92 @@ def build_problem(cfg):
         raise ConfigError(f"{cfg.path}: invalid problem: {exc}") from exc
 
 
-def _atomic_bytes(path, data):
+# ---------------------------------------------------------------------------
+# output
+
+
+def _atomic(path, write):
+    """Call ``write(tmp)`` on a temporary name, then rename it to ``path``."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
+    write(tmp)
     os.replace(tmp, path)
 
 
-def _atomic_text(path, text):
-    _atomic_bytes(path, text.encode("utf-8"))
+def _write_lines(path, lines):
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    _atomic(path, lambda tmp: pathlib.Path(tmp).write_bytes(data))
 
 
-def _write_trace(path, trace):
-    buf = io.StringIO()
-    trace_to_csv(trace, buf)
-    _atomic_text(path, buf.getvalue())
-
-
-def _write_solution(path, x):
-    tmp = f"{path}.tmp"
-    save_array(tmp, x)
-    os.replace(tmp, path)
+def _write_trace(out_dir, stem, result):
+    path = os.path.join(out_dir, f"{stem}.trace.csv")
+    _atomic(path, lambda tmp: trace_to_csv(result.trace, tmp))
 
 
 def _final_residual(problem, x):
     return float(np.linalg.norm(problem.b - problem.operator.forward(x)))
 
 
-def _run_all(problem, cfg, specs=None):
-    """Run each solver spec; yields (spec, SolveResult).
-
-    Raises RuntimeError wrapped with the solver label on failure so
-    callers can flag partial output.
-    """
-    results = []
-    for spec in specs if specs is not None else cfg.solvers:
-        solver = SOLVERS[spec.name]
-        try:
-            result = solver(
-                problem.operator,
-                problem.b,
-                spec.solver_config(cfg.diagnostics),
-                x_true=problem.x_true,
-            )
-        except Exception as exc:
-            raise RuntimeError(f"solver {spec.label} failed: {exc}") from exc
-        results.append((spec, result))
-    return results
+# ---------------------------------------------------------------------------
+# the run loop and the three subcommands
 
 
-def _flag_partial(out_dir, done_labels, error):
-    lines = [f"failed: {error}"] + [f"completed: {label}" for label in done_labels]
-    _atomic_text(os.path.join(out_dir, "PARTIAL"), "\n".join(lines) + "\n")
-
-
-def cmd_solve(config_path, diagnostics=False):
+def _load(config_path, diagnostics):
+    """The parsed config; the ``--diagnostics`` flag turns diagnostics on
+    for every solver."""
     cfg = ExperimentConfig.from_path(config_path)
     if diagnostics:
-        cfg.diagnostics = True
+        cfg.solvers = [
+            _respec(spec, "--diagnostics", replace, compute_diagnostics=True)
+            for spec in cfg.solvers
+        ]
+    return cfg
+
+
+def _run(cfg, runs, write):
+    """Build the problem, then run each ``(stem, spec)`` pair in order.
+
+    ``write(stem, problem, result)`` handles each result as soon as its run
+    returns.  Returns the exit code: 0, or 1 when a solver raises, after
+    writing a PARTIAL file that names the failure and lists every stem
+    that completed before it.
+    """
     problem = build_problem(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     done = []
-    for spec in cfg.solvers:
+    for stem, spec in runs:
         try:
-            [(_, result)] = _run_all(problem, cfg, [spec])
-        except RuntimeError as exc:
-            _flag_partial(cfg.output_dir, done, exc)
-            print(exc, file=sys.stderr)
+            result = SOLVERS[spec.name](
+                problem.operator, problem.b, spec.config, x_true=problem.x_true
+            )
+        except Exception as exc:
+            error = f"solver {spec.label} failed: {exc}"
+            lines = [f"failed: {error}"] + [f"completed: {s}" for s in done]
+            _write_lines(os.path.join(cfg.output_dir, "PARTIAL"), lines)
+            print(error, file=sys.stderr)
             return 1
-        base = os.path.join(cfg.output_dir, spec.label)
-        _write_trace(f"{base}.trace.csv", result.trace)
-        _write_solution(f"{base}.solution.mm", result.x)
-        if problem.image_shape is not None:
-            img = image_from_vector(result.x, *problem.image_shape)
-            tmp = f"{base}.recon.pgm.tmp"
-            write_image(img, tmp)
-            os.replace(tmp, f"{base}.recon.pgm")
-        done.append(spec.label)
+        write(stem, problem, result)
+        done.append(stem)
     return 0
 
 
+def cmd_solve(config_path, diagnostics=False):
+    cfg = _load(config_path, diagnostics)
+
+    def write(stem, problem, result):
+        base = os.path.join(cfg.output_dir, stem)
+        _write_trace(cfg.output_dir, stem, result)
+        _atomic(f"{base}.solution.mm", lambda tmp: save_array(tmp, result.x))
+        if problem.image_shape is not None:
+            img = image_from_vector(result.x, *problem.image_shape)
+            _atomic(f"{base}.recon.pgm", lambda tmp: write_image(img, tmp))
+
+    return _run(cfg, [(spec.label, spec) for spec in cfg.solvers], write)
+
+
 def _compare_rows(label, trace):
+    # every column but the volatile wall_ms, so compare.csv replays
     for rec in trace.records:
-        for name in CSV_COLUMNS[1:]:
+        for name in CSV_COLUMNS[1:-1]:
             value = getattr(rec, name)
             if value is not None:
                 yield f"{label},{rec.iteration},{name},{_cell(value)}"
@@ -447,35 +439,21 @@ def _summary_line(label, problem, result):
 
 
 def cmd_compare(config_path, diagnostics=False):
-    cfg = ExperimentConfig.from_path(config_path)
-    if diagnostics:
-        cfg.diagnostics = True
+    cfg = _load(config_path, diagnostics)
     if len(cfg.solvers) < 2:
-        print(
-            f"config error: {cfg.path}: compare needs at least two solvers",
-            file=sys.stderr,
-        )
-        return 2
-    problem = build_problem(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    try:
-        results = _run_all(problem, cfg)
-    except RuntimeError as exc:
-        _flag_partial(cfg.output_dir, [], exc)
-        print(exc, file=sys.stderr)
-        return 1
+        raise ConfigError(f"{cfg.path}: compare needs at least two solvers")
     rows = ["solver,iter,metric,value"]
     summary = []
-    for spec, result in results:
-        rows.extend(_compare_rows(spec.label, result.trace))
-        summary.append(_summary_line(spec.label, problem, result))
-    _atomic_text(
-        os.path.join(cfg.output_dir, "compare.csv"), "\n".join(rows) + "\n"
-    )
-    _atomic_text(
-        os.path.join(cfg.output_dir, "summary.txt"), "\n".join(summary) + "\n"
-    )
-    return 0
+
+    def collect(stem, problem, result):
+        rows.extend(_compare_rows(stem, result.trace))
+        summary.append(_summary_line(stem, problem, result))
+
+    code = _run(cfg, [(spec.label, spec) for spec in cfg.solvers], collect)
+    if code == 0:
+        _write_lines(os.path.join(cfg.output_dir, "compare.csv"), rows)
+        _write_lines(os.path.join(cfg.output_dir, "summary.txt"), summary)
+    return code
 
 
 SWEEP_PARAMS = ("lambda", "seed", "sketch_rows", "sample_size")
@@ -493,92 +471,68 @@ def _sweep_values(param, raw_values):
     return values
 
 
-def _apply_sweep(spec, param, value):
-    """Return the spec with the swept parameter applied, or None if the
-    parameter does not apply to this solver."""
+def _swept(spec, param, value):
+    """The spec with the swept value applied, or None if the parameter
+    does not apply to this solver."""
+    where = f"sweep {param}={value}"
     if param == "lambda":
-        return replace(spec, lam=value)
+        return _respec(spec, where, replace, lam=value)
     if param == "seed":
-        return replace(spec, seed=value, pivot_seed=value)
+        return _respec(spec, where, _reseed, seed=value)
     if param == "sketch_rows":
         if spec.name not in SKETCHED_SOLVERS:
             return None
-        return replace(spec, sketch_rows=value)
+        return _respec(spec, where, replace, sketch_rows=value)
     if spec.name not in PIVOTED_SOLVERS:
         return None
     if value == "full":
-        return replace(spec, pivot="full")
-    return replace(spec, pivot="sampled", sample_size=value)
+        return _respec(spec, where, _with_pivot, kind="full")
+    return _respec(spec, where, _with_pivot, kind="sampled", sample_size=value)
 
 
 def cmd_sweep(config_path, param, values, diagnostics=False):
-    cfg = ExperimentConfig.from_path(config_path)
-    if diagnostics:
-        cfg.diagnostics = True
+    cfg = _load(config_path, diagnostics)
     if param not in SWEEP_PARAMS:
-        print(
-            f"config error: sweep parameter must be one of {SWEEP_PARAMS}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}")
     try:
         parsed = _sweep_values(param, values)
     except ValueError as exc:
-        print(f"config error: bad sweep value: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"bad sweep value: {exc}") from None
     if not parsed:
-        print("config error: empty sweep value list", file=sys.stderr)
-        return 2
-    if all(
-        _apply_sweep(spec, param, parsed[0]) is None for spec in cfg.solvers
-    ):
-        print(
-            f"config error: {param} applies to none of the listed solvers",
-            file=sys.stderr,
-        )
-        return 2
-    problem = build_problem(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+        raise ConfigError("empty sweep value list")
+    runs = [
+        (f"{spec.label}.{param}.{value}", swept)
+        for value in parsed
+        for spec in cfg.solvers
+        if (swept := _swept(spec, param, value)) is not None
+    ]
+    if not runs:
+        raise ConfigError(f"{param} applies to none of the listed solvers")
     agg = ["solver,value,min_rel_err,final_res"]
     finals = {}
     min_errs = {}
-    for value in parsed:
-        swept = [
-            swept_spec
-            for spec in cfg.solvers
-            if (swept_spec := _apply_sweep(spec, param, value)) is not None
-        ]
-        try:
-            results = _run_all(problem, cfg, swept)
-        except RuntimeError as exc:
-            _flag_partial(cfg.output_dir, [], exc)
-            print(exc, file=sys.stderr)
-            return 1
-        for spec, result in results:
-            stem = f"{spec.label}.{param}.{value}"
-            _write_trace(
-                os.path.join(cfg.output_dir, f"{stem}.trace.csv"), result.trace
-            )
-            best = min(r.rel_err for r in result.trace.records)
-            final = _final_residual(problem, result.x)
-            agg.append(f"{spec.label},{value},{_cell(best)},{_cell(final)}")
-            finals.setdefault(spec.label, []).append(final)
-            min_errs.setdefault(spec.label, []).append(best)
-    summary = []
-    for label, vals in finals.items():
-        summary.append(
-            f"{label}: runs={len(vals)} "
-            f"final_res_mean={np.mean(vals):.6e} "
-            f"final_res_std={np.std(vals):.6e} "
-            f"min_rel_err_mean={np.mean(min_errs[label]):.6e}"
-        )
-    _atomic_text(
-        os.path.join(cfg.output_dir, "sweep.csv"), "\n".join(agg) + "\n"
-    )
-    _atomic_text(
-        os.path.join(cfg.output_dir, "sweep_summary.txt"),
-        "\n".join(summary) + "\n",
-    )
+
+    def record(stem, problem, result):
+        _write_trace(cfg.output_dir, stem, result)
+        label, _, value = stem.split(".", 2)  # labels and params have no dots
+        best = min(r.rel_err for r in result.trace.records)
+        final = _final_residual(problem, result.x)
+        agg.append(f"{label},{value},{_cell(best)},{_cell(final)}")
+        finals.setdefault(label, []).append(final)
+        min_errs.setdefault(label, []).append(best)
+
+    code = _run(cfg, runs, record)
+    if code:
+        return code
+    summary = [
+        f"{label}: runs={len(vals)} "
+        f"final_res_mean={np.mean(vals):.6e} "
+        f"final_res_std={np.std(vals):.6e} "
+        f"min_rel_err_mean={np.mean(min_errs[label]):.6e}"
+        for label, vals in finals.items()
+    ]
+    _write_lines(os.path.join(cfg.output_dir, "sweep.csv"), agg)
+    _write_lines(os.path.join(cfg.output_dir, "sweep_summary.txt"), summary)
     return 0
 
 

@@ -68,6 +68,8 @@ class PivotStrategy:
             raise ValueError(f"unknown pivot kind {self.kind!r}")
         if self.kind == "sampled" and self.sample_size < 1:
             raise ValueError("sampled pivoting needs sample_size >= 1")
+        if self.seed < 0:
+            raise ValueError(f"pivot seed must be nonnegative, got {self.seed}")
 
     @classmethod
     def full(cls):
@@ -143,7 +145,12 @@ def _reduce(u, cols, perm, strategy, rng):
     for j in range(k):
         c = u[perm[j]]
         h[j] = c
-        u = u - c * cols[j]
+        if j == 0:
+            # the first subtraction copies: u may be the caller's
+            # last_product, which is never written
+            u = u - c * cols[0]
+        else:
+            u -= c * cols[j]
     if k < u.size:
         idx, val = _pivot_with_fallback(u, perm[k:], strategy, rng)
     else:

@@ -113,11 +113,13 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.maxiter < 1:
-            raise ValueError("maxiter must be positive")
+            raise ValueError(f"maxiter must be positive, got {self.maxiter}")
         if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+            raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.sketch_rows is not None and self.sketch_rows < 1:
-            raise ValueError("sketch_rows must be positive")
+            raise ValueError(f"sketch_rows must be positive, got {self.sketch_rows}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def effective_sketch_rows(self):
         if self.sketch_rows is None:
@@ -363,15 +365,11 @@ class _Sketched:
         if self.S is None:
             self.S = make_gaussian_sketch(ell, A.rows, cfg.seed)
         self.counters = A.counters
-        self.diagnostics = cfg.compute_diagnostics
         self.sr0 = self._apply(self.S, state.r0)
-        # one store each for the sketched columns, the penalty's S1 v_j
-        # and (diagnostics only) r0 followed by the products A v_k
+        # one store each for the sketched columns and the penalty's S1 v_j
         self.cols = ColumnStore(ell, capacity)
         if self.basis:
             self.cols.append(self._apply(self.S, state.U_cols[0]))
-        if self.diagnostics:
-            self.products = ColumnStore.from_column(state.r0, capacity)
         self.S1 = None
         if cfg.lam > 0.0:
             self.S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
@@ -391,8 +389,6 @@ class _Sketched:
         M = self.cols.matrix()
         if self.basis:
             M = M @ state.H_matrix(rows=M.shape[1])
-        if self.diagnostics:
-            self.products.append(state.last_product)
         if self.S1 is None:
             return M, self.sr0, None
         if len(self.penalty_cols) < len(state.V_cols):
@@ -400,8 +396,13 @@ class _Sketched:
         return M, self.sr0, self.penalty_cols.matrix(k)
 
     def distortion(self, state):
-        """Measured distortion of S on span(r0, A V_k) (diagnostics only)."""
-        return measured_epsilon(self.S, self.products.matrix())
+        """Measured distortion of S on span(r0, A V_k) (diagnostics only).
+
+        In exact arithmetic the data basis U_{k+1} spans exactly that
+        space, at a breakdown too, and it has full column rank by
+        construction (unit lower triangular under its pivots).
+        """
+        return measured_epsilon(self.S, state.U_cols.matrix())
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,86 @@ def test_sampled_pivot_requires_sample_size(tmp_path, capsys):
     assert "sample_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "lines, env_seed, names",
+    [
+        ("solver.s.sketch_rows = 0\n", None, ["solver.s:", "sketch_rows"]),
+        ("solver.s.pivot = sampled\nsolver.s.sample_size = 0\n", None,
+         ["solver.s:", "sample_size"]),
+        ("solver.s.pivot = bogus\n", None, ["solver.s:", "pivot kind 'bogus'"]),
+        ("solver.s.maxiter = 0\n", None, ["solver.s:", "maxiter"]),
+        ("solver.s.lambda = -1\n", None, ["solver.s:", "lam must"]),
+        ("solver.s.seed = -5\n", None, ["solver.s:", "seed must", "-5"]),
+        ("solver.s.pivot_seed = -1\n", None, ["solver.s:", "pivot seed", "-1"]),
+        ("", "-1", ["HESSKETCH_SEED", "solver.s:", "seed must", "-1"]),
+    ],
+)
+def test_invalid_solver_value_exits_two_before_any_output(
+    tmp_path, capsys, monkeypatch, lines, env_seed, names
+):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, tomo_cfg(out, "solver.s.name = slslu\n" + lines))
+    if env_seed is not None:
+        monkeypatch.setenv("HESSKETCH_SEED", env_seed)
+    assert cli.main(["solve", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert all(name in err for name in names), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "param, values, names",
+    [
+        ("lambda", "0,-1", ["sweep lambda=-1.0", "solver.slslu:", "lam must"]),
+        ("sketch_rows", "60,0",
+         ["sweep sketch_rows=0", "solver.slslu:", "sketch_rows must"]),
+        ("sample_size", "0", ["sweep sample_size=0", "solver.slslu:", "sample_size"]),
+        ("seed", "-3", ["sweep seed=-3", "solver.slslu:", "seed must"]),
+    ],
+)
+def test_invalid_sweep_value_exits_two_before_any_output(
+    tmp_path, capsys, param, values, names
+):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, tomo_cfg(out, "solver.slslu.maxiter = 3\n"))
+    assert cli.main(["sweep", cfg, "--param", param, "--values", values]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, completed",
+    [
+        (["compare"], ["lsqr", "lslu"]),
+        (["sweep", "--param", "seed", "--values", "1,2"],
+         ["lsqr.seed.1", "lslu.seed.1"]),
+    ],
+)
+def test_partial_lists_completed_runs(tmp_path, capsys, args, completed):
+    out = tmp_path / "out"
+    solvers = (
+        "solver.lsqr.maxiter = 3\n"
+        "solver.lslu.maxiter = 3\n"
+        "solver.slslu.maxiter = 6\n"
+        "solver.slslu.sketch_rows = 4\n"  # fewer rows than iterations
+    )
+    cfg = write_cfg(tmp_path, tomo_cfg(out, solvers))
+    assert cli.main([args[0], cfg, *args[1:]]) == 1
+    assert "solver slslu failed" in capsys.readouterr().err
+    lines = (out / "PARTIAL").read_text().splitlines()
+    assert lines[0].startswith("failed: solver slslu failed: sketch_rows=4")
+    assert lines[1:] == [f"completed: {stem}" for stem in completed]
+    written = sorted(path.name for path in out.iterdir())
+    if args[0] == "sweep":
+        # the traces of the runs before the failure are already written
+        traces = [f"{stem}.trace.csv" for stem in sorted(completed)]
+        assert written == ["PARTIAL"] + traces
+    else:
+        assert written == ["PARTIAL"]
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -208,6 +288,24 @@ def test_compare_writes_long_csv_and_summary(tmp_path):
     summary = (out / "summary.txt").read_text().strip().split("\n")
     assert len(summary) == 3
     assert all("min_rel_err=" in line and "at_iter=" in line for line in summary)
+
+
+def test_compare_rerun_is_byte_identical(tmp_path):
+    solvers = (
+        "solver.lsqr.maxiter = 4\n"
+        "solver.slslu.maxiter = 4\n"
+        "solver.slslu.pivot = sampled\n"
+        "solver.slslu.sample_size = 5\n"
+    )
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    extra = "diagnostics = true\n"
+    cfg1 = write_cfg(tmp_path, tomo_cfg(out1, solvers, extra=extra), "a.cfg")
+    cfg2 = write_cfg(tmp_path, tomo_cfg(out2, solvers, extra=extra), "b.cfg")
+    assert cli.main(["compare", cfg1]) == 0
+    assert cli.main(["compare", cfg2]) == 0
+    for name in ("compare.csv", "summary.txt"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert ",wall_ms," not in (out1 / "compare.csv").read_text()
 
 
 def test_compare_single_solver_rejected(tmp_path, capsys):

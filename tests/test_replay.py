@@ -1,0 +1,46 @@
+"""tools/replay.py: a tree replayed against itself, and how a miss is shown."""
+
+import importlib.util
+import io
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_tool():
+    path = ROOT / "tools" / "replay.py"
+    spec = importlib.util.spec_from_file_location("replay", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tree_replayed_against_itself_is_byte_identical(tmp_path):
+    replay = load_tool()
+    out = io.StringIO()
+    misses = replay.replay(str(ROOT), str(ROOT), "smoke", str(tmp_path / "work"), out)
+    report = out.getvalue()
+    assert misses == 0, report
+    fields = [line.split()[0] for line in report.splitlines() if line.startswith("  ")]
+    expected = {"x", "rel_err", "matvecs", "H.mm", "pivots_t.mm", "trace.csv"}
+    assert expected | {"exit_code"} <= set(fields), report
+    assert "error" not in fields, report
+    assert report.count("byte-identical") == len(fields), report
+
+
+def test_a_difference_beyond_the_gate_is_printed_as_a_miss(tmp_path):
+    replay = load_tool()
+    trace = "iter,rel_err,eps_embed,matvecs\n1,{},{},2\n"
+    for side, rel_err, eps in (("old", "0.5", "0.25"), ("new", "0.5000000001", "0.25")):
+        case = tmp_path / side / "lib" / "random-cmrh"
+        case.mkdir(parents=True)
+        (case / "trace.csv").write_text(trace.format(rel_err, eps))
+    (tmp_path / "old" / "lib" / "random-cmrh" / "termination").write_text("maxiter\n")
+    out = io.StringIO()
+    groups = replay.compare(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert replay.report(groups, out) == 2
+    lines = {line.split()[0]: line for line in out.getvalue().splitlines()[1:]}
+    assert "MISS 1 of 1 differ, worst 2.00e-10 at random-cmrh" in lines["rel_err"]
+    assert "MISS" in lines["files"] and "termination only in OLD" in lines["files"]
+    assert "byte-identical" in lines["eps_embed"]
+    assert "byte-identical" in lines["matvecs"]

@@ -64,6 +64,13 @@ def test_config_defaults_and_validation():
         SolverConfig(sketch_rows=0)
 
 
+def test_negative_seeds_rejected_naming_the_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        SolverConfig(seed=-1)
+    with pytest.raises(ValueError, match="pivot seed must be nonnegative, got -2"):
+        PivotStrategy.sampled(3, seed=-2)
+
+
 def test_sketched_solver_rejects_tiny_sketch():
     _, A, b = make_square(0, 8)
     with pytest.raises(ValueError):
@@ -691,3 +698,14 @@ def test_trace_csv_empty_fields_without_diagnostics():
     assert cols["kappa_basis"] == ""
     assert cols["proj_obj"] != ""
     assert cols["matvecs"] == "1"
+
+
+@pytest.mark.parametrize("solver", [scmrh, slslu])
+def test_eps_embed_is_zero_after_one_step_breakdown_on_identity(solver):
+    # span(r0, A V_1) is the line through r0, and no sketch distorts a line;
+    # a measure that counts A v_1 = v_1 as a second direction reads noise
+    b = np.random.default_rng(3).standard_normal(12)
+    cfg = SolverConfig(maxiter=5, compute_diagnostics=True)
+    res = solver(LinearOperator.identity(12), b, cfg)
+    assert res.termination == "breakdown"
+    assert [rec.eps_embed for rec in res.trace.records] == [0.0]

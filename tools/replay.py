@@ -1,0 +1,544 @@
+"""Replay one grid of solves and CLI runs on two source trees, and compare.
+
+    python tools/replay.py OLD_TREE NEW_TREE [--grid full|smoke] [--work DIR]
+
+A tree is a directory holding ``src/hessketch``: the working tree, say, and
+a ``git archive`` of its parent commit unpacked to a temporary directory.
+Each tree runs the same grid in its own subprocess, with
+``PYTHONPATH=<tree>/src`` and one BLAS thread, and writes every output
+under ``--work`` (a temporary directory unless given).
+
+* The library grid solves random, rectangular, rank-3, identity,
+  deblurring and tomography problems with the six solvers, over damping
+  lambda in {0, 0.5}, diagnostics off and on, full and sampled(5) pivots,
+  with and without a start vector, and ``sketch_basis`` both ways for
+  scmrh/slslu; trivial starts (b = 0 and an exact x0) come on top.  Each
+  solve writes its trace CSV, x, its termination and the
+  ``dump_factorization`` files.
+* The CLI grid runs ``hessketch solve``, ``compare`` and ``sweep`` (over
+  each of its four parameters) on deblurring and tomography configs at two
+  sizes, with diagnostics off and on, plus ``HESSKETCH_SEED``,
+  ``--diagnostics``, solver failures and config errors.  Each run records
+  its exit code, its stderr and every file it writes.
+
+For each field (a trace column, x, termination, a factorization file, or a
+kind of CLI output) the report gives "byte-identical", or the worst
+relative difference and the case that shows it, separately for full-rank
+problems, rank-deficient problems and the CLI.  ``TOLERANCES`` holds the
+gates.  A field that misses its gate is printed as MISS, never skipped,
+and then the exit status is 1.  Timings are volatile and never compared:
+``wall_ms`` rows of ``compare.csv`` are dropped on both sides.  No golden
+outputs are kept, since BLAS builds differ between machines; the two trees
+run on the same one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+
+import numpy as np
+
+# largest relative difference each field may show; 0.0 means byte-identical
+TOLERANCES = {
+    "termination": 0.0,
+    "error": 0.0,
+    "files": 0.0,
+    "iter": 0.0,
+    "matvecs": 0.0,
+    "tmatvecs": 0.0,
+    "dots": 0.0,
+    "sketches": 0.0,
+    "H.mm": 0.0,
+    "W.mm": 0.0,
+    "L.mm": 0.0,
+    "D.mm": 0.0,
+    "pivots_t.mm": 0.0,
+    "pivots_g.mm": 0.0,
+    "x": 1e-13,
+    "rel_err": 1e-13,
+    "res_norm": 1e-13,
+}
+# every other library field; every CLI output is gated byte-identical
+DEFAULT_TOLERANCE = 1e-12
+DEFICIENT_PROBLEMS = ("rank3", "rank3rect", "identity")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# ---------------------------------------------------------------------------
+# worker: runs the grid on the hessketch found on PYTHONPATH
+
+
+def _library_problems(grid):
+    """name -> (A, b, x_true, maxiter)."""
+    from hessketch import LinearOperator, gaussian_psf, make_deblur, make_tomography
+
+    rng = np.random.default_rng(2025)
+
+    def planted(M, maxiter, noise=0.0):
+        x = rng.standard_normal(M.shape[1])
+        b = M @ x + noise * rng.standard_normal(M.shape[0])
+        return LinearOperator.from_matrix(M), b, x, maxiter
+
+    if grid == "smoke":
+        return {
+            "random": planted(rng.standard_normal((8, 8)) + 3 * np.eye(8), 8),
+            "rect": planted(rng.standard_normal((10, 6)), 6),
+        }
+    problems = {
+        "random": planted(rng.standard_normal((25, 25)) + 5 * np.eye(25), 25),
+        "rect": planted(rng.standard_normal((30, 18)), 18),
+        # b off the range, so the Hessenberg builders run on past rank 3
+        "rank3": planted(
+            rng.standard_normal((20, 3)) @ rng.standard_normal((3, 20)), 20, 1e-3
+        ),
+        "rank3rect": planted(
+            rng.standard_normal((24, 3)) @ rng.standard_normal((3, 14)), 14, 1e-3
+        ),
+        "identity": (
+            LinearOperator.identity(12),
+            rng.standard_normal(12),
+            rng.standard_normal(12),
+            6,
+        ),
+    }
+    p = make_deblur(32, gaussian_psf(1.0), 0.01, 0)
+    problems["deblur"] = (p.operator, p.b, p.x_true, 8)
+    p = make_tomography(24, 30, 0.01, 0)
+    problems["tomography"] = (p.operator, p.b, p.x_true, 8)
+    return problems
+
+
+def _library_cases(grid):
+    """(case, solver name, A, b, x_true, SolverConfig, sketch_basis)."""
+    from hessketch import SolverConfig
+    from hessketch.hessenberg import PivotStrategy
+
+    pivots = {
+        "full": PivotStrategy.full(),
+        "sampled5": PivotStrategy.sampled(5, seed=3),
+    }
+    for pname, (A, b, x_true, maxiter) in _library_problems(grid).items():
+        x0 = np.random.default_rng(7).standard_normal(A.cols) * 0.1
+        for name in ("gmres", "lsqr", "cmrh", "lslu", "scmrh", "slslu"):
+            if not A.is_square and name in ("gmres", "cmrh", "scmrh"):
+                continue
+            hessenberg = name not in ("gmres", "lsqr")
+            piv_options = ("full", "sampled5") if hessenberg else ("full",)
+            basis_options = (False, True) if name in ("scmrh", "slslu") else (False,)
+            # lambda, diagnostics, start vector, pivots, sketch_basis
+            settings = itertools.product(
+                (0.0, 0.5), (False, True), (False, True), piv_options, basis_options
+            )
+            if grid == "smoke":
+                settings = [(0.5, True, True, piv_options[-1], basis_options[-1])]
+            for lam, diag, start, piv, basis in settings:
+                cfg = SolverConfig(
+                    maxiter=maxiter,
+                    pivot=pivots[piv],
+                    lam=lam,
+                    seed=11,
+                    x0=x0 if start else None,
+                    compute_diagnostics=diag,
+                )
+                case = (
+                    f"{pname}-{name}-lam{lam}-diag{int(diag)}"
+                    f"-x0{int(start)}-{piv}-basis{int(basis)}"
+                )
+                yield case, name, A, b, x_true, cfg, basis
+            if grid == "smoke":
+                continue
+            # trivial starts: b = 0, and an exact x0 where b = A x_true
+            for diag in (False, True):
+                zero = SolverConfig(maxiter=maxiter, compute_diagnostics=diag)
+                yield (f"{pname}-{name}-trivialb-diag{int(diag)}", name, A,
+                       np.zeros(A.rows), x_true, zero, False)
+                if pname in ("random", "rect"):
+                    exact = replace(zero, x0=x_true)
+                    yield (f"{pname}-{name}-trivialx0-diag{int(diag)}", name, A,
+                           b, x_true, exact, False)
+
+
+def _run_library(grid):
+    from hessketch import SOLVERS, trace_to_csv
+    from hessketch.hessenberg import dump_factorization
+
+    for case, name, A, b, x_true, cfg, basis in _library_cases(grid):
+        out = os.path.join("lib", case)
+        os.makedirs(out)
+        kwargs = {"sketch_basis": True} if basis else {}
+        try:
+            result = SOLVERS[name](A, b, cfg, x_true=x_true, **kwargs)
+        except Exception as exc:  # recorded, then compared like any output
+            _write(os.path.join(out, "error"), f"{type(exc).__name__}: {exc}\n")
+            continue
+        trace_to_csv(result.trace, os.path.join(out, "trace.csv"))
+        np.save(os.path.join(out, "x.npy"), result.x)
+        _write(os.path.join(out, "termination"), result.termination + "\n")
+        if result.factorization is not None:
+            dump_factorization(result.factorization, out)
+
+
+def _cli_configs(grid):
+    """name -> config text without output_dir."""
+    deblur = (
+        "solver.gmres.maxiter = 6\n"
+        "solver.cmrh.maxiter = 6\n"
+        "solver.scmrh.maxiter = 6\n"
+        "solver.scmrh.pivot = sampled\n"
+        "solver.scmrh.sample_size = 5\n"
+        "solver.scmrh.seed = 3\n"
+        "solver.damped.name = lslu\n"
+        "solver.damped.maxiter = 6\n"
+        "solver.damped.lambda = 0.5\n"
+    )
+    tomography = (
+        "solver.lsqr.maxiter = 6\n"
+        "solver.lslu.maxiter = 6\n"
+        "solver.slslu.maxiter = 6\n"
+        "solver.slslu.pivot = sampled\n"
+        "solver.slslu.sample_size = 5\n"
+        "solver.slslu.seed = 3\n"
+        "solver.s2.name = slslu\n"
+        "solver.s2.maxiter = 6\n"
+        "solver.s2.lambda = 0.5\n"
+        "solver.s2.pivot_seed = 4\n"
+    )
+    problems = {
+        "deblur16": (
+            "problem.type = deblur\nproblem.size = 16\nproblem.psf = gaussian\n"
+        ),
+        "deblur32": (
+            "problem.type = deblur\nproblem.size = 32\nproblem.psf = motion\n"
+            "problem.psf_length = 7\nproblem.psf_angle = 30\n"
+        ),
+        "tomo12": "problem.type = tomography\nproblem.grid = 12\nproblem.angles = 8\n",
+        "tomo24": "problem.type = tomography\nproblem.grid = 24\nproblem.angles = 12\n",
+    }
+    if grid == "smoke":
+        problems = {"deblur8": "problem.type = deblur\nproblem.size = 8\n"}
+        deblur = "solver.gmres.maxiter = 3\nsolver.scmrh.maxiter = 3\n"
+    configs = {}
+    for pname, head in problems.items():
+        solvers = tomography if pname.startswith("tomo") else deblur
+        for diag in ("false",) if grid == "smoke" else ("false", "true"):
+            configs[f"{pname}-diag{diag}"] = (
+                f"{head}problem.noise_level = 0.01\nproblem.seed = 0\n"
+                f"diagnostics = {diag}\n{solvers}"
+            )
+    return configs
+
+
+def _cli_cases(grid):
+    """(case, config text, argv after the config path, HESSKETCH_SEED)."""
+    sweeps = {
+        "lambda": "0,0.5",
+        "seed": "1,2",
+        "sketch_rows": "60,90",
+        "sample_size": "3,full",
+    }
+    configs = _cli_configs(grid)
+    for cname, text in configs.items():
+        yield f"{cname}-solve", text, ["solve"], None
+        if grid == "smoke":
+            continue
+        yield f"{cname}-compare", text, ["compare"], None
+        for param, values in sweeps.items():
+            args = ["sweep", "--param", param, "--values", values]
+            yield f"{cname}-sweep-{param}", text, args, None
+    if grid == "smoke":
+        return
+    small = configs["tomo12-diagfalse"]
+    yield "deblur16-seedenv", configs["deblur16-diagfalse"], ["solve"], "7"
+    yield "tomo12-seedenv", small, ["solve"], "7"
+    flag = ["solve", "--diagnostics"]
+    yield "deblur16-diagflag", configs["deblur16-diagfalse"], flag, None
+    # a solver that fails at run time: fewer sketch rows than maxiter+1
+    failing = small + "solver.s2.sketch_rows = 4\n"
+    yield "tomo12-fail-solve", failing, ["solve"], None
+    yield "tomo12-fail-compare", failing, ["compare"], None
+    seeds = ["sweep", "--param", "seed", "--values", "1,2"]
+    yield "tomo12-fail-sweep", failing, seeds, None
+    # invalid values: a negative seed, and a negative swept lambda
+    bad_seed = small + "solver.s3.name = lslu\nsolver.s3.seed = -5\n"
+    yield "tomo12-bad-seed", bad_seed, ["solve"], None
+    lambdas = ["sweep", "--param", "lambda", "--values", "0,-1"]
+    yield "tomo12-bad-sweep", small, lambdas, None
+    yield "tomo12-bad-env", small, ["solve"], "-1"
+
+
+def _run_cli(grid):
+    from hessketch import cli
+
+    for case, text, args, seed in _cli_cases(grid):
+        base = os.path.join("cli", case)
+        os.makedirs(base)
+        cfg = os.path.join(base, "exp.cfg")
+        _write(cfg, f"output_dir = {os.path.join(base, 'out')}\n{text}")
+        if seed is not None:
+            os.environ["HESSKETCH_SEED"] = seed
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main([args[0], cfg, *args[1:]])
+        finally:
+            os.environ.pop("HESSKETCH_SEED", None)
+        _write(os.path.join(base, "exit_code"), f"{code}\n")
+        _write(os.path.join(base, "stderr"), stderr.getvalue())
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def worker(tree, grid):
+    import hessketch
+
+    src = os.path.realpath(os.path.join(tree, "src"))
+    if not os.path.realpath(hessketch.__file__).startswith(src + os.sep):
+        raise SystemExit(f"imported {hessketch.__file__}, not the tree {tree}")
+    _run_library(grid)
+    _run_cli(grid)
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+class Field:
+    """The worst difference one field shows over the cases compared."""
+
+    def __init__(self, tolerance):
+        self.tolerance = tolerance
+        self.cases = 0
+        self.differ = 0
+        self.identical = True
+        self.worst = 0.0
+        self.worst_case = None
+
+    def add(self, case, identical, diff=0.0):
+        self.cases += 1
+        self.differ += not identical
+        self.identical &= identical
+        if not identical and (self.worst_case is None or not diff <= self.worst):
+            self.worst, self.worst_case = diff, case
+
+    @property
+    def missed(self):
+        if self.tolerance == 0.0:
+            return not self.identical
+        return not self.worst <= self.tolerance
+
+    def describe(self):
+        if self.identical:
+            return f"byte-identical ({self.cases})"
+        return (
+            f"{self.differ} of {self.cases} differ, worst {self.worst:.2e} "
+            f"at {self.worst_case}"
+        )
+
+
+def _rel(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return np.inf
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    if same.all():
+        return 0.0
+    scale = np.max(np.abs(a[np.isfinite(a)]), initial=0.0)
+    err = np.max(np.abs(a - b)[~same])
+    return float(err / scale) if scale > 0 else np.inf
+
+
+def _vector_diff(a, b):
+    # norm-wise: x is compared as one vector of the solution space
+    if a.shape != b.shape:
+        return np.inf
+    scale = np.linalg.norm(a)
+    return float(np.linalg.norm(a - b) / scale) if scale > 0 else np.inf
+
+
+def _text_diff(a, b):
+    # numbers compared by value, everything between them exactly
+    if _NUMBER.split(a) != _NUMBER.split(b):
+        return np.inf
+    return _rel(
+        [float(t) for t in _NUMBER.findall(a)], [float(t) for t in _NUMBER.findall(b)]
+    )
+
+
+def _csv_columns(text):
+    lines = text.rstrip("\n").split("\n")
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def _column_diff(a, b):
+    # relative to the column's largest magnitude, so values at rounding
+    # level (a converged rel_err, say) are not compared on their own scale
+    if len(a) != len(b) or any((x == "") != (y == "") for x, y in zip(a, b)):
+        return np.inf
+    return _rel([float(x) for x in a if x], [float(y) for y in b if y])
+
+
+def _cli_kind(name):
+    for suffix in (".trace.csv", ".solution.mm", ".recon.pgm"):
+        if name.endswith(suffix):
+            return suffix[1:]
+    return name
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _drop_wall_ms(data):
+    lines = data.decode().split("\n")
+    kept = [line for line in lines if line.split(",")[2:3] != ["wall_ms"]]
+    return "\n".join(kept).encode()
+
+
+def _files(root):
+    found = set()
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            found.add(os.path.relpath(os.path.join(dirpath, name), root))
+    return found
+
+
+def compare(old_root, new_root):
+    """Fields per group: {group: {field: Field}}."""
+    groups = {}
+
+    def field(group, name, tolerance):
+        return groups.setdefault(group, {}).setdefault(name, Field(tolerance))
+
+    old_files, new_files = _files(old_root), _files(new_root)
+    for rel in sorted(old_files | new_files):
+        parts = rel.split(os.sep)
+        case = parts[1]
+        if parts[0] == "lib":
+            deficient = case.split("-")[0] in DEFICIENT_PROBLEMS
+            kind = "rank-deficient" if deficient else "full-rank"
+            group = f"library, {kind} problems"
+        else:
+            group = "cli"
+        name = parts[-1]
+        if rel not in old_files or rel not in new_files:
+            side = "NEW" if rel in new_files else "OLD"
+            field(group, "files", 0.0).add(f"{rel} only in {side}", False, np.inf)
+            continue
+        field(group, "files", 0.0).add(case, True)
+        old = _read(os.path.join(old_root, rel))
+        new = _read(os.path.join(new_root, rel))
+        if group == "cli":
+            if name == "exp.cfg":
+                continue
+            if name == "compare.csv":
+                old, new = _drop_wall_ms(old), _drop_wall_ms(new)
+            same = old == new
+            if same:
+                diff = 0.0
+            elif name.endswith(".pgm"):
+                diff = np.inf
+            else:
+                diff = _text_diff(old.decode(), new.decode())
+            field(group, _cli_kind(name), 0.0).add(case, same, diff)
+        elif name == "trace.csv":
+            a, b = _csv_columns(old.decode()), _csv_columns(new.decode())
+            for column in sorted(set(a) | set(b)):
+                tol = TOLERANCES.get(column, DEFAULT_TOLERANCE)
+                ca, cb = a.get(column, []), b.get(column, [])
+                field(group, column, tol).add(case, ca == cb, _column_diff(ca, cb))
+        elif name == "x.npy":
+            diff = _vector_diff(
+                np.load(os.path.join(old_root, rel)),
+                np.load(os.path.join(new_root, rel)),
+            )
+            field(group, "x", TOLERANCES["x"]).add(case, old == new, diff)
+        else:
+            tol = TOLERANCES.get(name, DEFAULT_TOLERANCE)
+            diff = _text_diff(old.decode(), new.decode())
+            field(group, name, tol).add(case, old == new, diff)
+    return groups
+
+
+def report(groups, out=sys.stdout):
+    """Print every field of every group; returns the number of misses."""
+    misses = 0
+    for group in sorted(groups):
+        fields = groups[group]
+        print(f"{group}:", file=out)
+        for name in sorted(fields, key=lambda n: (n != "files", n)):
+            f = fields[name]
+            gate = "identical" if f.tolerance == 0.0 else f"{f.tolerance:.0e}"
+            mark = "MISS " if f.missed else ""
+            misses += f.missed
+            print(f"  {name:<18} {gate:<10} {mark}{f.describe()}", file=out)
+    return misses
+
+
+def run_tree(tree, work, grid):
+    """Start one tree's worker subprocess in ``work``; returns the Popen."""
+    os.makedirs(work)
+    env = {k: v for k, v in os.environ.items() if k != "HESSKETCH_SEED"}
+    env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
+    env.update({var: "1" for var in THREAD_VARS})
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker",
+           os.path.abspath(tree), "--grid", grid]
+    return subprocess.Popen(cmd, cwd=work, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True)
+
+
+def replay(old_tree, new_tree, grid="full", work=None, out=sys.stdout):
+    """Run the grid on both trees side by side and report; returns the misses."""
+    with contextlib.ExitStack() as stack:
+        if work is None:
+            work = stack.enter_context(tempfile.TemporaryDirectory(prefix="replay-"))
+        roots = {side: os.path.join(work, side) for side in ("old", "new")}
+        procs = {side: run_tree(tree, roots[side], grid)
+                 for side, tree in (("old", old_tree), ("new", new_tree))}
+        logs = {side: proc.communicate()[0] for side, proc in procs.items()}
+        for side, proc in procs.items():
+            if proc.returncode != 0:
+                raise RuntimeError(f"{side} tree worker failed:\n{logs[side]}")
+        print(f"replay of {new_tree} against {old_tree}, grid {grid}", file=out)
+        return report(compare(roots["old"], roots["new"]), out)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", nargs="?")
+    parser.add_argument("new", nargs="?")
+    parser.add_argument("--grid", choices=("full", "smoke"), default="full")
+    parser.add_argument("--work", help="keep the outputs in WORK/old and WORK/new")
+    parser.add_argument("--worker", metavar="TREE", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(args.worker, args.grid)
+        return 0
+    if not (args.old and args.new):
+        parser.error("give OLD_TREE and NEW_TREE")
+    misses = replay(args.old, args.new, args.grid, args.work)
+    if misses:
+        print(f"{misses} field(s) missed their gate")
+    else:
+        print("every field met its gate")
+    return 1 if misses else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
