@@ -6,11 +6,14 @@ Two problem families are provided, both returning a :class:`Problem` bundle
 * :func:`make_deblur` builds a square operator that blurs a ``size`` by
   ``size`` image with a point spread function under zero boundary
   conditions.  The forward map is 2-D convolution, the transpose is 2-D
-  correlation; with an odd-sized kernel the two are exact adjoints.
+  correlation; with an odd-sized kernel the two are exact adjoints.  Both
+  are direct sums with zero fill (``scipy.ndimage.convolve`` and
+  ``correlate`` with ``mode="constant"``), not FFTs.
 * :func:`make_tomography` builds a rectangular parallel-beam transform.
   Rays are traced through the pixel grid and each matrix entry is the
   exact intersection length of a ray with a pixel, assembled once into a
-  sparse matrix.
+  sparse matrix.  The rays of one angle are traced together with array
+  operations; the result is bit-identical to tracing one ray at a time.
 
 Ray geometry (documented so tests can rebuild the matrix independently):
 the image occupies the box [0, grid] x [0, grid] with pixel (row j, col i)
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.signal
+import scipy.ndimage
 import scipy.sparse
 
 from .linops import LinearOperator
@@ -135,6 +138,8 @@ def gaussian_psf(sigma, radius=None):
     ``sigma = 0`` degenerates to the 1x1 delta kernel (identity blur).
     ``radius`` defaults to ``ceil(3 * sigma)``, at least 1.
     """
+    if not np.isfinite(sigma):
+        raise ValueError("sigma must be finite")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
@@ -157,6 +162,8 @@ def motion_psf(length, angle_deg, oversample=64):
     segment are deposited with bilinear weights, so non-axis-aligned angles
     produce a smoothly rasterized line.  The kernel side length is odd.
     """
+    if not np.isfinite(length):
+        raise ValueError("length must be finite")
     if length < 1:
         raise ValueError("length must be at least 1")
     if not np.isfinite(angle_deg):
@@ -256,15 +263,11 @@ def make_deblur(size, psf, noise_level=0.0, seed=0):
 
     def forward(v):
         img = np.asarray(v, dtype=float).reshape(size, size)
-        return scipy.signal.convolve2d(
-            img, kernel, mode="same", boundary="fill"
-        ).ravel()
+        return scipy.ndimage.convolve(img, kernel, mode="constant").ravel()
 
     def transpose(u):
         img = np.asarray(u, dtype=float).reshape(size, size)
-        return scipy.signal.correlate2d(
-            img, kernel, mode="same", boundary="fill"
-        ).ravel()
+        return scipy.ndimage.correlate(img, kernel, mode="constant").ravel()
 
     operator = LinearOperator(rows=n, cols=n, forward=forward, transpose=transpose)
     x_true = deblur_phantom(size).ravel()
@@ -273,61 +276,59 @@ def make_deblur(size, psf, noise_level=0.0, seed=0):
     return Problem(operator, b, x_true, noise_level, seed, (size, size))
 
 
-def _trace_ray(origin, direction, grid):
-    """Intersection lengths of one ray with the pixels of a grid x grid box.
-
-    Returns (flat pixel indices, chord lengths).  Pixels are identified by
-    the midpoint of each inter-crossing segment; slivers shorter than 1e-12
-    from corner-grazing arithmetic are dropped.
-    """
-    t0, t1 = -np.inf, np.inf
-    for axis in range(2):
-        o, d = origin[axis], direction[axis]
-        if abs(d) < 1e-12:
-            if o <= 0.0 or o >= grid:
-                return np.empty(0, dtype=int), np.empty(0)
-        else:
-            ta, tb = (0.0 - o) / d, (grid - o) / d
-            if ta > tb:
-                ta, tb = tb, ta
-            t0, t1 = max(t0, ta), min(t1, tb)
-    if not t1 > t0:
-        return np.empty(0, dtype=int), np.empty(0)
-    crossings = [np.array([t0, t1])]
-    for axis in range(2):
-        o, d = origin[axis], direction[axis]
-        if abs(d) >= 1e-12:
-            t = (np.arange(1.0, grid) - o) / d
-            crossings.append(t[(t > t0) & (t < t1)])
-    alphas = np.unique(np.concatenate(crossings))
-    lengths = np.diff(alphas)
-    mids = origin[None, :] + (0.5 * (alphas[:-1] + alphas[1:]))[:, None] * direction
-    ci = np.clip(np.floor(mids[:, 0]).astype(int), 0, grid - 1)
-    rj = np.clip(np.floor(mids[:, 1]).astype(int), 0, grid - 1)
-    keep = lengths > 1e-12
-    return (rj[keep] * grid + ci[keep]), lengths[keep]
-
-
 def tomography_matrix(grid, n_angles):
     """Assemble the parallel-beam system matrix as sparse CSR.
 
     Row ``a * grid + j`` holds the chord lengths of detector j at angle
     index a, following the geometry documented in the module docstring.
+    The rays of one angle are traced together: each ray's crossings with
+    the box and the grid lines are padded with inf, sorted, and cut into
+    segments; a segment is credited to the pixel holding its midpoint.
+    Segments that are not finite, belong to a ray missing the box, or are
+    slivers of at most 1e-12 from corner-grazing arithmetic are dropped.
     """
-    centre = np.array([grid / 2.0, grid / 2.0])
+    offsets = np.arange(grid) + 0.5 - grid / 2.0
+    planes = np.arange(1.0, grid)
     rows, cols, vals = [], [], []
-    for a in range(n_angles):
-        theta = math.pi * a / n_angles
-        direction = np.array([math.cos(theta), math.sin(theta)])
-        normal = np.array([-math.sin(theta), math.cos(theta)])
-        for j in range(grid):
-            origin = centre + (j + 0.5 - grid / 2.0) * normal
-            idx, lengths = _trace_ray(origin, direction, grid)
-            rows.extend([a * grid + j] * idx.size)
-            cols.extend(idx.tolist())
-            vals.extend(lengths.tolist())
+    # inf - inf between padding entries is expected and dropped below
+    with np.errstate(invalid="ignore"):
+        for a in range(n_angles):
+            theta = math.pi * a / n_angles
+            direction = (math.cos(theta), math.sin(theta))
+            normal = (-math.sin(theta), math.cos(theta))
+            origins = [grid / 2.0 + offsets * nk for nk in normal]
+            t0, t1 = np.full(grid, -np.inf), np.full(grid, np.inf)
+            missed = np.zeros(grid, dtype=bool)
+            lines = []
+            for o, d in zip(origins, direction):
+                if abs(d) < 1e-12:
+                    missed |= (o <= 0.0) | (o >= grid)
+                else:
+                    ta, tb = (0.0 - o) / d, (grid - o) / d
+                    t0 = np.maximum(t0, np.minimum(ta, tb))
+                    t1 = np.minimum(t1, np.maximum(ta, tb))
+                    lines.append((planes - o[:, None]) / d)
+            missed |= ~(t1 > t0)
+            lo, hi = t0[:, None], t1[:, None]
+            alphas = np.concatenate(
+                [lo, hi] + [np.where((t > lo) & (t < hi), t, np.inf) for t in lines],
+                axis=1,
+            )
+            alphas.sort(axis=1)
+            lengths = np.diff(alphas, axis=1)
+            keep = np.isfinite(lengths) & (lengths > 1e-12) & ~missed[:, None]
+            ray, _ = np.nonzero(keep)
+            mids = (0.5 * (alphas[:, :-1] + alphas[:, 1:]))[keep]
+            ci, rj = (
+                np.clip(np.floor(o[ray] + mids * d).astype(int), 0, grid - 1)
+                for o, d in zip(origins, direction)
+            )
+            rows.append(a * grid + ray)
+            cols.append(rj * grid + ci)
+            vals.append(lengths[keep])
     return scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(n_angles * grid, grid * grid)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_angles * grid, grid * grid),
     )
 
 
@@ -358,6 +359,8 @@ def add_noise(b_clean, level, seed):
     ``(b_clean + e, e)``.
     """
     b_clean = np.asarray(b_clean, dtype=float)
+    if not np.isfinite(level):
+        raise ValueError("noise level must be finite")
     if level < 0:
         raise ValueError("noise level must be nonnegative")
     if level == 0:

@@ -216,6 +216,33 @@ def test_invalid_solver_value_exits_two_before_any_output(
 
 
 @pytest.mark.parametrize(
+    "psf, key, value, name",
+    [
+        ("gaussian", "psf_sigma", "inf", "sigma must be finite"),
+        ("gaussian", "psf_sigma", "nan", "sigma must be finite"),
+        ("motion", "psf_length", "inf", "length must be finite"),
+        ("motion", "psf_length", "nan", "length must be finite"),
+        ("gaussian", "noise_level", "nan", "noise level must be finite"),
+        ("gaussian", "noise_level", "inf", "noise level must be finite"),
+    ],
+)
+def test_non_finite_problem_value_exits_two_before_any_output(
+    tmp_path, capsys, psf, key, value, name
+):
+    out = tmp_path / "out"
+    body = (
+        f"problem.type = deblur\nproblem.size = 16\nproblem.psf = {psf}\n"
+        f"problem.{key} = {value}\noutput_dir = {out}\nsolver.cmrh.maxiter = 3\n"
+    )
+    cfg = write_cfg(tmp_path, body)
+    assert cli.main(["solve", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"invalid problem: {name}" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "param, values, names",
     [
         ("lambda", "0,-1", ["sweep lambda=-1.0", "solver.slslu:", "lam must"]),

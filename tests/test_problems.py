@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from hessketch import problems
 from hessketch.problems import (
     Image,
     ImageFormatError,
@@ -73,6 +78,54 @@ def dense_tomography_matrix(grid, n_angles):
     return K
 
 
+def trace_ray(origin, direction, grid):
+    # one ray at a time: the scalar tracer that tomography_matrix vectorizes
+    t0, t1 = -np.inf, np.inf
+    for axis in range(2):
+        o, d = origin[axis], direction[axis]
+        if abs(d) < 1e-12:
+            if o <= 0.0 or o >= grid:
+                return np.empty(0, dtype=int), np.empty(0)
+        else:
+            ta, tb = (0.0 - o) / d, (grid - o) / d
+            if ta > tb:
+                ta, tb = tb, ta
+            t0, t1 = max(t0, ta), min(t1, tb)
+    if not t1 > t0:
+        return np.empty(0, dtype=int), np.empty(0)
+    crossings = [np.array([t0, t1])]
+    for axis in range(2):
+        o, d = origin[axis], direction[axis]
+        if abs(d) >= 1e-12:
+            t = (np.arange(1.0, grid) - o) / d
+            crossings.append(t[(t > t0) & (t < t1)])
+    alphas = np.unique(np.concatenate(crossings))
+    lengths = np.diff(alphas)
+    mids = origin[None, :] + (0.5 * (alphas[:-1] + alphas[1:]))[:, None] * direction
+    ci = np.clip(np.floor(mids[:, 0]).astype(int), 0, grid - 1)
+    rj = np.clip(np.floor(mids[:, 1]).astype(int), 0, grid - 1)
+    keep = lengths > 1e-12
+    return (rj[keep] * grid + ci[keep]), lengths[keep]
+
+
+def scalar_tomography_matrix(grid, n_angles):
+    centre = np.array([grid / 2.0, grid / 2.0])
+    rows, cols, vals = [], [], []
+    for a in range(n_angles):
+        theta = math.pi * a / n_angles
+        direction = np.array([math.cos(theta), math.sin(theta)])
+        normal = np.array([-math.sin(theta), math.cos(theta)])
+        for j in range(grid):
+            origin = centre + (j + 0.5 - grid / 2.0) * normal
+            idx, lengths = trace_ray(origin, direction, grid)
+            rows.extend([a * grid + j] * idx.size)
+            cols.extend(idx.tolist())
+            vals.extend(lengths.tolist())
+    return scipy.sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(n_angles * grid, grid * grid)
+    )
+
+
 # ---------------------------------------------------------------------------
 # point spread functions
 
@@ -101,6 +154,14 @@ def test_motion_psf_axis_aligned():
     assert np.all(K[np.arange(5) != 2, :] == 0)  # mass only in centre row
     Kv = motion_psf(5, 90.0)
     assert np.all(Kv[:, np.arange(5) != 2] == 0)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_psfs_reject_non_finite_parameters(value):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        gaussian_psf(value)
+    with pytest.raises(ValueError, match="length must be finite"):
+        motion_psf(value, 0.0)
 
 
 def test_motion_psf_length_one_is_delta():
@@ -146,6 +207,24 @@ def test_deblur_matches_dense_convolution_oracle():
     p = make_deblur(16, K, noise_level=0.0, seed=0)
     C = dense_convolution_matrix(K, 16)
     rng = np.random.default_rng(1)
+    for _ in range(3):
+        v = rng.standard_normal(256)
+        assert np.linalg.norm(p.operator.forward(v) - C @ v) <= 1e-12
+        assert np.linalg.norm(p.operator.transpose(v) - C.T @ v) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [motion_psf(7, 30.0), np.random.default_rng(5).standard_normal((3, 5))],
+    ids=["motion-7x7", "random-3x5"],
+)
+def test_deblur_matches_dense_oracle_for_asymmetric_kernels(kernel):
+    # the random kernel is not point symmetric, so it tells convolution
+    # from correlation, and being non-square it tells the row origin from
+    # the column origin; the motion kernel is asymmetric about both axes
+    p = make_deblur(16, kernel, noise_level=0.0, seed=0)
+    C = dense_convolution_matrix(kernel, 16)
+    rng = np.random.default_rng(6)
     for _ in range(3):
         v = rng.standard_normal(256)
         assert np.linalg.norm(p.operator.forward(v) - C @ v) <= 1e-12
@@ -214,6 +293,20 @@ def test_tomography_matches_dense_clipping_oracle():
     assert np.max(np.abs(K - D)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "grid, n_angles", [(8, 2), (13, 4), (16, 12), (24, 30), (32, 17)]
+)
+def test_tomography_matrix_bit_identical_to_per_ray_tracing(grid, n_angles):
+    # the odd grid and the even angle counts include theta = pi/2, where
+    # the ray direction's x component is rounding noise below 1e-12
+    K = tomography_matrix(grid, n_angles)
+    S = scalar_tomography_matrix(grid, n_angles)
+    for field in ("indptr", "indices", "data"):
+        got, want = getattr(K, field), getattr(S, field)
+        assert got.dtype == want.dtype, field
+        assert np.array_equal(got, want), field
+
+
 def test_tomography_adjoint_consistency():
     p = make_tomography(12, 8, noise_level=0.0, seed=0)
     rng = np.random.default_rng(3)
@@ -265,6 +358,12 @@ def test_add_noise_deterministic():
     assert np.array_equal(e1, e2)
     _, e3 = add_noise(b, 0.1, seed=8)
     assert not np.array_equal(e1, e3)
+
+
+@pytest.mark.parametrize("level", [np.inf, np.nan])
+def test_add_noise_rejects_non_finite_level(level):
+    with pytest.raises(ValueError, match="noise level must be finite"):
+        add_noise(np.ones(5), level, seed=0)
 
 
 def test_add_noise_rejects_zero_vector_and_negative_level():
@@ -372,3 +471,21 @@ def test_deblur_semiconvergence_witness():
     kstar = int(errs.argmin()) + 1
     assert 1 < kstar < 30
     assert errs[-1] >= 1.02 * errs.min()
+
+
+# ---------------------------------------------------------------------------
+# package import
+
+
+def test_package_import_loads_neither_scipy_signal_nor_stats():
+    # together they added about 0.6 s to the import, and the package uses neither
+    src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, hessketch; "
+        "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == ""
