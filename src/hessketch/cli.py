@@ -320,15 +320,14 @@ def build_problem(cfg):
     p = cfg.problem
     try:
         if p["type"] == "deblur":
+            size = p["size"]
             if p.get("psf", "gaussian") == "motion":
                 kernel = motion_psf(
-                    p.get("psf_length", 7.0), p.get("psf_angle", 0.0)
+                    p.get("psf_length", 7.0), p.get("psf_angle", 0.0), image_size=size
                 )
             else:
-                kernel = gaussian_psf(p.get("psf_sigma", 1.0))
-            return make_deblur(
-                p["size"], kernel, p["noise_level"], p["seed"]
-            )
+                kernel = gaussian_psf(p.get("psf_sigma", 1.0), image_size=size)
+            return make_deblur(size, kernel, p["noise_level"], p["seed"])
         return make_tomography(
             p["grid"], p["angles"], p["noise_level"], p["seed"]
         )

@@ -132,11 +132,20 @@ class ImageFormatError(ValueError):
 # point spread functions
 
 
-def gaussian_psf(sigma, radius=None):
+def _check_fits(side, image_size):
+    # the side grows with sigma or length, so a kernel that cannot fit is
+    # rejected before it is allocated
+    if image_size is not None and side >= image_size:
+        raise ValueError("psf support must be smaller than the image")
+
+
+def gaussian_psf(sigma, radius=None, *, image_size=None):
     """Normalized 2-D Gaussian kernel with odd side length.
 
     ``sigma = 0`` degenerates to the 1x1 delta kernel (identity blur).
-    ``radius`` defaults to ``ceil(3 * sigma)``, at least 1.
+    ``radius`` defaults to ``ceil(3 * sigma)``, at least 1.  Given an
+    ``image_size``, a kernel whose side is not smaller than it is refused
+    before any array is built, as :func:`make_deblur` would refuse it.
     """
     if not np.isfinite(sigma):
         raise ValueError("sigma must be finite")
@@ -148,19 +157,22 @@ def gaussian_psf(sigma, radius=None):
         radius = max(1, math.ceil(3.0 * sigma))
     if radius < 1:
         raise ValueError("radius must be at least 1")
+    _check_fits(2 * radius + 1, image_size)
     d = np.arange(-radius, radius + 1, dtype=float)
     g = np.exp(-(d**2) / (2.0 * sigma**2))
     kernel = np.outer(g, g)
     return kernel / kernel.sum()
 
 
-def motion_psf(length, angle_deg, oversample=64):
+def motion_psf(length, angle_deg, oversample=64, *, image_size=None):
     """Unit-mass line-segment kernel modelling linear motion blur.
 
     The segment has the given length in pixels, centred in the kernel, at
     ``angle_deg`` degrees from the horizontal axis.  Sample points along the
     segment are deposited with bilinear weights, so non-axis-aligned angles
     produce a smoothly rasterized line.  The kernel side length is odd.
+    ``image_size`` refuses a kernel that cannot fit, as for
+    :func:`gaussian_psf`.
     """
     if not np.isfinite(length):
         raise ValueError("length must be finite")
@@ -170,6 +182,7 @@ def motion_psf(length, angle_deg, oversample=64):
         raise ValueError("angle must be finite")
     half = math.ceil((length - 1.0) / 2.0)
     side = 2 * half + 1
+    _check_fits(side, image_size)
     kernel = np.zeros((side, side))
     theta = math.radians(angle_deg)
     dc, dr = math.cos(theta), math.sin(theta)

@@ -200,9 +200,22 @@ def trace_to_csv(trace, target, include_timing=False):
             fh.write(content)
 
 
-def _projected_solve(M, rhs, lam, N=None):
+def _projected_solve(form, M, rhs, lam, N=None):
     """Least-squares solve of the projected problem with a truncated-rank
-    fallback; returns (y, fallback_used)."""
+    fallback; returns (y, fallback_used).
+
+    A form that keeps an updated QR of its system (``form.qr``) is solved
+    through the k-by-k triangle (R_k, Q_k^T rhs): the same pivoted rank
+    test, on a matrix with M's column norms and singular values.  The
+    first rank deficiency there drops that QR: appending columns never
+    raises the rank, so this step and every later one solve the full
+    system, first by pivoted QR and then by truncated least squares.
+    """
+    if form.qr is not None:
+        try:
+            return dense_qr_ls(*form.qr.triangle()), False
+        except RankDeficiencyError:
+            form.qr = None
     try:
         if lam == 0.0:
             return dense_qr_ls(M, rhs), False
@@ -282,7 +295,7 @@ def _krylov(A, b, cfg, x_true, init, step, form):
         tic = time.perf_counter()
         step(state, A)
         M, rhs, N = form.system(state, k)
-        y, fallback = _projected_solve(M, rhs, cfg.lam, N)
+        y, fallback = _projected_solve(form, M, rhs, cfg.lam, N)
         # one GEMV on a view of the solution basis
         Vk = state.V_cols.matrix(k)
         x = Vk @ y
@@ -323,9 +336,11 @@ class _QuasiMinimal:
     Minimizes the residual's coordinates in the data basis; the true
     residual then sits within a factor kappa(U_{k+1}) of the best one in
     the same subspace (exactly the best one for an orthonormal basis).
+    The (k+1)-by-k system is solved from scratch each step.
     """
 
     sketched = False
+    qr = None
 
     def start(self, A, cfg, state, capacity):
         self.lam = cfg.lam
@@ -336,13 +351,60 @@ class _QuasiMinimal:
         return state.H_matrix(), rhs, np.eye(k) if self.lam > 0.0 else None
 
 
+class _UpdatedQR:
+    """Thin QR of a tall matrix that grows by one column at a time.
+
+    Each new column is orthogonalized against Q by classical Gram-Schmidt
+    with one reorthogonalization pass (CGS2), which keeps Q orthonormal to
+    working precision while the columns stay numerically independent
+    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).  Q, R and
+    Q^T rhs live in preallocated arrays.  Like the Householder QR inside
+    :func:`dense_qr_ls`, these inner products act on short sketched
+    vectors and are not counted.
+    """
+
+    def __init__(self, rhs, capacity):
+        self.rhs = rhs
+        self.Q = ColumnStore(rhs.size, capacity)
+        self.R = np.zeros((capacity, capacity), order="F")
+        self.z = np.empty(capacity)
+
+    def append(self, c):
+        k = len(self.Q)
+        Q = self.Q.matrix()
+        r = Q.T @ c
+        c = c - Q @ r
+        s = Q.T @ c
+        c -= Q @ s
+        rho = np.linalg.norm(c)
+        self.R[:k, k] = r + s
+        self.R[k, k] = rho
+        # an exactly dependent column leaves a zero on R's diagonal, which
+        # the rank test of the triangular solve reports
+        q = c / rho if rho > 0.0 else c
+        self.Q.append(q)
+        self.z[k] = q @ self.rhs
+
+    def triangle(self):
+        """(R_k, Q_k^T rhs) for the k columns appended so far."""
+        k = len(self.Q)
+        return self.R[:k, :k], self.z[:k]
+
+
 class _Sketched:
     """min ||S (A V_k y - r0)|| (+ lam^2 ||S1 V_k y||^2) under Gaussian sketches.
 
     The sketched-products form appends S (A v_k) as each product appears;
-    the sketched-basis form assembles (S U_{k+1}) H_{k+1,k} instead, the
-    same matrix in exact arithmetic.  S is drawn from cfg.seed unless a
-    prebuilt ``sketch`` is given; S1 from a seed derived from cfg.seed.
+    the sketched-basis form appends (S U_{k+1}) h_k, column k of
+    (S U_{k+1}) H_{k+1,k}, the same matrix in exact arithmetic.  S is
+    drawn from cfg.seed unless a prebuilt ``sketch`` is given; S1 from a
+    seed derived from cfg.seed.
+
+    Each new column of the system, stacked over lam S1 v_k when damped,
+    also extends an updated thin QR (``qr``), so the driver solves a k-by-k
+    triangle instead of refactoring the tall system every step.  The
+    column stores stay: the driver reads the full system for the residual
+    norm, and solves it whole once the triangle turns out rank deficient.
     """
 
     sketched = True
@@ -365,35 +427,48 @@ class _Sketched:
         if self.S is None:
             self.S = make_gaussian_sketch(ell, A.rows, cfg.seed)
         self.counters = A.counters
+        self.lam = cfg.lam
         self.sr0 = self._apply(self.S, state.r0)
-        # one store each for the sketched columns and the penalty's S1 v_j
+        # the system's columns, the sketched data basis S u_j of the basis
+        # form, and the penalty's S1 v_j, one store each
         self.cols = ColumnStore(ell, capacity)
         if self.basis:
-            self.cols.append(self._apply(self.S, state.U_cols[0]))
+            self.sketched_basis = ColumnStore.from_column(
+                self._apply(self.S, state.U_cols[0]), capacity
+            )
         self.S1 = None
+        rhs = self.sr0
         if cfg.lam > 0.0:
             self.S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
             self.penalty_cols = ColumnStore.from_column(
                 self._apply(self.S1, state.V_cols[0]), capacity
             )
+            rhs = np.concatenate([rhs, np.zeros(ell)])
+        self.qr = _UpdatedQR(rhs, capacity)
 
     def _apply(self, S, v):
         return sketch_apply(S, v, self.counters)
 
     def system(self, state, k):
         # each new product or basis column is sketched exactly once
-        if not self.basis:
-            self.cols.append(self._apply(self.S, state.last_product))
-        elif len(self.cols) < len(state.U_cols):
-            self.cols.append(self._apply(self.S, state.U_cols[-1]))
-        M = self.cols.matrix()
         if self.basis:
-            M = M @ state.H_matrix(rows=M.shape[1])
-        if self.S1 is None:
-            return M, self.sr0, None
-        if len(self.penalty_cols) < len(state.V_cols):
-            self.penalty_cols.append(self._apply(self.S1, state.V_cols[-1]))
-        return M, self.sr0, self.penalty_cols.matrix(k)
+            if len(self.sketched_basis) < len(state.U_cols):
+                self.sketched_basis.append(self._apply(self.S, state.U_cols[-1]))
+            SU = self.sketched_basis.matrix()
+            # at a breakdown U_{k+1} lacks its last column, and h_k ends in 0
+            col = SU @ state.h_cols[-1][: SU.shape[1]]
+        else:
+            col = self._apply(self.S, state.last_product)
+        self.cols.append(col)
+        N = None
+        if self.S1 is not None:
+            if len(self.penalty_cols) < len(state.V_cols):
+                self.penalty_cols.append(self._apply(self.S1, state.V_cols[-1]))
+            N = self.penalty_cols.matrix(k)
+        if self.qr is not None:
+            stacked = col if N is None else np.concatenate([col, self.lam * N[:, -1]])
+            self.qr.append(stacked)
+        return self.cols.matrix(), self.sr0, N
 
     def distortion(self, state):
         """Measured distortion of S on span(r0, A V_k) (diagnostics only).

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,33 @@ def test_non_finite_problem_value_exits_two_before_any_output(
     assert err.startswith("config error: ")
     assert f"invalid problem: {name}" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "psf, key, value",
+    [("gaussian", "psf_sigma", "300"), ("motion", "psf_length", "3000")],
+)
+def test_psf_that_cannot_fit_exits_two_before_building_it(
+    tmp_path, capsys, psf, key, value
+):
+    # the rejected kernel would be 1801^2 or 3001^2 doubles (26 or 72 MB)
+    out = tmp_path / "out"
+    body = (
+        f"problem.type = deblur\nproblem.size = 16\nproblem.psf = {psf}\n"
+        f"problem.{key} = {value}\noutput_dir = {out}\nsolver.cmrh.maxiter = 3\n"
+    )
+    cfg = write_cfg(tmp_path, body)
+    tracemalloc.start()
+    try:
+        code = cli.main(["solve", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid problem: psf support must be smaller than the image" in err, err
+    assert not out.exists()
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize(

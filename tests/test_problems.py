@@ -164,6 +164,24 @@ def test_psfs_reject_non_finite_parameters(value):
         motion_psf(value, 0.0)
 
 
+def test_psfs_that_cannot_fit_are_refused_before_allocation():
+    # the sides: 2 ceil(3 sigma) + 1 and 2 ceil((length - 1) / 2) + 1
+    fits = "psf support must be smaller than the image"
+    assert gaussian_psf(2.3, image_size=16).shape == (15, 15)
+    assert motion_psf(15, 30.0, image_size=16).shape == (15, 15)
+    with pytest.raises(ValueError, match=fits):
+        gaussian_psf(2.5, image_size=16)
+    with pytest.raises(ValueError, match=fits):
+        motion_psf(16, 30.0, image_size=16)
+    with pytest.raises(ValueError, match=fits):
+        gaussian_psf(1.0, radius=8, image_size=16)
+    # kernels of about 1e20 entries: built, they would raise MemoryError
+    with pytest.raises(ValueError, match=fits):
+        gaussian_psf(1e9, image_size=16)
+    with pytest.raises(ValueError, match=fits):
+        motion_psf(1e10, 0.0, image_size=16)
+
+
 def test_motion_psf_length_one_is_delta():
     assert np.allclose(motion_psf(1, 37.0), [[1.0]])
 

@@ -22,7 +22,9 @@ def test_tree_replayed_against_itself_is_byte_identical(tmp_path):
     report = out.getvalue()
     assert misses == 0, report
     fields = [line.split()[0] for line in report.splitlines() if line.startswith("  ")]
-    expected = {"x", "rel_err", "matvecs", "H.mm", "pivots_t.mm", "trace.csv"}
+    expected = {
+        "x", "rel_err", "matvecs", "H.mm", "pivots_t.mm", "rank_fallback", "trace.csv"
+    }
     assert expected | {"exit_code"} <= set(fields), report
     assert "error" not in fields, report
     assert report.count("byte-identical") == len(fields), report

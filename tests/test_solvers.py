@@ -3,14 +3,17 @@ import io
 import numpy as np
 import pytest
 
+from hessketch import solvers
 from hessketch.hessenberg import PivotStrategy, dump_factorization
 from hessketch.linops import (
     LinearOperator,
+    RankDeficiencyError,
     dense_qr_ls,
     load_array,
     spectral_condition_number,
     stacked_tikhonov_ls,
 )
+from hessketch.problems import gaussian_psf, make_deblur
 from hessketch.sketch import SketchOperator, derive_seed, make_gaussian_sketch
 from hessketch.solvers import (
     CSV_COLUMNS,
@@ -641,6 +644,141 @@ def test_tikhonov_diagnostics_record_block_condition():
     for rec in res.trace.records:
         assert rec.kappa_dbar is not None
         assert rec.kappa_dbar >= rec.kappa_basis - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the sketched projected solve: an updated thin QR, the full system as fallback
+
+
+def sketched_problems():
+    """(name, solver, A, b, maxiter): full-rank random and deblurring systems."""
+    rng = np.random.default_rng(80)
+    square = LinearOperator.from_matrix(rng.standard_normal((40, 40)))
+    rect = LinearOperator.from_matrix(rng.standard_normal((50, 30)))
+    blur = make_deblur(32, gaussian_psf(1.0), 0.01, 0)
+    return [
+        ("random40", scmrh, square, rng.standard_normal(40), 20),
+        ("random50x30", slslu, rect, rng.standard_normal(50), 20),
+        ("deblur32", scmrh, blur.operator, blur.b, 20),
+        ("deblur32", slslu, blur.operator, blur.b, 20),
+    ]
+
+
+def rank3_problems():
+    rng = np.random.default_rng(81)
+    square = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 20))
+    rect = rng.standard_normal((24, 3)) @ rng.standard_normal((3, 14))
+    # b off the range, so the builders run on past rank 3
+    return [
+        (scmrh, LinearOperator.from_matrix(square), rng.standard_normal(20), 12),
+        (slslu, LinearOperator.from_matrix(rect), rng.standard_normal(24), 12),
+    ]
+
+
+def record_qr_solves(monkeypatch):
+    """Every (M, rhs, y) that solvers.dense_qr_ls sees; the stacked Tikhonov
+    solve is refused, so a damped full-system solve would show."""
+    calls = []
+    plain = solvers.dense_qr_ls
+
+    def recording(M, rhs):
+        y = plain(M, rhs)
+        calls.append((np.array(M), np.array(rhs), y))
+        return y
+
+    def refused(*args):
+        raise AssertionError("stacked_tikhonov_ls called on a full-rank solve")
+
+    monkeypatch.setattr(solvers, "dense_qr_ls", recording)
+    monkeypatch.setattr(solvers, "stacked_tikhonov_ls", refused)
+    return calls
+
+
+def full_sketched_system(A, b, cfg, S, result, basis):
+    """The sketched system (M, S r0, S1 V) recomputed from the factorization."""
+    state = result.factorization
+    V, U = state.V_cols.matrix(), state.U_cols.matrix()
+    if basis:
+        M = (S.entries @ U) @ state.H_matrix(rows=U.shape[1])
+    else:
+        M = S.entries @ np.column_stack([A.forward(v) for v in V.T])
+    ell = S.out_rows
+    S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
+    return M, S.entries @ b, S1.entries @ V
+
+
+@pytest.mark.parametrize("basis", [False, True], ids=["products", "basis"])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_updated_qr_solve_matches_from_scratch_solve(monkeypatch, lam, basis):
+    for name, solver, A, b, maxiter in sketched_problems():
+        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=4)
+        S = make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
+        calls = record_qr_solves(monkeypatch)
+        result = solver(A, b, cfg, sketch_basis=basis, sketch=S)
+        monkeypatch.undo()
+        assert len(calls) == len(result.trace.records) == maxiter
+        M, sr0, N = full_sketched_system(A, b, cfg, S, result, basis)
+        for k, (_, _, y) in enumerate(calls, start=1):
+            ref = stacked_tikhonov_ls(M[:, :k], N[:, :k], sr0, lam)
+            gap = np.linalg.norm(y - ref) / np.linalg.norm(ref)
+            assert gap <= 1e-12, (name, solver.__name__, k, gap)
+
+
+@pytest.mark.parametrize("basis", [False, True], ids=["products", "basis"])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_each_step_solves_one_k_by_k_triangle(monkeypatch, lam, basis):
+    for name, solver, A, b, maxiter in sketched_problems():
+        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=5)
+        calls = record_qr_solves(monkeypatch)
+        result = solver(A, b, cfg, sketch_basis=basis)
+        monkeypatch.undo()
+        assert not any(result.trace.column("rank_fallback"))
+        steps = range(1, maxiter + 1)
+        assert [M.shape for M, _, _ in calls] == [(k, k) for k in steps]
+        assert all(np.array_equal(np.triu(M), M) for M, _, _ in calls), name
+        assert [rhs.shape for _, rhs, _ in calls] == [(k,) for k in steps]
+
+
+def full_system_solve(M, rhs, lam, N):
+    # the projected solve before the updated QR: pivoted QR of the whole
+    # sketched system every step, truncated least squares when deficient
+    try:
+        if lam == 0.0:
+            return dense_qr_ls(M, rhs), False
+        return stacked_tikhonov_ls(M, N, rhs, lam), False
+    except RankDeficiencyError:
+        if lam > 0.0:
+            M = np.vstack([M, lam * N])
+            rhs = np.concatenate([rhs, np.zeros(N.shape[0])])
+        return np.linalg.lstsq(M, rhs, rcond=None)[0], True
+
+
+@pytest.mark.parametrize("basis", [False, True], ids=["products", "basis"])
+def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, basis):
+    # undamped: the penalty rows give a damped system full rank
+    for solver, A, b, maxiter in rank3_problems():
+        steps = []
+        solve = solvers._projected_solve
+
+        def recording(form, M, rhs, lam, N=None):
+            y, fallback = solve(form, M, rhs, lam, N)
+            steps.append((y, fallback, *full_system_solve(M, rhs, lam, N)))
+            return y, fallback
+
+        monkeypatch.setattr(solvers, "_projected_solve", recording)
+        cfg = SolverConfig(maxiter=maxiter, seed=6)
+        result = solver(A, b, cfg, sketch_basis=basis)
+        monkeypatch.undo()
+        flags = [fallback for _, fallback, _, _ in steps]
+        assert flags == [fallback for _, _, _, fallback in steps]
+        assert flags == result.trace.column("rank_fallback")
+        first = flags.index(True)
+        assert first >= 1 and len(steps) == maxiter
+        for y, _, y_old, _ in steps[first:]:
+            assert np.array_equal(y, y_old)
+        # the last iterate is the same GEMV on the same y as before
+        V = result.factorization.V_cols.matrix(len(steps))
+        assert np.array_equal(result.x, V @ steps[-1][2])
 
 
 # ---------------------------------------------------------------------------

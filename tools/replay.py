@@ -13,8 +13,9 @@ under ``--work`` (a temporary directory unless given).
   lambda in {0, 0.5}, diagnostics off and on, full and sampled(5) pivots,
   with and without a start vector, and ``sketch_basis`` both ways for
   scmrh/slslu; trivial starts (b = 0 and an exact x0) come on top.  Each
-  solve writes its trace CSV, x, its termination and the
-  ``dump_factorization`` files.
+  solve writes its trace CSV, x, its termination, the ``rank_fallback``
+  flag of every trace record (one 0/1 line each; the CSV does not carry
+  it) and the ``dump_factorization`` files.
 * The CLI grid runs ``hessketch solve``, ``compare`` and ``sweep`` (over
   each of its four parameters) on deblurring and tomography configs at two
   sizes, with diagnostics off and on, plus ``HESSKETCH_SEED``,
@@ -63,6 +64,7 @@ TOLERANCES = {
     "D.mm": 0.0,
     "pivots_t.mm": 0.0,
     "pivots_g.mm": 0.0,
+    "rank_fallback": 0.0,
     "x": 1e-13,
     "rel_err": 1e-13,
     "res_norm": 1e-13,
@@ -180,6 +182,8 @@ def _run_library(grid):
             _write(os.path.join(out, "error"), f"{type(exc).__name__}: {exc}\n")
             continue
         trace_to_csv(result.trace, os.path.join(out, "trace.csv"))
+        flags = "".join(f"{int(r.rank_fallback)}\n" for r in result.trace.records)
+        _write(os.path.join(out, "rank_fallback"), flags)
         np.save(os.path.join(out, "x.npy"), result.x)
         _write(os.path.join(out, "termination"), result.termination + "\n")
         if result.factorization is not None:
