@@ -399,6 +399,8 @@ def _run(cfg, runs, write):
             print(error, file=sys.stderr)
             return 1
         write(stem, problem, result)
+        # the result holds the solve's bases; free them before the next solve
+        del result
         done.append(stem)
     return 0
 

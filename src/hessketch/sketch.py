@@ -54,14 +54,20 @@ def make_gaussian_sketch(out_rows, in_rows, seed):
 
 
 def sketch_apply(S, v, counters=None):
-    """Apply the sketch to a vector, charging one sketch application."""
+    """Apply the sketch to a vector, or to each column of an (in_rows, b)
+    block at once.
+
+    A block is one matrix-matrix product, a single pass over the entries,
+    and charges b sketch applications; a vector charges one.
+    """
     v = np.asarray(v, dtype=float)
-    if v.shape != (S.in_rows,):
+    if v.ndim not in (1, 2) or v.shape[0] != S.in_rows:
         raise ValueError(
-            f"sketch expects a vector of length {S.in_rows}, got shape {v.shape}"
+            f"sketch expects a vector of length {S.in_rows} or a block of "
+            f"columns of that length, got shape {v.shape}"
         )
     if counters is not None:
-        counters.sketch_apply_count += 1
+        counters.sketch_apply_count += 1 if v.ndim == 1 else v.shape[1]
     return S.entries @ v
 
 
@@ -73,7 +79,6 @@ def sketch_and_solve_ls(S, M, rhs, counters=None):
     still overdetermined (or square).
     """
     M = np.asarray(M, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
     if M.ndim != 2 or M.shape[0] != S.in_rows:
         raise ValueError(
             f"M must have {S.in_rows} rows to be sketched, got shape {M.shape}"
@@ -83,9 +88,7 @@ def sketch_and_solve_ls(S, M, rhs, counters=None):
             f"sketch with {S.out_rows} rows cannot preserve a "
             f"{M.shape[1]}-dimensional least-squares problem"
         )
-    if counters is not None:
-        counters.sketch_apply_count += M.shape[1] + 1
-    return dense_qr_ls(S.entries @ M, S.entries @ rhs)
+    return dense_qr_ls(sketch_apply(S, M, counters), sketch_apply(S, rhs, counters))
 
 
 def measured_epsilon(S, basis):
@@ -105,7 +108,7 @@ def measured_epsilon(S, basis):
             f"basis must have {S.in_rows} rows, got shape {basis.shape}"
         )
     Q, _ = np.linalg.qr(basis)
-    s = np.linalg.svd(S.entries @ Q, compute_uv=False)
+    s = np.linalg.svd(sketch_apply(S, Q), compute_uv=False)
     if s[-1] <= 0.0 or not np.isfinite(s[0]):
         return 1.0
     kappa = s[0] / s[-1]

@@ -248,7 +248,7 @@ def _finite_vector(name, v, length):
 # the driver
 
 
-def _observe(rec, A, b, x, cfg, x_true):
+def _observe(rec, A, b, x, cfg, x_true, counts):
     # the fields every record carries, the iteration-0 record of a trivial
     # solve included; the exact residual is a diagnostic, so it applies the
     # raw forward map and no counter moves
@@ -260,7 +260,7 @@ def _observe(rec, A, b, x, cfg, x_true):
     if cfg.compute_diagnostics:
         r = b - np.asarray(A.forward(x), dtype=float)
         rec.res_norm = float(np.linalg.norm(r))
-    rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = A.counters.snapshot()
+    rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = counts
     return rec
 
 
@@ -274,6 +274,15 @@ def _krylov(A, b, cfg, x_true, init, step, form):
     This is the only iteration loop and the only place that reads ``b``
     and ``cfg.x0``: it owns input checks, r0, trivial returns, the damped
     projected solve with its rank fallback, and the trace records.
+
+    The builder never reads the projected problem, so the loop runs it
+    ahead by up to ``form.block`` steps (never past ``maxiter``, the
+    dimension or a breakdown), lets the form sketch the block's new
+    columns in one pass over each sketch, and then solves and records
+    those steps in order.  Each record carries the operator and dot
+    counts snapshotted right after its own builder step, and the form
+    charges each sketched column at the step that consumes it, so every
+    record reads as if the steps had run one at a time.
     """
     cfg = cfg or SolverConfig()
     A = A.with_fresh_counters()
@@ -287,43 +296,70 @@ def _krylov(A, b, cfg, x_true, init, step, form):
         state = init(A, r0, cfg.pivot, capacity=steps + 1)
     except TrivialSolution:
         x = np.zeros(A.cols) if x0 is None else x0.copy()
-        trace = SolverTrace([_observe(TraceRecord(iteration=0), A, b, x, cfg, x_true)])
+        rec = TraceRecord(iteration=0)
+        trace = SolverTrace([_observe(rec, A, b, x, cfg, x_true, A.counters.snapshot())])
         return SolveResult(x=x, trace=trace, termination="trivial")
     form.start(A, cfg, state, steps + 1)
     trace = SolverTrace()
-    for k in range(1, steps + 1):
+    k = 0
+    while k < steps and not state.breakdown:
+        ahead = []
+        while len(ahead) < form.block and k + len(ahead) < steps:
+            tic = time.perf_counter()
+            step(state, A)
+            form.collect(state)
+            seconds = time.perf_counter() - tic
+            lengths = len(state.U_cols), len(state.V_cols)
+            ahead.append(_Step(A.counters.snapshot(), *lengths, seconds))
+            if state.breakdown:
+                break
         tic = time.perf_counter()
-        step(state, A)
-        M, rhs, N = form.system(state, k)
-        y, fallback = _projected_solve(form, M, rhs, cfg.lam, N)
-        # one GEMV on a view of the solution basis
-        Vk = state.V_cols.matrix(k)
-        x = Vk @ y
-        if x0 is not None:
-            x = x0 + x
-        res_norm = np.linalg.norm(M @ y - rhs)
-        rec = TraceRecord(
-            iteration=k,
-            proj_obj=_objective(res_norm, y, cfg.lam, N),
-            rank_fallback=fallback,
-        )
-        if form.sketched:
-            rec.sres_norm = float(res_norm)
-        if cfg.compute_diagnostics:
-            U = state.U_cols.matrix()
-            rec.kappa_basis = spectral_condition_number(U)
-            if cfg.lam > 0.0 and not state.orthonormal:
-                block = scipy.linalg.block_diag(U, Vk)
-                rec.kappa_dbar = spectral_condition_number(block)
+        form.sketch_block(state)
+        # the block's sketching is timed into its first record
+        ahead[0].seconds += time.perf_counter() - tic
+        for done in ahead:
+            k += 1
+            tic = time.perf_counter()
+            M, rhs, N = form.system(state, k, done)
+            y, fallback = _projected_solve(form, M, rhs, cfg.lam, N)
+            # one GEMV on a view of the solution basis
+            Vk = state.V_cols.matrix(k)
+            x = Vk @ y
+            if x0 is not None:
+                x = x0 + x
+            res_norm = np.linalg.norm(M @ y - rhs)
+            rec = TraceRecord(
+                iteration=k,
+                proj_obj=_objective(res_norm, y, cfg.lam, N),
+                rank_fallback=fallback,
+            )
             if form.sketched:
-                rec.eps_embed = form.distortion(state)
-        _observe(rec, A, b, x, cfg, x_true)
-        rec.wall_ms = (time.perf_counter() - tic) * 1e3
-        trace.records.append(rec)
-        if state.breakdown:
-            break
+                rec.sres_norm = float(res_norm)
+            if cfg.compute_diagnostics:
+                U = state.U_cols.matrix(done.u_len)
+                rec.kappa_basis = spectral_condition_number(U)
+                if cfg.lam > 0.0 and not state.orthonormal:
+                    block = scipy.linalg.block_diag(U, Vk)
+                    rec.kappa_dbar = spectral_condition_number(block)
+                if form.sketched:
+                    rec.eps_embed = form.distortion(U)
+            counts = (*done.counts[:3], A.counters.sketch_apply_count)
+            _observe(rec, A, b, x, cfg, x_true, counts)
+            rec.wall_ms = (done.seconds + time.perf_counter() - tic) * 1e3
+            trace.records.append(rec)
     termination = "breakdown" if state.breakdown else "maxiter"
     return SolveResult(x=x, trace=trace, termination=termination, factorization=state)
+
+
+@dataclass
+class _Step:
+    """What the driver keeps of one builder step until it solves it: the
+    counter snapshot, both basis lengths and the seconds spent on it."""
+
+    counts: tuple
+    u_len: int
+    v_len: int
+    seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +377,18 @@ class _QuasiMinimal:
 
     sketched = False
     qr = None
+    block = 1
 
     def start(self, A, cfg, state, capacity):
         self.lam = cfg.lam
 
-    def system(self, state, k):
+    def collect(self, state):
+        pass
+
+    def sketch_block(self, state):
+        pass
+
+    def system(self, state, k, done):
         rhs = np.zeros(k + 1)
         rhs[0] = state.beta
         return state.H_matrix(), rhs, np.eye(k) if self.lam > 0.0 else None
@@ -391,14 +434,26 @@ class _UpdatedQR:
         return self.R[:k, :k], self.z[:k]
 
 
+# builder steps whose new columns the sketched forms sketch in one pass
+# over each sketch; BENCH_9.json compares blocks of 8, 16 and 32
+_BLOCK = 32
+
+
 class _Sketched:
     """min ||S (A V_k y - r0)|| (+ lam^2 ||S1 V_k y||^2) under Gaussian sketches.
 
-    The sketched-products form appends S (A v_k) as each product appears;
-    the sketched-basis form appends (S U_{k+1}) h_k, column k of
+    The sketched-products form appends S (A v_k) for each product; the
+    sketched-basis form appends (S U_{k+1}) h_k, column k of
     (S U_{k+1}) H_{k+1,k}, the same matrix in exact arithmetic.  S is
     drawn from cfg.seed unless a prebuilt ``sketch`` is given; S1 from a
     seed derived from cfg.seed.
+
+    A dense sketch is streamed through memory once per application, so
+    the form sketches the new columns of a whole block of up to
+    ``_BLOCK`` builder steps with one GEMM per sketch: the unreduced
+    products, copied into a buffer as the builder makes them, or the new
+    columns of U and V, read in place from their stores.  Each sketched
+    column is charged to the counters at the step that consumes it.
 
     Each new column of the system, stacked over lam S1 v_k when damped,
     also extends an updated thin QR (``qr``), so the driver solves a k-by-k
@@ -428,56 +483,86 @@ class _Sketched:
             self.S = make_gaussian_sketch(ell, A.rows, cfg.seed)
         self.counters = A.counters
         self.lam = cfg.lam
-        self.sr0 = self._apply(self.S, state.r0)
+        self.block = _BLOCK
+        self.sr0 = sketch_apply(self.S, state.r0, self.counters)
         # the system's columns, the sketched data basis S u_j of the basis
-        # form, and the penalty's S1 v_j, one store each
+        # form, and the penalty's S1 v_j, one store each; the products form
+        # buffers the block's unreduced products A v_k
         self.cols = ColumnStore(ell, capacity)
         if self.basis:
             self.sketched_basis = ColumnStore.from_column(
-                self._apply(self.S, state.U_cols[0]), capacity
+                sketch_apply(self.S, state.U_cols[0], self.counters), capacity
             )
+        else:
+            self.products = np.empty((A.rows, min(self.block, capacity - 1)), order="F")
+            self.buffered = 0
         self.S1 = None
         rhs = self.sr0
         if cfg.lam > 0.0:
             self.S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
             self.penalty_cols = ColumnStore.from_column(
-                self._apply(self.S1, state.V_cols[0]), capacity
+                sketch_apply(self.S1, state.V_cols[0], self.counters), capacity
             )
             rhs = np.concatenate([rhs, np.zeros(ell)])
+        # basis lengths at the last step consumed
+        self.lengths = len(state.U_cols), len(state.V_cols)
         self.qr = _UpdatedQR(rhs, capacity)
 
-    def _apply(self, S, v):
-        return sketch_apply(S, v, self.counters)
+    def collect(self, state):
+        if not self.basis:
+            self.products[:, self.buffered] = state.last_product
+            self.buffered += 1
 
-    def system(self, state, k):
-        # each new product or basis column is sketched exactly once
+    def sketch_block(self, state):
+        # one GEMM per sketch over the columns the block produced; the
+        # counters are charged column by column in system()
         if self.basis:
-            if len(self.sketched_basis) < len(state.U_cols):
-                self.sketched_basis.append(self._apply(self.S, state.U_cols[-1]))
-            SU = self.sketched_basis.matrix()
-            # at a breakdown U_{k+1} lacks its last column, and h_k ends in 0
-            col = SU @ state.h_cols[-1][: SU.shape[1]]
+            _sketch_new_columns(self.S, state.U_cols, self.sketched_basis)
         else:
-            col = self._apply(self.S, state.last_product)
-        self.cols.append(col)
+            for col in sketch_apply(self.S, self.products[:, : self.buffered]).T:
+                self.cols.append(col)
+            self.buffered = 0
+        if self.S1 is not None:
+            _sketch_new_columns(self.S1, state.V_cols, self.penalty_cols)
+
+    def system(self, state, k, done):
+        # charge each sketched column at the step that made it: one
+        # product, or the columns the step added to U (and to V if damped)
+        new_u, new_v = done.u_len - self.lengths[0], done.v_len - self.lengths[1]
+        self.lengths = done.u_len, done.v_len
+        if self.basis:
+            self.counters.sketch_apply_count += new_u
+            SU = self.sketched_basis.matrix(done.u_len)
+            # at a breakdown U_{k+1} lacks its last column, and h_k ends in 0
+            self.cols.append(SU @ state.h_cols[k - 1][: done.u_len])
+        else:
+            self.counters.sketch_apply_count += 1
+        col = self.cols[k - 1]
         N = None
         if self.S1 is not None:
-            if len(self.penalty_cols) < len(state.V_cols):
-                self.penalty_cols.append(self._apply(self.S1, state.V_cols[-1]))
+            self.counters.sketch_apply_count += new_v
             N = self.penalty_cols.matrix(k)
         if self.qr is not None:
             stacked = col if N is None else np.concatenate([col, self.lam * N[:, -1]])
             self.qr.append(stacked)
-        return self.cols.matrix(), self.sr0, N
+        return self.cols.matrix(k), self.sr0, N
 
-    def distortion(self, state):
+    def distortion(self, U):
         """Measured distortion of S on span(r0, A V_k) (diagnostics only).
 
         In exact arithmetic the data basis U_{k+1} spans exactly that
         space, at a breakdown too, and it has full column rank by
         construction (unit lower triangular under its pivots).
         """
-        return measured_epsilon(self.S, state.U_cols.matrix())
+        return measured_epsilon(self.S, U)
+
+
+def _sketch_new_columns(S, basis, sketched):
+    # sketch the basis columns that have no sketched counterpart yet
+    new = basis.matrix()[:, len(sketched) :]
+    if new.shape[1]:
+        for col in sketch_apply(S, new).T:
+            sketched.append(col)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +592,14 @@ def _step_arnoldi(state, A):
     h = np.empty(k + 1)
     for j in range(k):
         h[j] = tracked_dot(c, V[j], w)
-        w = w - h[j] * V[j]
+        if j == 0:
+            # the first subtraction copies: last_product is never written
+            w = w - h[0] * V[0]
+        else:
+            w -= h[j] * V[j]
     for j in range(k):
         corr = tracked_dot(c, V[j], w)
-        w = w - corr * V[j]
+        w -= corr * V[j]
         h[j] += corr
     h[k] = tracked_norm(c, w)
     state.h_cols.append(h)
@@ -546,7 +635,7 @@ def _step_golub_kahan(state, A):
     state.last_product = A.apply(V[-1])
     w = state.last_product - state.alpha * U[-1]
     for u in U:
-        w = w - tracked_dot(c, u, w) * u
+        w -= tracked_dot(c, u, w) * u
     beta = tracked_norm(c, w)
     h = np.zeros(k + 1)
     h[k - 1 :] = state.alpha, beta
@@ -557,7 +646,7 @@ def _step_golub_kahan(state, A):
     U.append(w / beta)
     z = A.apply_transpose(U[-1]) - beta * V[-1]
     for v in V:
-        z = z - tracked_dot(c, v, z) * v
+        z -= tracked_dot(c, v, z) * v
     alpha = tracked_norm(c, z)
     if alpha <= 1e-14 * beta:
         state.breakdown = True
@@ -621,11 +710,12 @@ def scmrh(A, b, cfg=None, x_true=None, *, sketch_basis=False, sketch=None):
 
     Draws one Gaussian embedding S from cfg.seed and solves
     min ||S(A L_k y - r0)|| per iteration, appending the column
-    S (A l_k) as it appears.  With ``sketch_basis`` the sketched system
-    is instead assembled as (S L_{k+1}) H_{k+1,k}, which is the same
-    matrix in exact arithmetic.  A prebuilt ``sketch`` overrides the
-    seeded draw.  A positive cfg.lam adds lam^2 ||S1 L_k y||^2, with S1
-    drawn from a seed derived from cfg.seed.
+    S (A l_k) of each step (sketched a block of steps at a time).  With
+    ``sketch_basis`` the sketched system is instead assembled as
+    (S L_{k+1}) H_{k+1,k}, which is the same matrix in exact arithmetic.
+    A prebuilt ``sketch`` overrides the seeded draw.  A positive cfg.lam
+    adds lam^2 ||S1 L_k y||^2, with S1 drawn from a seed derived from
+    cfg.seed.
     """
     form = _Sketched(sketch, sketch_basis)
     return _krylov(A, b, cfg, x_true, init_square, step_square, form)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -452,6 +453,34 @@ def test_sweep_sketch_rows_only_touches_sketched_solvers(tmp_path):
     assert code == 0
     assert (out / "slslu.sketch_rows.60.trace.csv").exists()
     assert not (out / "lslu.sketch_rows.60.trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["solve"], ["compare"], ["sweep", "--param", "seed", "--values", "1,2"]],
+    ids=["solve", "compare", "sweep"],
+)
+def test_each_result_is_released_before_the_next_solve(tmp_path, monkeypatch, args):
+    # a result holds its solve's bases, so no solve may run beside the last one
+    results, starts = [], []
+
+    def releasing(solve):
+        def call(A, b, cfg, x_true=None):
+            starts.append([ref() is None for ref in results])
+            result = solve(A, b, cfg, x_true=x_true)
+            results.append(weakref.ref(result))
+            return result
+
+        return call
+
+    for name, solve in list(cli.SOLVERS.items()):
+        monkeypatch.setitem(cli.SOLVERS, name, releasing(solve))
+    out = tmp_path / "out"
+    solvers = "solver.cmrh.maxiter = 3\nsolver.scmrh.maxiter = 3\n"
+    cfg = write_cfg(tmp_path, deblur_cfg(out, solvers))
+    assert cli.main([args[0], cfg, *args[1:]]) == 0
+    assert len(starts) == (4 if args[0] == "sweep" else 2)
+    assert all(all(released) for released in starts)
 
 
 def test_summary_line_of_trivial_solve_reports_iteration_zero():

@@ -51,6 +51,29 @@ def test_sketch_apply_counts_and_validates():
         sketch_apply(S, np.ones(5))
 
 
+def test_sketch_apply_block_charges_each_column():
+    S = make_gaussian_sketch(5, 12, seed=1)
+    c = OpCounters()
+    out = sketch_apply(S, np.ones((12, 4)), counters=c)
+    assert out.shape == (5, 4)
+    assert c.sketch_apply_count == 4
+
+
+def test_sketch_apply_block_agrees_with_columns():
+    S = make_gaussian_sketch(30, 200, seed=2)
+    V = np.random.default_rng(2).standard_normal((200, 7))
+    block = sketch_apply(S, V)
+    by_column = np.column_stack([sketch_apply(S, v) for v in V.T])
+    assert np.linalg.norm(block - by_column) <= 1e-14 * np.linalg.norm(by_column)
+
+
+@pytest.mark.parametrize("shape", [(12, 2, 2), (11, 3), (13,)])
+def test_sketch_apply_rejects_misshapen_input(shape):
+    S = make_gaussian_sketch(5, 12, seed=1)
+    with pytest.raises(ValueError, match="length 12"):
+        sketch_apply(S, np.ones(shape))
+
+
 def test_sketch_apply_linearity():
     S = make_gaussian_sketch(8, 30, seed=9)
     rng = np.random.default_rng(9)

@@ -112,9 +112,9 @@ def _library_problems(grid):
         ),
     }
     p = make_deblur(32, gaussian_psf(1.0), 0.01, 0)
-    problems["deblur"] = (p.operator, p.b, p.x_true, 8)
+    problems["deblur"] = (p.operator, p.b, p.x_true, 20)
     p = make_tomography(24, 30, 0.01, 0)
-    problems["tomography"] = (p.operator, p.b, p.x_true, 8)
+    problems["tomography"] = (p.operator, p.b, p.x_true, 20)
     return problems
 
 
