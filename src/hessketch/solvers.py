@@ -112,8 +112,14 @@ class SolverConfig:
     compute_diagnostics: bool = False
 
     def __post_init__(self):
+        for name in ("maxiter", "sketch_rows", "seed"):
+            value = getattr(self, name)
+            if value is not None and not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be positive, got {self.maxiter}")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.sketch_rows is not None and self.sketch_rows < 1:
@@ -125,6 +131,10 @@ class SolverConfig:
         if self.sketch_rows is None:
             return 10 * (self.maxiter + 1)
         return self.sketch_rows
+
+
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -204,18 +214,20 @@ def _projected_solve(form, M, rhs, lam, N=None):
     """Least-squares solve of the projected problem with a truncated-rank
     fallback; returns (y, fallback_used).
 
-    A form that keeps an updated QR of its system (``form.qr``) is solved
-    through the k-by-k triangle (R_k, Q_k^T rhs): the same pivoted rank
-    test, on a matrix with M's column norms and singular values.  The
-    first rank deficiency there drops that QR: appending columns never
-    raises the rank, so this step and every later one solve the full
+    While the form holds ``R``, the triangle of one Householder QR of its
+    whole stacked system [C | c], step k solves the leading k-by-k
+    triangle against the first k entries of R's last column: the same
+    pivoted rank test, on a matrix with the singular values of the k-column
+    system.  The first rank deficiency there drops R: appending columns
+    never raises the rank, so this step and every later one solve the full
     system, first by pivoted QR and then by truncated least squares.
     """
-    if form.qr is not None:
+    if form.R is not None:
+        k = M.shape[1]
         try:
-            return dense_qr_ls(*form.qr.triangle()), False
+            return dense_qr_ls(form.R[:k, :k], form.R[:k, -1]), False
         except RankDeficiencyError:
-            form.qr = None
+            form.R = None
     try:
         if lam == 0.0:
             return dense_qr_ls(M, rhs), False
@@ -275,13 +287,15 @@ def _krylov(A, b, cfg, x_true, init, step, form):
     and ``cfg.x0``: it owns input checks, r0, trivial returns, the damped
     projected solve with its rank fallback, and the trace records.
 
-    The builder never reads the projected problem, so the loop runs it
-    ahead by up to ``form.block`` steps (never past ``maxiter``, the
-    dimension or a breakdown), lets the form sketch the block's new
-    columns in one pass over each sketch, and then solves and records
-    those steps in order.  Each record carries the operator and dot
-    counts snapshotted right after its own builder step, and the form
-    charges each sketched column at the step that consumes it, so every
+    The builder never reads the projected problem, so a solve is two
+    passes.  The build pass takes every step first, stopping at
+    ``maxiter``, the dimension or a breakdown; ``form.collect`` sees each
+    step, and the driver keeps each step's counter snapshot, basis
+    lengths and seconds.  The form then returns its whole stacked system
+    [C | c], which is factored once by Householder QR, and the solve pass
+    solves and records every k in order off that one R.  Each record
+    carries its own step's operator and dot counts, and ``form.sketches``
+    charges each sketched column to the step that produced it, so every
     record reads as if the steps had run one at a time.
     """
     cfg = cfg or SolverConfig()
@@ -299,62 +313,56 @@ def _krylov(A, b, cfg, x_true, init, step, form):
         rec = TraceRecord(iteration=0)
         trace = SolverTrace([_observe(rec, A, b, x, cfg, x_true, A.counters.snapshot())])
         return SolveResult(x=x, trace=trace, termination="trivial")
-    form.start(A, cfg, state, steps + 1)
-    trace = SolverTrace()
-    k = 0
-    while k < steps and not state.breakdown:
-        ahead = []
-        while len(ahead) < form.block and k + len(ahead) < steps:
-            tic = time.perf_counter()
-            step(state, A)
-            form.collect(state)
-            seconds = time.perf_counter() - tic
-            lengths = len(state.U_cols), len(state.V_cols)
-            ahead.append(_Step(A.counters.snapshot(), *lengths, seconds))
-            if state.breakdown:
-                break
+    form.start(A, cfg, state, steps)
+    built = []
+    while len(built) < steps and not state.breakdown:
         tic = time.perf_counter()
-        form.sketch_block(state)
-        # the block's sketching is timed into its first record
-        ahead[0].seconds += time.perf_counter() - tic
-        for done in ahead:
-            k += 1
-            tic = time.perf_counter()
-            M, rhs, N = form.system(state, k, done)
-            y, fallback = _projected_solve(form, M, rhs, cfg.lam, N)
-            # one GEMV on a view of the solution basis
-            Vk = state.V_cols.matrix(k)
-            x = Vk @ y
-            if x0 is not None:
-                x = x0 + x
-            res_norm = np.linalg.norm(M @ y - rhs)
-            rec = TraceRecord(
-                iteration=k,
-                proj_obj=_objective(res_norm, y, cfg.lam, N),
-                rank_fallback=fallback,
-            )
+        step(state, A)
+        form.collect(state)
+        lengths = len(state.U_cols), len(state.V_cols)
+        built.append(_Step(A.counters.snapshot(), *lengths, time.perf_counter() - tic))
+    tic = time.perf_counter()
+    form.R = np.linalg.qr(form.stacked(state), mode="r")
+    # the first solve waits on the whole system and its QR
+    built[0].seconds += time.perf_counter() - tic
+    trace = SolverTrace()
+    for k, done in enumerate(built, start=1):
+        tic = time.perf_counter()
+        M, rhs, N = form.system(k)
+        y, fallback = _projected_solve(form, M, rhs, cfg.lam, N)
+        # one GEMV on a view of the solution basis
+        Vk = state.V_cols.matrix(k)
+        x = Vk @ y
+        if x0 is not None:
+            x = x0 + x
+        res_norm = np.linalg.norm(M @ y - rhs)
+        rec = TraceRecord(
+            iteration=k,
+            proj_obj=_objective(res_norm, y, cfg.lam, N),
+            rank_fallback=fallback,
+        )
+        if form.sketched:
+            rec.sres_norm = float(res_norm)
+        if cfg.compute_diagnostics:
+            U = state.U_cols.matrix(done.u_len)
+            rec.kappa_basis = spectral_condition_number(U)
+            if cfg.lam > 0.0 and not state.orthonormal:
+                block = scipy.linalg.block_diag(U, Vk)
+                rec.kappa_dbar = spectral_condition_number(block)
             if form.sketched:
-                rec.sres_norm = float(res_norm)
-            if cfg.compute_diagnostics:
-                U = state.U_cols.matrix(done.u_len)
-                rec.kappa_basis = spectral_condition_number(U)
-                if cfg.lam > 0.0 and not state.orthonormal:
-                    block = scipy.linalg.block_diag(U, Vk)
-                    rec.kappa_dbar = spectral_condition_number(block)
-                if form.sketched:
-                    rec.eps_embed = form.distortion(U)
-            counts = (*done.counts[:3], A.counters.sketch_apply_count)
-            _observe(rec, A, b, x, cfg, x_true, counts)
-            rec.wall_ms = (done.seconds + time.perf_counter() - tic) * 1e3
-            trace.records.append(rec)
+                rec.eps_embed = form.distortion(U)
+        counts = (*done.counts[:3], form.sketches(k, done))
+        _observe(rec, A, b, x, cfg, x_true, counts)
+        rec.wall_ms = (done.seconds + time.perf_counter() - tic) * 1e3
+        trace.records.append(rec)
     termination = "breakdown" if state.breakdown else "maxiter"
     return SolveResult(x=x, trace=trace, termination=termination, factorization=state)
 
 
 @dataclass
 class _Step:
-    """What the driver keeps of one builder step until it solves it: the
-    counter snapshot, both basis lengths and the seconds spent on it."""
+    """What the build pass keeps of one builder step for the solve pass:
+    the counter snapshot, both basis lengths and the seconds spent on it."""
 
     counts: tuple
     u_len: int
@@ -363,7 +371,8 @@ class _Step:
 
 
 # ---------------------------------------------------------------------------
-# projected-problem forms
+# projected-problem forms: start, collect each step, return the stacked
+# system [C | c] once, then hand the driver step k's (M, rhs, N)
 
 
 class _QuasiMinimal:
@@ -372,94 +381,59 @@ class _QuasiMinimal:
     Minimizes the residual's coordinates in the data basis; the true
     residual then sits within a factor kappa(U_{k+1}) of the best one in
     the same subspace (exactly the best one for an orthonormal basis).
-    The (k+1)-by-k system is solved from scratch each step.
+    H is formed once, after the build pass; step k reads its leading
+    (k+1)-by-k block.
     """
 
     sketched = False
-    qr = None
-    block = 1
 
-    def start(self, A, cfg, state, capacity):
+    def start(self, A, cfg, state, steps):
         self.lam = cfg.lam
 
     def collect(self, state):
         pass
 
-    def sketch_block(self, state):
-        pass
+    def stacked(self, state):
+        # [H | beta e1], over [lam I | 0] when damped
+        self.H = state.H_matrix()
+        K = self.H.shape[1]
+        self.rhs = np.zeros(K + 1)
+        self.rhs[0] = state.beta
+        system = np.column_stack([self.H, self.rhs])
+        if self.lam == 0.0:
+            return system
+        self.eye = np.eye(K)
+        return np.vstack([system, np.column_stack([self.lam * self.eye, np.zeros(K)])])
 
-    def system(self, state, k, done):
-        rhs = np.zeros(k + 1)
-        rhs[0] = state.beta
-        return state.H_matrix(), rhs, np.eye(k) if self.lam > 0.0 else None
+    def system(self, k):
+        N = self.eye[:k, :k] if self.lam > 0.0 else None
+        return self.H[: k + 1, :k], self.rhs[: k + 1], N
 
-
-class _UpdatedQR:
-    """Thin QR of a tall matrix that grows by one column at a time.
-
-    Each new column is orthogonalized against Q by classical Gram-Schmidt
-    with one reorthogonalization pass (CGS2), which keeps Q orthonormal to
-    working precision while the columns stay numerically independent
-    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).  Q, R and
-    Q^T rhs live in preallocated arrays.  Like the Householder QR inside
-    :func:`dense_qr_ls`, these inner products act on short sketched
-    vectors and are not counted.
-    """
-
-    def __init__(self, rhs, capacity):
-        self.rhs = rhs
-        self.Q = ColumnStore(rhs.size, capacity)
-        self.R = np.zeros((capacity, capacity), order="F")
-        self.z = np.empty(capacity)
-
-    def append(self, c):
-        k = len(self.Q)
-        Q = self.Q.matrix()
-        r = Q.T @ c
-        c = c - Q @ r
-        s = Q.T @ c
-        c -= Q @ s
-        rho = np.linalg.norm(c)
-        self.R[:k, k] = r + s
-        self.R[k, k] = rho
-        # an exactly dependent column leaves a zero on R's diagonal, which
-        # the rank test of the triangular solve reports
-        q = c / rho if rho > 0.0 else c
-        self.Q.append(q)
-        self.z[k] = q @ self.rhs
-
-    def triangle(self):
-        """(R_k, Q_k^T rhs) for the k columns appended so far."""
-        k = len(self.Q)
-        return self.R[:k, :k], self.z[:k]
+    def sketches(self, k, done):
+        return 0
 
 
-# builder steps whose new columns the sketched forms sketch in one pass
-# over each sketch; BENCH_9.json compares blocks of 8, 16 and 32
+# builder steps whose unreduced products the sketched-products form
+# sketches with one GEMM; BENCH_9.json compares blocks of 8, 16 and 32
 _BLOCK = 32
 
 
 class _Sketched:
     """min ||S (A V_k y - r0)|| (+ lam^2 ||S1 V_k y||^2) under Gaussian sketches.
 
-    The sketched-products form appends S (A v_k) for each product; the
-    sketched-basis form appends (S U_{k+1}) h_k, column k of
-    (S U_{k+1}) H_{k+1,k}, the same matrix in exact arithmetic.  S is
-    drawn from cfg.seed unless a prebuilt ``sketch`` is given; S1 from a
-    seed derived from cfg.seed.
+    The sketched-products form stacks S (A v_k) for each product; the
+    sketched-basis form forms (S U_{K+1}) H_{K+1,K}, the same matrix in
+    exact arithmetic.  S is drawn from cfg.seed unless a prebuilt
+    ``sketch`` is given; S1 from a seed derived from cfg.seed.
 
     A dense sketch is streamed through memory once per application, so
-    the form sketches the new columns of a whole block of up to
-    ``_BLOCK`` builder steps with one GEMM per sketch: the unreduced
-    products, copied into a buffer as the builder makes them, or the new
-    columns of U and V, read in place from their stores.  Each sketched
-    column is charged to the counters at the step that consumes it.
-
-    Each new column of the system, stacked over lam S1 v_k when damped,
-    also extends an updated thin QR (``qr``), so the driver solves a k-by-k
-    triangle instead of refactoring the tall system every step.  The
-    column stores stay: the driver reads the full system for the residual
-    norm, and solves it whole once the triangle turns out rank deficient.
+    each sketch is applied to many columns at once.  The products form
+    copies each unreduced product into an n-by-``_BLOCK`` buffer as the
+    builder makes it and sketches the buffer with one GEMM whenever it
+    fills, and once more for the rest after the build pass; the buffer is
+    then released.  S U_{K+1} and the penalty's S1 V are one GEMM each
+    over their stores, after the build pass.  ``sketches`` charges each
+    column to the step that produced it.
     """
 
     sketched = True
@@ -467,7 +441,7 @@ class _Sketched:
     def __init__(self, sketch, basis):
         self.S, self.basis = sketch, basis
 
-    def start(self, A, cfg, state, capacity):
+    def start(self, A, cfg, state, steps):
         if self.S is not None and self.S.in_rows != A.rows:
             raise ValueError(
                 f"sketch expects vectors of length {self.S.in_rows}, "
@@ -483,69 +457,57 @@ class _Sketched:
             self.S = make_gaussian_sketch(ell, A.rows, cfg.seed)
         self.counters = A.counters
         self.lam = cfg.lam
-        self.block = _BLOCK
         self.sr0 = sketch_apply(self.S, state.r0, self.counters)
-        # the system's columns, the sketched data basis S u_j of the basis
-        # form, and the penalty's S1 v_j, one store each; the products form
-        # buffers the block's unreduced products A v_k
-        self.cols = ColumnStore(ell, capacity)
-        if self.basis:
-            self.sketched_basis = ColumnStore.from_column(
-                sketch_apply(self.S, state.U_cols[0], self.counters), capacity
-            )
-        else:
-            self.products = np.empty((A.rows, min(self.block, capacity - 1)), order="F")
-            self.buffered = 0
+        if not self.basis:
+            self.M = np.empty((ell, steps), order="F")
+            self.products = np.empty((A.rows, min(_BLOCK, steps)), order="F")
+            self.flushed = 0
         self.S1 = None
-        rhs = self.sr0
         if cfg.lam > 0.0:
             self.S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
-            self.penalty_cols = ColumnStore.from_column(
-                sketch_apply(self.S1, state.V_cols[0], self.counters), capacity
-            )
-            rhs = np.concatenate([rhs, np.zeros(ell)])
-        # basis lengths at the last step consumed
-        self.lengths = len(state.U_cols), len(state.V_cols)
-        self.qr = _UpdatedQR(rhs, capacity)
 
     def collect(self, state):
         if not self.basis:
-            self.products[:, self.buffered] = state.last_product
-            self.buffered += 1
+            k = len(state.h_cols)
+            self.products[:, k - 1 - self.flushed] = state.last_product
+            if k - self.flushed == self.products.shape[1]:
+                self._flush(k)
 
-    def sketch_block(self, state):
-        # one GEMM per sketch over the columns the block produced; the
-        # counters are charged column by column in system()
-        if self.basis:
-            _sketch_new_columns(self.S, state.U_cols, self.sketched_basis)
-        else:
-            for col in sketch_apply(self.S, self.products[:, : self.buffered]).T:
-                self.cols.append(col)
-            self.buffered = 0
-        if self.S1 is not None:
-            _sketch_new_columns(self.S1, state.V_cols, self.penalty_cols)
+    def _flush(self, k):
+        # one GEMM over the products buffered since the last flush
+        if k > self.flushed:
+            block = self.products[:, : k - self.flushed]
+            self.M[:, self.flushed : k] = sketch_apply(self.S, block, self.counters)
+            self.flushed = k
 
-    def system(self, state, k, done):
-        # charge each sketched column at the step that made it: one
-        # product, or the columns the step added to U (and to V if damped)
-        new_u, new_v = done.u_len - self.lengths[0], done.v_len - self.lengths[1]
-        self.lengths = done.u_len, done.v_len
+    def stacked(self, state):
+        # [M | S r0], over [lam S1 V_K | 0] when damped
+        K = len(state.h_cols)
         if self.basis:
-            self.counters.sketch_apply_count += new_u
-            SU = self.sketched_basis.matrix(done.u_len)
-            # at a breakdown U_{k+1} lacks its last column, and h_k ends in 0
-            self.cols.append(SU @ state.h_cols[k - 1][: done.u_len])
+            U = state.U_cols.matrix()
+            # at a breakdown U lacks its last column, and H's last row is 0
+            SU = sketch_apply(self.S, U, self.counters)
+            self.M = SU @ state.H_matrix(rows=U.shape[1])
         else:
-            self.counters.sketch_apply_count += 1
-        col = self.cols[k - 1]
-        N = None
-        if self.S1 is not None:
-            self.counters.sketch_apply_count += new_v
-            N = self.penalty_cols.matrix(k)
-        if self.qr is not None:
-            stacked = col if N is None else np.concatenate([col, self.lam * N[:, -1]])
-            self.qr.append(stacked)
-        return self.cols.matrix(k), self.sr0, N
+            self._flush(K)
+            self.products = None
+            self.M = self.M[:, :K]
+        system = np.column_stack([self.M, self.sr0])
+        if self.S1 is None:
+            return system
+        self.N = sketch_apply(self.S1, state.V_cols.matrix(), self.counters)
+        penalty = np.column_stack([self.lam * self.N[:, :K], np.zeros(self.sr0.size)])
+        return np.vstack([system, penalty])
+
+    def system(self, k):
+        N = None if self.S1 is None else self.N[:, :k]
+        return self.M[:, :k], self.sr0, N
+
+    def sketches(self, k, done):
+        # S r0, then per step its product or the columns it added to U,
+        # and the columns it added to V when damped
+        count = 1 + (done.u_len if self.basis else k)
+        return count if self.S1 is None else count + done.v_len
 
     def distortion(self, U):
         """Measured distortion of S on span(r0, A V_k) (diagnostics only).
@@ -555,14 +517,6 @@ class _Sketched:
         construction (unit lower triangular under its pivots).
         """
         return measured_epsilon(self.S, U)
-
-
-def _sketch_new_columns(S, basis, sketched):
-    # sketch the basis columns that have no sketched counterpart yet
-    new = basis.matrix()[:, len(sketched) :]
-    if new.shape[1]:
-        for col in sketch_apply(S, new).T:
-            sketched.append(col)
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +663,8 @@ def scmrh(A, b, cfg=None, x_true=None, *, sketch_basis=False, sketch=None):
     """Sketched projected minimal residual on the Hessenberg basis.
 
     Draws one Gaussian embedding S from cfg.seed and solves
-    min ||S(A L_k y - r0)|| per iteration, appending the column
-    S (A l_k) of each step (sketched a block of steps at a time).  With
+    min ||S(A L_k y - r0)|| per iteration, whose column k is S (A l_k)
+    (the products are sketched a block at a time).  With
     ``sketch_basis`` the sketched system is instead assembled as
     (S L_{k+1}) H_{k+1,k}, which is the same matrix in exact arithmetic.
     A prebuilt ``sketch`` overrides the seeded draw.  A positive cfg.lam

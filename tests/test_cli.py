@@ -202,6 +202,8 @@ def test_sampled_pivot_requires_sample_size(tmp_path, capsys):
         ("solver.s.seed = -5\n", None, ["solver.s:", "seed must", "-5"]),
         ("solver.s.pivot_seed = -1\n", None, ["solver.s:", "pivot seed", "-1"]),
         ("", "-1", ["HESSKETCH_SEED", "solver.s:", "seed must", "-1"]),
+        ("solver.s.lambda = nan\n", None, ["solver.s:", "lam must be finite"]),
+        ("solver.s.lambda = inf\n", None, ["solver.s:", "lam must be finite"]),
     ],
 )
 def test_invalid_solver_value_exits_two_before_any_output(

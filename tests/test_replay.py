@@ -46,3 +46,42 @@ def test_a_difference_beyond_the_gate_is_printed_as_a_miss(tmp_path):
     assert "MISS" in lines["files"] and "termination only in OLD" in lines["files"]
     assert "byte-identical" in lines["eps_embed"]
     assert "byte-identical" in lines["matvecs"]
+
+
+def write_trace_case(root, case, res_norms, b_norm):
+    # one library case: a trace with a residual column, and its ||b||
+    path = root / "lib" / case
+    path.mkdir(parents=True)
+    rows = "".join(f"{k},{r!r},{r!r}\n" for k, r in enumerate(res_norms, start=1))
+    (path / "trace.csv").write_text("iter,res_norm,proj_obj\n" + rows)
+    (path / "b_norm").write_text(f"{b_norm!r}\n")
+
+
+def test_rounding_noise_around_an_exact_zero_is_compared_to_b(tmp_path):
+    replay = load_tool()
+    b_norm = 5.2
+    noise = 1e-15 * b_norm
+    write_trace_case(tmp_path / "old", "identity-cmrh", [0.0, noise], b_norm)
+    write_trace_case(tmp_path / "new", "identity-cmrh", [noise, 0.3 * noise], b_norm)
+    out = io.StringIO()
+    groups = replay.compare(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert replay.report(groups, out) == 0, out.getvalue()
+    fields = groups["library, rank-deficient problems"]
+    assert fields["res_norm"].worst == fields["proj_obj"].worst == 1e-15
+
+
+def test_a_residual_above_rounding_level_keeps_its_own_scale(tmp_path):
+    replay = load_tool()
+    b_norm = 5.2
+    old = [1e-6 * b_norm, 1e-7 * b_norm]
+    write_trace_case(tmp_path / "old", "random-cmrh", old, b_norm)
+    new = [old[0] * (1 + 1e-12), old[1]]
+    write_trace_case(tmp_path / "new", "random-cmrh", new, b_norm)
+    out = io.StringIO()
+    groups = replay.compare(str(tmp_path / "old"), str(tmp_path / "new"))
+    replay.report(groups, out)
+    lines = {line.split()[0]: line for line in out.getvalue().splitlines()[1:]}
+    assert "MISS 1 of 1 differ" in lines["res_norm"]
+    for name in ("res_norm", "proj_obj"):
+        worst = groups["library, full-rank problems"][name].worst
+        assert abs(worst - 1e-12) < 1e-14, (name, worst)

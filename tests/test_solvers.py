@@ -1,4 +1,6 @@
 import io
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +74,21 @@ def test_negative_seeds_rejected_naming_the_seed():
         SolverConfig(seed=-1)
     with pytest.raises(ValueError, match="pivot seed must be nonnegative, got -2"):
         PivotStrategy.sampled(3, seed=-2)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("maxiter", 5.0, "maxiter must be an integer, got 5.0"),
+        ("maxiter", True, "maxiter must be an integer, got True"),
+        ("sketch_rows", 60.5, "sketch_rows must be an integer, got 60.5"),
+        ("seed", "3", "seed must be an integer, got '3'"),
+    ],
+)
+def test_bad_config_value_rejected_naming_the_field(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SolverConfig(**{field: value})
+    assert SolverConfig(maxiter=np.int64(5), seed=np.int32(2)).maxiter == 5
 
 
 def test_sketched_solver_rejects_tiny_sketch():
@@ -647,7 +664,7 @@ def test_tikhonov_diagnostics_record_block_condition():
 
 
 # ---------------------------------------------------------------------------
-# the sketched projected solve: an updated thin QR, the full system as fallback
+# the projected solve: one QR of the whole system, the full system as fallback
 
 
 def sketched_problems():
@@ -707,30 +724,72 @@ def full_sketched_system(A, b, cfg, S, result, basis):
     return M, S.entries @ b, S1.entries @ V
 
 
-@pytest.mark.parametrize("basis", [False, True], ids=["products", "basis"])
+# the sketched forms, each on scmrh and slslu, and the four solvers of the
+# quasi-minimal form
+FORMS = ["products", "basis", "gmres", "lsqr", "cmrh", "lslu"]
+
+
+def form_problems(form):
+    """(name, solver, sketch_basis, A, b, maxiter) for one form: the sketched
+    problems, each quasi-minimal solver on those of its shape, with
+    sketch_basis None."""
+    if form in ("products", "basis"):
+        basis = form == "basis"
+        return [(n, s, basis, A, b, m) for n, s, A, b, m in sketched_problems()]
+    solver = SOLVERS[form]
+    shape = scmrh if solver in (gmres, cmrh) else slslu
+    return [
+        (n, solver, None, A, b, m)
+        for n, s, A, b, m in sketched_problems()
+        if s is shape
+    ]
+
+
+def run_form(solver, basis, A, b, cfg, sketch=None):
+    if basis is None:
+        return solver(A, b, cfg)
+    return solver(A, b, cfg, sketch_basis=basis, sketch=sketch)
+
+
+def full_projected_system(A, b, cfg, S, result, basis):
+    """The whole projected system (M, rhs, N) recomputed from the
+    factorization: for the quasi-minimal forms H, beta e1 and I."""
+    if basis is not None:
+        return full_sketched_system(A, b, cfg, S, result, basis)
+    state = result.factorization
+    H = state.H_matrix()
+    rhs = np.zeros(H.shape[0])
+    rhs[0] = state.beta
+    return H, rhs, np.eye(H.shape[1])
+
+
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_updated_qr_solve_matches_from_scratch_solve(monkeypatch, lam, basis):
-    for name, solver, A, b, maxiter in sketched_problems():
+def test_triangle_solve_matches_from_scratch_solve(monkeypatch, lam, form):
+    for name, solver, basis, A, b, maxiter in form_problems(form):
         cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=4)
         S = make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
         calls = record_qr_solves(monkeypatch)
-        result = solver(A, b, cfg, sketch_basis=basis, sketch=S)
+        result = run_form(solver, basis, A, b, cfg, S)
         monkeypatch.undo()
         assert len(calls) == len(result.trace.records) == maxiter
-        M, sr0, N = full_sketched_system(A, b, cfg, S, result, basis)
+        M, rhs, N = full_projected_system(A, b, cfg, S, result, basis)
         for k, (_, _, y) in enumerate(calls, start=1):
-            ref = stacked_tikhonov_ls(M[:, :k], N[:, :k], sr0, lam)
+            # the quasi-minimal system is H_{k+1,k} with beta e1: the rows
+            # of H's first k columns below k+1 are zeros
+            rows = M.shape[0] if basis is not None else k + 1
+            ref = stacked_tikhonov_ls(M[:rows, :k], N[:, :k], rhs[:rows], lam)
             gap = np.linalg.norm(y - ref) / np.linalg.norm(ref)
             assert gap <= 1e-12, (name, solver.__name__, k, gap)
 
 
-@pytest.mark.parametrize("basis", [False, True], ids=["products", "basis"])
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_each_step_solves_one_k_by_k_triangle(monkeypatch, lam, basis):
-    for name, solver, A, b, maxiter in sketched_problems():
+def test_each_step_solves_one_k_by_k_triangle(monkeypatch, lam, form):
+    for name, solver, basis, A, b, maxiter in form_problems(form):
         cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=5)
         calls = record_qr_solves(monkeypatch)
-        result = solver(A, b, cfg, sketch_basis=basis)
+        result = run_form(solver, basis, A, b, cfg)
         monkeypatch.undo()
         assert not any(result.trace.column("rank_fallback"))
         steps = range(1, maxiter + 1)
@@ -740,7 +799,7 @@ def test_each_step_solves_one_k_by_k_triangle(monkeypatch, lam, basis):
 
 
 def full_system_solve(M, rhs, lam, N):
-    # the projected solve before the updated QR: pivoted QR of the whole
+    # the fallback projected solve: pivoted QR of the whole
     # sketched system every step, truncated least squares when deficient
     try:
         if lam == 0.0:
@@ -782,7 +841,7 @@ def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, basis):
 
 
 # ---------------------------------------------------------------------------
-# blocked sketching: the builder runs ahead, each block is sketched at once
+# blocked sketching: the products form sketches a block of products at once
 
 
 def cyclic_shift_problem():
@@ -883,21 +942,30 @@ def test_blocked_driver_replays_one_step_blocks(monkeypatch, lam, basis):
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_products_form_sketches_once_per_block(monkeypatch, block):
-    # one pass over S for r0, then one per block of builder steps
+    # one pass over S for r0, then one per block of products; the basis
+    # form's S U and the penalty's S1 V take one pass each, whatever the block
     for _, solver, A, b, maxiter in sketched_problems():
-        calls = []
-        plain = solvers.sketch_apply
+        for basis, lam in itertools.product((False, True), (0.0, 0.5)):
+            calls = []
+            plain = solvers.sketch_apply
 
-        def counting(S, v, counters=None):
-            calls.append(np.shape(v))
-            return plain(S, v, counters)
+            def counting(S, v, counters=None):
+                calls.append(S)
+                return plain(S, v, counters)
 
-        monkeypatch.setattr(solvers, "_BLOCK", block)
-        monkeypatch.setattr(solvers, "sketch_apply", counting)
-        result = solver(A, b, SolverConfig(maxiter=maxiter, seed=8))
-        monkeypatch.undo()
-        assert len(calls) == 1 + -(-maxiter // block)
-        assert result.trace.final().sketches == 1 + maxiter
+            monkeypatch.setattr(solvers, "_BLOCK", block)
+            monkeypatch.setattr(solvers, "sketch_apply", counting)
+            cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=8)
+            result = solver(A, b, cfg, sketch_basis=basis)
+            monkeypatch.undo()
+            passes = 1 if basis else -(-maxiter // block)
+            on_S = sum(S is calls[0] for S in calls)
+            assert on_S == 1 + passes, (solver.__name__, basis, lam)
+            assert len(calls) == 1 + passes + (lam > 0.0)
+            # r0 and one column per step, and the extra column of U (of V)
+            # that the basis form (the penalty) sketches
+            sketches = 1 + maxiter + basis + (lam > 0.0) * (maxiter + 1)
+            assert result.trace.final().sketches == sketches
 
 
 # ---------------------------------------------------------------------------

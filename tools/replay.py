@@ -15,7 +15,7 @@ under ``--work`` (a temporary directory unless given).
   scmrh/slslu; trivial starts (b = 0 and an exact x0) come on top.  Each
   solve writes its trace CSV, x, its termination, the ``rank_fallback``
   flag of every trace record (one 0/1 line each; the CSV does not carry
-  it) and the ``dump_factorization`` files.
+  it), ||b|| and the ``dump_factorization`` files.
 * The CLI grid runs ``hessketch solve``, ``compare`` and ``sweep`` (over
   each of its four parameters) on deblurring and tomography configs at two
   sizes, with diagnostics off and on, plus ``HESSKETCH_SEED``,
@@ -25,7 +25,10 @@ under ``--work`` (a temporary directory unless given).
 For each field (a trace column, x, termination, a factorization file, or a
 kind of CLI output) the report gives "byte-identical", or the worst
 relative difference and the case that shows it, separately for full-rank
-problems, rank-deficient problems and the CLI.  ``TOLERANCES`` holds the
+problems, rank-deficient problems and the CLI.  A trace column is compared
+relative to its own largest value, except a residual column whose old values
+are all at rounding level (at most ``ROUNDING`` * ||b||): an exact zero
+measured as rounding noise is compared relative to ||b||.  ``TOLERANCES`` holds the
 gates.  A field that misses its gate is printed as MISS, never skipped,
 and then the exit status is 1.  Timings are volatile and never compared:
 ``wall_ms`` rows of ``compare.csv`` are dropped on both sides.  No golden
@@ -72,6 +75,10 @@ TOLERANCES = {
 # every other library field; every CLI output is gated byte-identical
 DEFAULT_TOLERANCE = 1e-12
 DEFICIENT_PROBLEMS = ("rank3", "rank3rect", "identity")
+# residual columns, and the level, relative to ||b||, up to which their
+# values are rounding noise around an exact zero
+RESIDUAL_COLUMNS = ("res_norm", "sres_norm", "proj_obj")
+ROUNDING = 1e3 * np.finfo(float).eps
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # ---------------------------------------------------------------------------
@@ -184,6 +191,7 @@ def _run_library(grid):
         trace_to_csv(result.trace, os.path.join(out, "trace.csv"))
         flags = "".join(f"{int(r.rank_fallback)}\n" for r in result.trace.records)
         _write(os.path.join(out, "rank_fallback"), flags)
+        _write(os.path.join(out, "b_norm"), f"{float(np.linalg.norm(b))!r}\n")
         np.save(os.path.join(out, "x.npy"), result.x)
         _write(os.path.join(out, "termination"), result.termination + "\n")
         if result.factorization is not None:
@@ -352,7 +360,8 @@ class Field:
         )
 
 
-def _rel(a, b):
+def _rel(a, b, scale=None):
+    # relative to ``scale``, by default the largest finite magnitude of a
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -360,7 +369,8 @@ def _rel(a, b):
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     if same.all():
         return 0.0
-    scale = np.max(np.abs(a[np.isfinite(a)]), initial=0.0)
+    if scale is None:
+        scale = np.max(np.abs(a[np.isfinite(a)]), initial=0.0)
     err = np.max(np.abs(a - b)[~same])
     return float(err / scale) if scale > 0 else np.inf
 
@@ -389,12 +399,18 @@ def _csv_columns(text):
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
-def _column_diff(a, b):
+def _column_diff(a, b, b_norm=0.0):
     # relative to the column's largest magnitude, so values at rounding
-    # level (a converged rel_err, say) are not compared on their own scale
+    # level (a converged rel_err, say) are not compared on their own scale;
+    # given ||b||, a residual column whose old values are all rounding
+    # noise around an exact zero is compared relative to ||b|| instead
     if len(a) != len(b) or any((x == "") != (y == "") for x, y in zip(a, b)):
         return np.inf
-    return _rel([float(x) for x in a if x], [float(y) for y in b if y])
+    a = [float(x) for x in a if x]
+    b = [float(y) for y in b if y]
+    if b_norm > 0.0 and np.max(np.abs(a), initial=0.0) <= ROUNDING * b_norm:
+        return _rel(a, b, b_norm)
+    return _rel(a, b)
 
 
 def _cli_kind(name):
@@ -413,6 +429,12 @@ def _drop_wall_ms(data):
     lines = data.decode().split("\n")
     kept = [line for line in lines if line.split(",")[2:3] != ["wall_ms"]]
     return "\n".join(kept).encode()
+
+
+def _b_norm(case_dir):
+    # ||b|| as the worker recorded it; 0.0 (no floor) where it is missing
+    path = os.path.join(case_dir, "b_norm")
+    return float(_read(path)) if os.path.exists(path) else 0.0
 
 
 def _files(root):
@@ -463,10 +485,14 @@ def compare(old_root, new_root):
             field(group, _cli_kind(name), 0.0).add(case, same, diff)
         elif name == "trace.csv":
             a, b = _csv_columns(old.decode()), _csv_columns(new.decode())
+            b_norm = _b_norm(os.path.join(old_root, os.path.dirname(rel)))
             for column in sorted(set(a) | set(b)):
                 tol = TOLERANCES.get(column, DEFAULT_TOLERANCE)
                 ca, cb = a.get(column, []), b.get(column, [])
-                field(group, column, tol).add(case, ca == cb, _column_diff(ca, cb))
+                diff = _column_diff(
+                    ca, cb, b_norm if column in RESIDUAL_COLUMNS else 0.0
+                )
+                field(group, column, tol).add(case, ca == cb, diff)
         elif name == "x.npy":
             diff = _vector_diff(
                 np.load(os.path.join(old_root, rel)),
