@@ -74,6 +74,8 @@ def _checked_output(out, direction, length):
         raise ValueError(
             f"operator {direction} returned shape {out.shape}, expected ({length},)"
         )
+    if not np.isfinite(out).all():
+        raise ValueError(f"operator {direction} returned NaN or inf")
     return out
 
 

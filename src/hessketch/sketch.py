@@ -26,9 +26,13 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class SketchOperator:
-    """A realized random embedding of R^in_rows into R^out_rows."""
+    """A realized random embedding of R^in_rows into R^out_rows.
+
+    Sketches compare by identity: sketches built from explicit entries
+    share a seed, so (out_rows, in_rows, seed) does not determine one.
+    """
 
     out_rows: int
     in_rows: int

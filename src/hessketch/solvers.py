@@ -4,8 +4,9 @@ Six solvers share one interface ``solver(A, b, cfg, x_true=None)`` and one
 loop.  Each step, a basis builder extends a data-space basis U_{k+1}, a
 solution-space basis V_k and the Hessenberg matrix H with
 A V_k = U_{k+1} H_{k+1,k}; a projected-problem form turns that state into
-a small least-squares problem min ||M y - rhs||; the iterate is
-x_k = x0 + V_k y.
+a data system [C | c] and a penalty basis P, the driver stacks them into
+Z = [C c; lam P 0], and step k solves min ||Z_k y - z|| on the first k
+columns Z_k of Z and its last column z; the iterate is x_k = x0 + V_k y.
 
 =========  ======================  ========================================
 solver     basis builder           projected problem
@@ -55,7 +56,9 @@ from .linops import (
     RankDeficiencyError,
     dense_qr_ls,
     spectral_condition_number,
-    stacked_tikhonov_ls,
+    # unused since the driver stacks the damping rows itself; kept because
+    # the benchmark harness patches this name on this module
+    stacked_tikhonov_ls,  # noqa: F401
     tracked_dot,
     tracked_norm,
 )
@@ -210,41 +213,28 @@ def trace_to_csv(trace, target, include_timing=False):
             fh.write(content)
 
 
-def _projected_solve(form, M, rhs, lam, N=None):
-    """Least-squares solve of the projected problem with a truncated-rank
-    fallback; returns (y, fallback_used).
+def _projected_solve(R, Z, k):
+    """Least-squares solve of step k's projected problem min ||Z_k y - z||,
+    Z_k the first k columns of the stacked system Z and z its last column,
+    with a truncated-rank fallback; returns (y, fallback_used, R).
 
-    While the form holds ``R``, the triangle of one Householder QR of its
-    whole stacked system [C | c], step k solves the leading k-by-k
-    triangle against the first k entries of R's last column: the same
-    pivoted rank test, on a matrix with the singular values of the k-column
-    system.  The first rank deficiency there drops R: appending columns
-    never raises the rank, so this step and every later one solve the full
-    system, first by pivoted QR and then by truncated least squares.
+    While R, the triangle of one Householder QR of Z, is given, step k
+    solves its leading k-by-k triangle against the first k entries of its
+    last column: the same pivoted rank test, on a matrix with the
+    singular values of Z_k.  The first rank deficiency there drops R:
+    appending columns never raises the rank, so this step and every later
+    one solve Z_k itself, by pivoted QR, then by truncated least squares.
     """
-    if form.R is not None:
-        k = M.shape[1]
+    if R is not None:
         try:
-            return dense_qr_ls(form.R[:k, :k], form.R[:k, -1]), False
+            return dense_qr_ls(R[:k, :k], R[:k, -1]), False, R
         except RankDeficiencyError:
-            form.R = None
+            pass
+    Zk, z = Z[:, :k], Z[:, -1]
     try:
-        if lam == 0.0:
-            return dense_qr_ls(M, rhs), False
-        return stacked_tikhonov_ls(M, N, rhs, lam), False
+        return dense_qr_ls(Zk, z), False, None
     except RankDeficiencyError:
-        if lam > 0.0:
-            M = np.vstack([M, lam * N])
-            rhs = np.concatenate([rhs, np.zeros(N.shape[0])])
-        return np.linalg.lstsq(M, rhs, rcond=None)[0], True
-
-
-def _objective(res_norm, y, lam, N=None):
-    # the projected objective from the norm of its residual M y - rhs
-    val = res_norm**2
-    if lam > 0.0:
-        val += lam**2 * np.linalg.norm(N @ y) ** 2
-    return float(np.sqrt(val))
+        return np.linalg.lstsq(Zk, z, rcond=None)[0], True, None
 
 
 def _finite_vector(name, v, length):
@@ -265,10 +255,7 @@ def _observe(rec, A, b, x, cfg, x_true, counts):
     # solve included; the exact residual is a diagnostic, so it applies the
     # raw forward map and no counter moves
     if x_true is not None:
-        denom = np.linalg.norm(x_true)
-        if denom == 0.0:
-            raise ValueError("x_true must be nonzero for relative errors")
-        rec.rel_err = float(np.linalg.norm(x - x_true) / denom)
+        rec.rel_err = float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true))
     if cfg.compute_diagnostics:
         r = b - np.asarray(A.forward(x), dtype=float)
         rec.res_norm = float(np.linalg.norm(r))
@@ -283,25 +270,32 @@ def _krylov(A, b, cfg, x_true, init, step, form):
     :class:`KrylovFactorization` whose bases have room for every column
     the solve can produce, or raises TrivialSolution; ``step(state, A)``
     extends it by one column.
-    This is the only iteration loop and the only place that reads ``b``
-    and ``cfg.x0``: it owns input checks, r0, trivial returns, the damped
-    projected solve with its rank fallback, and the trace records.
+    This is the only iteration loop and the only place that reads ``b``,
+    ``cfg.x0``, ``x_true`` and ``cfg.lam``: it owns input checks, r0,
+    trivial returns, the damped projected solve with its rank fallback,
+    and the trace records.
 
     The builder never reads the projected problem, so a solve is two
     passes.  The build pass takes every step first, stopping at
     ``maxiter``, the dimension or a breakdown; ``form.collect`` sees each
     step, and the driver keeps each step's counter snapshot, basis
-    lengths and seconds.  The form then returns its whole stacked system
-    [C | c], which is factored once by Householder QR, and the solve pass
-    solves and records every k in order off that one R.  Each record
-    carries its own step's operator and dot counts, and ``form.sketches``
-    charges each sketched column to the step that produced it, so every
-    record reads as if the steps had run one at a time.
+    lengths and seconds.  The form then returns its data system [C | c]
+    and penalty basis P, the driver stacks Z = [C c; lam P 0] and factors
+    it once by Householder QR, and the solve pass solves and records
+    every k in order off that one R: ``proj_obj`` is ||Z_k y - z||, and
+    ``sres_norm`` the norm of its rows of C.  Each record carries its own
+    step's operator and dot counts, and ``form.sketches`` charges each
+    sketched column to the step that produced it, so every record reads
+    as if the steps had run one at a time.
     """
     cfg = cfg or SolverConfig()
     A = A.with_fresh_counters()
     b = _finite_vector("b", b, A.rows)
     x0 = None if cfg.x0 is None else _finite_vector("x0", cfg.x0, A.cols)
+    if x_true is not None:
+        x_true = _finite_vector("x_true", x_true, A.cols)
+        if np.linalg.norm(x_true) == 0.0:
+            raise ValueError("x_true must be nonzero for relative errors")
     r0 = b.copy() if x0 is None else b - A.apply(x0)
     # a Krylov space has at most A.cols dimensions: the Hessenberg builders
     # break down by then, and the references stop here
@@ -322,35 +316,39 @@ def _krylov(A, b, cfg, x_true, init, step, form):
         lengths = len(state.U_cols), len(state.V_cols)
         built.append(_Step(A.counters.snapshot(), *lengths, time.perf_counter() - tic))
     tic = time.perf_counter()
-    form.R = np.linalg.qr(form.stacked(state), mode="r")
+    damped = cfg.lam > 0.0
+    Z, P = form.stacked(state, damped)
+    data_rows = Z.shape[0]
+    if damped:
+        Z = np.vstack([Z, np.column_stack([cfg.lam * P, np.zeros(P.shape[0])])])
+    R = np.linalg.qr(Z, mode="r")
     # the first solve waits on the whole system and its QR
     built[0].seconds += time.perf_counter() - tic
     trace = SolverTrace()
     for k, done in enumerate(built, start=1):
         tic = time.perf_counter()
-        M, rhs, N = form.system(k)
-        y, fallback = _projected_solve(form, M, rhs, cfg.lam, N)
+        y, fallback, R = _projected_solve(R, Z, k)
         # one GEMV on a view of the solution basis
         Vk = state.V_cols.matrix(k)
         x = Vk @ y
         if x0 is not None:
             x = x0 + x
-        res_norm = np.linalg.norm(M @ y - rhs)
-        rec = TraceRecord(
-            iteration=k,
-            proj_obj=_objective(res_norm, y, cfg.lam, N),
-            rank_fallback=fallback,
-        )
+        residual = Z[:, :k] @ y - Z[:, -1]
+        rec = TraceRecord(iteration=k, proj_obj=float(np.linalg.norm(residual)))
+        rec.rank_fallback = fallback
         if form.sketched:
-            rec.sres_norm = float(res_norm)
+            rec.sres_norm = float(np.linalg.norm(residual[:data_rows]))
         if cfg.compute_diagnostics:
             U = state.U_cols.matrix(done.u_len)
             rec.kappa_basis = spectral_condition_number(U)
-            if cfg.lam > 0.0 and not state.orthonormal:
+            if damped and not state.orthonormal:
                 block = scipy.linalg.block_diag(U, Vk)
                 rec.kappa_dbar = spectral_condition_number(block)
             if form.sketched:
-                rec.eps_embed = form.distortion(U)
+                # the distortion of S on span(r0, A V_k): in exact
+                # arithmetic U_{k+1} spans exactly that space, at a
+                # breakdown too, with full column rank by construction
+                rec.eps_embed = measured_epsilon(form.S, U)
         counts = (*done.counts[:3], form.sketches(k, done))
         _observe(rec, A, b, x, cfg, x_true, counts)
         rec.wall_ms = (done.seconds + time.perf_counter() - tic) * 1e3
@@ -371,8 +369,8 @@ class _Step:
 
 
 # ---------------------------------------------------------------------------
-# projected-problem forms: start, collect each step, return the stacked
-# system [C | c] once, then hand the driver step k's (M, rhs, N)
+# projected-problem forms: start, collect each step, then return the data
+# system [C | c] and the penalty basis P once, for the driver to stack
 
 
 class _QuasiMinimal:
@@ -381,33 +379,25 @@ class _QuasiMinimal:
     Minimizes the residual's coordinates in the data basis; the true
     residual then sits within a factor kappa(U_{k+1}) of the best one in
     the same subspace (exactly the best one for an orthonormal basis).
-    H is formed once, after the build pass; step k reads its leading
-    (k+1)-by-k block.
+    H is formed once, after the build pass; its first k columns are zero
+    below row k+1, so step k's system is H_{k+1,k}.  The penalty basis
+    is the identity.
     """
 
     sketched = False
 
     def start(self, A, cfg, state, steps):
-        self.lam = cfg.lam
+        pass
 
     def collect(self, state):
         pass
 
-    def stacked(self, state):
-        # [H | beta e1], over [lam I | 0] when damped
-        self.H = state.H_matrix()
-        K = self.H.shape[1]
-        self.rhs = np.zeros(K + 1)
-        self.rhs[0] = state.beta
-        system = np.column_stack([self.H, self.rhs])
-        if self.lam == 0.0:
-            return system
-        self.eye = np.eye(K)
-        return np.vstack([system, np.column_stack([self.lam * self.eye, np.zeros(K)])])
-
-    def system(self, k):
-        N = self.eye[:k, :k] if self.lam > 0.0 else None
-        return self.H[: k + 1, :k], self.rhs[: k + 1], N
+    def stacked(self, state, penalty):
+        # [H | beta e1], and I_K when the driver damps
+        H = state.H_matrix()
+        rhs = np.zeros(H.shape[0])
+        rhs[0] = state.beta
+        return np.column_stack([H, rhs]), np.eye(H.shape[1]) if penalty else None
 
     def sketches(self, k, done):
         return 0
@@ -424,7 +414,8 @@ class _Sketched:
     The sketched-products form stacks S (A v_k) for each product; the
     sketched-basis form forms (S U_{K+1}) H_{K+1,K}, the same matrix in
     exact arithmetic.  S is drawn from cfg.seed unless a prebuilt
-    ``sketch`` is given; S1 from a seed derived from cfg.seed.
+    ``sketch`` is given; the penalty basis S1 V_K, only when the driver
+    damps, with S1 drawn from a seed derived from cfg.seed.
 
     A dense sketch is streamed through memory once per application, so
     each sketch is applied to many columns at once.  The products form
@@ -456,15 +447,12 @@ class _Sketched:
         if self.S is None:
             self.S = make_gaussian_sketch(ell, A.rows, cfg.seed)
         self.counters = A.counters
-        self.lam = cfg.lam
         self.sr0 = sketch_apply(self.S, state.r0, self.counters)
         if not self.basis:
             self.M = np.empty((ell, steps), order="F")
             self.products = np.empty((A.rows, min(_BLOCK, steps)), order="F")
             self.flushed = 0
-        self.S1 = None
-        if cfg.lam > 0.0:
-            self.S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
+        self.S1, self.S1_seed = None, derive_seed(cfg.seed, 1)
 
     def collect(self, state):
         if not self.basis:
@@ -480,43 +468,30 @@ class _Sketched:
             self.M[:, self.flushed : k] = sketch_apply(self.S, block, self.counters)
             self.flushed = k
 
-    def stacked(self, state):
-        # [M | S r0], over [lam S1 V_K | 0] when damped
+    def stacked(self, state, penalty):
+        # [M | S r0], and S1 V_K when the driver damps
         K = len(state.h_cols)
         if self.basis:
             U = state.U_cols.matrix()
             # at a breakdown U lacks its last column, and H's last row is 0
             SU = sketch_apply(self.S, U, self.counters)
-            self.M = SU @ state.H_matrix(rows=U.shape[1])
+            M = SU @ state.H_matrix(rows=U.shape[1])
         else:
             self._flush(K)
             self.products = None
-            self.M = self.M[:, :K]
-        system = np.column_stack([self.M, self.sr0])
-        if self.S1 is None:
-            return system
-        self.N = sketch_apply(self.S1, state.V_cols.matrix(), self.counters)
-        penalty = np.column_stack([self.lam * self.N[:, :K], np.zeros(self.sr0.size)])
-        return np.vstack([system, penalty])
-
-    def system(self, k):
-        N = None if self.S1 is None else self.N[:, :k]
-        return self.M[:, :k], self.sr0, N
+            M = self.M[:, :K]
+        system = np.column_stack([M, self.sr0])
+        if not penalty:
+            return system, None
+        V = state.V_cols.matrix()
+        self.S1 = make_gaussian_sketch(self.S.out_rows, V.shape[0], self.S1_seed)
+        return system, sketch_apply(self.S1, V, self.counters)[:, :K]
 
     def sketches(self, k, done):
         # S r0, then per step its product or the columns it added to U,
         # and the columns it added to V when damped
         count = 1 + (done.u_len if self.basis else k)
         return count if self.S1 is None else count + done.v_len
-
-    def distortion(self, U):
-        """Measured distortion of S on span(r0, A V_k) (diagnostics only).
-
-        In exact arithmetic the data basis U_{k+1} spans exactly that
-        space, at a breakdown too, and it has full column rank by
-        construction (unit lower triangular under its pivots).
-        """
-        return measured_epsilon(self.S, U)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,13 @@ def test_sketch_isometry_in_expectation():
     assert abs(np.mean(vals) - target) / target < 0.05
 
 
+def test_sketches_compare_by_identity():
+    # explicit entries share a seed, so the seed triple cannot decide ==
+    S, T = make_gaussian_sketch(3, 4, 0), make_gaussian_sketch(3, 4, 0)
+    assert S == S and S != T
+    assert S in [T, S] and [T, T].count(S) == 0
+
+
 def test_sketch_apply_counts_and_validates():
     S = make_gaussian_sketch(5, 12, seed=1)
     c = OpCounters()

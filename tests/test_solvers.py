@@ -134,6 +134,49 @@ def test_misshapen_operator_output_rejected(name):
         SOLVERS[name](A, b, SolverConfig(maxiter=3))
 
 
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_nonfinite_forward_output_rejected(name):
+    M, _, b = make_square(45, 6)
+    A = LinearOperator(6, 6, lambda x: np.full(6, np.nan), lambda y: M.T @ y)
+    with pytest.raises(ValueError, match="operator forward returned NaN or inf"):
+        SOLVERS[name](A, b, SolverConfig(maxiter=3))
+
+
+@pytest.mark.parametrize("name", ["lsqr", "lslu", "slslu"])
+def test_nonfinite_transpose_output_rejected(name):
+    M, _, b = make_square(46, 6)
+    A = LinearOperator(6, 6, lambda x: M @ x, lambda y: np.full(6, np.inf))
+    with pytest.raises(ValueError, match="operator transpose returned NaN or inf"):
+        SOLVERS[name](A, b, SolverConfig(maxiter=3))
+
+
+@pytest.mark.parametrize(
+    "x_true, message",
+    [
+        (np.ones(1), "x_true must have length 20"),
+        (np.ones(3), "x_true must have length 20"),
+        (np.full(20, np.nan), "x_true must be finite"),
+        (np.zeros(20), "x_true must be nonzero"),
+    ],
+    ids=["length-1", "length-3", "nan", "zero"],
+)
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_bad_x_true_rejected_before_any_apply(name, x_true, message):
+    # with a start vector, r0 alone would take a forward apply
+    M, _, b = make_square(47, 20)
+    applies = []
+
+    def forward(x):
+        applies.append(x)
+        return M @ x
+
+    A = LinearOperator(20, 20, forward, lambda y: M.T @ y)
+    cfg = SolverConfig(maxiter=3, x0=np.zeros(20))
+    with pytest.raises(ValueError, match=message):
+        SOLVERS[name](A, b, cfg, x_true=x_true)
+    assert applies == []
+
+
 # ---------------------------------------------------------------------------
 # invariants shared by all six solvers
 
@@ -693,8 +736,7 @@ def rank3_problems():
 
 
 def record_qr_solves(monkeypatch):
-    """Every (M, rhs, y) that solvers.dense_qr_ls sees; the stacked Tikhonov
-    solve is refused, so a damped full-system solve would show."""
+    """Every (M, rhs, y) that solvers.dense_qr_ls sees."""
     calls = []
     plain = solvers.dense_qr_ls
 
@@ -703,11 +745,7 @@ def record_qr_solves(monkeypatch):
         calls.append((np.array(M), np.array(rhs), y))
         return y
 
-    def refused(*args):
-        raise AssertionError("stacked_tikhonov_ls called on a full-rank solve")
-
     monkeypatch.setattr(solvers, "dense_qr_ls", recording)
-    monkeypatch.setattr(solvers, "stacked_tikhonov_ls", refused)
     return calls
 
 
@@ -798,6 +836,37 @@ def test_each_step_solves_one_k_by_k_triangle(monkeypatch, lam, form):
         assert [rhs.shape for _, rhs, _ in calls] == [(k,) for k in steps]
 
 
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_recorded_objectives_measure_the_projected_system(monkeypatch, lam, form):
+    # proj_obj is the whole damped objective and sres_norm its data term,
+    # on the system recomputed from the factorization
+    for name, solver, basis, A, b, maxiter in form_problems(form):
+        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=9)
+        S = make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
+        ys = []
+        solve = solvers._projected_solve
+
+        def recording(R, Z, k):
+            y, fallback, R = solve(R, Z, k)
+            ys.append(y)
+            return y, fallback, R
+
+        monkeypatch.setattr(solvers, "_projected_solve", recording)
+        result = run_form(solver, basis, A, b, cfg, S)
+        monkeypatch.undo()
+        M, rhs, N = full_projected_system(A, b, cfg, S, result, basis)
+        for k, (y, rec) in enumerate(zip(ys, result.trace.records), start=1):
+            data = np.linalg.norm(M[:, :k] @ y - rhs)
+            objective = np.hypot(data, lam * np.linalg.norm(N[:, :k] @ y))
+            case = (name, solver.__name__, k)
+            assert rec.proj_obj == pytest.approx(objective, rel=1e-10), case
+            if basis is None:
+                assert rec.sres_norm is None, case
+            else:
+                assert rec.sres_norm == pytest.approx(data, rel=1e-10), case
+
+
 def full_system_solve(M, rhs, lam, N):
     # the fallback projected solve: pivoted QR of the whole
     # sketched system every step, truncated least squares when deficient
@@ -816,16 +885,24 @@ def full_system_solve(M, rhs, lam, N):
 def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, basis):
     # undamped: the penalty rows give a damped system full rank
     for solver, A, b, maxiter in rank3_problems():
-        steps = []
-        solve = solvers._projected_solve
+        steps, attempts = [], []
+        solve, plain = solvers._projected_solve, solvers.dense_qr_ls
+        cfg = SolverConfig(maxiter=maxiter, seed=6)
 
-        def recording(form, M, rhs, lam, N=None):
-            y, fallback = solve(form, M, rhs, lam, N)
-            steps.append((y, fallback, *full_system_solve(M, rhs, lam, N)))
-            return y, fallback
+        def attempting(M, rhs):
+            attempts.append(M.shape)
+            return plain(M, rhs)
+
+        def recording(R, Z, k):
+            y, fallback, R = solve(R, Z, k)
+            # undamped, Z is the data system [M | rhs] alone
+            assert Z.shape[0] == cfg.effective_sketch_rows()
+            M, rhs = Z[:, :k], Z[:, -1]
+            steps.append((y, fallback, *full_system_solve(M, rhs, 0.0, None)))
+            return y, fallback, R
 
         monkeypatch.setattr(solvers, "_projected_solve", recording)
-        cfg = SolverConfig(maxiter=maxiter, seed=6)
+        monkeypatch.setattr(solvers, "dense_qr_ls", attempting)
         result = solver(A, b, cfg, sketch_basis=basis)
         monkeypatch.undo()
         flags = [fallback for _, fallback, _, _ in steps]
@@ -833,6 +910,8 @@ def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, basis):
         assert flags == result.trace.column("rank_fallback")
         first = flags.index(True)
         assert first >= 1 and len(steps) == maxiter
+        # the first deficient triangle is the last one tried
+        assert sum(rows == cols for rows, cols in attempts) == first + 1
         for y, _, y_old, _ in steps[first:]:
             assert np.array_equal(y, y_old)
         # the last iterate is the same GEMV on the same y as before
@@ -886,14 +965,13 @@ def record_bytes(result):
     return [tuple(getattr(r, f) for f in fields) for r in result.trace.records]
 
 
-def least_squares_sensitivity(M, rhs, lam, N, y):
-    """First-order bound on ||dy|| / ||y|| when the stacked system and its
-    right-hand side move by a relative eps (Higham, Accuracy and Stability
+def least_squares_sensitivity(Z, z, y):
+    """First-order bound on ||dy|| / ||y|| when the stacked system Z and its
+    right-hand side z move by a relative eps (Higham, Accuracy and Stability
     of Numerical Algorithms, 2nd ed., Thm 20.1)."""
-    K = np.vstack([M, lam * N])
-    r = np.concatenate([rhs, np.zeros(N.shape[0])]) - K @ y
-    kappa = np.linalg.cond(K)
-    rho = np.linalg.norm(r) / (np.linalg.norm(K, 2) * np.linalg.norm(y))
+    r = z - Z @ y
+    kappa = np.linalg.cond(Z)
+    rho = np.linalg.norm(r) / (np.linalg.norm(Z, 2) * np.linalg.norm(y))
     return np.finfo(float).eps * kappa * (2.0 + (kappa + 1.0) * rho)
 
 
@@ -903,10 +981,10 @@ def test_blocked_driver_replays_one_step_blocks(monkeypatch, lam, basis):
     solve = solvers._projected_solve
     last = []
 
-    def recording(form, M, rhs, lam, N=None):
-        y, fallback = solve(form, M, rhs, lam, N)
-        last[:] = [np.array(M), np.array(rhs), None if N is None else np.array(N), y]
-        return y, fallback
+    def recording(R, Z, k):
+        y, fallback, R = solve(R, Z, k)
+        last[:] = [np.array(Z[:, :k]), np.array(Z[:, -1]), y]
+        return y, fallback, R
 
     monkeypatch.setattr(solvers, "_projected_solve", recording)
     for name, solver, A, b, maxiter in blocked_problems():
@@ -915,10 +993,10 @@ def test_blocked_driver_replays_one_step_blocks(monkeypatch, lam, basis):
         for block in (1, 2, 3, 7):
             monkeypatch.setattr(solvers, "_BLOCK", block)
             runs[block] = (solver(A, b, cfg, sketch_basis=basis), last[:])
-        one, (M, rhs, N, y_one) = runs.pop(1)
+        one, (Z, z, y_one) = runs.pop(1)
         if name in ("shift", "identity"):
             assert one.termination == "breakdown", name
-        for block, (res, (_, _, _, y)) in runs.items():
+        for block, (res, (_, _, y)) in runs.items():
             case = (name, solver.__name__, block)
             assert res.termination == one.termination, case
             assert record_bytes(res) == record_bytes(one), case
@@ -932,7 +1010,7 @@ def test_blocked_driver_replays_one_step_blocks(monkeypatch, lam, basis):
             # last y is gated by the least-squares perturbation bound for
             # that system (x = V y, and V is byte-identical above)
             if name.startswith("rank3") and lam > 0.0:
-                tol = least_squares_sensitivity(M, rhs, lam, N, y_one)
+                tol = least_squares_sensitivity(Z, z, y_one)
                 gap = np.linalg.norm(y - y_one)
                 assert gap <= tol * np.linalg.norm(y_one), (case, gap, tol)
             else:
