@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PivotStrategy:
     """How elimination pivots are chosen.
@@ -66,6 +70,10 @@ class PivotStrategy:
     def __post_init__(self):
         if self.kind not in ("full", "sampled"):
             raise ValueError(f"unknown pivot kind {self.kind!r}")
+        for name in ("sample_size", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"pivot {name} must be an integer, got {value!r}")
         if self.kind == "sampled" and self.sample_size < 1:
             raise ValueError("sampled pivoting needs sample_size >= 1")
         if self.seed < 0:
@@ -146,8 +154,8 @@ def _reduce(u, cols, perm, strategy, rng):
         c = u[perm[j]]
         h[j] = c
         if j == 0:
-            # the first subtraction copies: u may be the caller's
-            # last_product, which is never written
+            # the first subtraction copies: u may be an operator's
+            # output, which is never written
             u = u - c * cols[0]
         else:
             u -= c * cols[j]
@@ -245,8 +253,7 @@ class KrylovFactorization:
     * ``V_cols`` holds v_1..v_{k+1} (fewer after a breakdown); the square
       builders pass the same store as ``U_cols``;
     * ``h_cols`` holds the columns of H_{k+1,k}, column j with its first
-      j+2 entries, so k = len(h_cols);
-    * ``last_product`` is the product A v_k before any reduction.
+      j+2 entries, so k = len(h_cols).
 
     ``orthonormal`` marks bases built with inner products; their damped
     block condition number kappa(diag(U_{k+1}, V_k)) is 1.  The remaining
@@ -268,7 +275,6 @@ class KrylovFactorization:
     V_cols: ColumnStore
     h_cols: list = field(default_factory=list)
     breakdown: bool = False
-    last_product: np.ndarray = None
     orthonormal: bool = False
     alpha: float = None
     t: np.ndarray = None
@@ -317,12 +323,11 @@ def step_square(state, A):
     data-basis columns by reading coefficients at the t pivots, then
     pivots the remainder.  An all-zero remainder is a lucky breakdown: H
     gains a column with a zero subdiagonal entry and the basis stops
-    growing.  The unreduced A v_k stays on the state as ``last_product``
-    (the sketched solvers sketch exactly this vector).
+    growing.  A v_k itself is left as the operator returned it.
     """
     if state.breakdown:
         raise RuntimeError("factorization already broke down")
-    u = state.last_product = A.apply(state.V_cols[-1])
+    u = A.apply(state.V_cols[-1])
     h, u_new = _reduce(u, state.U_cols, state.t, state.strategy, state.rng)
     if u_new is None:
         state.breakdown = True

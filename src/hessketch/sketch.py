@@ -32,12 +32,21 @@ class SketchOperator:
 
     Sketches compare by identity: sketches built from explicit entries
     share a seed, so (out_rows, in_rows, seed) does not determine one.
+    ``entries`` must have the declared shape; only the shape is checked,
+    since reading the entries would cost a pass over them.
     """
 
     out_rows: int
     in_rows: int
     seed: int
     entries: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.entries) != self.shape:
+            raise ValueError(
+                f"sketch entries must have the declared shape {self.shape}, "
+                f"got {np.shape(self.entries)}"
+            )
 
     @property
     def shape(self):

@@ -1,4 +1,4 @@
-"""Iterative solvers: one Krylov driver, four basis builders, three projections.
+"""Iterative solvers: one Krylov driver, four basis builders, two projections.
 
 Six solvers share one interface ``solver(A, b, cfg, x_true=None)`` and one
 loop.  Each step, a basis builder extends a data-space basis U_{k+1}, a
@@ -15,8 +15,8 @@ solver     basis builder           projected problem
 ``lsqr``   Golub-Kahan             quasi-minimal on H (H is bidiagonal)
 ``cmrh``   pivoted Hessenberg      quasi-minimal on H
 ``lslu``   generalized Hessenberg  quasi-minimal on H
-``scmrh``  pivoted Hessenberg      sketched products min ||S (A V_k y - r0)||,
-                                   or sketched basis times H, (S U_{k+1}) H
+``scmrh``  pivoted Hessenberg      sketched: min ||S (A V_k y - r0)||, the
+                                   quasi-minimal system times S U_{k+1}
 ``slslu``  generalized Hessenberg  as ``scmrh``
 =========  ======================  ========================================
 
@@ -47,6 +47,7 @@ from .hessenberg import (
     KrylovFactorization,
     PivotStrategy,
     TrivialSolution,
+    _is_integer,
     init_generalized,
     init_square,
     step_generalized,
@@ -134,10 +135,6 @@ class SolverConfig:
         if self.sketch_rows is None:
             return 10 * (self.maxiter + 1)
         return self.sketch_rows
-
-
-def _is_integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -277,16 +274,16 @@ def _krylov(A, b, cfg, x_true, init, step, form):
 
     The builder never reads the projected problem, so a solve is two
     passes.  The build pass takes every step first, stopping at
-    ``maxiter``, the dimension or a breakdown; ``form.collect`` sees each
-    step, and the driver keeps each step's counter snapshot, basis
-    lengths and seconds.  The form then returns its data system [C | c]
-    and penalty basis P, the driver stacks Z = [C c; lam P 0] and factors
-    it once by Householder QR, and the solve pass solves and records
-    every k in order off that one R: ``proj_obj`` is ||Z_k y - z||, and
-    ``sres_norm`` the norm of its rows of C.  Each record carries its own
-    step's operator and dot counts, and ``form.sketches`` charges each
-    sketched column to the step that produced it, so every record reads
-    as if the steps had run one at a time.
+    ``maxiter``, the dimension or a breakdown, and keeps each step's
+    counter snapshot, basis lengths and seconds.  The form then returns
+    its data system [C | c] and penalty basis P, the driver stacks
+    Z = [C c; lam P 0] and factors it once by Householder QR, and the
+    solve pass solves and records every k in order off that one R:
+    ``proj_obj`` is ||Z_k y - z||, and ``sres_norm`` the norm of its rows
+    of C.  Each record carries its own step's operator and dot counts,
+    and ``form.sketches`` charges each sketched basis column to the step
+    that produced it, so every record reads as if the steps had run one
+    at a time.
     """
     cfg = cfg or SolverConfig()
     A = A.with_fresh_counters()
@@ -307,12 +304,11 @@ def _krylov(A, b, cfg, x_true, init, step, form):
         rec = TraceRecord(iteration=0)
         trace = SolverTrace([_observe(rec, A, b, x, cfg, x_true, A.counters.snapshot())])
         return SolveResult(x=x, trace=trace, termination="trivial")
-    form.start(A, cfg, state, steps)
+    form.start(A, cfg)
     built = []
     while len(built) < steps and not state.breakdown:
         tic = time.perf_counter()
         step(state, A)
-        form.collect(state)
         lengths = len(state.U_cols), len(state.V_cols)
         built.append(_Step(A.counters.snapshot(), *lengths, time.perf_counter() - tic))
     tic = time.perf_counter()
@@ -369,8 +365,8 @@ class _Step:
 
 
 # ---------------------------------------------------------------------------
-# projected-problem forms: start, collect each step, then return the data
-# system [C | c] and the penalty basis P once, for the driver to stack
+# projected-problem forms: start, then return the data system [C | c] and
+# the penalty basis P once, after the build pass, for the driver to stack
 
 
 class _QuasiMinimal:
@@ -386,10 +382,7 @@ class _QuasiMinimal:
 
     sketched = False
 
-    def start(self, A, cfg, state, steps):
-        pass
-
-    def collect(self, state):
+    def start(self, A, cfg):
         pass
 
     def stacked(self, state, penalty):
@@ -403,36 +396,25 @@ class _QuasiMinimal:
         return 0
 
 
-# builder steps whose unreduced products the sketched-products form
-# sketches with one GEMM; BENCH_9.json compares blocks of 8, 16 and 32
-_BLOCK = 32
-
-
-class _Sketched:
+class _Sketched(_QuasiMinimal):
     """min ||S (A V_k y - r0)|| (+ lam^2 ||S1 V_k y||^2) under Gaussian sketches.
 
-    The sketched-products form stacks S (A v_k) for each product; the
-    sketched-basis form forms (S U_{K+1}) H_{K+1,K}, the same matrix in
-    exact arithmetic.  S is drawn from cfg.seed unless a prebuilt
-    ``sketch`` is given; the penalty basis S1 V_K, only when the driver
-    damps, with S1 drawn from a seed derived from cfg.seed.
-
-    A dense sketch is streamed through memory once per application, so
-    each sketch is applied to many columns at once.  The products form
-    copies each unreduced product into an n-by-``_BLOCK`` buffer as the
-    builder makes it and sketches the buffer with one GEMM whenever it
-    fills, and once more for the rest after the build pass; the buffer is
-    then released.  S U_{K+1} and the penalty's S1 V are one GEMM each
-    over their stores, after the build pass.  ``sketches`` charges each
-    column to the step that produced it.
+    A V_k = U_{k+1} H_{k+1,k} and r0 = beta u_1, so the sketched residual
+    is S U_{k+1} (beta e1 - H y): the data system is the quasi-minimal
+    one, [H | beta e1], premultiplied by S U_{K+1}, and S r0 comes out as
+    beta (S u_1).  A dense sketch is streamed through memory once per
+    application, so S U_{K+1} is one GEMM over the store, after the build
+    pass, as is the penalty basis S1 V_K, sketched only when the driver
+    damps.  S is drawn from cfg.seed unless a prebuilt ``sketch`` is
+    given; S1 from a seed derived from cfg.seed.
     """
 
     sketched = True
 
-    def __init__(self, sketch, basis):
-        self.S, self.basis = sketch, basis
+    def __init__(self, sketch):
+        self.S = sketch
 
-    def start(self, A, cfg, state, steps):
+    def start(self, A, cfg):
         if self.S is not None and self.S.in_rows != A.rows:
             raise ValueError(
                 f"sketch expects vectors of length {self.S.in_rows}, "
@@ -446,52 +428,25 @@ class _Sketched:
             )
         if self.S is None:
             self.S = make_gaussian_sketch(ell, A.rows, cfg.seed)
-        self.counters = A.counters
-        self.sr0 = sketch_apply(self.S, state.r0, self.counters)
-        if not self.basis:
-            self.M = np.empty((ell, steps), order="F")
-            self.products = np.empty((A.rows, min(_BLOCK, steps)), order="F")
-            self.flushed = 0
-        self.S1, self.S1_seed = None, derive_seed(cfg.seed, 1)
-
-    def collect(self, state):
-        if not self.basis:
-            k = len(state.h_cols)
-            self.products[:, k - 1 - self.flushed] = state.last_product
-            if k - self.flushed == self.products.shape[1]:
-                self._flush(k)
-
-    def _flush(self, k):
-        # one GEMM over the products buffered since the last flush
-        if k > self.flushed:
-            block = self.products[:, : k - self.flushed]
-            self.M[:, self.flushed : k] = sketch_apply(self.S, block, self.counters)
-            self.flushed = k
+        self.counters, self.seed, self.damped = A.counters, cfg.seed, False
 
     def stacked(self, state, penalty):
-        # [M | S r0], and S1 V_K when the driver damps
-        K = len(state.h_cols)
-        if self.basis:
-            U = state.U_cols.matrix()
-            # at a breakdown U lacks its last column, and H's last row is 0
-            SU = sketch_apply(self.S, U, self.counters)
-            M = SU @ state.H_matrix(rows=U.shape[1])
-        else:
-            self._flush(K)
-            self.products = None
-            M = self.M[:, :K]
-        system = np.column_stack([M, self.sr0])
+        # (S U_{K+1}) [H | beta e1]; at a breakdown U lacks its last
+        # column, and H's last row is zero.  S1 V_K when the driver damps
+        system, _ = super().stacked(state, False)
+        U = state.U_cols.matrix()
+        system = sketch_apply(self.S, U, self.counters) @ system[: U.shape[1]]
+        self.damped = penalty
         if not penalty:
             return system, None
-        V = state.V_cols.matrix()
-        self.S1 = make_gaussian_sketch(self.S.out_rows, V.shape[0], self.S1_seed)
-        return system, sketch_apply(self.S1, V, self.counters)[:, :K]
+        V, K = state.V_cols.matrix(), len(state.h_cols)
+        seed = derive_seed(self.seed, 1)
+        S1 = make_gaussian_sketch(self.S.out_rows, V.shape[0], seed)
+        return system, sketch_apply(S1, V, self.counters)[:, :K]
 
     def sketches(self, k, done):
-        # S r0, then per step its product or the columns it added to U,
-        # and the columns it added to V when damped
-        count = 1 + (done.u_len if self.basis else k)
-        return count if self.S1 is None else count + done.v_len
+        # the columns of U, and of V when damped, that step k's basis holds
+        return done.u_len + (done.v_len if self.damped else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +472,12 @@ def _step_arnoldi(state, A):
     # modified Gram-Schmidt, then one reorthogonalization pass
     c, V = A.counters, state.V_cols
     k = len(state.h_cols) + 1
-    w = state.last_product = A.apply(V[-1])
+    w = A.apply(V[-1])
     h = np.empty(k + 1)
     for j in range(k):
         h[j] = tracked_dot(c, V[j], w)
         if j == 0:
-            # the first subtraction copies: last_product is never written
+            # the first subtraction copies: A's output is never written
             w = w - h[0] * V[0]
         else:
             w -= h[j] * V[j]
@@ -561,8 +516,7 @@ def _step_golub_kahan(state, A):
     # prepares v_{k+1} and alpha_{k+1}; both sides reorthogonalize once
     c, U, V = A.counters, state.U_cols, state.V_cols
     k = len(state.h_cols) + 1
-    state.last_product = A.apply(V[-1])
-    w = state.last_product - state.alpha * U[-1]
+    w = A.apply(V[-1]) - state.alpha * U[-1]
     for u in U:
         w -= tracked_dot(c, u, w) * u
     beta = tracked_norm(c, w)
@@ -634,30 +588,29 @@ def lslu(A, b, cfg=None, x_true=None):
     )
 
 
-def scmrh(A, b, cfg=None, x_true=None, *, sketch_basis=False, sketch=None):
+def scmrh(A, b, cfg=None, x_true=None, *, sketch=None):
     """Sketched projected minimal residual on the Hessenberg basis.
 
     Draws one Gaussian embedding S from cfg.seed and solves
-    min ||S(A L_k y - r0)|| per iteration, whose column k is S (A l_k)
-    (the products are sketched a block at a time).  With
-    ``sketch_basis`` the sketched system is instead assembled as
-    (S L_{k+1}) H_{k+1,k}, which is the same matrix in exact arithmetic.
-    A prebuilt ``sketch`` overrides the seeded draw.  A positive cfg.lam
-    adds lam^2 ||S1 L_k y||^2, with S1 drawn from a seed derived from
-    cfg.seed.
+    min ||S(A L_k y - r0)|| per iteration, assembled after the build pass
+    as (S L_{k+1}) [H_{k+1,k} | beta e1], since A L_k = L_{k+1} H_{k+1,k}
+    and r0 = beta l_1.  A prebuilt ``sketch`` overrides the seeded draw.
+    A positive cfg.lam adds lam^2 ||S1 L_k y||^2, with S1 drawn from a
+    seed derived from cfg.seed.
     """
-    form = _Sketched(sketch, sketch_basis)
+    form = _Sketched(sketch)
     return _krylov(A, b, cfg, x_true, init_square, step_square, form)
 
 
-def slslu(A, b, cfg=None, x_true=None, *, sketch_basis=False, sketch=None):
+def slslu(A, b, cfg=None, x_true=None, *, sketch=None):
     """Sketched projected least squares on the generalized bases.
 
     Solves min ||S2(A L_k y - r0)||^2 + lam^2 ||S1 L_k y||^2 (the penalty
-    only when cfg.lam > 0), with the same ``sketch_basis`` and ``sketch``
-    options as :func:`scmrh`.
+    only when cfg.lam > 0), with the data system assembled as
+    (S2 D_{k+1}) [H_{k+1,k} | beta e1] and the same ``sketch`` option as
+    :func:`scmrh`.
     """
-    form = _Sketched(sketch, sketch_basis)
+    form = _Sketched(sketch)
     return _krylov(A, b, cfg, x_true, init_generalized, step_generalized, form)
 
 

@@ -328,18 +328,6 @@ def test_square_sampled_zero_subset_falls_back():
         assert state.beta == 7.0
 
 
-def test_square_keep_product_stores_unreduced_matvec():
-    rng = np.random.default_rng(19)
-    M = rng.standard_normal((9, 9))
-    b = rng.standard_normal(9)
-    A = LinearOperator.from_matrix(M)
-    state = init_square(A, b)
-    for _ in range(4):
-        prev = state.V_cols[-1].copy()
-        step_square(state, A)
-        assert np.allclose(state.last_product, M @ prev, atol=1e-12)
-
-
 def test_square_range_spans_krylov_space():
     rng = np.random.default_rng(23)
     M = rng.standard_normal((10, 10)) + 3 * np.eye(10)
@@ -475,18 +463,6 @@ def test_generalized_sampled_small_keeps_relations():
     assert_unit_triangular(state.U_cols, state.t)
     assert_unit_triangular(state.V_cols, state.g)
     assert A.counters.dot_product_count == 0
-
-
-def test_generalized_keep_products():
-    rng = np.random.default_rng(47)
-    M = rng.standard_normal((11, 6))
-    b = rng.standard_normal(11)
-    A = LinearOperator.from_matrix(M)
-    state = init_generalized(A, b)
-    for _ in range(3):
-        prev_l = state.V_cols[-1].copy()
-        step_generalized(state, A)
-        assert np.allclose(state.last_product, M @ prev_l, atol=1e-12)
 
 
 def test_generalized_range_spans_normal_krylov_space():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,12 @@ def test_sketch_apply_linearity():
     lhs = sketch_apply(S, 2.0 * x - 3.0 * y)
     rhs = 2.0 * sketch_apply(S, x) - 3.0 * sketch_apply(S, y)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(5, 20), (30, 7), (20, 30), (600,)])
+def test_sketch_entries_must_have_the_declared_shape(shape):
+    with pytest.raises(ValueError, match=re.escape("declared shape (30, 20)")):
+        SketchOperator(30, 20, seed=0, entries=np.zeros(shape))
 
 
 def test_sketch_and_solve_identity_sketch_is_exact():

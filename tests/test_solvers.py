@@ -1,5 +1,4 @@
 import io
-import itertools
 import re
 
 import numpy as np
@@ -74,6 +73,22 @@ def test_negative_seeds_rejected_naming_the_seed():
         SolverConfig(seed=-1)
     with pytest.raises(ValueError, match="pivot seed must be nonnegative, got -2"):
         PivotStrategy.sampled(3, seed=-2)
+
+
+@pytest.mark.parametrize(
+    "sample_size, seed, message",
+    [
+        (2.5, 0, "pivot sample_size must be an integer, got 2.5"),
+        (True, 0, "pivot sample_size must be an integer, got True"),
+        (3, 1.5, "pivot seed must be an integer, got 1.5"),
+        (3, True, "pivot seed must be an integer, got True"),
+    ],
+    ids=["sample_size-float", "sample_size-bool", "seed-float", "seed-bool"],
+)
+def test_non_integer_pivot_values_rejected_naming_the_field(sample_size, seed, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PivotStrategy.sampled(sample_size, seed=seed)
+    assert PivotStrategy.sampled(np.int64(3), seed=np.int32(2)).sample_size == 3
 
 
 @pytest.mark.parametrize(
@@ -304,7 +319,7 @@ def test_iterate_agrees_with_restacked_basis(name, lam):
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_builders_never_write_into_operator_output(name):
-    # the sketched-products form sketches last_product, so the elimination
+    # an operator may hand back a buffer it still owns, so the elimination
     # must leave every A v_k as the operator returned it
     M, _, b = problem_for(name, 51)
     outputs = []
@@ -317,7 +332,6 @@ def test_builders_never_write_into_operator_output(name):
     A = LinearOperator(M.shape[0], M.shape[1], forward, lambda y: M.T @ y)
     res = SOLVERS[name](A, b, SolverConfig(maxiter=6, seed=5))
     assert len(outputs) == 6
-    assert res.factorization.last_product is outputs[-1][0]
     for out, saved in outputs:
         assert np.array_equal(out, saved)
 
@@ -615,21 +629,13 @@ def test_scmrh_seed_changes_iterates():
     assert not np.array_equal(x1, x2)
 
 
-def test_scmrh_basis_sketching_matches_column_sketching():
-    _, A, b = make_square(22, 14)
-    cfg = SolverConfig(maxiter=6, seed=5)
-    direct = scmrh(A, b, cfg)
-    via_basis = scmrh(A, b, cfg, sketch_basis=True)
-    assert np.allclose(direct.x, via_basis.x, rtol=1e-7, atol=1e-10)
-
-
 def test_scmrh_counters():
     _, A, b = make_square(23, 12)
     res = scmrh(A, b, SolverConfig(maxiter=5, seed=1))
     rec = res.trace.final()
     assert rec.dots == 0
     assert rec.matvecs == 5
-    assert rec.sketches == 6  # r0 plus one product column per iteration
+    assert rec.sketches == 6  # the columns of L_6, r0 = beta l_1 among them
 
 
 def test_slslu_reference_floor_and_sandwich():
@@ -729,10 +735,10 @@ def rank3_problems():
     square = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 20))
     rect = rng.standard_normal((24, 3)) @ rng.standard_normal((3, 14))
     # b off the range, so the builders run on past rank 3
-    return [
-        (scmrh, LinearOperator.from_matrix(square), rng.standard_normal(20), 12),
-        (slslu, LinearOperator.from_matrix(rect), rng.standard_normal(24), 12),
-    ]
+    return {
+        "scmrh": [(LinearOperator.from_matrix(square), rng.standard_normal(20), 12)],
+        "slslu": [(LinearOperator.from_matrix(rect), rng.standard_normal(24), 12)],
+    }
 
 
 def record_qr_solves(monkeypatch):
@@ -749,51 +755,41 @@ def record_qr_solves(monkeypatch):
     return calls
 
 
-def full_sketched_system(A, b, cfg, S, result, basis):
-    """The sketched system (M, S r0, S1 V) recomputed from the factorization."""
+def full_sketched_system(cfg, S, result):
+    """The sketched system (M, S r0, S1 V) recomputed from the factorization:
+    (S U_{K+1}) [H | beta e1], without H's zero last row at a breakdown."""
     state = result.factorization
     V, U = state.V_cols.matrix(), state.U_cols.matrix()
-    if basis:
-        M = (S.entries @ U) @ state.H_matrix(rows=U.shape[1])
-    else:
-        M = S.entries @ np.column_stack([A.forward(v) for v in V.T])
-    ell = S.out_rows
-    S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
-    return M, S.entries @ b, S1.entries @ V
+    SU = S.entries @ U
+    S1 = make_gaussian_sketch(S.out_rows, V.shape[0], derive_seed(cfg.seed, 1))
+    return SU @ state.H_matrix(rows=U.shape[1]), state.beta * SU[:, 0], S1.entries @ V
 
 
-# the sketched forms, each on scmrh and slslu, and the four solvers of the
-# quasi-minimal form
-FORMS = ["products", "basis", "gmres", "lsqr", "cmrh", "lslu"]
+# the six solvers, each on the problems of its shape: scmrh and slslu
+# project on the sketched form, the other four on the quasi-minimal one
+FORMS = ["scmrh", "slslu", "gmres", "lsqr", "cmrh", "lslu"]
+SKETCHED = (scmrh, slslu)
 
 
 def form_problems(form):
-    """(name, solver, sketch_basis, A, b, maxiter) for one form: the sketched
-    problems, each quasi-minimal solver on those of its shape, with
-    sketch_basis None."""
-    if form in ("products", "basis"):
-        basis = form == "basis"
-        return [(n, s, basis, A, b, m) for n, s, A, b, m in sketched_problems()]
+    """(name, solver, A, b, maxiter): the sketched problems of the solver's
+    shape."""
     solver = SOLVERS[form]
-    shape = scmrh if solver in (gmres, cmrh) else slslu
-    return [
-        (n, solver, None, A, b, m)
-        for n, s, A, b, m in sketched_problems()
-        if s is shape
-    ]
+    shape = scmrh if form in SQUARE_ONLY else slslu
+    return [(n, solver, A, b, m) for n, s, A, b, m in sketched_problems() if s is shape]
 
 
-def run_form(solver, basis, A, b, cfg, sketch=None):
-    if basis is None:
-        return solver(A, b, cfg)
-    return solver(A, b, cfg, sketch_basis=basis, sketch=sketch)
+def run_form(solver, A, b, cfg, sketch=None):
+    if solver in SKETCHED:
+        return solver(A, b, cfg, sketch=sketch)
+    return solver(A, b, cfg)
 
 
-def full_projected_system(A, b, cfg, S, result, basis):
+def full_projected_system(cfg, S, result):
     """The whole projected system (M, rhs, N) recomputed from the
     factorization: for the quasi-minimal forms H, beta e1 and I."""
-    if basis is not None:
-        return full_sketched_system(A, b, cfg, S, result, basis)
+    if S is not None:
+        return full_sketched_system(cfg, S, result)
     state = result.factorization
     H = state.H_matrix()
     rhs = np.zeros(H.shape[0])
@@ -801,21 +797,28 @@ def full_projected_system(A, b, cfg, S, result, basis):
     return H, rhs, np.eye(H.shape[1])
 
 
+def form_sketch(solver, A, cfg):
+    # the sketch the solver draws, or None for a quasi-minimal solver
+    if solver not in SKETCHED:
+        return None
+    return make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
+
+
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_triangle_solve_matches_from_scratch_solve(monkeypatch, lam, form):
-    for name, solver, basis, A, b, maxiter in form_problems(form):
+    for name, solver, A, b, maxiter in form_problems(form):
         cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=4)
-        S = make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
+        S = form_sketch(solver, A, cfg)
         calls = record_qr_solves(monkeypatch)
-        result = run_form(solver, basis, A, b, cfg, S)
+        result = run_form(solver, A, b, cfg, S)
         monkeypatch.undo()
         assert len(calls) == len(result.trace.records) == maxiter
-        M, rhs, N = full_projected_system(A, b, cfg, S, result, basis)
+        M, rhs, N = full_projected_system(cfg, S, result)
         for k, (_, _, y) in enumerate(calls, start=1):
             # the quasi-minimal system is H_{k+1,k} with beta e1: the rows
             # of H's first k columns below k+1 are zeros
-            rows = M.shape[0] if basis is not None else k + 1
+            rows = M.shape[0] if S is not None else k + 1
             ref = stacked_tikhonov_ls(M[:rows, :k], N[:, :k], rhs[:rows], lam)
             gap = np.linalg.norm(y - ref) / np.linalg.norm(ref)
             assert gap <= 1e-12, (name, solver.__name__, k, gap)
@@ -824,10 +827,10 @@ def test_triangle_solve_matches_from_scratch_solve(monkeypatch, lam, form):
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_each_step_solves_one_k_by_k_triangle(monkeypatch, lam, form):
-    for name, solver, basis, A, b, maxiter in form_problems(form):
+    for name, solver, A, b, maxiter in form_problems(form):
         cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=5)
         calls = record_qr_solves(monkeypatch)
-        result = run_form(solver, basis, A, b, cfg)
+        result = run_form(solver, A, b, cfg)
         monkeypatch.undo()
         assert not any(result.trace.column("rank_fallback"))
         steps = range(1, maxiter + 1)
@@ -841,9 +844,9 @@ def test_each_step_solves_one_k_by_k_triangle(monkeypatch, lam, form):
 def test_recorded_objectives_measure_the_projected_system(monkeypatch, lam, form):
     # proj_obj is the whole damped objective and sres_norm its data term,
     # on the system recomputed from the factorization
-    for name, solver, basis, A, b, maxiter in form_problems(form):
+    for name, solver, A, b, maxiter in form_problems(form):
         cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=9)
-        S = make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
+        S = form_sketch(solver, A, cfg)
         ys = []
         solve = solvers._projected_solve
 
@@ -853,15 +856,15 @@ def test_recorded_objectives_measure_the_projected_system(monkeypatch, lam, form
             return y, fallback, R
 
         monkeypatch.setattr(solvers, "_projected_solve", recording)
-        result = run_form(solver, basis, A, b, cfg, S)
+        result = run_form(solver, A, b, cfg, S)
         monkeypatch.undo()
-        M, rhs, N = full_projected_system(A, b, cfg, S, result, basis)
+        M, rhs, N = full_projected_system(cfg, S, result)
         for k, (y, rec) in enumerate(zip(ys, result.trace.records), start=1):
             data = np.linalg.norm(M[:, :k] @ y - rhs)
             objective = np.hypot(data, lam * np.linalg.norm(N[:, :k] @ y))
             case = (name, solver.__name__, k)
             assert rec.proj_obj == pytest.approx(objective, rel=1e-10), case
-            if basis is None:
+            if S is None:
                 assert rec.sres_norm is None, case
             else:
                 assert rec.sres_norm == pytest.approx(data, rel=1e-10), case
@@ -881,10 +884,10 @@ def full_system_solve(M, rhs, lam, N):
         return np.linalg.lstsq(M, rhs, rcond=None)[0], True
 
 
-@pytest.mark.parametrize("basis", [False, True], ids=["products", "basis"])
-def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, basis):
+@pytest.mark.parametrize("solver", SKETCHED, ids=lambda s: s.__name__)
+def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, solver):
     # undamped: the penalty rows give a damped system full rank
-    for solver, A, b, maxiter in rank3_problems():
+    for A, b, maxiter in rank3_problems()[solver.__name__]:
         steps, attempts = [], []
         solve, plain = solvers._projected_solve, solvers.dense_qr_ls
         cfg = SolverConfig(maxiter=maxiter, seed=6)
@@ -903,7 +906,7 @@ def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, basis):
 
         monkeypatch.setattr(solvers, "_projected_solve", recording)
         monkeypatch.setattr(solvers, "dense_qr_ls", attempting)
-        result = solver(A, b, cfg, sketch_basis=basis)
+        result = solver(A, b, cfg)
         monkeypatch.undo()
         flags = [fallback for _, fallback, _, _ in steps]
         assert flags == [fallback for _, _, _, fallback in steps]
@@ -920,7 +923,7 @@ def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, basis):
 
 
 # ---------------------------------------------------------------------------
-# blocked sketching: the products form sketches a block of products at once
+# the sketched form against the products formulation S [A V_k | r0]
 
 
 def cyclic_shift_problem():
@@ -934,17 +937,18 @@ def cyclic_shift_problem():
     return LinearOperator.from_matrix(M), b, 9
 
 
-def blocked_problems():
-    """(name, solver, A, b, maxiter); maxiter is no multiple of 2, 3 or 7."""
-    _, square, b_square = make_square(90, 20)
-    _, rect, b_rect = make_rect(91, 30, 15)
-    rank3 = [(f"rank3-{s.__name__}", s, A, b, 11) for s, A, b, _ in rank3_problems()]
+def products_problems():
+    """(name, solver, A, b, maxiter): the sketched problems, the rank-3
+    ones, and two that break down exactly."""
+    rank3 = [
+        (f"rank3-{name}", SOLVERS[name], A, b, maxiter)
+        for name, cases in rank3_problems().items()
+        for A, b, maxiter in cases
+    ]
     shift, b_shift, maxiter = cyclic_shift_problem()
     identity = LinearOperator.identity(8)
     b_identity = np.random.default_rng(92).standard_normal(8)
-    return rank3 + [
-        ("random", scmrh, square, b_square, 11),
-        ("random", slslu, rect, b_rect, 13),
+    return sketched_problems() + rank3 + [
         ("shift", scmrh, shift, b_shift, maxiter),
         ("shift", slslu, shift, b_shift, maxiter),
         ("identity", scmrh, identity, b_identity, 5),
@@ -952,98 +956,83 @@ def blocked_problems():
     ]
 
 
-def factorization_bytes(state):
-    parts = [state.H_matrix(), state.U_cols.matrix(), state.V_cols.matrix(), state.t]
-    if state.w_cols is not None:
-        parts += [state.W_matrix(), state.g]
-    return [np.ascontiguousarray(p).tobytes() for p in parts]
-
-
-def record_bytes(result):
-    fields = ("iteration", "matvecs", "tmatvecs", "dots", "sketches",
-              "rank_fallback", "kappa_basis", "eps_embed")
-    return [tuple(getattr(r, f) for f in fields) for r in result.trace.records]
-
-
-def least_squares_sensitivity(Z, z, y):
+def least_squares_sensitivity(Z, z, y, eps):
     """First-order bound on ||dy|| / ||y|| when the stacked system Z and its
     right-hand side z move by a relative eps (Higham, Accuracy and Stability
     of Numerical Algorithms, 2nd ed., Thm 20.1)."""
     r = z - Z @ y
     kappa = np.linalg.cond(Z)
     rho = np.linalg.norm(r) / (np.linalg.norm(Z, 2) * np.linalg.norm(y))
-    return np.finfo(float).eps * kappa * (2.0 + (kappa + 1.0) * rho)
+    return eps * kappa * (2.0 + (kappa + 1.0) * rho)
 
 
-@pytest.mark.parametrize("basis", [False, True], ids=["products", "basis"])
+def relative_gap(new, old):
+    return np.linalg.norm(new - old, 2) / np.linalg.norm(old, 2)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_blocked_driver_replays_one_step_blocks(monkeypatch, lam, basis):
-    solve = solvers._projected_solve
-    last = []
+def test_sketched_solve_matches_the_products_system(monkeypatch, lam):
+    # A V_k = U_{k+1} H and r0 = beta u_1, so (S U_{K+1}) [H | beta e1] is
+    # the products system S [A V_k | r0] up to rounding; the reference
+    # applies A afresh to every basis column, on the uncounted forward map
+    solve, apply = solvers._projected_solve, solvers.sketch_apply
+    damped = lam > 0.0
+    for name, solver, A, b, maxiter in products_problems():
+        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=7)
+        ys, sketches = [], []
 
-    def recording(R, Z, k):
-        y, fallback, R = solve(R, Z, k)
-        last[:] = [np.array(Z[:, :k]), np.array(Z[:, -1]), y]
-        return y, fallback, R
+        def recording(R, Z, k):
+            y, fallback, R = solve(R, Z, k)
+            ys.append(y)
+            return y, fallback, R
 
-    monkeypatch.setattr(solvers, "_projected_solve", recording)
-    for name, solver, A, b, maxiter in blocked_problems():
-        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=7, compute_diagnostics=True)
-        runs = {}
-        for block in (1, 2, 3, 7):
-            monkeypatch.setattr(solvers, "_BLOCK", block)
-            runs[block] = (solver(A, b, cfg, sketch_basis=basis), last[:])
-        one, (Z, z, y_one) = runs.pop(1)
+        def counting(S, v, counters=None):
+            sketches.append(S)
+            return apply(S, v, counters)
+
+        monkeypatch.setattr(solvers, "_projected_solve", recording)
+        monkeypatch.setattr(solvers, "sketch_apply", counting)
+        result = solver(A, b, cfg)
+        monkeypatch.undo()
+        case = (name, solver.__name__)
+        # one pass over S, then one over S1 when damped
+        ell = cfg.effective_sketch_rows()
+        S = make_gaussian_sketch(ell, A.rows, cfg.seed)
+        S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
+        assert len(sketches) == 1 + damped, case
+        assert np.array_equal(sketches[0].entries, S.entries), case
+        if damped:
+            assert np.array_equal(sketches[1].entries, S1.entries), case
+        state = result.factorization
         if name in ("shift", "identity"):
-            assert one.termination == "breakdown", name
-        for block, (res, (_, _, y)) in runs.items():
-            case = (name, solver.__name__, block)
-            assert res.termination == one.termination, case
-            assert record_bytes(res) == record_bytes(one), case
-            assert factorization_bytes(res.factorization) == factorization_bytes(
-                one.factorization
-            ), case
-            # a one-column block is a GEMV, a wider one a GEMM, and the two
-            # round differently.  The damped rank-3 solves run past their
-            # numerical breakdown, on a stacked system with a condition
-            # number in the hundreds and a residual off its range, so their
-            # last y is gated by the least-squares perturbation bound for
-            # that system (x = V y, and V is byte-identical above)
-            if name.startswith("rank3") and lam > 0.0:
-                tol = least_squares_sensitivity(Z, z, y_one)
-                gap = np.linalg.norm(y - y_one)
-                assert gap <= tol * np.linalg.norm(y_one), (case, gap, tol)
-            else:
-                gap = np.linalg.norm(res.x - one.x)
-                assert gap <= 1e-13 * np.linalg.norm(one.x), (case, gap)
-
-
-@pytest.mark.parametrize("block", [1, 2, 3, 7])
-def test_products_form_sketches_once_per_block(monkeypatch, block):
-    # one pass over S for r0, then one per block of products; the basis
-    # form's S U and the penalty's S1 V take one pass each, whatever the block
-    for _, solver, A, b, maxiter in sketched_problems():
-        for basis, lam in itertools.product((False, True), (0.0, 0.5)):
-            calls = []
-            plain = solvers.sketch_apply
-
-            def counting(S, v, counters=None):
-                calls.append(S)
-                return plain(S, v, counters)
-
-            monkeypatch.setattr(solvers, "_BLOCK", block)
-            monkeypatch.setattr(solvers, "sketch_apply", counting)
-            cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=8)
-            result = solver(A, b, cfg, sketch_basis=basis)
-            monkeypatch.undo()
-            passes = 1 if basis else -(-maxiter // block)
-            on_S = sum(S is calls[0] for S in calls)
-            assert on_S == 1 + passes, (solver.__name__, basis, lam)
-            assert len(calls) == 1 + passes + (lam > 0.0)
-            # r0 and one column per step, and the extra column of U (of V)
-            # that the basis form (the penalty) sketches
-            sketches = 1 + maxiter + basis + (lam > 0.0) * (maxiter + 1)
-            assert result.trace.final().sketches == sketches
+            assert result.termination == "breakdown", case
+        # each step sketches the columns its bases hold: 1 + k of U, and as
+        # many of V when damped, except at a breakdown
+        records = result.trace.records
+        assert [r.sketches for r in records[:-1]] == [
+            (1 + k) * (1 + damped) for k in range(1, len(records))
+        ], case
+        final = len(state.U_cols) + damped * len(state.V_cols)
+        assert records[-1].sketches == final, case
+        V = state.V_cols.matrix(len(records))
+        SAV = S.entries @ np.column_stack([A.forward(v) for v in V.T])
+        Sr0 = S.entries @ b
+        # A V_k = U_{k+1} H and r0 = beta u_1 hold to rounding, so the two
+        # systems differ by what the factorization moves, measured here on
+        # the test's own (S U) [H | beta e1]; each of the two least-squares
+        # solves adds a backward error of about eps
+        M, rhs, N = full_sketched_system(cfg, S, result)
+        for k, y in enumerate(ys, start=1):
+            Zk, z = SAV[:, :k], Sr0
+            moved = max(relative_gap(M[:, :k], Zk), relative_gap(rhs, z))
+            if damped:
+                Zk = np.vstack([Zk, lam * N[:, :k]])
+                z = np.concatenate([z, np.zeros(N.shape[0])])
+            ref = np.linalg.lstsq(Zk, z, rcond=None)[0]
+            eps = moved + 2.0 * np.finfo(float).eps
+            tol = least_squares_sensitivity(Zk, z, ref, eps)
+            gap = np.linalg.norm(y - ref)
+            assert gap <= tol * np.linalg.norm(ref), (case, k, gap, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ under ``--work`` (a temporary directory unless given).
 * The library grid solves random, rectangular, rank-3, identity,
   deblurring and tomography problems with the six solvers, over damping
   lambda in {0, 0.5}, diagnostics off and on, full and sampled(5) pivots,
-  with and without a start vector, and ``sketch_basis`` both ways for
-  scmrh/slslu; trivial starts (b = 0 and an exact x0) come on top.  Each
-  solve writes its trace CSV, x, its termination, the ``rank_fallback``
-  flag of every trace record (one 0/1 line each; the CSV does not carry
-  it), ||b|| and the ``dump_factorization`` files.
+  and with and without a start vector; trivial starts (b = 0 and an
+  exact x0) come on top.  Each solve writes its trace CSV, x, its
+  termination, the ``rank_fallback`` flag of every trace record (one 0/1
+  line each; the CSV does not carry it), ||b|| and the
+  ``dump_factorization`` files.
 * The CLI grid runs ``hessketch solve``, ``compare`` and ``sweep`` (over
   each of its four parameters) on deblurring and tomography configs at two
   sizes, with diagnostics off and on, plus ``HESSKETCH_SEED``,
@@ -126,7 +126,7 @@ def _library_problems(grid):
 
 
 def _library_cases(grid):
-    """(case, solver name, A, b, x_true, SolverConfig, sketch_basis)."""
+    """(case, solver name, A, b, x_true, SolverConfig)."""
     from hessketch import SolverConfig
     from hessketch.hessenberg import PivotStrategy
 
@@ -141,14 +141,13 @@ def _library_cases(grid):
                 continue
             hessenberg = name not in ("gmres", "lsqr")
             piv_options = ("full", "sampled5") if hessenberg else ("full",)
-            basis_options = (False, True) if name in ("scmrh", "slslu") else (False,)
-            # lambda, diagnostics, start vector, pivots, sketch_basis
+            # lambda, diagnostics, start vector, pivots
             settings = itertools.product(
-                (0.0, 0.5), (False, True), (False, True), piv_options, basis_options
+                (0.0, 0.5), (False, True), (False, True), piv_options
             )
             if grid == "smoke":
-                settings = [(0.5, True, True, piv_options[-1], basis_options[-1])]
-            for lam, diag, start, piv, basis in settings:
+                settings = [(0.5, True, True, piv_options[-1])]
+            for lam, diag, start, piv in settings:
                 cfg = SolverConfig(
                     maxiter=maxiter,
                     pivot=pivots[piv],
@@ -159,32 +158,31 @@ def _library_cases(grid):
                 )
                 case = (
                     f"{pname}-{name}-lam{lam}-diag{int(diag)}"
-                    f"-x0{int(start)}-{piv}-basis{int(basis)}"
+                    f"-x0{int(start)}-{piv}"
                 )
-                yield case, name, A, b, x_true, cfg, basis
+                yield case, name, A, b, x_true, cfg
             if grid == "smoke":
                 continue
             # trivial starts: b = 0, and an exact x0 where b = A x_true
             for diag in (False, True):
                 zero = SolverConfig(maxiter=maxiter, compute_diagnostics=diag)
                 yield (f"{pname}-{name}-trivialb-diag{int(diag)}", name, A,
-                       np.zeros(A.rows), x_true, zero, False)
+                       np.zeros(A.rows), x_true, zero)
                 if pname in ("random", "rect"):
                     exact = replace(zero, x0=x_true)
                     yield (f"{pname}-{name}-trivialx0-diag{int(diag)}", name, A,
-                           b, x_true, exact, False)
+                           b, x_true, exact)
 
 
 def _run_library(grid):
     from hessketch import SOLVERS, trace_to_csv
     from hessketch.hessenberg import dump_factorization
 
-    for case, name, A, b, x_true, cfg, basis in _library_cases(grid):
+    for case, name, A, b, x_true, cfg in _library_cases(grid):
         out = os.path.join("lib", case)
         os.makedirs(out)
-        kwargs = {"sketch_basis": True} if basis else {}
         try:
-            result = SOLVERS[name](A, b, cfg, x_true=x_true, **kwargs)
+            result = SOLVERS[name](A, b, cfg, x_true=x_true)
         except Exception as exc:  # recorded, then compared like any output
             _write(os.path.join(out, "error"), f"{type(exc).__name__}: {exc}\n")
             continue
