@@ -1,5 +1,6 @@
 import io
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -629,6 +630,18 @@ def test_scmrh_seed_changes_iterates():
     assert not np.array_equal(x1, x2)
 
 
+def test_scmrh_basis_sketching_matches_column_sketching():
+    # scmrh sketches its data basis U_{k+1}; sketching the columns A v_j
+    # and r0 themselves poses the same projected problem
+    M, A, b = make_square(22, 14)
+    cfg = SolverConfig(maxiter=6, seed=5)
+    direct = scmrh(A, b, cfg)
+    S = make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
+    V = direct.factorization.V_cols.matrix(cfg.maxiter)
+    y = np.linalg.lstsq(S.entries @ (M @ V), S.entries @ b, rcond=None)[0]
+    assert np.allclose(direct.x, V @ y, rtol=1e-7, atol=1e-10)
+
+
 def test_scmrh_counters():
     _, A, b = make_square(23, 12)
     res = scmrh(A, b, SolverConfig(maxiter=5, seed=1))
@@ -970,69 +983,149 @@ def relative_gap(new, old):
     return np.linalg.norm(new - old, 2) / np.linalg.norm(old, 2)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_sketched_solve_matches_the_products_system(monkeypatch, lam):
-    # A V_k = U_{k+1} H and r0 = beta u_1, so (S U_{K+1}) [H | beta e1] is
-    # the products system S [A V_k | r0] up to rounding; the reference
-    # applies A afresh to every basis column, on the uncounted forward map
-    solve, apply = solvers._projected_solve, solvers.sketch_apply
-    damped = lam > 0.0
-    for name, solver, A, b, maxiter in products_problems():
-        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=7)
-        ys, sketches = [], []
+def record_bytes(result):
+    fields = ("iteration", "matvecs", "tmatvecs", "dots", "sketches",
+              "rank_fallback", "kappa_basis", "eps_embed")
+    return [tuple(getattr(r, f) for f in fields) for r in result.trace.records]
 
-        def recording(R, Z, k):
-            y, fallback, R = solve(R, Z, k)
-            ys.append(y)
-            return y, fallback, R
 
-        def counting(S, v, counters=None):
-            sketches.append(S)
-            return apply(S, v, counters)
+def factorization_parts(state):
+    # the pivots chosen so far lead t and g; the rest is the permutation
+    # that the remaining steps would refine
+    U = state.U_cols.matrix()
+    parts = [state.H_matrix(), U, state.V_cols.matrix(), state.t[: U.shape[1]]]
+    if state.w_cols is not None:
+        parts += [state.W_matrix(), state.g[: len(state.w_cols)]]
+    return [np.asarray(p) for p in parts]
 
-        monkeypatch.setattr(solvers, "_projected_solve", recording)
-        monkeypatch.setattr(solvers, "sketch_apply", counting)
-        result = solver(A, b, cfg)
+
+def record_projected_solves(monkeypatch):
+    """Every (Z_k, z, y) that solvers._projected_solve solves and returns."""
+    calls = []
+    solve = solvers._projected_solve
+
+    def recording(R, Z, k):
+        y, fallback, R = solve(R, Z, k)
+        calls.append((Z[:, :k], Z[:, -1], y))
+        return y, fallback, R
+
+    monkeypatch.setattr(solvers, "_projected_solve", recording)
+    return calls
+
+
+def replay_products(monkeypatch, cfg, S, problem, result, calls):
+    # one step at a time, the products system S [A V_k | r0] gains the
+    # column S A v_k; the reference applies A afresh to every basis
+    # column, on the uncounted forward map
+    name, solver, A, b, _ = problem
+    lam = cfg.lam
+    V = result.factorization.V_cols.matrix(len(calls))
+    SAV = S.entries @ np.column_stack([A.forward(v) for v in V.T])
+    Sr0 = S.entries @ b
+    # A V_k = U_{k+1} H and r0 = beta u_1 hold to rounding, so the two
+    # systems differ by what the factorization moves, measured here on
+    # the test's own (S U) [H | beta e1]; each of the two least-squares
+    # solves adds a backward error of about eps
+    M, rhs, N = full_sketched_system(cfg, S, result)
+    for k, (_, _, y) in enumerate(calls, start=1):
+        Zk, z = SAV[:, :k], Sr0
+        moved = max(relative_gap(M[:, :k], Zk), relative_gap(rhs, z))
+        if lam > 0.0:
+            Zk = np.vstack([Zk, lam * N[:, :k]])
+            z = np.concatenate([z, np.zeros(N.shape[0])])
+        ref = np.linalg.lstsq(Zk, z, rcond=None)[0]
+        eps = moved + 2.0 * np.finfo(float).eps
+        tol = least_squares_sensitivity(Zk, z, ref, eps)
+        gap = np.linalg.norm(y - ref)
+        assert gap <= tol * np.linalg.norm(ref), (name, solver.__name__, k, gap, tol)
+
+
+def replay_basis(monkeypatch, cfg, S, problem, result, calls):
+    # a solve stopped at step k sketches the basis of its k steps: its
+    # records and factorization are the first k of the whole solve, byte
+    # for byte, and its last y is the whole solve's y_k
+    name, solver, A, b, _ = problem
+    K = len(result.trace.records)
+    whole = factorization_parts(result.factorization)
+    for k in range(1, K + 1):
         monkeypatch.undo()
-        case = (name, solver.__name__)
-        # one pass over S, then one over S1 when damped
-        ell = cfg.effective_sketch_rows()
-        S = make_gaussian_sketch(ell, A.rows, cfg.seed)
-        S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
-        assert len(sketches) == 1 + damped, case
-        assert np.array_equal(sketches[0].entries, S.entries), case
-        if damped:
-            assert np.array_equal(sketches[1].entries, S1.entries), case
-        state = result.factorization
+        mine = record_projected_solves(monkeypatch)
+        one = solver(A, b, replace(cfg, maxiter=k), sketch=S)
+        case = (name, solver.__name__, k)
+        assert one.termination == (result.termination if k == K else "maxiter"), case
+        assert record_bytes(one) == record_bytes(result)[:k], case
+        for part, full in zip(factorization_parts(one.factorization), whole):
+            cut = full[tuple(slice(0, n) for n in part.shape)]
+            assert np.array_equal(part, cut), case
+        Zk, z, y_one = mine[-1]
+        y = calls[k - 1][2]
+        gap = np.linalg.norm(y - y_one)
+        # the two QRs run over systems of different widths, and round
+        # differently.  The damped rank-3 solves run past their numerical
+        # breakdown, on a stacked system with a condition number in the
+        # hundreds and a residual off its range, so their y is gated by
+        # the least-squares perturbation bound for that system
+        if name.startswith("rank3") and cfg.lam > 0.0:
+            tol = least_squares_sensitivity(Zk, z, y_one, np.finfo(float).eps)
+        else:
+            tol = 1e-13
+        assert gap <= tol * np.linalg.norm(y_one), (case, gap, tol)
+
+
+@pytest.mark.parametrize("basis", [False, True], ids=["products", "basis"])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_blocked_driver_replays_one_step_blocks(monkeypatch, lam, basis):
+    # the driver sketches every step's columns in one block, after the
+    # build pass; each y_k is what one step at a time gives, whether step
+    # k sketches its product column A v_k or the basis it has built
+    replay = replay_basis if basis else replay_products
+    for problem in products_problems():
+        name, solver, A, b, maxiter = problem
+        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=7, compute_diagnostics=True)
+        S = make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
+        calls = record_projected_solves(monkeypatch)
+        result = solver(A, b, cfg, sketch=S)
         if name in ("shift", "identity"):
-            assert result.termination == "breakdown", case
-        # each step sketches the columns its bases hold: 1 + k of U, and as
-        # many of V when damped, except at a breakdown
-        records = result.trace.records
-        assert [r.sketches for r in records[:-1]] == [
-            (1 + k) * (1 + damped) for k in range(1, len(records))
-        ], case
-        final = len(state.U_cols) + damped * len(state.V_cols)
-        assert records[-1].sketches == final, case
-        V = state.V_cols.matrix(len(records))
-        SAV = S.entries @ np.column_stack([A.forward(v) for v in V.T])
-        Sr0 = S.entries @ b
-        # A V_k = U_{k+1} H and r0 = beta u_1 hold to rounding, so the two
-        # systems differ by what the factorization moves, measured here on
-        # the test's own (S U) [H | beta e1]; each of the two least-squares
-        # solves adds a backward error of about eps
-        M, rhs, N = full_sketched_system(cfg, S, result)
-        for k, y in enumerate(ys, start=1):
-            Zk, z = SAV[:, :k], Sr0
-            moved = max(relative_gap(M[:, :k], Zk), relative_gap(rhs, z))
+            assert result.termination == "breakdown", name
+        replay(monkeypatch, cfg, S, problem, result, calls)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_products_form_sketches_once_per_block(monkeypatch, block):
+    # a solve of ``block`` steps sketches them as one block: one pass over
+    # S for the data basis, and one over S1 for the solution basis when
+    # damped, whatever the block's width
+    for name, solver, A, b, maxiter in products_problems():
+        for lam in (0.0, 0.5):
+            damped = lam > 0.0
+            sketches = []
+            apply = solvers.sketch_apply
+
+            def counting(S, v, counters=None):
+                sketches.append(S)
+                return apply(S, v, counters)
+
+            monkeypatch.setattr(solvers, "sketch_apply", counting)
+            cfg = SolverConfig(maxiter=min(block, maxiter), lam=lam, seed=8)
+            result = solver(A, b, cfg)
+            monkeypatch.undo()
+            case = (name, solver.__name__, lam)
+            ell = cfg.effective_sketch_rows()
+            S = make_gaussian_sketch(ell, A.rows, cfg.seed)
+            S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
+            assert len(sketches) == 1 + damped, case
+            assert np.array_equal(sketches[0].entries, S.entries), case
             if damped:
-                Zk = np.vstack([Zk, lam * N[:, :k]])
-                z = np.concatenate([z, np.zeros(N.shape[0])])
-            ref = np.linalg.lstsq(Zk, z, rcond=None)[0]
-            eps = moved + 2.0 * np.finfo(float).eps
-            tol = least_squares_sensitivity(Zk, z, ref, eps)
-            gap = np.linalg.norm(y - ref)
-            assert gap <= tol * np.linalg.norm(ref), (case, k, gap, tol)
+                assert np.array_equal(sketches[1].entries, S1.entries), case
+            # each step sketches the columns its bases hold: 1 + k of U,
+            # and as many of V when damped, except at a breakdown
+            state, records = result.factorization, result.trace.records
+            assert [r.sketches for r in records[:-1]] == [
+                (1 + k) * (1 + damped) for k in range(1, len(records))
+            ], case
+            final = len(state.U_cols) + damped * len(state.V_cols)
+            assert records[-1].sketches == final, case
 
 
 # ---------------------------------------------------------------------------
