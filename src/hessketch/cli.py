@@ -42,10 +42,11 @@ Exit codes:
   are checked by SolverConfig and PivotStrategy, whether they come from the
   file, from ``sweep --values`` or from ``HESSKETCH_SEED``, all before the
   problem is built.
-* 1: a solver raised at run time, such as a sketch with fewer than
-  maxiter+1 rows.  Every run before it has written its files, and a
-  ``PARTIAL`` file in the output directory names the failure and lists the
-  runs that completed: labels for ``solve`` and ``compare``,
+* 1: a solver raised at run time, such as a sketch with fewer than K+1
+  rows, K = min(maxiter, n) being the most steps the solve can take.
+  Every run before it has written its files, and a ``PARTIAL`` file in
+  the output directory names the failure and lists the runs that
+  completed: labels for ``solve`` and ``compare``,
   ``<label>.<param>.<value>`` stems for ``sweep``.
 
 The environment variable ``HESSKETCH_SEED`` replaces every seed read from

@@ -69,6 +69,9 @@ class OpCounters:
 
 
 def _checked_output(out, direction, length):
+    out = np.asarray(out)
+    if np.iscomplexobj(out):
+        raise ValueError(f"operator {direction} returned complex values")
     out = np.asarray(out, dtype=float)
     if out.shape != (length,):
         raise ValueError(

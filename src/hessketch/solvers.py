@@ -1,12 +1,13 @@
-"""Iterative solvers: one Krylov driver, four basis builders, two projections.
+"""Iterative solvers: one Krylov driver, four basis builders, one optional sketch.
 
 Six solvers share one interface ``solver(A, b, cfg, x_true=None)`` and one
 loop.  Each step, a basis builder extends a data-space basis U_{k+1}, a
 solution-space basis V_k and the Hessenberg matrix H with
-A V_k = U_{k+1} H_{k+1,k}; a projected-problem form turns that state into
-a data system [C | c] and a penalty basis P, the driver stacks them into
-Z = [C c; lam P 0], and step k solves min ||Z_k y - z|| on the first k
-columns Z_k of Z and its last column z; the iterate is x_k = x0 + V_k y.
+A V_k = U_{k+1} H_{k+1,k}; the driver stacks the data system [C | c] =
+[H | beta e1], premultiplied by S U_{K+1} when the solver sketches, over
+the penalty rows [lam P | 0] into Z, and step k solves min ||Z_k y - z||
+on the first k columns Z_k of Z and its last column z; the iterate is
+x_k = x0 + V_k y.
 
 =========  ======================  ========================================
 solver     basis builder           projected problem
@@ -23,7 +24,7 @@ solver     basis builder           projected problem
 The references (Arnoldi, Golub-Kahan) orthonormalize with inner products;
 the Hessenberg builders read every coefficient off a pivot entry instead.
 Every solver honors ``cfg.lam``: a positive value adds lam^2 ||y||^2 to the
-quasi-minimal forms and the sketched penalty lam^2 ||S1 V_k y||^2 to the
+quasi-minimal problems and the sketched penalty lam^2 ||S1 V_k y||^2 to the
 sketched ones.
 
 Counter semantics: the counters on the returned trace report the
@@ -36,6 +37,7 @@ trace's cost columns are identical with diagnostics on or off.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -57,13 +59,12 @@ from .linops import (
     RankDeficiencyError,
     dense_qr_ls,
     spectral_condition_number,
-    # unused since the driver stacks the damping rows itself; kept because
-    # the benchmark harness patches this name on this module
-    stacked_tikhonov_ls,  # noqa: F401
+    stacked_tikhonov_ls,  # noqa: F401  unused; the benchmark patches it here
     tracked_dot,
     tracked_norm,
 )
-from .sketch import derive_seed, make_gaussian_sketch, measured_epsilon, sketch_apply
+from .sketch import SketchOperator, derive_seed, make_gaussian_sketch
+from .sketch import measured_epsilon, sketch_apply
 
 __all__ = [
     "SolverConfig",
@@ -120,6 +121,14 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.pivot, PivotStrategy):
+            raise ValueError(f"pivot must be a PivotStrategy, got {self.pivot!r}")
+        if not isinstance(self.compute_diagnostics, (bool, np.bool_)):
+            raise ValueError(
+                f"compute_diagnostics must be a bool, got {self.compute_diagnostics!r}"
+            )
+        if not isinstance(self.lam, numbers.Real) or isinstance(self.lam, bool):
+            raise ValueError(f"lam must be a real number, got {self.lam!r}")
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be positive, got {self.maxiter}")
         if not np.isfinite(self.lam):
@@ -235,6 +244,9 @@ def _projected_solve(R, Z, k):
 
 
 def _finite_vector(name, v, length):
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real; it has complex dtype {v.dtype}")
     v = np.asarray(v, dtype=float)
     if v.shape != (length,):
         raise ValueError(f"{name} must have length {length}, got shape {v.shape}")
@@ -260,30 +272,29 @@ def _observe(rec, A, b, x, cfg, x_true, counts):
     return rec
 
 
-def _krylov(A, b, cfg, x_true, init, step, form):
-    """Run one solve with basis builder ``init``/``step`` and projection ``form``.
+def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
+    """Run one solve with basis builder ``init``/``step``.
 
     ``init(A, r0, strategy, capacity=...)`` returns a
     :class:`KrylovFactorization` whose bases have room for every column
     the solve can produce, or raises TrivialSolution; ``step(state, A)``
     extends it by one column.
     This is the only iteration loop and the only place that reads ``b``,
-    ``cfg.x0``, ``x_true`` and ``cfg.lam``: it owns input checks, r0,
-    trivial returns, the damped projected solve with its rank fallback,
-    and the trace records.
+    ``cfg.x0``, ``x_true``, ``cfg.lam`` and the sketch: it owns input
+    checks, r0, trivial returns, the damped projected solve with its rank
+    fallback, and the trace records.  A sketched solve holds the data
+    sketch S: ``sketch``, or one drawn from ``cfg.seed`` once the start
+    proves nontrivial; the quasi-minimal solves have none.
 
     The builder never reads the projected problem, so a solve is two
     passes.  The build pass takes every step first, stopping at
     ``maxiter``, the dimension or a breakdown, and keeps each step's
-    counter snapshot, basis lengths and seconds.  The form then returns
-    its data system [C | c] and penalty basis P, the driver stacks
-    Z = [C c; lam P 0] and factors it once by Householder QR, and the
+    counter snapshot, basis lengths and seconds.  The driver then stacks
+    Z (:func:`_stacked`) and factors it once by Householder QR, and the
     solve pass solves and records every k in order off that one R:
-    ``proj_obj`` is ||Z_k y - z||, and ``sres_norm`` the norm of its rows
-    of C.  Each record carries its own step's operator and dot counts,
-    and ``form.sketches`` charges each sketched basis column to the step
-    that produced it, so every record reads as if the steps had run one
-    at a time.
+    ``proj_obj`` is ||Z_k y - z||, and ``sres_norm`` the norm of its data
+    rows.  Each record carries its own step's counts, sketched columns
+    included, as if the steps had run one at a time.
     """
     cfg = cfg or SolverConfig()
     A = A.with_fresh_counters()
@@ -293,10 +304,28 @@ def _krylov(A, b, cfg, x_true, init, step, form):
         x_true = _finite_vector("x_true", x_true, A.cols)
         if np.linalg.norm(x_true) == 0.0:
             raise ValueError("x_true must be nonzero for relative errors")
-    r0 = b.copy() if x0 is None else b - A.apply(x0)
     # a Krylov space has at most A.cols dimensions: the Hessenberg builders
     # break down by then, and the references stop here
     steps = min(cfg.maxiter, A.cols)
+    # S sketches at most steps + 1 columns of U
+    rows, rows_name = cfg.effective_sketch_rows(), "sketch_rows"
+    if sketch is not None:
+        if not isinstance(sketch, SketchOperator):
+            raise ValueError(
+                f"sketch must be a SketchOperator, got {type(sketch).__name__}"
+            )
+        if sketch.in_rows != A.rows:
+            raise ValueError(
+                f"sketch expects vectors of length {sketch.in_rows}, "
+                f"operator produces length {A.rows}"
+            )
+        rows, rows_name = sketch.out_rows, "sketch.out_rows"
+    if sketched and rows < steps + 1:
+        raise ValueError(
+            f"{rows_name}={rows} cannot embed a {steps}-dimensional projected "
+            f"problem; need at least {steps + 1} rows"
+        )
+    r0 = b.copy() if x0 is None else b - A.apply(x0)
     try:
         state = init(A, r0, cfg.pivot, capacity=steps + 1)
     except TrivialSolution:
@@ -304,7 +333,9 @@ def _krylov(A, b, cfg, x_true, init, step, form):
         rec = TraceRecord(iteration=0)
         trace = SolverTrace([_observe(rec, A, b, x, cfg, x_true, A.counters.snapshot())])
         return SolveResult(x=x, trace=trace, termination="trivial")
-    form.start(A, cfg)
+    S = sketch
+    if sketched and S is None:
+        S = make_gaussian_sketch(rows, A.rows, cfg.seed)
     built = []
     while len(built) < steps and not state.breakdown:
         tic = time.perf_counter()
@@ -313,10 +344,7 @@ def _krylov(A, b, cfg, x_true, init, step, form):
         built.append(_Step(A.counters.snapshot(), *lengths, time.perf_counter() - tic))
     tic = time.perf_counter()
     damped = cfg.lam > 0.0
-    Z, P = form.stacked(state, damped)
-    data_rows = Z.shape[0]
-    if damped:
-        Z = np.vstack([Z, np.column_stack([cfg.lam * P, np.zeros(P.shape[0])])])
+    Z, data_rows = _stacked(state, S, cfg, A.counters)
     R = np.linalg.qr(Z, mode="r")
     # the first solve waits on the whole system and its QR
     built[0].seconds += time.perf_counter() - tic
@@ -332,7 +360,7 @@ def _krylov(A, b, cfg, x_true, init, step, form):
         residual = Z[:, :k] @ y - Z[:, -1]
         rec = TraceRecord(iteration=k, proj_obj=float(np.linalg.norm(residual)))
         rec.rank_fallback = fallback
-        if form.sketched:
+        if S is not None:
             rec.sres_norm = float(np.linalg.norm(residual[:data_rows]))
         if cfg.compute_diagnostics:
             U = state.U_cols.matrix(done.u_len)
@@ -340,13 +368,14 @@ def _krylov(A, b, cfg, x_true, init, step, form):
             if damped and not state.orthonormal:
                 block = scipy.linalg.block_diag(U, Vk)
                 rec.kappa_dbar = spectral_condition_number(block)
-            if form.sketched:
+            if S is not None:
                 # the distortion of S on span(r0, A V_k): in exact
                 # arithmetic U_{k+1} spans exactly that space, at a
                 # breakdown too, with full column rank by construction
-                rec.eps_embed = measured_epsilon(form.S, U)
-        counts = (*done.counts[:3], form.sketches(k, done))
-        _observe(rec, A, b, x, cfg, x_true, counts)
+                rec.eps_embed = measured_epsilon(S, U)
+        # the columns of U, and of V when damped, that step k's basis holds
+        sketches = done.u_len + damped * done.v_len if S is not None else 0
+        _observe(rec, A, b, x, cfg, x_true, (*done.counts[:3], sketches))
         rec.wall_ms = (done.seconds + time.perf_counter() - tic) * 1e3
         trace.records.append(rec)
     termination = "breakdown" if state.breakdown else "maxiter"
@@ -364,89 +393,34 @@ class _Step:
     seconds: float
 
 
-# ---------------------------------------------------------------------------
-# projected-problem forms: start, then return the data system [C | c] and
-# the penalty basis P once, after the build pass, for the driver to stack
+def _stacked(state, S, cfg, counters):
+    """The stacked system Z = [C c; lam P 0] and its number of data rows.
 
-
-class _QuasiMinimal:
-    """min ||beta e1 - H_{k+1,k} y|| (+ lam^2 ||y||^2).
-
-    Minimizes the residual's coordinates in the data basis; the true
-    residual then sits within a factor kappa(U_{k+1}) of the best one in
-    the same subspace (exactly the best one for an orthonormal basis).
-    H is formed once, after the build pass; its first k columns are zero
-    below row k+1, so step k's system is H_{k+1,k}.  The penalty basis
-    is the identity.
+    Unsketched, [C | c] = [H | beta e1] and P = I_K: H's first k columns
+    are zero below row k+1, so step k minimizes ||beta e1 - H_{k+1,k} y||
+    (+ lam^2 ||y||^2).  A V_k = U_{k+1} H and r0 = beta u_1, so with S
+    the sketched residual S (A V_k y - r0) is S U_{k+1} (H y - beta e1):
+    [C | c] is [H | beta e1] premultiplied by S U_{K+1}, one GEMM (at a
+    breakdown U lacks its last column, and H's last row is zero), and
+    P = S1 V_K, S1 drawn from a seed derived from cfg.seed.
     """
-
-    sketched = False
-
-    def start(self, A, cfg):
-        pass
-
-    def stacked(self, state, penalty):
-        # [H | beta e1], and I_K when the driver damps
-        H = state.H_matrix()
-        rhs = np.zeros(H.shape[0])
-        rhs[0] = state.beta
-        return np.column_stack([H, rhs]), np.eye(H.shape[1]) if penalty else None
-
-    def sketches(self, k, done):
-        return 0
-
-
-class _Sketched(_QuasiMinimal):
-    """min ||S (A V_k y - r0)|| (+ lam^2 ||S1 V_k y||^2) under Gaussian sketches.
-
-    A V_k = U_{k+1} H_{k+1,k} and r0 = beta u_1, so the sketched residual
-    is S U_{k+1} (beta e1 - H y): the data system is the quasi-minimal
-    one, [H | beta e1], premultiplied by S U_{K+1}, and S r0 comes out as
-    beta (S u_1).  A dense sketch is streamed through memory once per
-    application, so S U_{K+1} is one GEMM over the store, after the build
-    pass, as is the penalty basis S1 V_K, sketched only when the driver
-    damps.  S is drawn from cfg.seed unless a prebuilt ``sketch`` is
-    given; S1 from a seed derived from cfg.seed.
-    """
-
-    sketched = True
-
-    def __init__(self, sketch):
-        self.S = sketch
-
-    def start(self, A, cfg):
-        if self.S is not None and self.S.in_rows != A.rows:
-            raise ValueError(
-                f"sketch expects vectors of length {self.S.in_rows}, "
-                f"operator produces length {A.rows}"
-            )
-        ell = cfg.effective_sketch_rows() if self.S is None else self.S.out_rows
-        if ell < cfg.maxiter + 1:
-            raise ValueError(
-                f"sketch_rows={ell} cannot embed a {cfg.maxiter}-dimensional "
-                "projected problem; need at least maxiter+1 rows"
-            )
-        if self.S is None:
-            self.S = make_gaussian_sketch(ell, A.rows, cfg.seed)
-        self.counters, self.seed, self.damped = A.counters, cfg.seed, False
-
-    def stacked(self, state, penalty):
-        # (S U_{K+1}) [H | beta e1]; at a breakdown U lacks its last
-        # column, and H's last row is zero.  S1 V_K when the driver damps
-        system, _ = super().stacked(state, False)
+    K = len(state.h_cols)
+    # [H | beta e1], without keeping H alive next to it
+    C = np.column_stack([state.H_matrix(), np.zeros(K + 1)])
+    C[0, -1] = state.beta
+    if S is not None:
         U = state.U_cols.matrix()
-        system = sketch_apply(self.S, U, self.counters) @ system[: U.shape[1]]
-        self.damped = penalty
-        if not penalty:
-            return system, None
-        V, K = state.V_cols.matrix(), len(state.h_cols)
-        seed = derive_seed(self.seed, 1)
-        S1 = make_gaussian_sketch(self.S.out_rows, V.shape[0], seed)
-        return system, sketch_apply(S1, V, self.counters)[:, :K]
-
-    def sketches(self, k, done):
-        # the columns of U, and of V when damped, that step k's basis holds
-        return done.u_len + (done.v_len if self.damped else 0)
+        C = sketch_apply(S, U, counters) @ C[: U.shape[1]]
+    if cfg.lam == 0.0:
+        return C, C.shape[0]
+    if S is None:
+        P = np.eye(K)
+    else:
+        V = state.V_cols.matrix()
+        S1 = make_gaussian_sketch(S.out_rows, V.shape[0], derive_seed(cfg.seed, 1))
+        P = sketch_apply(S1, V, counters)[:, :K]
+    penalty = np.column_stack([cfg.lam * P, np.zeros(P.shape[0])])
+    return np.vstack([C, penalty]), C.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +525,7 @@ def gmres(A, b, cfg=None, x_true=None):
     positive cfg.lam damps the projected problem with lam^2 ||y||^2
     (equal to lam^2 ||x||^2 on the orthonormal basis).
     """
-    return _krylov(A, b, cfg, x_true, _init_arnoldi, _step_arnoldi, _QuasiMinimal())
+    return _krylov(A, b, cfg, x_true, _init_arnoldi, _step_arnoldi)
 
 
 def lsqr(A, b, cfg=None, x_true=None):
@@ -561,9 +535,7 @@ def lsqr(A, b, cfg=None, x_true=None):
     cfg.lam > 0 gives damped least squares min ||Ax-b||^2 + lam^2||x||^2
     restricted to the Krylov subspace.
     """
-    return _krylov(
-        A, b, cfg, x_true, _init_golub_kahan, _step_golub_kahan, _QuasiMinimal()
-    )
+    return _krylov(A, b, cfg, x_true, _init_golub_kahan, _step_golub_kahan)
 
 
 def cmrh(A, b, cfg=None, x_true=None):
@@ -574,7 +546,7 @@ def cmrh(A, b, cfg=None, x_true=None):
     true residual then sits within a factor kappa(L_{k+1}) of the best
     residual in the same subspace.
     """
-    return _krylov(A, b, cfg, x_true, init_square, step_square, _QuasiMinimal())
+    return _krylov(A, b, cfg, x_true, init_square, step_square)
 
 
 def lslu(A, b, cfg=None, x_true=None):
@@ -583,9 +555,7 @@ def lslu(A, b, cfg=None, x_true=None):
     Rectangular analogue of cmrh: the data-space basis D plays the role
     of L_{k+1}, and the residual bound factor is kappa(D_{k+1}).
     """
-    return _krylov(
-        A, b, cfg, x_true, init_generalized, step_generalized, _QuasiMinimal()
-    )
+    return _krylov(A, b, cfg, x_true, init_generalized, step_generalized)
 
 
 def scmrh(A, b, cfg=None, x_true=None, *, sketch=None):
@@ -598,8 +568,7 @@ def scmrh(A, b, cfg=None, x_true=None, *, sketch=None):
     A positive cfg.lam adds lam^2 ||S1 L_k y||^2, with S1 drawn from a
     seed derived from cfg.seed.
     """
-    form = _Sketched(sketch)
-    return _krylov(A, b, cfg, x_true, init_square, step_square, form)
+    return _krylov(A, b, cfg, x_true, init_square, step_square, True, sketch)
 
 
 def slslu(A, b, cfg=None, x_true=None, *, sketch=None):
@@ -610,8 +579,7 @@ def slslu(A, b, cfg=None, x_true=None, *, sketch=None):
     (S2 D_{k+1}) [H_{k+1,k} | beta e1] and the same ``sketch`` option as
     :func:`scmrh`.
     """
-    form = _Sketched(sketch)
-    return _krylov(A, b, cfg, x_true, init_generalized, step_generalized, form)
+    return _krylov(A, b, cfg, x_true, init_generalized, step_generalized, True, sketch)
 
 
 def projected_minres_oracle(A, basis, b):

@@ -99,12 +99,26 @@ def test_non_integer_pivot_values_rejected_naming_the_field(sample_size, seed, m
         ("maxiter", True, "maxiter must be an integer, got True"),
         ("sketch_rows", 60.5, "sketch_rows must be an integer, got 60.5"),
         ("seed", "3", "seed must be an integer, got '3'"),
+        ("pivot", "sampled", "pivot must be a PivotStrategy, got 'sampled'"),
+        ("compute_diagnostics", "no", "compute_diagnostics must be a bool, got 'no'"),
+        ("compute_diagnostics", 1, "compute_diagnostics must be a bool, got 1"),
+        ("lam", "0.5", "lam must be a real number, got '0.5'"),
+        ("lam", True, "lam must be a real number, got True"),
+        ("lam", 0.5j, "lam must be a real number, got 0.5j"),
     ],
 )
 def test_bad_config_value_rejected_naming_the_field(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         SolverConfig(**{field: value})
     assert SolverConfig(maxiter=np.int64(5), seed=np.int32(2)).maxiter == 5
+
+
+def test_config_accepts_numpy_bools_and_real_numbers():
+    cfg = SolverConfig(compute_diagnostics=np.bool_(True), lam=np.float32(0.5))
+    assert cfg.compute_diagnostics and cfg.lam == 0.5
+    assert SolverConfig(lam=1).lam == 1 and SolverConfig(lam=np.int64(2)).lam == 2
+    pivot = PivotStrategy.sampled(3, seed=1)
+    assert SolverConfig(pivot=pivot).pivot is pivot
 
 
 def test_sketched_solver_rejects_tiny_sketch():
@@ -191,6 +205,111 @@ def test_bad_x_true_rejected_before_any_apply(name, x_true, message):
     with pytest.raises(ValueError, match=message):
         SOLVERS[name](A, b, cfg, x_true=x_true)
     assert applies == []
+
+
+def counting_operator(M, applies):
+    # records every forward and transpose apply by direction
+    def forward(x):
+        applies.append("forward")
+        return M @ x
+
+    def transpose(y):
+        applies.append("transpose")
+        return M.T @ y
+
+    return LinearOperator(M.shape[0], M.shape[1], forward, transpose)
+
+
+@pytest.mark.parametrize(
+    "sketch, message",
+    [
+        (make_gaussian_sketch(30, 7, 0), "sketch expects vectors of length 7"),
+        (np.eye(20), "sketch must be a SketchOperator, got ndarray"),
+        (
+            make_gaussian_sketch(3, 20, 0),
+            "sketch.out_rows=3 cannot embed a 3-dimensional projected problem; "
+            "need at least 4 rows",
+        ),
+    ],
+    ids=["in_rows", "ndarray", "out_rows"],
+)
+@pytest.mark.parametrize("name", ["scmrh", "slslu"])
+@pytest.mark.parametrize("start", ["x0", "b0"])
+def test_bad_sketch_rejected_before_any_apply(name, start, sketch, message):
+    # with a start vector r0 alone would apply A, and slslu's start applies
+    # A^T; with b = 0 and no start vector the start would be trivial
+    M, _, b = make_square(48, 20)
+    applies = []
+    A = counting_operator(M, applies)
+    if start == "x0":
+        cfg = SolverConfig(maxiter=3, x0=np.ones(20))
+    else:
+        cfg, b = SolverConfig(maxiter=3), np.zeros(20)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SOLVERS[name](A, b, cfg, sketch=sketch)
+    assert applies == []
+
+
+@pytest.mark.parametrize("name", ["scmrh", "slslu"])
+def test_sketch_rows_bound_the_krylov_dimension_not_maxiter(name):
+    # on 20 columns a solve takes at most 20 steps and sketches at most 21
+    # columns, so 21 rows suffice whatever maxiter is, and 20 do not
+    _, A, b = make_square(49, 20)
+    result = SOLVERS[name](A, b, SolverConfig(maxiter=50, sketch_rows=21))
+    assert len(result.trace.records) <= 20
+    message = (
+        "sketch_rows=20 cannot embed a 20-dimensional projected problem; "
+        "need at least 21 rows"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SOLVERS[name](A, b, SolverConfig(maxiter=50, sketch_rows=20))
+    S = make_gaussian_sketch(21, 20, 5)
+    assert SOLVERS[name](A, b, SolverConfig(maxiter=50), sketch=S).trace.records
+
+
+@pytest.mark.parametrize("name", ["scmrh", "slslu"])
+def test_trivial_sketched_start_draws_no_sketch(monkeypatch, name):
+    draws = []
+    draw = solvers.make_gaussian_sketch
+
+    def recording(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(solvers, "make_gaussian_sketch", recording)
+    _, A, _ = make_square(50, 12)
+    result = SOLVERS[name](A, np.zeros(12), SolverConfig(maxiter=4, lam=0.5))
+    assert result.termination == "trivial" and draws == []
+
+
+@pytest.mark.parametrize("field", ["b", "x0", "x_true"])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_complex_inputs_rejected_naming_them(name, field):
+    M, _, b = make_square(51, 6)
+    applies = []
+    A = counting_operator(M, applies)
+    inputs = {"b": b, "x0": np.zeros(6), "x_true": np.ones(6)}
+    inputs[field] = inputs[field] + 1j
+    cfg = SolverConfig(maxiter=3, x0=inputs["x0"])
+    with pytest.raises(ValueError, match=f"^{field} must be real"):
+        SOLVERS[name](A, inputs["b"], cfg, x_true=inputs["x_true"])
+    assert applies == []
+
+
+@pytest.mark.parametrize(
+    "name, direction",
+    [(name, "forward") for name in sorted(SOLVERS)]
+    + [(name, "transpose") for name in ("lslu", "lsqr", "slslu")],
+)
+def test_complex_operator_output_rejected(name, direction):
+    M, _, b = make_square(52, 6)
+    maps = {"forward": lambda x: M @ x, "transpose": lambda y: M.T @ y}
+    plain = maps[direction]
+    maps[direction] = lambda v: plain(v) * (1.0 + 1e-3j)
+    A = LinearOperator(6, 6, maps["forward"], maps["transpose"])
+    message = f"operator {direction} returned complex values"
+    with pytest.raises(ValueError, match=message):
+        SOLVERS[name](A, b, SolverConfig(maxiter=3))
 
 
 # ---------------------------------------------------------------------------
@@ -881,6 +1000,36 @@ def test_recorded_objectives_measure_the_projected_system(monkeypatch, lam, form
                 assert rec.sres_norm is None, case
             else:
                 assert rec.sres_norm == pytest.approx(data, rel=1e-10), case
+
+
+@pytest.mark.parametrize("solver", SKETCHED, ids=lambda s: s.__name__)
+def test_damped_prebuilt_sketch_pairs_with_s1_of_its_rows(monkeypatch, solver):
+    # the prebuilt S has its own seed and row count; S1 takes S's rows and
+    # a seed derived from cfg.seed, so an S1 drawn from S.seed or with the
+    # config's rows moves every y
+    lam = 0.5
+    for name, _, A, b, maxiter in form_problems(solver.__name__):
+        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=4)
+        S = make_gaussian_sketch(3 * (maxiter + 1), A.rows, 17)
+        assert S.out_rows != cfg.effective_sketch_rows()
+        ys = []
+        solve = solvers._projected_solve
+
+        def recording(R, Z, k):
+            y, fallback, R = solve(R, Z, k)
+            ys.append(y)
+            return y, fallback, R
+
+        monkeypatch.setattr(solvers, "_projected_solve", recording)
+        result = solver(A, b, cfg, sketch=S)
+        monkeypatch.undo()
+        assert len(ys) == maxiter
+        M, rhs, N = full_sketched_system(cfg, S, result)
+        for k, y in enumerate(ys, start=1):
+            ref = stacked_tikhonov_ls(M[:, :k], N[:, :k], rhs, lam)
+            assert relative_gap(y, ref) <= 1e-12, (name, k)
+        V = result.factorization.V_cols.matrix(maxiter)
+        assert np.array_equal(result.x, V @ ys[-1]), name
 
 
 def full_system_solve(M, rhs, lam, N):

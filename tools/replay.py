@@ -11,8 +11,9 @@ under ``--work`` (a temporary directory unless given).
 * The library grid solves random, rectangular, rank-3, identity,
   deblurring and tomography problems with the six solvers, over damping
   lambda in {0, 0.5}, diagnostics off and on, full and sampled(5) pivots,
-  and with and without a start vector; trivial starts (b = 0 and an
-  exact x0) come on top.  Each solve writes its trace CSV, x, its
+  and with and without a start vector; scmrh and slslu also run with a
+  prebuilt sketch (its own seed and row count) at both lambdas, and
+  trivial starts (b = 0 and an exact x0) come on top.  Each solve writes its trace CSV, x, its
   termination, the ``rank_fallback`` flag of every trace record (one 0/1
   line each; the CSV does not carry it), ||b|| and the
   ``dump_factorization`` files.
@@ -126,9 +127,10 @@ def _library_problems(grid):
 
 
 def _library_cases(grid):
-    """(case, solver name, A, b, x_true, SolverConfig)."""
+    """(case, solver name, A, b, x_true, SolverConfig, sketch or None)."""
     from hessketch import SolverConfig
     from hessketch.hessenberg import PivotStrategy
+    from hessketch.sketch import make_gaussian_sketch
 
     pivots = {
         "full": PivotStrategy.full(),
@@ -160,29 +162,39 @@ def _library_cases(grid):
                     f"{pname}-{name}-lam{lam}-diag{int(diag)}"
                     f"-x0{int(start)}-{piv}"
                 )
-                yield case, name, A, b, x_true, cfg
+                yield case, name, A, b, x_true, cfg, None
             if grid == "smoke":
                 continue
+            if name in ("scmrh", "slslu"):
+                # neither the seed nor the rows of the config's own sketch
+                sketch = make_gaussian_sketch(4 * (maxiter + 1), A.rows, 23)
+                for lam in (0.0, 0.5):
+                    cfg = SolverConfig(
+                        maxiter=maxiter, lam=lam, seed=11, compute_diagnostics=True
+                    )
+                    yield (f"{pname}-{name}-lam{lam}-sketch", name, A, b, x_true,
+                           cfg, sketch)
             # trivial starts: b = 0, and an exact x0 where b = A x_true
             for diag in (False, True):
                 zero = SolverConfig(maxiter=maxiter, compute_diagnostics=diag)
                 yield (f"{pname}-{name}-trivialb-diag{int(diag)}", name, A,
-                       np.zeros(A.rows), x_true, zero)
+                       np.zeros(A.rows), x_true, zero, None)
                 if pname in ("random", "rect"):
                     exact = replace(zero, x0=x_true)
                     yield (f"{pname}-{name}-trivialx0-diag{int(diag)}", name, A,
-                           b, x_true, exact)
+                           b, x_true, exact, None)
 
 
 def _run_library(grid):
     from hessketch import SOLVERS, trace_to_csv
     from hessketch.hessenberg import dump_factorization
 
-    for case, name, A, b, x_true, cfg in _library_cases(grid):
+    for case, name, A, b, x_true, cfg, sketch in _library_cases(grid):
         out = os.path.join("lib", case)
         os.makedirs(out)
+        extra = {} if sketch is None else {"sketch": sketch}
         try:
-            result = SOLVERS[name](A, b, cfg, x_true=x_true)
+            result = SOLVERS[name](A, b, cfg, x_true=x_true, **extra)
         except Exception as exc:  # recorded, then compared like any output
             _write(os.path.join(out, "error"), f"{type(exc).__name__}: {exc}\n")
             continue
@@ -270,7 +282,8 @@ def _cli_cases(grid):
     yield "tomo12-seedenv", small, ["solve"], "7"
     flag = ["solve", "--diagnostics"]
     yield "deblur16-diagflag", configs["deblur16-diagfalse"], flag, None
-    # a solver that fails at run time: fewer sketch rows than maxiter+1
+    # a solver that fails at run time: fewer sketch rows than the
+    # maxiter + 1 basis columns it would sketch
     failing = small + "solver.s2.sketch_rows = 4\n"
     yield "tomo12-fail-solve", failing, ["solve"], None
     yield "tomo12-fail-compare", failing, ["compare"], None
