@@ -25,6 +25,7 @@ __all__ = [
     "tracked_norm",
     "dense_qr_ls",
     "stacked_tikhonov_ls",
+    "condition_number",
     "spectral_condition_number",
     "save_array",
     "load_array",
@@ -164,13 +165,16 @@ class LinearOperator:
 
 
 def tracked_dot(counters, x, y):
-    """Inner product that charges one unit to ``dot_product_count``.
+    """Inner products x . y, or x.T @ y (one GEMV) for a 2-D block x.
 
-    Only the reference solvers (GMRES, LSQR) call this; the Hessenberg-based
-    solvers never do, which is what their zero dot counts certify.
+    Each inner product charges one unit to ``dot_product_count``, so a
+    block of b columns charges b.  Only the reference solvers (GMRES, LSQR)
+    call this; the Hessenberg-based solvers never do, which is what their
+    zero dot counts certify.
     """
-    counters.dot_product_count += 1
-    return float(np.dot(x, y))
+    block = np.ndim(x) == 2
+    counters.dot_product_count += x.shape[1] if block else 1
+    return x.T @ y if block else float(np.dot(x, y))
 
 
 def tracked_norm(counters, x):
@@ -243,6 +247,23 @@ def stacked_tikhonov_ls(M, N, rhs, lam):
     return dense_qr_ls(stacked, stacked_rhs)
 
 
+def condition_number(*spectra):
+    """sigma_max / sigma_min over one or more arrays of singular values.
+
+    Several arrays stand for the block-diagonal matrix of tall blocks with
+    those singular values: its own are their union, so its condition
+    number needs neither the block-diagonal copy nor its SVD.  Returns
+    ``inf`` when the smallest value underflows (below 1e-300).  Raises when
+    every value is zero.
+    """
+    s = np.concatenate(spectra)
+    if s.max() == 0.0:
+        raise ValueError("condition number of the zero matrix is undefined")
+    if s.min() < 1e-300:
+        return np.inf
+    return float(s.max() / s.min())
+
+
 def spectral_condition_number(M):
     """sigma_max / sigma_min of a dense matrix, by SVD.
 
@@ -252,12 +273,7 @@ def spectral_condition_number(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise ValueError("expected a nonempty 2-D matrix")
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        raise ValueError("condition number of the zero matrix is undefined")
-    if s[-1] < 1e-300:
-        return np.inf
-    return float(s[0] / s[-1])
+    return condition_number(np.linalg.svd(M, compute_uv=False))
 
 
 def save_array(path, arr):

@@ -32,8 +32,9 @@ class SketchOperator:
 
     Sketches compare by identity: sketches built from explicit entries
     share a seed, so (out_rows, in_rows, seed) does not determine one.
-    ``entries`` must have the declared shape; only the shape is checked,
-    since reading the entries would cost a pass over them.
+    ``entries`` must have the declared shape and a real dtype; neither
+    check reads the entries.  The solvers check a prebuilt sketch's
+    entries for NaN and inf before applying it; drawn ones are finite.
     """
 
     out_rows: int
@@ -46,6 +47,10 @@ class SketchOperator:
             raise ValueError(
                 f"sketch entries must have the declared shape {self.shape}, "
                 f"got {np.shape(self.entries)}"
+            )
+        if np.iscomplexobj(self.entries):
+            raise ValueError(
+                f"sketch entries must be real, got dtype {np.asarray(self.entries).dtype}"
             )
 
     @property

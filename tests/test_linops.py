@@ -91,6 +91,15 @@ def test_tracked_dot_and_norm_count():
     assert tracked_dot(c, v, v) == 25.0
     assert tracked_norm(c, v) == 5.0
     assert c.dot_product_count == 2
+    # a block is one GEMV that charges one inner product per column; it and
+    # the column-wise dots each err by at most gamma_4 |X|^T |y| (Higham,
+    # Accuracy and Stability, sec. 3.1), and 2 gamma_4 < 1e-15
+    rng = np.random.default_rng(8)
+    X, y = rng.standard_normal((4, 6)), rng.standard_normal(4)
+    block = tracked_dot(c, X, y)
+    assert c.dot_product_count == 2 + 6
+    columns = np.array([tracked_dot(OpCounters(), X[:, j], y) for j in range(6)])
+    assert np.all(np.abs(block - columns) <= 1e-15 * (np.abs(X).T @ np.abs(y)))
 
 
 def test_ls_mean_of_two_points():

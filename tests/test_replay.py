@@ -85,3 +85,18 @@ def test_a_residual_above_rounding_level_keeps_its_own_scale(tmp_path):
     for name in ("res_norm", "proj_obj"):
         worst = groups["library, full-rank problems"][name].worst
         assert abs(worst - 1e-12) < 1e-14, (name, worst)
+
+
+def test_reference_cases_are_reported_in_their_own_groups(tmp_path):
+    replay = load_tool()
+    for side in ("old", "new"):
+        write_trace_case(tmp_path / side, "random-gmres-lam0.0", [1e-3], 5.2)
+        write_trace_case(tmp_path / side, "rank3-lsqr-lam0.5", [1e-3], 5.2)
+        write_trace_case(tmp_path / side, "random-cmrh-lam0.0", [1e-3], 5.2)
+    groups = replay.compare(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert sorted(groups) == [
+        "library, full-rank problems",
+        "library, full-rank problems (gmres, lsqr)",
+        "library, rank-deficient problems (gmres, lsqr)",
+    ]
+    assert groups["library, full-rank problems (gmres, lsqr)"]["res_norm"].cases == 1

@@ -26,8 +26,9 @@ under ``--work`` (a temporary directory unless given).
 For each field (a trace column, x, termination, a factorization file, or a
 kind of CLI output) the report gives "byte-identical", or the worst
 relative difference and the case that shows it, separately for full-rank
-problems, rank-deficient problems and the CLI.  A trace column is compared
-relative to its own largest value, except a residual column whose old values
+problems, rank-deficient problems and the CLI; the library cases of the
+references (gmres, lsqr) get groups of their own.  A trace column is
+compared relative to its own largest value, except a residual column whose old values
 are all at rounding level (at most ``ROUNDING`` * ||b||): an exact zero
 measured as rounding noise is compared relative to ||b||.  ``TOLERANCES`` holds the
 gates.  A field that misses its gate is printed as MISS, never skipped,
@@ -76,6 +77,10 @@ TOLERANCES = {
 # every other library field; every CLI output is gated byte-identical
 DEFAULT_TOLERANCE = 1e-12
 DEFICIENT_PROBLEMS = ("rank3", "rank3rect", "identity")
+# the inner-product references get groups of their own, so a change in
+# their rounding cannot hide whether the Hessenberg family replays
+# byte-identically
+REFERENCES = ("gmres", "lsqr")
 # residual columns, and the level, relative to ||b||, up to which their
 # values are rounding noise around an exact zero
 RESIDUAL_COLUMNS = ("res_norm", "sres_norm", "proj_obj")
@@ -468,9 +473,11 @@ def compare(old_root, new_root):
         parts = rel.split(os.sep)
         case = parts[1]
         if parts[0] == "lib":
-            deficient = case.split("-")[0] in DEFICIENT_PROBLEMS
-            kind = "rank-deficient" if deficient else "full-rank"
+            problem, solver = case.split("-")[:2]
+            kind = "rank-deficient" if problem in DEFICIENT_PROBLEMS else "full-rank"
             group = f"library, {kind} problems"
+            if solver in REFERENCES:
+                group += f" ({', '.join(REFERENCES)})"
         else:
             group = "cli"
         name = parts[-1]
