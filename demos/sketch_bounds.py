@@ -22,7 +22,7 @@ res = slslu(A, b, cfg)
 ref = lsqr(A, b, SolverConfig(maxiter=15, compute_diagnostics=True))
 
 state = res.factorization
-print(f"sketch rows: {cfg.effective_sketch_rows()}")
+print(f"sketch rows: {cfg.effective_sketch_rows(A.cols)}")
 print(
     f"{'iter':>4}  {'oracle':>9}  {'sketched':>9}  {'bound':>9}  "
     f"{'lsqr':>9}  {'eps':>6}"

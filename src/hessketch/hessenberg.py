@@ -150,15 +150,12 @@ def _reduce(u, cols, perm, strategy, rng):
     """
     k = len(cols)
     h = np.empty(k + 1)
+    # u may be an operator's output, which is never written
+    u = u.copy()
     for j in range(k):
         c = u[perm[j]]
         h[j] = c
-        if j == 0:
-            # the first subtraction copies: u may be an operator's
-            # output, which is never written
-            u = u - c * cols[0]
-        else:
-            u -= c * cols[j]
+        u -= c * cols[j]
     if k < u.size:
         idx, val = _pivot_with_fallback(u, perm[k:], strategy, rng)
     else:

@@ -105,7 +105,8 @@ CSV_COLUMNS = [
 class SolverConfig:
     """Knobs shared by all solvers.
 
-    ``sketch_rows`` of None means the experiment default 10*(maxiter+1).
+    ``sketch_rows`` of None means the experiment default 10*(K+1), for
+    the K = min(maxiter, n) steps a solve on n columns can take.
     ``pivot`` only affects the Hessenberg-based solvers; ``seed`` only the
     sketched ones (it determines the embedding).
     """
@@ -142,9 +143,10 @@ class SolverConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
-    def effective_sketch_rows(self):
+    def effective_sketch_rows(self, cols):
+        """Rows of the data sketch for an operator with ``cols`` columns."""
         if self.sketch_rows is None:
-            return 10 * (self.maxiter + 1)
+            return 10 * (min(self.maxiter, cols) + 1)
         return self.sketch_rows
 
 
@@ -223,26 +225,19 @@ def trace_to_csv(trace, target, include_timing=False):
 
 def _projected_solve(R, Z, k):
     """Least-squares solve of step k's projected problem min ||Z_k y - z||,
-    Z_k the first k columns of the stacked system Z and z its last column,
-    with a truncated-rank fallback; returns (y, fallback_used, R).
+    Z_k the first k columns of the stacked system Z and z its last column;
+    returns (y, fallback_used).
 
-    While R, the triangle of one Householder QR of Z, is given, step k
-    solves its leading k-by-k triangle against the first k entries of its
-    last column: the same pivoted rank test, on a matrix with the
-    singular values of Z_k.  The first rank deficiency there drops R:
-    appending columns never raises the rank, so this step and every later
-    one solve Z_k itself, by pivoted QR, then by truncated least squares.
+    R is the triangle of one Householder QR of Z, so step k solves its
+    leading k-by-k triangle against the first k entries of its last
+    column, by pivoted QR: a matrix with the singular values of Z_k.  When
+    that triangle fails the rank test, Z_k is solved by truncated least
+    squares instead.  Nothing is read from other steps.
     """
-    if R is not None:
-        try:
-            return dense_qr_ls(R[:k, :k], R[:k, -1]), False, R
-        except RankDeficiencyError:
-            pass
-    Zk, z = Z[:, :k], Z[:, -1]
     try:
-        return dense_qr_ls(Zk, z), False, None
+        return dense_qr_ls(R[:k, :k], R[:k, -1]), False
     except RankDeficiencyError:
-        return np.linalg.lstsq(Zk, z, rcond=None)[0], True, None
+        return np.linalg.lstsq(Z[:, :k], Z[:, -1], rcond=None)[0], True
 
 
 def _finite_vector(name, v, length):
@@ -293,10 +288,11 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     ``maxiter``, the dimension or a breakdown, and keeps each step's
     counter snapshot, basis lengths and seconds.  The driver then stacks
     Z (:func:`_stacked`) and factors it once by Householder QR, and the
-    solve pass solves and records every k in order off that one R:
-    ``proj_obj`` is ||Z_k y - z||, and ``sres_norm`` the norm of its data
-    rows.  Each record carries its own step's counts, sketched columns
-    included, as if the steps had run one at a time.
+    solve pass solves and records every k off that one R, each step from
+    its own k alone (:func:`_projected_solve`): ``proj_obj`` is
+    ||Z_k y - z||, and ``sres_norm`` the norm of its data rows.  Each
+    record carries its own step's counts, sketched columns included, as
+    if the steps had run one at a time.
     """
     cfg = cfg or SolverConfig()
     A = A.with_fresh_counters()
@@ -310,7 +306,7 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     # break down by then, and the references stop here
     steps = min(cfg.maxiter, A.cols)
     # S sketches at most steps + 1 columns of U
-    rows, rows_name = cfg.effective_sketch_rows(), "sketch_rows"
+    rows, rows_name = cfg.effective_sketch_rows(A.cols), "sketch_rows"
     if sketch is not None:
         if not isinstance(sketch, SketchOperator):
             raise ValueError(
@@ -355,7 +351,7 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     trace = SolverTrace()
     for k, done in enumerate(built, start=1):
         tic = time.perf_counter()
-        y, fallback, R = _projected_solve(R, Z, k)
+        y, fallback = _projected_solve(R, Z, k)
         # one GEMV on a view of the solution basis
         Vk = state.V_cols.matrix(k)
         x = Vk @ y

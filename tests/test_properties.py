@@ -8,7 +8,9 @@ A V_k = U_{k+1} H_{k+1,k}.  The Hessenberg builders must also keep their
 bases unit lower triangular under the pivot orders and count no inner
 products; the generalized one must satisfy A^T U_{k+1} = V_{k+1} W.
 All six solvers must also replay: two runs on the same input give
-byte-identical traces and iterates, and the iterate is finite.
+byte-identical traces and iterates, and the iterate is finite.  Each
+step's projected solve falls back to truncated least squares exactly when
+its own columns are rank deficient.
 Examples are derandomized, so the suite stays deterministic.
 """
 
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from hessketch.hessenberg import PivotStrategy
 from hessketch.linops import LinearOperator
-from hessketch.solvers import SOLVERS, SolverConfig, trace_to_csv
+from hessketch.solvers import SOLVERS, SolverConfig, _projected_solve, trace_to_csv
 
 PIVOTS = st.one_of(
     st.just(PivotStrategy.full()),
@@ -100,3 +102,29 @@ def test_replay_is_byte_identical_and_finite(name, seed, m, n, pivot, lam, diagn
         trace_to_csv(res.trace, csv)
         runs.append((csv.getvalue(), res.x.tobytes(), res.termination))
     assert runs[0] == runs[1]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 6),
+    extra=st.integers(1, 4),
+)
+def test_projected_solve_falls_back_exactly_past_the_rank(seed, r, extra):
+    # the first r columns of Z have singular values in [1, 10] and the
+    # next ones are combinations of them, so Z_k has full rank just for
+    # k <= r; each step decides from its own triangle of the one QR of Z
+    rng = np.random.default_rng(seed)
+    rows = 10 * (r + extra + 1)
+    Q = np.linalg.qr(rng.standard_normal((rows, r)))[0]
+    W = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    B = (Q * rng.uniform(1.0, 10.0, r)) @ W
+    combos = B @ rng.standard_normal((r, extra))
+    Z = np.column_stack([B, combos, rng.standard_normal(rows)])
+    R = np.linalg.qr(Z, mode="r")
+    for k in range(1, r + extra + 1):
+        y, fallback = _projected_solve(R, Z, k)
+        assert fallback == (k > r), k
+        if fallback:
+            ref = np.linalg.lstsq(Z[:, :k], Z[:, -1], rcond=None)[0]
+            assert np.array_equal(y, ref), k

@@ -58,9 +58,9 @@ def problem_for(name, seed):
 def test_config_defaults_and_validation():
     cfg = SolverConfig()
     assert cfg.maxiter == 30
-    assert cfg.effective_sketch_rows() == 310
-    assert SolverConfig(maxiter=5).effective_sketch_rows() == 60
-    assert SolverConfig(sketch_rows=99).effective_sketch_rows() == 99
+    assert cfg.effective_sketch_rows(100) == 310
+    assert SolverConfig(maxiter=5).effective_sketch_rows(100) == 60
+    assert SolverConfig(sketch_rows=99).effective_sketch_rows(100) == 99
     with pytest.raises(ValueError):
         SolverConfig(maxiter=0)
     with pytest.raises(ValueError):
@@ -421,7 +421,7 @@ def recomputed_iterate(name, M, b, cfg, state):
     k = len(state.h_cols)
     Vk = np.column_stack(state.V_cols[:k])
     if name in ("scmrh", "slslu"):
-        ell = cfg.effective_sketch_rows()
+        ell = cfg.effective_sketch_rows(M.shape[1])
         S = make_gaussian_sketch(ell, M.shape[0], cfg.seed).entries
         P = np.column_stack([S @ (M @ v) for v in state.V_cols[:k]])
         rhs = S @ b
@@ -466,7 +466,7 @@ def test_builders_never_write_into_operator_output(name):
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_capacity_when_maxiter_exceeds_dimension(name):
+def test_capacity_when_maxiter_exceeds_dimension(monkeypatch, name):
     # the driver reserves min(maxiter, A.cols) + 1 columns per basis, and
     # a solve asked for more steps than dimensions never needs more
     _, A, b = problem_for(name, 52)
@@ -481,6 +481,18 @@ def test_capacity_when_maxiter_exceeds_dimension(name):
         trace_to_csv(res.trace, csv)
         runs.append((csv.getvalue(), res.x.tobytes(), res.termination))
     assert runs[0] == runs[1]
+    # nor more default sketch rows: S, and S1 when damped, draw 10 (n + 1)
+    draws = []
+    draw = solvers.make_gaussian_sketch
+
+    def recording(out_rows, in_rows, seed):
+        draws.append(out_rows)
+        return draw(out_rows, in_rows, seed)
+
+    monkeypatch.setattr(solvers, "make_gaussian_sketch", recording)
+    SOLVERS[name](A, b, SolverConfig(maxiter=A.cols + 5, lam=0.5, seed=6))
+    sketched = name in ("scmrh", "slslu")
+    assert draws == [10 * (A.cols + 1)] * 2 * sketched
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +819,7 @@ def test_scmrh_basis_sketching_matches_column_sketching():
     M, A, b = make_square(22, 14)
     cfg = SolverConfig(maxiter=6, seed=5)
     direct = scmrh(A, b, cfg)
-    S = make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
+    S = make_gaussian_sketch(cfg.effective_sketch_rows(A.cols), A.rows, cfg.seed)
     V = direct.factorization.V_cols.matrix(cfg.maxiter)
     y = np.linalg.lstsq(S.entries @ (M @ V), S.entries @ b, rcond=None)[0]
     assert np.allclose(direct.x, V @ y, rtol=1e-7, atol=1e-10)
@@ -869,7 +881,7 @@ def test_slslu_tikhonov_solves_stated_objective():
     res = slslu(A, b, cfg)
     state = res.factorization
     k = len(res.trace.records)
-    ell = cfg.effective_sketch_rows()
+    ell = cfg.effective_sketch_rows(A.cols)
     S2 = make_gaussian_sketch(ell, 24, cfg.seed)
     S1 = make_gaussian_sketch(ell, 12, derive_seed(cfg.seed, 1))
     Lk = np.column_stack(state.V_cols[:k])
@@ -985,7 +997,7 @@ def form_sketch(solver, A, cfg):
     # the sketch the solver draws, or None for a quasi-minimal solver
     if solver not in SKETCHED:
         return None
-    return make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
+    return make_gaussian_sketch(cfg.effective_sketch_rows(A.cols), A.rows, cfg.seed)
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -1035,9 +1047,9 @@ def test_recorded_objectives_measure_the_projected_system(monkeypatch, lam, form
         solve = solvers._projected_solve
 
         def recording(R, Z, k):
-            y, fallback, R = solve(R, Z, k)
+            y, fallback = solve(R, Z, k)
             ys.append(y)
-            return y, fallback, R
+            return y, fallback
 
         monkeypatch.setattr(solvers, "_projected_solve", recording)
         result = run_form(solver, A, b, cfg, S)
@@ -1063,14 +1075,14 @@ def test_damped_prebuilt_sketch_pairs_with_s1_of_its_rows(monkeypatch, solver):
     for name, _, A, b, maxiter in form_problems(solver.__name__):
         cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=4)
         S = make_gaussian_sketch(3 * (maxiter + 1), A.rows, 17)
-        assert S.out_rows != cfg.effective_sketch_rows()
+        assert S.out_rows != cfg.effective_sketch_rows(A.cols)
         ys = []
         solve = solvers._projected_solve
 
         def recording(R, Z, k):
-            y, fallback, R = solve(R, Z, k)
+            y, fallback = solve(R, Z, k)
             ys.append(y)
-            return y, fallback, R
+            return y, fallback
 
         monkeypatch.setattr(solvers, "_projected_solve", recording)
         result = solver(A, b, cfg, sketch=S)
@@ -1111,12 +1123,12 @@ def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, solver):
             return plain(M, rhs)
 
         def recording(R, Z, k):
-            y, fallback, R = solve(R, Z, k)
+            y, fallback = solve(R, Z, k)
             # undamped, Z is the data system [M | rhs] alone
-            assert Z.shape[0] == cfg.effective_sketch_rows()
+            assert Z.shape[0] == cfg.effective_sketch_rows(A.cols)
             M, rhs = Z[:, :k], Z[:, -1]
             steps.append((y, fallback, *full_system_solve(M, rhs, 0.0, None)))
-            return y, fallback, R
+            return y, fallback
 
         monkeypatch.setattr(solvers, "_projected_solve", recording)
         monkeypatch.setattr(solvers, "dense_qr_ls", attempting)
@@ -1127,8 +1139,8 @@ def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, solver):
         assert flags == result.trace.column("rank_fallback")
         first = flags.index(True)
         assert first >= 1 and len(steps) == maxiter
-        # the first deficient triangle is the last one tried
-        assert sum(rows == cols for rows, cols in attempts) == first + 1
+        # every step tries its own triangle once, and no tall Z_k
+        assert attempts == [(k, k) for k in range(1, len(steps) + 1)]
         for y, _, y_old, _ in steps[first:]:
             assert np.array_equal(y, y_old)
         # the last iterate is the same GEMV on the same y as before
@@ -1206,9 +1218,9 @@ def record_projected_solves(monkeypatch):
     solve = solvers._projected_solve
 
     def recording(R, Z, k):
-        y, fallback, R = solve(R, Z, k)
+        y, fallback = solve(R, Z, k)
         calls.append((Z[:, :k], Z[:, -1], y))
-        return y, fallback, R
+        return y, fallback
 
     monkeypatch.setattr(solvers, "_projected_solve", recording)
     return calls
@@ -1283,7 +1295,7 @@ def test_blocked_driver_replays_one_step_blocks(monkeypatch, lam, basis):
     for problem in products_problems():
         name, solver, A, b, maxiter = problem
         cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=7, compute_diagnostics=True)
-        S = make_gaussian_sketch(cfg.effective_sketch_rows(), A.rows, cfg.seed)
+        S = make_gaussian_sketch(cfg.effective_sketch_rows(A.cols), A.rows, cfg.seed)
         calls = record_projected_solves(monkeypatch)
         result = solver(A, b, cfg, sketch=S)
         if name in ("shift", "identity"):
@@ -1312,7 +1324,7 @@ def test_products_form_sketches_once_per_block(monkeypatch, block):
             result = solver(A, b, cfg)
             monkeypatch.undo()
             case = (name, solver.__name__, lam)
-            ell = cfg.effective_sketch_rows()
+            ell = cfg.effective_sketch_rows(A.cols)
             S = make_gaussian_sketch(ell, A.rows, cfg.seed)
             S1 = make_gaussian_sketch(ell, A.cols, derive_seed(cfg.seed, 1))
             assert len(sketches) == 1 + damped, case

@@ -12,8 +12,9 @@ under ``--work`` (a temporary directory unless given).
   deblurring and tomography problems with the six solvers, over damping
   lambda in {0, 0.5}, diagnostics off and on, full and sampled(5) pivots,
   and with and without a start vector; scmrh and slslu also run with a
-  prebuilt sketch (its own seed and row count) at both lambdas, and
-  trivial starts (b = 0 and an exact x0) come on top.  Each solve writes its trace CSV, x, its
+  prebuilt sketch (its own seed and row count) at both lambdas, and on
+  the random and rectangular problems with maxiter twice the operator's
+  columns; trivial starts (b = 0 and an exact x0) come on top.  Each solve writes its trace CSV, x, its
   termination, the ``rank_fallback`` flag of every trace record (one 0/1
   line each; the CSV does not carry it), ||b|| and the
   ``dump_factorization`` files.
@@ -179,6 +180,13 @@ def _library_cases(grid):
                     )
                     yield (f"{pname}-{name}-lam{lam}-sketch", name, A, b, x_true,
                            cfg, sketch)
+                if pname in ("random", "rect"):
+                    # more steps asked for than the operator has columns
+                    cfg = SolverConfig(
+                        maxiter=2 * A.cols, seed=11, compute_diagnostics=True
+                    )
+                    yield (f"{pname}-{name}-maxiter2n", name, A, b, x_true, cfg,
+                           None)
             # trivial starts: b = 0, and an exact x0 where b = A x_true
             for diag in (False, True):
                 zero = SolverConfig(maxiter=maxiter, compute_diagnostics=diag)
