@@ -1,16 +1,25 @@
 """Gaussian sketching operators and the sketch-and-solve least-squares primitive.
 
 Reproducibility contract: a sketch is fully determined by
-``(out_rows, in_rows, seed)``.  Entries are drawn as
-``numpy.random.Generator(numpy.random.PCG64(seed)).standard_normal((out_rows, in_rows))``
-in row-major order and scaled by ``1/sqrt(out_rows)``, giving i.i.d.
+``(out_rows, in_rows, seed)``.  Its entries are the stream of
+``numpy.random.Generator(numpy.random.PCG64(seed)).standard_normal`` in
+row-major order, each divided by ``sqrt(out_rows)``, giving i.i.d.
 N(0, 1/out_rows) entries.  Any two runs with the same triple produce the
 same operator, bit for bit.
+
+A drawn sketch is that triple and nothing else: making one draws nothing.
+:func:`sketch_apply` draws the rows again from the seed, in chunks of at
+most 8 MB into one reused buffer, and multiplies each chunk into its rows
+of the result, so an apply to b columns holds O(chunk + out_rows * b)
+memory, never the out_rows x in_rows matrix.  Reading ``entries`` draws
+the whole matrix from the same stream, once per sketch, and every later
+apply reads it instead.  Both give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,58 +34,107 @@ __all__ = [
     "derive_seed",
 ]
 
+# the most bytes of S's rows an apply multiplies at once, so the most a
+# streamed apply draws and holds.  Each chunk's product reads the whole
+# block, so smaller chunks re-read it more often: at 8 MB and in_rows =
+# 16,384 a chunk is 64 rows
+_CHUNK_BYTES = 8 << 20
 
-@dataclass(eq=False)
+
+@dataclass(eq=False, init=False)
 class SketchOperator:
-    """A realized random embedding of R^in_rows into R^out_rows.
+    """A random embedding of R^in_rows into R^out_rows.
 
-    Sketches compare by identity: sketches built from explicit entries
-    share a seed, so (out_rows, in_rows, seed) does not determine one.
+    Without ``entries`` it is a descriptor of the seeded Gaussian draw:
+    :func:`sketch_apply` streams its rows from the seed, and ``entries``
+    draws and keeps the full matrix on first read.  Sketches compare by
+    identity: sketches built from explicit entries share a seed, so
+    (out_rows, in_rows, seed) does not determine one.  Explicit
     ``entries`` must have the declared shape and a real dtype; neither
-    check reads the entries.  The solvers check a prebuilt sketch's
-    entries for NaN and inf before applying it; drawn ones are finite.
+    check reads the entries.  The solvers check held entries for NaN and
+    inf before applying them; drawn ones are finite.
     """
 
     out_rows: int
     in_rows: int
     seed: int
-    entries: np.ndarray
 
-    def __post_init__(self):
-        if np.shape(self.entries) != self.shape:
+    def __init__(self, out_rows, in_rows, seed, entries=None):
+        self.out_rows, self.in_rows, self.seed = out_rows, in_rows, seed
+        if entries is None:
+            return
+        if np.shape(entries) != self.shape:
             raise ValueError(
                 f"sketch entries must have the declared shape {self.shape}, "
-                f"got {np.shape(self.entries)}"
+                f"got {np.shape(entries)}"
             )
-        if np.iscomplexobj(self.entries):
+        if np.iscomplexobj(entries):
             raise ValueError(
-                f"sketch entries must be real, got dtype {np.asarray(self.entries).dtype}"
+                f"sketch entries must be real, got dtype {np.asarray(entries).dtype}"
             )
+        # held as if already read: the cached property never draws them
+        self.__dict__["entries"] = entries
 
     @property
     def shape(self):
         return (self.out_rows, self.in_rows)
 
+    @cached_property
+    def entries(self):
+        """The full matrix, drawn from the seed on first read and kept."""
+        entries = np.empty(self.shape)
+        for start, stop, rows in _row_chunks(self):
+            entries[start:stop] = rows
+        return entries
+
+
+def _draw_rows(gen, out, scale):
+    """Fill ``out`` with the next standard normals of ``gen``, divided by
+    ``scale``.  Division, not a multiply by 1/scale, which rounds differently."""
+    gen.standard_normal(out=out)
+    out /= scale
+    return out
+
+
+def _row_chunks(S):
+    """The rows of S in order, as ``(start, stop, rows)`` chunks of at most
+    ``_CHUNK_BYTES`` (one row at least).
+
+    Held entries are cut into views.  A descriptor's chunks are drawn by
+    :func:`_draw_rows` into the leading rows of one buffer, reused for
+    every chunk: each ``rows`` is valid until the next one is drawn.
+    """
+    step = max(1, _CHUNK_BYTES // (8 * S.in_rows))
+    ranges = [(i, min(i + step, S.out_rows)) for i in range(0, S.out_rows, step)]
+    held = vars(S).get("entries")
+    if held is not None:
+        yield from ((start, stop, held[start:stop]) for start, stop in ranges)
+        return
+    gen = np.random.Generator(np.random.PCG64(S.seed))
+    scale = np.sqrt(S.out_rows)
+    buf = np.empty((ranges[0][1], S.in_rows))
+    for start, stop in ranges:
+        yield start, stop, _draw_rows(gen, buf[: stop - start], scale)
+
 
 def make_gaussian_sketch(out_rows, in_rows, seed):
-    """Draw a Gaussian sketch with i.i.d. N(0, 1/out_rows) entries.
+    """A Gaussian sketch with i.i.d. N(0, 1/out_rows) entries, as a
+    descriptor: nothing is drawn until it is applied or its entries read.
 
     The scaling makes the map an isometry in expectation:
     ``E[||S v||^2] = ||v||^2`` for any fixed v.
     """
     if out_rows < 1 or in_rows < 1:
         raise ValueError("sketch dimensions must be positive")
-    gen = np.random.Generator(np.random.PCG64(seed))
-    entries = gen.standard_normal((out_rows, in_rows)) / np.sqrt(out_rows)
-    return SketchOperator(out_rows, in_rows, int(seed), entries)
+    return SketchOperator(out_rows, in_rows, int(seed))
 
 
 def sketch_apply(S, v, counters=None):
     """Apply the sketch to a vector, or to each column of an (in_rows, b)
     block at once.
 
-    A block is one matrix-matrix product, a single pass over the entries,
-    and charges b sketch applications; a vector charges one.
+    A block is one pass over the entries, held or streamed from the seed
+    chunk by chunk, and charges b sketch applications; a vector charges one.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != S.in_rows:
@@ -86,7 +144,10 @@ def sketch_apply(S, v, counters=None):
         )
     if counters is not None:
         counters.sketch_apply_count += 1 if v.ndim == 1 else v.shape[1]
-    return S.entries @ v
+    out = np.empty((S.out_rows, *v.shape[1:]))
+    for start, stop, rows in _row_chunks(S):
+        np.matmul(rows, v, out=out[start:stop])
+    return out
 
 
 def sketch_and_solve_ls(S, M, rhs, counters=None):

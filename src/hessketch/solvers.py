@@ -317,7 +317,8 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
                 f"sketch expects vectors of length {sketch.in_rows}, "
                 f"operator produces length {A.rows}"
             )
-        if not np.isfinite(sketch.entries).all():
+        # only held entries: reading a descriptor's would draw all of S
+        if "entries" in vars(sketch) and not np.isfinite(sketch.entries).all():
             raise ValueError("sketch entries must be finite; they contain NaN or inf")
         rows, rows_name = sketch.out_rows, "sketch.out_rows"
     if sketched and rows < steps + 1:
@@ -336,6 +337,8 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     S = sketch
     if sketched and S is None:
         S = make_gaussian_sketch(rows, A.rows, cfg.seed)
+    if S is not None and cfg.compute_diagnostics:
+        S.entries  # drawn once: measured_epsilon applies S at every k
     built = []
     while len(built) < steps and not state.breakdown:
         tic = time.perf_counter()

@@ -1,8 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hessketch import sketch
 from hessketch.linops import OpCounters, dense_qr_ls
 from hessketch.sketch import (
     SketchOperator,
@@ -21,6 +23,86 @@ def test_sketch_shape_and_determinism():
     assert np.array_equal(S1.entries, S2.entries)
     S3 = make_gaussian_sketch(20, 100, seed=43)
     assert not np.array_equal(S1.entries, S3.entries)
+
+
+def gaussian_stream(out_rows, in_rows, seed):
+    # the reproducibility contract, spelled out
+    gen = np.random.Generator(np.random.PCG64(seed))
+    return gen.standard_normal((out_rows, in_rows)) / np.sqrt(out_rows)
+
+
+@pytest.mark.parametrize("chunk_bytes", [8 << 20, 8 * 30 * 7, 8], ids=["whole", "7-row", "1-row"])
+def test_gaussian_entries_are_the_pcg64_stream(monkeypatch, chunk_bytes):
+    # entries are drawn chunk by chunk; the chunks must join into the one draw
+    monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk_bytes)
+    for shape, seed in [((50, 30), 0), ((7, 1), 12), ((1, 40), 2**63)]:
+        S = make_gaussian_sketch(*shape, seed)
+        assert np.array_equal(S.entries, gaussian_stream(*shape, seed))
+
+
+def test_make_gaussian_sketch_draws_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sketch, "_draw_rows", lambda *args: calls.append(args))
+    S = make_gaussian_sketch(1000, 1000, 0)
+    assert calls == [] and "entries" not in vars(S)
+
+
+# (out_rows, in_rows, columns, chunk bytes); small, so every GEMM stays
+# single-threaded
+STREAMS = {
+    "one-chunk": (40, 30, 5, 8 << 20),
+    "vector": (40, 30, None, 8 * 30 * 8),
+    "block": (40, 30, 5, 8 * 30 * 8),
+    "ragged": (43, 30, 5, 8 * 30 * 8),  # five chunks of 8 rows, then 3
+    "one-row-vector": (43, 30, None, 100),  # in_rows * 8 > chunk bytes
+    "one-row-block": (43, 30, 4, 100),
+}
+
+
+@pytest.mark.parametrize("out_rows, in_rows, cols, chunk_bytes", STREAMS.values(), ids=STREAMS)
+def test_streamed_apply_is_exact(monkeypatch, out_rows, in_rows, cols, chunk_bytes):
+    monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk_bytes)
+    step = max(1, chunk_bytes // (8 * in_rows))
+    E = gaussian_stream(out_rows, in_rows, 7)
+    v = np.random.default_rng(7).standard_normal((in_rows,) if cols is None else (in_rows, cols))
+    S = make_gaussian_sketch(out_rows, in_rows, 7)
+    streamed = sketch_apply(S, v)
+    assert "entries" not in vars(S)
+    # the loop reference: one product per chunk of the stream's entries
+    by_chunk = np.concatenate([E[i : i + step] @ v for i in range(0, out_rows, step)])
+    assert np.array_equal(streamed, by_chunk)
+    # held entries, read or explicit, are applied in the same chunks
+    assert np.array_equal(S.entries, E)
+    assert np.array_equal(sketch_apply(S, v), streamed)
+    held = SketchOperator(out_rows, in_rows, 7, entries=E)
+    assert np.array_equal(sketch_apply(held, v), streamed)
+    # the unchunked product is one GEMM over all rows, which BLAS may
+    # group differently; both products lie within gamma_m |E| |v| of the
+    # exact one (m = in_rows terms per entry, unit roundoff u)
+    u = np.finfo(float).eps / 2
+    gamma = in_rows * u / (1 - in_rows * u)
+    assert np.all(np.abs(streamed - E @ v) <= 2 * gamma * (np.abs(E) @ np.abs(v)))
+
+
+def test_streamed_apply_holds_one_chunk(monkeypatch):
+    # A 256 x 8192 sketch is 16 MiB.  With 1 MiB chunks (16 rows) an apply
+    # to 4 columns allocates one chunk buffer (1 MiB), the 256 x 4 result
+    # (8 KiB) and interpreter-sized objects: the generator, the list of
+    # row ranges, views.  64 KiB covers those many times over; the bound
+    # is then 1.07 MiB, a fifteenth of the full entries.
+    chunk = 1 << 20
+    monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk)
+    S = make_gaussian_sketch(256, 8192, 0)
+    v = np.random.default_rng(0).standard_normal((8192, 4))
+    tracemalloc.start()
+    try:
+        out = sketch_apply(S, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = chunk + out.nbytes + (64 << 10)
+    assert peak <= bound < S.out_rows * S.in_rows * 8
+    assert "entries" not in vars(S)
 
 
 def test_sketch_entry_scaling():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hessketch import sketch as sketch_module
 from hessketch import solvers
 from hessketch.hessenberg import PivotStrategy, dump_factorization
 from hessketch.linops import (
@@ -289,6 +290,50 @@ def test_trivial_sketched_start_draws_no_sketch(monkeypatch, name):
     _, A, _ = make_square(50, 12)
     result = SOLVERS[name](A, np.zeros(12), SolverConfig(maxiter=4, lam=0.5))
     assert result.termination == "trivial" and draws == []
+
+
+def record_row_draws(monkeypatch, chunk_rows, in_rows):
+    # every chunk of Gaussian rows a sketch draws, copied, in order, with
+    # chunks of chunk_rows rows of length in_rows
+    drawn = []
+    draw = sketch_module._draw_rows
+
+    def recording(gen, out, scale):
+        drawn.append(draw(gen, out, scale).copy())
+        return out
+
+    monkeypatch.setattr(sketch_module, "_CHUNK_BYTES", 8 * chunk_rows * in_rows)
+    monkeypatch.setattr(sketch_module, "_draw_rows", recording)
+    return drawn
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_scmrh_draws_its_sketch_in_one_pass(monkeypatch, diagnostics):
+    # eps_embed applies S at every k, so with diagnostics the driver draws
+    # S whole once; either way each chunk of S is drawn exactly once
+    _, A, b = make_square(52, 20)
+    cfg = SolverConfig(maxiter=8, seed=3, compute_diagnostics=diagnostics)
+    ell = cfg.effective_sketch_rows(A.cols)
+    drawn = record_row_draws(monkeypatch, 7, A.rows)
+    result = scmrh(A, b, cfg)
+    assert [len(rows) for rows in drawn] == [7] * (ell // 7) + [ell % 7]
+    gen = np.random.Generator(np.random.PCG64(cfg.seed))
+    S = gen.standard_normal((ell, A.rows)) / np.sqrt(ell)
+    assert np.array_equal(np.vstack(drawn), S)
+    eps = result.trace.column("eps_embed")
+    assert all(e is not None for e in eps) == diagnostics
+
+
+@pytest.mark.parametrize("name", ["scmrh", "slslu"])
+def test_prebuilt_descriptor_is_never_materialized(monkeypatch, name):
+    # the finiteness check reads held entries only; a descriptor streams
+    _, A, b = problem_for(name, 53)
+    S = make_gaussian_sketch(60, A.rows, 11)
+    drawn = record_row_draws(monkeypatch, 8, A.rows)
+    result = SOLVERS[name](A, b, SolverConfig(maxiter=5, lam=0.5), sketch=S)
+    assert "entries" not in vars(S) and len(result.trace.records) == 5
+    # one pass over S, and one over the damped solve's S1 of as many rows
+    assert sum(len(rows) for rows in drawn) == 2 * 60
 
 
 @pytest.mark.parametrize("field", ["b", "x0", "x_true"])

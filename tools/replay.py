@@ -33,10 +33,10 @@ compared relative to its own largest value, except a residual column whose old v
 are all at rounding level (at most ``ROUNDING`` * ||b||): an exact zero
 measured as rounding noise is compared relative to ||b||.  ``TOLERANCES`` holds the
 gates.  A field that misses its gate is printed as MISS, never skipped,
-and then the exit status is 1.  Timings are volatile and never compared:
-``wall_ms`` rows of ``compare.csv`` are dropped on both sides.  No golden
-outputs are kept, since BLAS builds differ between machines; the two trees
-run on the same one.
+and then the exit status is 1.  Timings are volatile and never written:
+``trace_to_csv`` leaves ``wall_ms`` empty, and ``compare.csv`` has no
+``wall_ms`` rows.  No golden outputs are kept, since BLAS builds differ
+between machines; the two trees run on the same one.
 """
 
 from __future__ import annotations
@@ -449,12 +449,6 @@ def _read(path):
         return fh.read()
 
 
-def _drop_wall_ms(data):
-    lines = data.decode().split("\n")
-    kept = [line for line in lines if line.split(",")[2:3] != ["wall_ms"]]
-    return "\n".join(kept).encode()
-
-
 def _b_norm(case_dir):
     # ||b|| as the worker recorded it; 0.0 (no floor) where it is missing
     path = os.path.join(case_dir, "b_norm")
@@ -499,8 +493,6 @@ def compare(old_root, new_root):
         if group == "cli":
             if name == "exp.cfg":
                 continue
-            if name == "compare.csv":
-                old, new = _drop_wall_ms(old), _drop_wall_ms(new)
             same = old == new
             if same:
                 diff = 0.0
