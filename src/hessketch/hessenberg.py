@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import save_array
+from .linops import _is_integer, save_array
 
 __all__ = [
     "PivotStrategy",
@@ -48,10 +48,6 @@ __all__ = [
     "step_generalized",
     "dump_factorization",
 ]
-
-
-def _is_integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -183,11 +179,12 @@ class ColumnStore(Sequence):
 
     Reads like a list of columns: ``len``, indexing, slicing (which gives a
     list), ``[-1]`` and iteration return read-only views into the array,
-    never copies.  ``append`` writes the next column into the next free
-    slot, and ``matrix(k)`` is the first k columns as one (rows, k) view,
-    ready for a single BLAS call.  A store made without a ``capacity``
-    doubles it when full (earlier views stay valid, on the old array); the
-    solver driver passes the most columns a solve can produce.
+    never copies.  ``append`` writes the next column, of shape (rows,),
+    into the next free slot, and ``matrix(k)`` is the first k columns
+    (0 <= k <= len) as one (rows, k) view, ready for a single BLAS call.
+    A store made without a ``capacity`` doubles it when full (earlier views
+    stay valid, on the old array); the solver driver passes the most
+    columns a solve can produce.
     """
 
     def __init__(self, rows, capacity=None):
@@ -215,6 +212,11 @@ class ColumnStore(Sequence):
         return iter(self._views)
 
     def append(self, column):
+        rows = self._data.shape[0]
+        if np.shape(column) != (rows,):
+            raise ValueError(
+                f"column must have shape ({rows},), got {np.shape(column)}"
+            )
         k = len(self._views)
         if k == self.capacity:
             data = np.empty((self._data.shape[0], 2 * k), order="F")
@@ -228,7 +230,9 @@ class ColumnStore(Sequence):
         """The first k columns (all by default) as one read-only view."""
         if k is None:
             k = len(self._views)
-        elif k > len(self._views):
+        elif not _is_integer(k):
+            raise TypeError(f"column count must be an integer, got {k!r}")
+        elif not 0 <= k <= len(self._views):
             raise IndexError(f"store holds {len(self._views)} columns, asked for {k}")
         return self._readonly(self._data[:, :k])
 

@@ -37,6 +37,10 @@ __all__ = [
 RANK_TOL = 1e-14
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class RankDeficiencyError(np.linalg.LinAlgError):
     """Raised when a dense least-squares matrix is numerically rank deficient.
 
@@ -108,6 +112,10 @@ class LinearOperator:
     counters: OpCounters = field(default_factory=OpCounters)
 
     def __post_init__(self):
+        for name in ("rows", "cols"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"operator {name} must be an integer, got {value!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("operator dimensions must be positive")
 
@@ -149,7 +157,9 @@ class LinearOperator:
 
     @classmethod
     def from_matrix(cls, M):
-        """Wrap a dense array or scipy sparse matrix."""
+        """Wrap a real dense array or scipy sparse matrix."""
+        if np.iscomplexobj(M):
+            raise ValueError("matrix must be real; it has a complex dtype")
         if scipy.sparse.issparse(M):
             M = M.tocsr()
             Mt = M.T.tocsr()

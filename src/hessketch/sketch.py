@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linops import dense_qr_ls
+from .linops import _is_integer, dense_qr_ls
 
 __all__ = [
     "SketchOperator",
@@ -60,7 +60,10 @@ class SketchOperator:
     seed: int
 
     def __init__(self, out_rows, in_rows, seed, entries=None):
-        self.out_rows, self.in_rows, self.seed = out_rows, in_rows, seed
+        for name, value in (("out_rows", out_rows), ("in_rows", in_rows)):
+            _check_integer(name, value, 1, "positive")
+        _check_integer("seed", seed, 0, "nonnegative")
+        self.out_rows, self.in_rows, self.seed = int(out_rows), int(in_rows), int(seed)
         if entries is None:
             return
         if np.shape(entries) != self.shape:
@@ -86,6 +89,13 @@ class SketchOperator:
         for start, stop, rows in _row_chunks(self):
             entries[start:stop] = rows
         return entries
+
+
+def _check_integer(name, value, least, word):
+    if not _is_integer(value):
+        raise ValueError(f"sketch {name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"sketch {name} must be {word}, got {value}")
 
 
 def _draw_rows(gen, out, scale):
@@ -122,11 +132,10 @@ def make_gaussian_sketch(out_rows, in_rows, seed):
     descriptor: nothing is drawn until it is applied or its entries read.
 
     The scaling makes the map an isometry in expectation:
-    ``E[||S v||^2] = ||v||^2`` for any fixed v.
+    ``E[||S v||^2] = ||v||^2`` for any fixed v.  The sizes must be
+    positive integers and the seed a nonnegative one, bools excluded.
     """
-    if out_rows < 1 or in_rows < 1:
-        raise ValueError("sketch dimensions must be positive")
-    return SketchOperator(out_rows, in_rows, int(seed))
+    return SketchOperator(out_rows, in_rows, seed)
 
 
 def sketch_apply(S, v, counters=None):
@@ -187,7 +196,17 @@ def measured_epsilon(S, basis):
             f"basis must have {S.in_rows} rows, got shape {basis.shape}"
         )
     Q, _ = np.linalg.qr(basis)
-    s = np.linalg.svd(sketch_apply(S, Q), compute_uv=False)
+    return _distortion(sketch_apply(S, Q))
+
+
+def _distortion(SQ):
+    """The distortion eps of a sketch S on span(Q), from SQ = S Q for an
+    orthonormal Q (or any matrix with the singular values of S Q):
+    ``kappa(SQ) = (1 + eps) / (1 - eps)``.  A non-finite SQ or s_max, or
+    an s_min of zero, reads 1.0, the most a distortion can be."""
+    if not np.isfinite(SQ).all():
+        return 1.0
+    s = np.linalg.svd(SQ, compute_uv=False)
     if s[-1] <= 0.0 or not np.isfinite(s[0]):
         return 1.0
     kappa = s[0] / s[-1]
@@ -199,7 +218,10 @@ def derive_seed(seed, stream):
 
     Built on ``numpy.random.SeedSequence(seed, spawn_key=(stream,))`` so
     distinct streams from one root seed give statistically independent
-    generators, deterministically.
+    generators, deterministically.  Both must be nonnegative integers.
     """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not _is_integer(value) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -33,9 +33,9 @@ Counter semantics: the counters on the returned trace report the
 operations the algorithm itself performed: forward/transpose
 applications, tracked inner products and sketch applications, the last
 two one per inner product or sketched column, not per call.  Diagnostics
-(exact residual norms, condition numbers, measured embedding distortion)
-run on uncounted paths and never perturb the iterate sequence, so a
-trace's cost columns are identical with diagnostics on or off.
+(the exact residual norm, and condition numbers and embedding distortion
+read off one QR per basis) run on uncounted paths and never perturb the
+iterate sequence, so a trace's cost columns are identical either way.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 
 from .hessenberg import (
     ColumnStore,
     KrylovFactorization,
     PivotStrategy,
     TrivialSolution,
-    _is_integer,
     init_generalized,
     init_square,
     step_generalized,
@@ -59,6 +59,7 @@ from .hessenberg import (
 )
 from .linops import (
     RankDeficiencyError,
+    _is_integer,
     condition_number,
     dense_qr_ls,
     stacked_tikhonov_ls,  # noqa: F401  unused; the benchmark patches it here
@@ -66,7 +67,7 @@ from .linops import (
     tracked_norm,
 )
 from .sketch import SketchOperator, derive_seed, make_gaussian_sketch
-from .sketch import measured_epsilon, sketch_apply
+from .sketch import _distortion, sketch_apply
 
 __all__ = [
     "SolverConfig",
@@ -292,7 +293,8 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     its own k alone (:func:`_projected_solve`): ``proj_obj`` is
     ||Z_k y - z||, and ``sres_norm`` the norm of its data rows.  Each
     record carries its own step's counts, sketched columns included, as
-    if the steps had run one at a time.
+    if the steps had run one at a time.  Diagnostics read the leading
+    blocks of one QR each of U_{K+1}, V and S U_{K+1}: S is never drawn whole.
     """
     cfg = cfg or SolverConfig()
     A = A.with_fresh_counters()
@@ -337,8 +339,6 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     S = sketch
     if sketched and S is None:
         S = make_gaussian_sketch(rows, A.rows, cfg.seed)
-    if S is not None and cfg.compute_diagnostics:
-        S.entries  # drawn once: measured_epsilon applies S at every k
     built = []
     while len(built) < steps and not state.breakdown:
         tic = time.perf_counter()
@@ -347,8 +347,13 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
         built.append(_Step(A.counters.snapshot(), *lengths, time.perf_counter() - tic))
     tic = time.perf_counter()
     damped = cfg.lam > 0.0
-    Z, data_rows = _stacked(state, S, cfg, A.counters)
+    Z, data_rows, T = _stacked(state, S, cfg, A.counters)
     R = np.linalg.qr(Z, mode="r")
+    if cfg.compute_diagnostics:
+        # one QR per basis: U_j = Q_j R_j takes the leading j-by-j block
+        R_U = np.linalg.qr(state.U_cols.matrix(), mode="r")
+        own_V = damped and not state.orthonormal and state.V_cols is not state.U_cols
+        R_V = np.linalg.qr(state.V_cols.matrix(), mode="r") if own_V else R_U
     # the first solve waits on the whole system and its QR
     built[0].seconds += time.perf_counter() - tic
     trace = SolverTrace()
@@ -356,8 +361,7 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
         tic = time.perf_counter()
         y, fallback = _projected_solve(R, Z, k)
         # one GEMV on a view of the solution basis
-        Vk = state.V_cols.matrix(k)
-        x = Vk @ y
+        x = state.V_cols.matrix(k) @ y
         if x0 is not None:
             x = x0 + x
         residual = Z[:, :k] @ y - Z[:, -1]
@@ -366,18 +370,18 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
         if S is not None:
             rec.sres_norm = float(np.linalg.norm(residual[:data_rows]))
         if cfg.compute_diagnostics:
-            U = state.U_cols.matrix(done.u_len)
-            s = np.linalg.svd(U, compute_uv=False)
+            j = done.u_len
+            R_j = R_U[:j, :j]
+            s = np.linalg.svd(R_j, compute_uv=False)
             rec.kappa_basis = condition_number(s)
             if damped and not state.orthonormal:
-                # diag(U, V_k) has the union of their singular values
-                s_v = np.linalg.svd(Vk, compute_uv=False)
+                # diag(U_j, V_k) has the union of their singular values
+                s_v = np.linalg.svd(R_V[:k, :k], compute_uv=False)
                 rec.kappa_dbar = condition_number(s, s_v)
             if S is not None:
-                # the distortion of S on span(r0, A V_k): in exact
-                # arithmetic U_{k+1} spans exactly that space, at a
-                # breakdown too, with full column rank by construction
-                rec.eps_embed = measured_epsilon(S, U)
+                # S's distortion on span(U_j) = span(r0, A V_k): S U_j =
+                # Q_S T_j, so S Q_j = Q_S T_j R_j^-1, one triangular solve
+                rec.eps_embed = _distortion(dtrsm(1.0, R_j, T[:j, :j], side=1))
         # the columns of U, and of V when damped, that step k's basis holds
         sketches = done.u_len + damped * done.v_len if S is not None else 0
         _observe(rec, A, b, x, cfg, x_true, (*done.counts[:3], sketches))
@@ -399,7 +403,8 @@ class _Step:
 
 
 def _stacked(state, S, cfg, counters):
-    """The stacked system Z = [C c; lam P 0] and its number of data rows.
+    """The stacked system Z = [C c; lam P 0], its number of data rows, and
+    the triangle T of S U_{K+1} = Q_S T when diagnostics are on (else None).
 
     Unsketched, [C | c] = [H | beta e1] and P = I_K: H's first k columns
     are zero below row k+1, so step k minimizes ||beta e1 - H_{k+1,k} y||
@@ -413,11 +418,15 @@ def _stacked(state, S, cfg, counters):
     # [H | beta e1], without keeping H alive next to it
     C = np.column_stack([state.H_matrix(), np.zeros(K + 1)])
     C[0, -1] = state.beta
+    T = None
     if S is not None:
-        U = state.U_cols.matrix()
-        C = sketch_apply(S, U, counters) @ C[: U.shape[1]]
+        SU = sketch_apply(S, state.U_cols.matrix(), counters)
+        if cfg.compute_diagnostics:
+            T = np.linalg.qr(SU, mode="r")
+        C = SU @ C[: SU.shape[1]]
+        del SU
     if cfg.lam == 0.0:
-        return C, C.shape[0]
+        return C, C.shape[0], T
     if S is None:
         P = np.eye(K)
     else:
@@ -425,7 +434,7 @@ def _stacked(state, S, cfg, counters):
         S1 = make_gaussian_sketch(S.out_rows, V.shape[0], derive_seed(cfg.seed, 1))
         P = sketch_apply(S1, V, counters)[:, :K]
     penalty = np.column_stack([cfg.lam * P, np.zeros(P.shape[0])])
-    return np.vstack([C, penalty]), C.shape[0]
+    return np.vstack([C, penalty]), C.shape[0], T
 
 
 # ---------------------------------------------------------------------------
@@ -589,21 +598,11 @@ def projected_minres_oracle(A, basis, b):
     least-squares problem, and returns (y, residual_norm).
     """
     basis = np.asarray(basis, dtype=float)
-    if basis.ndim == 1:
-        basis = basis.reshape(-1, 1)
+    basis = basis.reshape(len(basis), -1)  # a vector is one column
     b = np.asarray(b, dtype=float)
-    M = np.empty((A.rows, basis.shape[1]))
-    for j in range(basis.shape[1]):
-        M[:, j] = A.forward(basis[:, j])
+    M = np.column_stack([A.forward(v) for v in basis.T])
     y = dense_qr_ls(M, b)
     return y, float(np.linalg.norm(M @ y - b))
 
 
-SOLVERS = {
-    "gmres": gmres,
-    "lsqr": lsqr,
-    "cmrh": cmrh,
-    "lslu": lslu,
-    "scmrh": scmrh,
-    "slslu": slslu,
-}
+SOLVERS = {solve.__name__: solve for solve in (gmres, lsqr, cmrh, lslu, scmrh, slslu)}

@@ -526,6 +526,26 @@ def test_column_store_reads_like_a_list_of_views():
         store.matrix()[0, 0] = 9.0
 
 
+@pytest.mark.parametrize("k", [-1, -3, 1.0, True, "1"])
+def test_column_store_matrix_rejects_bad_counts(k):
+    # a negative count would slice into slots never written
+    store = ColumnStore(3, capacity=4)
+    store.append(np.ones(3))
+    error = IndexError if isinstance(k, int) and not isinstance(k, bool) else TypeError
+    with pytest.raises(error, match="column"):
+        store.matrix(k)
+    assert store.matrix(0).shape == (3, 0)
+
+
+@pytest.mark.parametrize("column", [7.0, np.ones(2), np.ones(4), np.ones((3, 1))])
+def test_column_store_append_rejects_misshapen_columns(column):
+    # a scalar would broadcast into a whole column
+    store = ColumnStore(3, capacity=2)
+    with pytest.raises(ValueError, match=r"^column must have shape \(3,\)"):
+        store.append(column)
+    assert len(store) == 0
+
+
 def test_column_store_growth_keeps_earlier_views():
     store = ColumnStore(2, capacity=1)
     store.append(np.array([1.0, 2.0]))

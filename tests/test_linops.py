@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.io
@@ -248,3 +250,40 @@ def test_load_operator_dense_and_sparse(tmp_path):
     assert B.shape == (2, 3)
     assert np.allclose(B.apply(np.ones(3)), [3.0, 3.0])
     assert np.allclose(B.apply_transpose(np.ones(2)), M.T @ np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        1j * np.eye(2),
+        np.eye(2, dtype=np.complex64),
+        scipy.sparse.csr_matrix(1j * np.eye(2)),
+    ],
+    ids=["dense", "dense64", "sparse"],
+)
+def test_complex_matrix_rejected(M):
+    # casting would drop the imaginary part and wrap another operator
+    with pytest.raises(ValueError, match="^matrix must be real"):
+        LinearOperator.from_matrix(M)
+
+
+def test_load_operator_rejects_complex_file(tmp_path):
+    path = tmp_path / "complex.mm"
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, scipy.sparse.csr_matrix(np.array([[1.0, 2j]])))
+    with pytest.raises(ValueError, match="^matrix must be real"):
+        load_operator(path)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [
+        (2.5, 3, "operator rows must be an integer, got 2.5"),
+        (2, 3.0, "operator cols must be an integer, got 3.0"),
+        (True, 3, "operator rows must be an integer, got True"),
+    ],
+)
+def test_operator_dimensions_must_be_integers(rows, cols, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LinearOperator(rows, cols, lambda x: x, lambda y: y)
+    assert LinearOperator(np.int64(2), 3, lambda x: x, lambda y: y).shape == (2, 3)

@@ -10,7 +10,9 @@ products; the generalized one must satisfy A^T U_{k+1} = V_{k+1} W.
 All six solvers must also replay: two runs on the same input give
 byte-identical traces and iterates, and the iterate is finite.  Each
 step's projected solve falls back to truncated least squares exactly when
-its own columns are rank deficient.
+its own columns are rank deficient.  The diagnostics the driver reads off
+one QR per basis agree with the SVDs and the measured distortion of each
+step's own basis, within a bound derived below.
 Examples are derandomized, so the suite stays deterministic.
 """
 
@@ -22,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessketch.hessenberg import PivotStrategy
-from hessketch.linops import LinearOperator
+from hessketch.linops import LinearOperator, condition_number
+from hessketch.sketch import make_gaussian_sketch, measured_epsilon
 from hessketch.solvers import SOLVERS, SolverConfig, _projected_solve, trace_to_csv
 
 PIVOTS = st.one_of(
@@ -128,3 +131,87 @@ def test_projected_solve_falls_back_exactly_past_the_rank(seed, r, extra):
         if fallback:
             ref = np.linalg.lstsq(Z[:, :k], Z[:, -1], rcond=None)[0]
             assert np.array_equal(y, ref), k
+
+
+# unit roundoff
+U_ROUND = np.finfo(float).eps / 2
+
+
+def agreement_bound(rows, cols):
+    """c * u for a rows-by-cols basis: two computations of its condition
+    number kappa differ by at most c u kappa, relative to kappa.
+
+    Householder QR of an m-by-j matrix M gives the R factor of M + E with
+    ||e_i|| <= gamma_{mj} ||m_i|| column by column (Higham, Accuracy and
+    Stability, Thm 19.4, its small constant taken as 1: gamma_{mj} = mju),
+    so ||E||_2 <= delta ||M||_2 with delta = 2 m j^1.5 u: sqrt(j) from
+    columns to the 2-norm, and 2 for the backward error of the SVD that
+    follows.  The SVD of M itself is no worse.  By Weyl, each path moves
+    every singular value by at most delta sigma_1, so while delta kappa
+    <= 1/8 each kappa is within 3 delta kappa^2 of the exact one, and the
+    exact kappa within a factor 1.3 of the reference's: the two paths
+    differ by at most 6 * 1.3^2 delta kappa_ref^2 < 16 delta kappa_ref^2.
+    Hence c = 32 m j^1.5.
+    """
+    return 32 * rows * cols**1.5 * U_ROUND
+
+
+def assert_agree(value, reference, bound):
+    # beyond delta kappa = 1/8 the bound says nothing
+    if bound * reference <= 2.0:
+        assert abs(value - reference) <= bound * reference * reference
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 10),
+    n=st.integers(2, 10),
+    pivot=PIVOTS,
+    lam=st.sampled_from([0.0, 0.5]),
+)
+def test_diagnostics_agree_with_each_basis(name, seed, m, n, pivot, lam):
+    # kappa_basis is kappa(U_j), kappa_dbar that of diag(U_j, V_k) and
+    # eps_embed measured_epsilon(S, U_j), U_j the data basis step k holds
+    if name in SQUARE | {"scmrh"}:
+        n = m
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, n))
+    cfg = SolverConfig(
+        maxiter=n, pivot=pivot, lam=lam, seed=seed, compute_diagnostics=True
+    )
+    res = SOLVERS[name](LinearOperator.from_matrix(M), rng.standard_normal(m), cfg)
+    state = res.factorization
+    sketched = name in ("scmrh", "slslu")
+    if sketched:
+        S = make_gaussian_sketch(cfg.effective_sketch_rows(n), m, seed)
+        norm_S = np.linalg.norm(S.entries, 2)
+    for k, rec in enumerate(res.trace.records, start=1):
+        U = state.U_cols.matrix(min(k + 1, len(state.U_cols)))
+        j = U.shape[1]
+        s = np.linalg.svd(U, compute_uv=False)
+        assert_agree(rec.kappa_basis, condition_number(s), agreement_bound(m, j))
+        if lam > 0.0 and not state.orthonormal:
+            s_v = np.linalg.svd(state.V_cols.matrix(k), compute_uv=False)
+            bound = agreement_bound(max(m, n), j)
+            assert_agree(rec.kappa_dbar, condition_number(s, s_v), bound)
+        else:
+            assert rec.kappa_dbar is None
+        if not sketched:
+            assert rec.eps_embed is None
+            continue
+        # eps = (s_1 - s_j) / (s_1 + s_j), s the singular values of S Q_j,
+        # moves by at most 2 / s_1 times as much as they do.  With delta
+        # for p = S.out_rows >= m rows, both paths compute them to within
+        # 12 delta kappa ||S||_2: the QRs of U_j and of S U_j, the product
+        # S U_j, the angle of at most 2 delta kappa between span(U_j) and
+        # the span each QR factors, and the last SVD.  So eps agrees to
+        # 24 * 1.3 delta kappa_ref ||S||_2 / s_1, absolutely: c is twice
+        # agreement_bound's, times ||S||_2 / ||S Q_j||_2
+        kappa = condition_number(s)
+        bound = agreement_bound(S.out_rows, j)
+        if bound * kappa <= 2.0:
+            s_1 = np.linalg.norm(S.entries @ np.linalg.qr(U)[0], 2)
+            gap = abs(rec.eps_embed - measured_epsilon(S, U))
+            assert gap <= 2 * bound * kappa * norm_S / s_1

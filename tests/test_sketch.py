@@ -314,3 +314,58 @@ def test_derived_streams_do_not_collide_with_root():
     root = make_gaussian_sketch(6, 6, seed=42)
     child = make_gaussian_sketch(6, 6, seed=derive_seed(42, 1))
     assert not np.array_equal(root.entries, child.entries)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.5, 3, 0), "sketch out_rows must be an integer, got 1.5"),
+        ((True, 3, 0), "sketch out_rows must be an integer, got True"),
+        ((4, 3.0, 0), "sketch in_rows must be an integer, got 3.0"),
+        ((0, 3, 0), "sketch out_rows must be positive, got 0"),
+        ((4, -2, 0), "sketch in_rows must be positive, got -2"),
+        ((4, 3, 1.5), "sketch seed must be an integer, got 1.5"),
+        ((4, 3, False), "sketch seed must be an integer, got False"),
+        ((4, 3, "7"), "sketch seed must be an integer, got '7'"),
+        ((4, 3, -1), "sketch seed must be nonnegative, got -1"),
+    ],
+)
+def test_sketch_rejects_bad_sizes_and_seeds_at_creation(args, message):
+    # a seed or size that cannot name one (out_rows, in_rows, seed) draw
+    # fails when the sketch is made, not at its first apply
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_gaussian_sketch(*args)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SketchOperator(*args)
+
+
+def test_sketch_accepts_numpy_integers():
+    S = make_gaussian_sketch(np.int64(4), np.int32(3), np.uint64(5))
+    assert (S.out_rows, S.in_rows, S.seed) == (4, 3, 5)
+    assert all(type(v) is int for v in (S.out_rows, S.in_rows, S.seed))
+    assert np.array_equal(S.entries, make_gaussian_sketch(4, 3, 5).entries)
+
+
+@pytest.mark.parametrize(
+    "seed, stream, message",
+    [
+        (1.5, 1, "seed must be a nonnegative integer, got 1.5"),
+        (True, 1, "seed must be a nonnegative integer, got True"),
+        (-1, 1, "seed must be a nonnegative integer, got -1"),
+        (3, 1.0, "stream must be a nonnegative integer, got 1.0"),
+        (3, -2, "stream must be a nonnegative integer, got -2"),
+    ],
+)
+def test_derive_seed_rejects_non_integers(seed, stream, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        derive_seed(seed, stream)
+    assert derive_seed(np.int64(3), np.int8(1)) == derive_seed(3, 1)
+
+
+def test_distortion_of_a_lost_direction_is_one():
+    # a zero or non-finite singular value (a singular triangle in the
+    # solvers' T_j R_j^-1) reads as the largest distortion, not an error
+    assert sketch._distortion(np.diag([2.0, 0.0])) == 1.0
+    assert sketch._distortion(np.array([[1.0, np.inf], [0.0, 1.0]])) == 1.0
+    assert sketch._distortion(np.array([[np.nan]])) == 1.0
+    assert sketch._distortion(np.diag([3.0, 1.0])) == pytest.approx(0.5)
