@@ -16,6 +16,7 @@ import numpy as np
 import scipy.io
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dormqr
 
 __all__ = [
     "OpCounters",
@@ -196,6 +197,12 @@ def tracked_norm(counters, x):
 def dense_qr_ls(M, rhs):
     """Solve min_y ||M y - rhs||_2 for a small dense M via pivoted QR.
 
+    No Q is formed: the column-pivoted QR M P = Q R is kept in LAPACK's
+    Householder form (``scipy.linalg.qr(..., mode="raw")``, the same
+    ``dgeqp3`` as the economic QR, so R's diagonal, the pivots and the
+    rank decision are the same bits), and ``dormqr`` applies Q^T to rhs
+    from it.  R y_P = (Q^T rhs)[:k] is then one back substitution.
+
     Parameters
     ----------
     M : (l, k) array with l >= k
@@ -207,6 +214,8 @@ def dense_qr_ls(M, rhs):
 
     Raises
     ------
+    ValueError
+        If M or rhs holds NaN or inf; the message names which.
     RankDeficiencyError
         If the smallest |R| diagonal falls below ``RANK_TOL`` times the
         largest; the exception carries the detected numerical rank.
@@ -220,8 +229,13 @@ def dense_qr_ls(M, rhs):
         raise ValueError(f"need at least as many rows as columns, got {M.shape}")
     if rhs.shape != (l,):
         raise ValueError(f"rhs must have length {l}, got shape {rhs.shape}")
+    for name, value in (("M", M), ("rhs", rhs)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite; it contains NaN or inf")
 
-    Q, R, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+    (house, tau), R, piv = scipy.linalg.qr(
+        M, mode="raw", pivoting=True, check_finite=False
+    )
     diag = np.abs(np.diag(R))
     largest = diag.max() if k else 0.0
     if largest == 0.0 or diag.min() < RANK_TOL * largest:
@@ -229,7 +243,11 @@ def dense_qr_ls(M, rhs):
         raise RankDeficiencyError(
             f"matrix is numerically rank deficient (rank {rank} of {k})", rank
         )
-    y_perm = scipy.linalg.solve_triangular(R, Q.T @ rhs)
+    # Q^T rhs from the reflectors; one column needs no blocked workspace
+    qt_rhs, _, info = dormqr("L", "T", house, tau, rhs[:, None], 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
+    y_perm = scipy.linalg.solve_triangular(R, qt_rhs[:k, 0], check_finite=False)
     y = np.empty(k)
     y[piv] = y_perm
     return y
@@ -241,8 +259,10 @@ def stacked_tikhonov_ls(M, N, rhs, lam):
     Computed by pivoted QR on the vertically stacked system
     ``[[M], [lam * N]]`` with right-hand side ``[rhs, 0]``.  With ``lam == 0``
     this takes exactly the :func:`dense_qr_ls` path, so the reduction is
-    bit-for-bit.
+    bit-for-bit.  A NaN or inf ``lam`` or ``N`` is rejected by name.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:
@@ -252,6 +272,8 @@ def stacked_tikhonov_ls(M, N, rhs, lam):
     rhs = np.asarray(rhs, dtype=float)
     if N.shape[1] != M.shape[1]:
         raise ValueError("M and N must have the same number of columns")
+    if not np.isfinite(N).all():
+        raise ValueError("N must be finite; it contains NaN or inf")
     stacked = np.vstack([M, lam * N])
     stacked_rhs = np.concatenate([rhs, np.zeros(N.shape[0])])
     return dense_qr_ls(stacked, stacked_rhs)

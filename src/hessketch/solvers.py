@@ -7,7 +7,10 @@ A V_k = U_{k+1} H_{k+1,k}; the driver stacks the data system [C | c] =
 [H | beta e1], premultiplied by S U_{K+1} when the solver sketches, over
 the penalty rows [lam P | 0] into Z, and step k solves min ||Z_k y - z||
 on the first k columns Z_k of Z and its last column z; the iterate is
-x_k = x0 + V_k y.
+x_k = x0 + V_k y.  One Householder QR Z = QR serves every step: step k
+solves its k-by-k triangle by a pivoted QR that forms no Q, and reads
+``proj_obj`` off R's last column; the iterates are formed in column
+blocks, one GEMM each, only to read the errors off them.
 
 =========  ======================  ========================================
 solver     basis builder           projected problem
@@ -231,9 +234,11 @@ def _projected_solve(R, Z, k):
 
     R is the triangle of one Householder QR of Z, so step k solves its
     leading k-by-k triangle against the first k entries of its last
-    column, by pivoted QR: a matrix with the singular values of Z_k.  When
-    that triangle fails the rank test, Z_k is solved by truncated least
-    squares instead.  Nothing is read from other steps.
+    column, by the pivoted QR of :func:`dense_qr_ls`, which forms no Q: a
+    matrix with the singular values of Z_k.  The residual of a step that
+    passes is then R's last column below row k, which the driver reads as
+    ``proj_obj``.  When that triangle fails the rank test, Z_k is solved
+    by truncated least squares instead.  Nothing is read from other steps.
     """
     try:
         return dense_qr_ls(R[:k, :k], R[:k, -1]), False
@@ -257,8 +262,8 @@ def _finite_vector(name, v, length):
 # the driver
 
 
-def _observe(rec, A, b, x, cfg, x_true, counts):
-    # the fields every record carries, the iteration-0 record of a trivial
+def _observe(rec, A, b, x, cfg, x_true):
+    # the fields read off an iterate, the iteration-0 record of a trivial
     # solve included; the exact residual is a diagnostic, so it applies the
     # raw forward map and no counter moves
     if x_true is not None:
@@ -266,7 +271,6 @@ def _observe(rec, A, b, x, cfg, x_true, counts):
     if cfg.compute_diagnostics:
         r = b - np.asarray(A.forward(x), dtype=float)
         rec.res_norm = float(np.linalg.norm(r))
-    rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = counts
     return rec
 
 
@@ -290,10 +294,17 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     counter snapshot, basis lengths and seconds.  The driver then stacks
     Z (:func:`_stacked`) and factors it once by Householder QR, and the
     solve pass solves and records every k off that one R, each step from
-    its own k alone (:func:`_projected_solve`): ``proj_obj`` is
-    ||Z_k y - z||, and ``sres_norm`` the norm of its data rows.  Each
+    its own k alone (:func:`_projected_solve`).  ``proj_obj`` is
+    ||Z_k y - z||: ||R[k:, K]||, read off R's last column, when the step's
+    triangle passes the rank test, and the explicit residual on a
+    fallback.  ``sres_norm`` is the norm of the residual's data rows:
+    ``proj_obj`` undamped, and damped the data rows of Z Y - z, one GEMM
+    with Y the upper triangle of every y_k.  The iterates are formed only
+    for ``rel_err`` and ``res_norm``, in column blocks
+    (:func:`_iterate_blocks`); the returned x is one GEMV, V_K y_K.  Each
     record carries its own step's counts, sketched columns included, as
-    if the steps had run one at a time.  Diagnostics read the leading
+    if the steps had run one at a time, and its ``wall_ms`` is its build
+    seconds plus its share of the pass.  Diagnostics read the leading
     blocks of one QR each of U_{K+1}, V and S U_{K+1}: S is never drawn whole.
     """
     cfg = cfg or SolverConfig()
@@ -334,7 +345,8 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     except TrivialSolution:
         x = np.zeros(A.cols) if x0 is None else x0.copy()
         rec = TraceRecord(iteration=0)
-        trace = SolverTrace([_observe(rec, A, b, x, cfg, x_true, A.counters.snapshot())])
+        rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = A.counters.snapshot()
+        trace = SolverTrace([_observe(rec, A, b, x, cfg, x_true)])
         return SolveResult(x=x, trace=trace, termination="trivial")
     S = sketch
     if sketched and S is None:
@@ -356,19 +368,26 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
         R_V = np.linalg.qr(state.V_cols.matrix(), mode="r") if own_V else R_U
     # the first solve waits on the whole system and its QR
     built[0].seconds += time.perf_counter() - tic
+    K = len(built)
+    # column k-1 holds y_k: the upper triangle of every step's solution
+    Y = np.zeros((K, K))
     trace = SolverTrace()
     for k, done in enumerate(built, start=1):
         tic = time.perf_counter()
         y, fallback = _projected_solve(R, Z, k)
-        # one GEMV on a view of the solution basis
-        x = state.V_cols.matrix(k) @ y
-        if x0 is not None:
-            x = x0 + x
-        residual = Z[:, :k] @ y - Z[:, -1]
-        rec = TraceRecord(iteration=k, proj_obj=float(np.linalg.norm(residual)))
-        rec.rank_fallback = fallback
-        if S is not None:
-            rec.sres_norm = float(np.linalg.norm(residual[:data_rows]))
+        Y[:k, k - 1] = y
+        # the columns of U, and of V when damped, that step k's basis holds
+        sketches = done.u_len + damped * done.v_len if S is not None else 0
+        rec = TraceRecord(k, rank_fallback=fallback, sketches=sketches)
+        rec.matvecs, rec.tmatvecs, rec.dots = done.counts[:3]
+        if fallback:
+            rec.proj_obj = float(np.linalg.norm(Z[:, :k] @ y - Z[:, -1]))
+        else:
+            # Z = QR and R_k y = R[:k, K], so the residual is Q times R's
+            # last column below row k
+            rec.proj_obj = float(np.linalg.norm(R[k:, -1]))
+        if S is not None and not damped:
+            rec.sres_norm = rec.proj_obj
         if cfg.compute_diagnostics:
             j = done.u_len
             R_j = R_U[:j, :j]
@@ -382,13 +401,60 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
                 # S's distortion on span(U_j) = span(r0, A V_k): S U_j =
                 # Q_S T_j, so S Q_j = Q_S T_j R_j^-1, one triangular solve
                 rec.eps_embed = _distortion(dtrsm(1.0, R_j, T[:j, :j], side=1))
-        # the columns of U, and of V when damped, that step k's basis holds
-        sketches = done.u_len + damped * done.v_len if S is not None else 0
-        _observe(rec, A, b, x, cfg, x_true, (*done.counts[:3], sketches))
-        rec.wall_ms = (done.seconds + time.perf_counter() - tic) * 1e3
         trace.records.append(rec)
+        done.seconds += time.perf_counter() - tic
+    if S is not None and damped:
+        tic = time.perf_counter()
+        # the data rows of every step's residual Z_k y_k - z, one GEMM
+        data = Z[:data_rows, :K] @ Y - Z[:data_rows, -1:]
+        for rec, value in zip(trace.records, np.linalg.norm(data, axis=0)):
+            rec.sres_norm = float(value)
+        _share(built, 0, K, time.perf_counter() - tic)
+    if x_true is not None or cfg.compute_diagnostics:
+        tic = time.perf_counter()
+        for start, stop, X in _iterate_blocks(state.V_cols, Y, x0):
+            for rec, x in zip(trace.records[start:stop], X.T):
+                _observe(rec, A, b, x, cfg, x_true)
+            _share(built, start, stop, time.perf_counter() - tic)
+            tic = time.perf_counter()
+    # the returned iterate is one GEMV on a view of the solution basis
+    x = state.V_cols.matrix(K) @ y
+    if x0 is not None:
+        x = x0 + x
+    for rec, done in zip(trace.records, built):
+        rec.wall_ms = done.seconds * 1e3
     termination = "breakdown" if state.breakdown else "maxiter"
     return SolveResult(x=x, trace=trace, termination=termination, factorization=state)
+
+
+# the solve pass forms iterates in blocks of at most this many bytes
+_BLOCK_BYTES = 2 << 20
+
+
+def _iterate_blocks(V, Y, x0):
+    """Yield ``(start, stop, X)``: the iterates x_k = x0 + V_k y_k of steps
+    start+1..stop as the columns of X, y_k being column k-1 of Y.
+
+    Each block is one GEMM into one reused buffer of at most
+    ``_BLOCK_BYTES`` (one column at least); y_k is zero past row k, so the
+    block needs only the first ``stop`` columns of V.
+    """
+    n, K = V.matrix(1).shape[0], Y.shape[1]
+    width = max(1, _BLOCK_BYTES // (8 * n))
+    buffer = np.empty((n, min(width, K)), order="F")
+    for start in range(0, K, width):
+        stop = min(start + width, K)
+        X = buffer[:, : stop - start]
+        np.matmul(V.matrix(stop), Y[:stop, start:stop], out=X)
+        if x0 is not None:
+            X += x0[:, None]
+        yield start, stop, X
+
+
+def _share(built, start, stop, seconds):
+    # time spent on steps start+1..stop together, charged in equal parts
+    for done in built[start:stop]:
+        done.seconds += seconds / (stop - start)
 
 
 @dataclass

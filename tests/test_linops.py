@@ -287,3 +287,27 @@ def test_operator_dimensions_must_be_integers(rows, cols, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         LinearOperator(rows, cols, lambda x: x, lambda y: y)
     assert LinearOperator(np.int64(2), 3, lambda x: x, lambda y: y).shape == (2, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ls_names_the_non_finite_input(bad):
+    # checked before the QR, so a NaN never reaches LAPACK, which would
+    # return NaN silently without scipy's own check
+    M, rhs = np.eye(3), np.ones(3)
+    with pytest.raises(ValueError, match="^M must be finite"):
+        dense_qr_ls(np.where(np.eye(3) == 1, bad, 0.0), rhs)
+    with pytest.raises(ValueError, match="^rhs must be finite"):
+        dense_qr_ls(M, np.array([1.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_tikhonov_rejects_non_finite_lam_by_name(lam):
+    # NaN passes a lam < 0 test, so finiteness is checked on its own
+    with pytest.raises(ValueError, match="^lam must be finite"):
+        stacked_tikhonov_ls(np.eye(2), np.eye(2), np.ones(2), lam)
+
+
+def test_tikhonov_names_a_non_finite_penalty():
+    N = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="^N must be finite"):
+        stacked_tikhonov_ls(np.eye(2), N, np.ones(2), 0.5)

@@ -12,7 +12,10 @@ byte-identical traces and iterates, and the iterate is finite.  Each
 step's projected solve falls back to truncated least squares exactly when
 its own columns are rank deficient.  The diagnostics the driver reads off
 one QR per basis agree with the SVDs and the measured distortion of each
-step's own basis, within a bound derived below.
+step's own basis, within a bound derived below; so does the ``proj_obj``
+read off R with each step's explicit residual.  The Q-free pivoted QR of
+``dense_qr_ls`` decides rank as the economic QR does, bit for bit, and
+its solution is backward stable.
 Examples are derandomized, so the suite stays deterministic.
 """
 
@@ -20,11 +23,19 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessketch import solvers
 from hessketch.hessenberg import PivotStrategy
-from hessketch.linops import LinearOperator, condition_number
+from hessketch.linops import (
+    RANK_TOL,
+    LinearOperator,
+    RankDeficiencyError,
+    condition_number,
+    dense_qr_ls,
+)
 from hessketch.sketch import make_gaussian_sketch, measured_epsilon
 from hessketch.solvers import SOLVERS, SolverConfig, _projected_solve, trace_to_csv
 
@@ -215,3 +226,153 @@ def test_diagnostics_agree_with_each_basis(name, seed, m, n, pivot, lam):
             s_1 = np.linalg.norm(S.entries @ np.linalg.qr(U)[0], 2)
             gap = abs(rec.eps_embed - measured_epsilon(S, U))
             assert gap <= 2 * bound * kappa * norm_S / s_1
+
+
+def gamma(m):
+    # Higham's gamma_m
+    return m * U_ROUND / (1 - m * U_ROUND)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 10),
+    n=st.integers(2, 10),
+    lam=st.sampled_from([0.0, 0.5]),
+)
+def test_proj_obj_from_r_is_the_explicit_residual(name, seed, m, n, lam):
+    # a step whose triangle passes the rank test reads proj_obj as
+    # ||R[k:, K]||; it agrees with the residual ||Z_k y - z|| of its own y.
+    #
+    # R is the exact triangle of Z + E, ||E||_F <= d1 ||Z||_F with
+    # d1 = gamma_{l(K+1)} (Householder QR, Higham Thm 19.4, its constant
+    # taken as 1), so with Q orthonormal
+    #   ||(Z + E)_k y - (z + e)||^2 = ||R[k:, K]||^2 + ||R_k y - c||^2,
+    # c = R[:k, K].  y comes from a pivoted QR of R_k and a back
+    # substitution, exact for R_k + F and c + f with ||F||_F <= d2 ||R_k||_F,
+    # ||f|| <= d2 ||c||, d2 = gamma_{2k^2 + k}, so ||R_k y - c|| <= d2 s,
+    # s = ||Z_k||_F ||y|| + ||z|| (to first order).  Dropping E moves the
+    # residual by ||E_k y - e|| <= d1 s, and forming it explicitly by
+    # gamma_{k+1} s; the two norms err by gamma_l and gamma_{K+1}
+    # relatively.  While d2 sqrt(k) kappa(R_k) <= 1/2, ||y|| <= 2 ||c|| /
+    # sigma_min(R_k), so s <= (2 sqrt(k) kappa(R_k) + 1) ||z|| (1 + d1)^2
+    if name in SQUARE | {"scmrh"}:
+        n = m
+    rng = np.random.default_rng(seed)
+    A = LinearOperator.from_matrix(rng.standard_normal((m, n)))
+    cfg = SolverConfig(maxiter=n, lam=lam, seed=seed)
+    steps = []
+
+    def recording(R, Z, k):
+        y, fallback = _projected_solve(R, Z, k)
+        steps.append((R, Z, k, y))
+        return y, fallback
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_projected_solve", recording)
+        res = SOLVERS[name](A, rng.standard_normal(m), cfg)
+    for (R, Z, k, y), rec in zip(steps, res.trace.records):
+        if rec.rank_fallback:
+            continue
+        l, K = Z.shape[0], Z.shape[1] - 1
+        kappa = condition_number(np.linalg.svd(R[:k, :k], compute_uv=False))
+        d1, d2 = gamma(l * (K + 1)), gamma(2 * k * k + k)
+        if d2 * np.sqrt(k) * kappa > 0.5:
+            continue
+        explicit = np.linalg.norm(Z[:, :k] @ y - Z[:, -1])
+        s = (2 * np.sqrt(k) * kappa + 1) * np.linalg.norm(Z[:, -1]) * (1 + d1) ** 2
+        bound = (d1 + d2 + gamma(k + 1)) * s
+        bound += gamma(l) * explicit + gamma(K + 1) * rec.proj_obj
+        assert abs(rec.proj_obj - explicit) <= bound, (k, rec.proj_obj, explicit)
+
+
+def ls_input(kind, rng, l, k):
+    """A small least-squares matrix of one kind: random with singular values
+    spread over 1e-6..1, upper triangular as the solve pass hands over, or
+    of rank k - 1 (k >= 2)."""
+    if kind == "random":
+        Q = np.linalg.qr(rng.standard_normal((l, k)))[0]
+        W = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        return (Q * np.logspace(0, -6, k)) @ W
+    if kind == "triangular":
+        return np.triu(rng.standard_normal((k, k)))
+    return rng.standard_normal((l, k - 1)) @ rng.standard_normal((k - 1, k))
+
+
+LS_KINDS = st.sampled_from(["random", "triangular", "deficient"])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=LS_KINDS,
+    k=st.integers(2, 12),
+    extra=st.integers(0, 6),
+)
+def test_q_free_qr_decides_as_the_economic_qr(seed, kind, k, extra):
+    # the raw pivoted QR that dense_qr_ls runs gives R's diagonal and the
+    # pivots of qr(mode="economic", pivoting=True) bit for bit, so it
+    # raises, and reports the rank, exactly when the economic R says so
+    rng = np.random.default_rng(seed)
+    l = k if kind == "triangular" else k + extra
+    M, rhs = ls_input(kind, rng, l, k), rng.standard_normal(l)
+    plain_qr = scipy.linalg.qr
+    _, R_ref, piv_ref = plain_qr(M, mode="economic", pivoting=True)
+    seen = []
+
+    def recording(*args, **kwargs):
+        out = plain_qr(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    diag = np.abs(np.diag(R_ref))
+    deficient = diag.min() < RANK_TOL * diag.max()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy.linalg, "qr", recording)
+        try:
+            dense_qr_ls(M, rhs)
+            rank = k
+        except RankDeficiencyError as exc:
+            rank = exc.rank
+    (_, R, piv), = seen
+    assert np.array_equal(np.diag(R), np.diag(R_ref))
+    assert np.array_equal(piv, piv_ref)
+    assert (rank < k) == deficient
+    assert rank == np.count_nonzero(diag >= RANK_TOL * diag.max())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "triangular"]),
+    k=st.integers(1, 12),
+    extra=st.integers(0, 6),
+    off_range=st.sampled_from([0.0, 1.0, 1e3]),
+)
+def test_q_free_solve_is_backward_stable(seed, kind, k, extra, off_range):
+    # y is the exact least-squares solution of M + dM, rhs + drhs with
+    # ||dM||_F <= d ||M||_F and ||drhs|| <= d ||rhs||, d = gamma_{lk}
+    # (Householder least squares, Higham Thm 20.3, its constant taken as
+    # 1), plus gamma_k for the back substitution.  Then
+    # (M + dM)^T r~ = 0 for r~ = rhs + drhs - (M + dM) y, and the
+    # residual r = rhs - M y the test forms differs from r~ by at most
+    # (d + gamma_{k+1}) s, s = ||rhs|| + ||M||_F ||y||, rounding included.
+    # So ||M^T r|| <= ||M||_F (d (||r|| + s) + (d + gamma_{k+1}) s
+    # + gamma_l ||r||), the last term the rounding of M^T r itself.  This
+    # holds whatever kappa(M): the 1e-6 spread moves y, not this bound.
+    rng = np.random.default_rng(seed)
+    l = k if kind == "triangular" else k + extra
+    M = ls_input(kind, rng, l, k)
+    rhs = M @ rng.standard_normal(k) + off_range * rng.standard_normal(l)
+    try:
+        y = dense_qr_ls(M, rhs)
+    except RankDeficiencyError:
+        return
+    r = rhs - M @ y
+    norm_M = np.linalg.norm(M)
+    s = np.linalg.norm(rhs) + norm_M * np.linalg.norm(y)
+    d = gamma(l * k) + gamma(k)
+    rho = np.linalg.norm(r)
+    bound = norm_M * (d * (rho + s) + (d + gamma(k + 1)) * s + gamma(l) * rho)
+    assert np.linalg.norm(M.T @ r) <= bound

@@ -1217,6 +1217,94 @@ def test_rank_fallback_keeps_the_full_system_solve(monkeypatch, solver):
         assert np.array_equal(result.x, V @ steps[-1][2])
 
 
+def gamma(m):
+    # Higham's gamma_m for unit roundoff u
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
+# columns per block of iterates: one (the bytes of less than one column),
+# seven (ragged on 20 and 15 steps, the last block of 15 one column), and
+# the default 2 MB, which holds every step of these solves
+ITERATE_BLOCKS = {"one-column": 1, "ragged": 7, "single": None}
+
+
+@pytest.mark.parametrize("width", ITERATE_BLOCKS.values(), ids=ITERATE_BLOCKS)
+@pytest.mark.parametrize("start", [False, True], ids=["no-x0", "x0"])
+@pytest.mark.parametrize("diagnostics", [False, True], ids=["plain", "diag"])
+def test_iterates_in_blocks_match_one_gemv_per_column(
+    monkeypatch, width, start, diagnostics
+):
+    # the solve pass forms x_k = x0 + V_k y_k a block of columns at a time;
+    # each record reads what one GEMV per column gives, within rounding,
+    # and the returned x is the one GEMV V_K y_K, whatever the blocks
+    for name in sorted(SOLVERS):
+        M, A, b = problem_for(name, 31)
+        rng = np.random.default_rng(32)
+        x_true = rng.standard_normal(A.cols)
+        x0 = 0.1 * rng.standard_normal(A.cols) if start else None
+        cfg = SolverConfig(
+            maxiter=A.cols, lam=0.5, seed=5, x0=x0, compute_diagnostics=diagnostics
+        )
+        whole = SOLVERS[name](A, b, cfg, x_true)
+        ys, blocks = [], []
+        solve, iterate_blocks = solvers._projected_solve, solvers._iterate_blocks
+
+        def recording(R, Z, k):
+            y, fallback = solve(R, Z, k)
+            ys.append(y)
+            return y, fallback
+
+        def blocking(V, Y, x0):
+            for first, stop, X in iterate_blocks(V, Y, x0):
+                blocks.append((first, stop))
+                yield first, stop, X
+
+        monkeypatch.setattr(solvers, "_projected_solve", recording)
+        monkeypatch.setattr(solvers, "_iterate_blocks", blocking)
+        if width is not None:
+            block_bytes = 8 * A.cols * width if width > 1 else 8
+            monkeypatch.setattr(solvers, "_BLOCK_BYTES", block_bytes)
+        result = SOLVERS[name](A, b, cfg, x_true)
+        monkeypatch.undo()
+        K = len(result.trace.records)
+        step = width or K
+        assert blocks == [(i, min(i + step, K)) for i in range(0, K, step)], name
+        V = result.factorization.V_cols
+        offset = np.zeros(A.cols) if x0 is None else x0
+        assert np.array_equal(result.x, whole.x), name
+        assert np.array_equal(result.x, offset + V.matrix(K) @ ys[-1]), name
+        for k, (y, rec) in enumerate(zip(ys, result.trace.records), start=1):
+            # both sum the same k products, in orders BLAS picks, then add
+            # x0: each within gamma_{k+1} (|V_k| |y| + |x0|) of the exact
+            # iterate, entry by entry
+            x = offset + V.matrix(k) @ y
+            moved = 2 * gamma(k + 1) * (np.abs(V.matrix(k)) @ np.abs(y) + np.abs(offset))
+            error = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
+            # plus the rounding of a difference, a norm and a quotient on
+            # each side
+            tol = np.linalg.norm(moved) / np.linalg.norm(x_true)
+            tol += 2 * gamma(A.cols + 3) * error
+            assert abs(rec.rel_err - error) <= tol, (name, k)
+            if not diagnostics:
+                assert rec.res_norm is None
+                continue
+            # r = b - M x moves by at most |M| moved, and each side's
+            # product, difference and norm err by gamma_{n+2} (|b| + |M||x|)
+            res = np.linalg.norm(b - M @ x)
+            tol = np.linalg.norm(np.abs(M) @ moved)
+            tol += 2 * gamma(A.cols + 2) * np.linalg.norm(np.abs(b) + np.abs(M) @ np.abs(x))
+            assert abs(rec.res_norm - res) <= tol, (name, k)
+        if not diagnostics:
+            # with nothing to read off them, no iterate but the last is formed
+            blocks.clear()
+            monkeypatch.setattr(solvers, "_iterate_blocks", blocking)
+            plain = SOLVERS[name](A, b, cfg)
+            monkeypatch.undo()
+            assert blocks == [] and np.array_equal(plain.x, whole.x), name
+            assert plain.trace.column("rel_err") == [None] * K, name
+
+
 # ---------------------------------------------------------------------------
 # the sketched form against the products formulation S [A V_k | r0]
 

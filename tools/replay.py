@@ -14,7 +14,10 @@ under ``--work`` (a temporary directory unless given).
   and with and without a start vector; scmrh and slslu also run with a
   prebuilt sketch (its own seed and row count) at both lambdas, and on
   the random and rectangular problems with maxiter twice the operator's
-  columns; trivial starts (b = 0 and an exact x0) come on top.  Each solve writes its trace CSV, x, its
+  columns; trivial starts (b = 0 and an exact x0) come on top.  A 64x64
+  deblurring problem at maxiter 80, whose iterates span more than one of
+  the solve pass's blocks, runs gmres, cmrh and scmrh at both lambdas,
+  with diagnostics.  Each solve writes its trace CSV, x, its
   termination, the ``rank_fallback`` flag of every trace record (one 0/1
   line each; the CSV does not carry it), ||b|| and the
   ``dump_factorization`` files.
@@ -129,6 +132,10 @@ def _library_problems(grid):
     problems["deblur"] = (p.operator, p.b, p.x_true, 20)
     p = make_tomography(24, 30, 0.01, 0)
     problems["tomography"] = (p.operator, p.b, p.x_true, 20)
+    # 80 iterates of n = 4,096 are 2.6 MB: the solve pass forms them in
+    # more than one block
+    p = make_deblur(64, gaussian_psf(1.0), 0.01, 0)
+    problems["deblur64"] = (p.operator, p.b, p.x_true, 80)
     return problems
 
 
@@ -144,6 +151,14 @@ def _library_cases(grid):
     }
     for pname, (A, b, x_true, maxiter) in _library_problems(grid).items():
         x0 = np.random.default_rng(7).standard_normal(A.cols) * 0.1
+        if pname == "deblur64":
+            for name, lam in itertools.product(("gmres", "cmrh", "scmrh"), (0.0, 0.5)):
+                cfg = SolverConfig(
+                    maxiter=maxiter, lam=lam, seed=11, compute_diagnostics=True
+                )
+                yield (f"{pname}-{name}-lam{lam}-diag1-x00-full", name, A, b, x_true,
+                       cfg, None)
+            continue
         for name in ("gmres", "lsqr", "cmrh", "lslu", "scmrh", "slslu"):
             if not A.is_square and name in ("gmres", "cmrh", "scmrh"):
                 continue
