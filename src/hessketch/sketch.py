@@ -8,16 +8,24 @@ N(0, 1/out_rows) entries.  Any two runs with the same triple produce the
 same operator, bit for bit.
 
 A drawn sketch is that triple and nothing else: making one draws nothing.
-:func:`sketch_apply` draws the rows again from the seed, in chunks of at
-most 8 MB into one reused buffer, and multiplies each chunk into its rows
-of the result, so an apply to b columns holds O(chunk + out_rows * b)
-memory, never the out_rows x in_rows matrix.  Reading ``entries`` draws
-the whole matrix from the same stream, once per sketch, and every later
-apply reads it instead.  Both give the same bits.
+:func:`sketch_apply` draws the rows again from the seed, in chunks, and
+multiplies each chunk into its rows of the result.  The chunks alternate
+between two reused buffers, 8 MB together: one worker thread draws chunk
+i+1 into one while the caller multiplies chunk i out of the other, from
+the same stream in the same order, so the draw and the product overlap
+and the bits are those of a draw on the caller's thread.  The caller
+draws the first chunk, and any draw the worker has not started by the
+time it is needed, so a second core busy elsewhere holds the apply up by
+at most the one draw in flight.  A sketch of one chunk is drawn inline
+and starts no thread.  An apply to b columns holds O(chunk + out_rows * b)
+memory, never the out_rows x in_rows matrix.
+Reading ``entries`` draws the whole matrix from the same stream, once per
+sketch, and every later apply reads it instead.  Both give the same bits.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,10 +42,10 @@ __all__ = [
     "derive_seed",
 ]
 
-# the most bytes of S's rows an apply multiplies at once, so the most a
-# streamed apply draws and holds.  Each chunk's product reads the whole
-# block, so smaller chunks re-read it more often: at 8 MB and in_rows =
-# 16,384 a chunk is 64 rows
+# the most bytes of S's rows a streamed apply holds: two chunk buffers of
+# half of it each, one being drawn while the other multiplies.  Each
+# chunk's product reads the whole block, so smaller chunks re-read it more
+# often: at 8 MB and in_rows = 16,384 a chunk is 32 rows
 _CHUNK_BYTES = 8 << 20
 
 
@@ -108,13 +116,20 @@ def _draw_rows(gen, out, scale):
 
 def _row_chunks(S):
     """The rows of S in order, as ``(start, stop, rows)`` chunks of at most
-    ``_CHUNK_BYTES`` (one row at least).
+    half of ``_CHUNK_BYTES`` (one row at least).
 
     Held entries are cut into views.  A descriptor's chunks are drawn by
-    :func:`_draw_rows` into the leading rows of one buffer, reused for
-    every chunk: each ``rows`` is valid until the next one is drawn.
+    :func:`_draw_rows` from one stream, each into the leading rows of one
+    of two buffers used in turn: each ``rows`` is valid until the
+    generator is resumed.  Past one chunk, the caller draws the
+    first, and a worker thread draws chunk i+1 while the caller works on
+    chunk i; a draw the worker has not started when the caller needs it
+    is cancelled and drawn by the caller.  Chunk i+2 is submitted only
+    once the caller has resumed the generator, done with chunk i's
+    buffer.  Closing the generator early waits for the draw in flight and
+    stops the worker.
     """
-    step = max(1, _CHUNK_BYTES // (8 * S.in_rows))
+    step = max(1, _CHUNK_BYTES // (16 * S.in_rows))
     ranges = [(i, min(i + step, S.out_rows)) for i in range(0, S.out_rows, step)]
     held = vars(S).get("entries")
     if held is not None:
@@ -122,9 +137,33 @@ def _row_chunks(S):
         return
     gen = np.random.Generator(np.random.PCG64(S.seed))
     scale = np.sqrt(S.out_rows)
-    buf = np.empty((ranges[0][1], S.in_rows))
-    for start, stop in ranges:
-        yield start, stop, _draw_rows(gen, buf[: stop - start], scale)
+    if len(ranges) == 1:
+        yield 0, S.out_rows, _draw_rows(gen, np.empty(S.shape), scale)
+        return
+    bufs = np.empty((2, step, S.in_rows))
+
+    def buf(i):
+        start, stop = ranges[i]
+        return bufs[i % 2, : stop - start]
+
+    # the caller has nothing to overlap with the first chunk, so it draws it
+    rows = _draw_rows(gen, buf(0), scale)
+    # one worker and one draw in flight, so the stream is drawn in order.
+    # It calls _draw_rows alone (standard_normal and a division), none of
+    # the functions that perfbench wraps in spans: its Tracer is
+    # single-threaded
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for i, (start, stop) in enumerate(ranges[:-1]):
+            pending = pool.submit(_draw_rows, gen, buf(i + 1), scale)
+            yield start, stop, rows
+            # a draw the worker has not started (its core busy elsewhere)
+            # is taken back and drawn here rather than waited for
+            if pending.cancel():
+                rows = _draw_rows(gen, buf(i + 1), scale)
+            else:
+                rows = pending.result()
+    start, stop = ranges[-1]
+    yield start, stop, rows
 
 
 def make_gaussian_sketch(out_rows, in_rows, seed):
@@ -155,16 +194,19 @@ def sketch_apply(S, v, counters=None):
         counters.sketch_apply_count += 1 if v.ndim == 1 else v.shape[1]
     out = np.empty((S.out_rows, *v.shape[1:]))
     for start, stop, rows in _row_chunks(S):
-        np.matmul(rows, v, out=out[start:stop])
+        # np.dot, not np.matmul: matmul holds the GIL for an output of
+        # under 500 entries, which would stall the worker's draw
+        np.dot(rows, v, out=out[start:stop])
     return out
 
 
 def sketch_and_solve_ls(S, M, rhs, counters=None):
     """Solve min_y ||S (M y - rhs)|| as a cheap proxy for min_y ||M y - rhs||.
 
-    Sketching the k columns of M and the right-hand side costs k + 1 sketch
-    applications.  Requires ``S.out_rows >= k`` so the compressed problem is
-    still overdetermined (or square).
+    The k columns of M and the right-hand side are sketched together, in
+    one pass over S, which costs k + 1 sketch applications.  Requires
+    ``S.out_rows >= k`` so the compressed problem is still overdetermined
+    (or square).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != S.in_rows:
@@ -176,7 +218,13 @@ def sketch_and_solve_ls(S, M, rhs, counters=None):
             f"sketch with {S.out_rows} rows cannot preserve a "
             f"{M.shape[1]}-dimensional least-squares problem"
         )
-    return dense_qr_ls(sketch_apply(S, M, counters), sketch_apply(S, rhs, counters))
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (S.in_rows,):
+        raise ValueError(
+            f"rhs must be a vector of length {S.in_rows}, got shape {rhs.shape}"
+        )
+    SMr = sketch_apply(S, np.column_stack([M, rhs]), counters)
+    return dense_qr_ls(SMr[:, :-1], SMr[:, -1])
 
 
 def measured_epsilon(S, basis):

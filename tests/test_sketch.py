@@ -1,5 +1,9 @@
 import re
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -47,13 +51,21 @@ def test_make_gaussian_sketch_draws_nothing(monkeypatch):
     assert calls == [] and "entries" not in vars(S)
 
 
+def chunk_rows(chunk_bytes, in_rows):
+    # the rows of one chunk: the budget holds two chunk buffers
+    return max(1, chunk_bytes // (2 * 8 * in_rows))
+
+
 # (out_rows, in_rows, columns, chunk bytes); small, so every GEMM stays
-# single-threaded
+# single-threaded.  The budget 2 * 8 * 30 * 8 holds two 8-row chunks
 STREAMS = {
     "one-chunk": (40, 30, 5, 8 << 20),
-    "vector": (40, 30, None, 8 * 30 * 8),
-    "block": (40, 30, 5, 8 * 30 * 8),
-    "ragged": (43, 30, 5, 8 * 30 * 8),  # five chunks of 8 rows, then 3
+    "two-chunks": (16, 30, 5, 2 * 8 * 30 * 8),
+    "vector": (40, 30, None, 2 * 8 * 30 * 8),
+    "block": (40, 30, 5, 2 * 8 * 30 * 8),
+    "ragged": (43, 30, 5, 2 * 8 * 30 * 8),  # five chunks of 8 rows, then 3
+    "ragged-vector": (43, 30, None, 2 * 8 * 30 * 8),
+    "many-chunks": (97, 30, 3, 2 * 8 * 30 * 3),  # 32 chunks of 3 rows, then 1
     "one-row-vector": (43, 30, None, 100),  # in_rows * 8 > chunk bytes
     "one-row-block": (43, 30, 4, 100),
 }
@@ -62,7 +74,7 @@ STREAMS = {
 @pytest.mark.parametrize("out_rows, in_rows, cols, chunk_bytes", STREAMS.values(), ids=STREAMS)
 def test_streamed_apply_is_exact(monkeypatch, out_rows, in_rows, cols, chunk_bytes):
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk_bytes)
-    step = max(1, chunk_bytes // (8 * in_rows))
+    step = chunk_rows(chunk_bytes, in_rows)
     E = gaussian_stream(out_rows, in_rows, 7)
     v = np.random.default_rng(7).standard_normal((in_rows,) if cols is None else (in_rows, cols))
     S = make_gaussian_sketch(out_rows, in_rows, 7)
@@ -103,6 +115,157 @@ def test_streamed_apply_holds_one_chunk(monkeypatch):
     bound = chunk + out.nbytes + (64 << 10)
     assert peak <= bound < S.out_rows * S.in_rows * 8
     assert "entries" not in vars(S)
+
+
+def draw_threads(monkeypatch):
+    # the thread of every finished chunk draw, in order
+    threads = []
+    draw = sketch._draw_rows
+
+    def recording(gen, out, scale):
+        rows = draw(gen, out, scale)
+        threads.append(threading.get_ident())
+        return rows
+
+    monkeypatch.setattr(sketch, "_draw_rows", recording)
+    return threads
+
+
+def wait_for(condition):
+    deadline = time.monotonic() + 10
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(1e-3)
+
+
+def test_streamed_chunks_are_drawn_one_ahead_on_one_worker(monkeypatch):
+    # 43 rows in chunks of 8: the caller draws the first chunk, the worker
+    # each later one while the caller holds the one before, without
+    # overwriting it.  The caller here waits for each draw to finish, so
+    # none is taken back; the worker is gone by the last chunk
+    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
+    threads = draw_threads(monkeypatch)
+    E = gaussian_stream(43, 30, 4)
+    before = threading.active_count()
+    for i, (start, stop, rows) in enumerate(sketch._row_chunks(make_gaussian_sketch(43, 30, 4))):
+        if stop < 43:
+            assert threading.active_count() == before + 1
+            wait_for(lambda: len(threads) == i + 2)
+        else:
+            assert threading.active_count() == before
+        assert np.array_equal(rows, E[start:stop])
+    assert len(threads) == 6 and threads[0] == threading.get_ident()
+    assert len(set(threads[1:])) == 1 and threads[1] != threading.get_ident()
+
+
+class Stalled:
+    """An executor whose worker never starts a draw, as when its core is
+    busy elsewhere."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        return Future()
+
+
+def test_draws_the_worker_has_not_started_are_drawn_by_the_caller(monkeypatch):
+    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
+    monkeypatch.setattr(sketch, "ThreadPoolExecutor", Stalled)
+    threads = draw_threads(monkeypatch)
+    E = gaussian_stream(43, 30, 4)
+    v = np.random.default_rng(4).standard_normal((30, 5))
+    by_chunk = np.concatenate([E[i : i + 8] @ v for i in range(0, 43, 8)])
+    assert np.array_equal(sketch_apply(make_gaussian_sketch(43, 30, 4), v), by_chunk)
+    assert threads == [threading.get_ident()] * 6
+
+
+def test_one_chunk_sketch_starts_no_thread(monkeypatch):
+    threads = draw_threads(monkeypatch)
+    monkeypatch.setattr(sketch, "ThreadPoolExecutor", None)  # would raise if called
+    S = make_gaussian_sketch(40, 30, 4)
+    v = np.random.default_rng(4).standard_normal((30, 5))
+    assert np.array_equal(sketch_apply(S, v), gaussian_stream(40, 30, 4) @ v)
+    assert threads == [threading.get_ident()]
+
+
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stop", ["consumer-raises", "closed-early", "draw-raises"])
+def test_stopped_pass_stops_the_worker(monkeypatch, stop):
+    # a pass left mid-way waits for the draw in flight and joins the
+    # worker; the next apply starts from the seed and gives the same bits
+    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
+    S = make_gaussian_sketch(43, 30, 4)
+    v = np.random.default_rng(4).standard_normal((30, 5))
+    expected = sketch_apply(S, v)
+    before = threading.active_count()
+    if stop == "consumer-raises":
+        with pytest.raises(Stop):
+            for start, _, _ in sketch._row_chunks(S):
+                if start > 0:
+                    raise Stop
+    elif stop == "closed-early":
+        chunks = sketch._row_chunks(S)
+        next(chunks)
+        next(chunks)
+        chunks.close()
+    else:
+        draw, calls = sketch._draw_rows, []
+
+        def failing(gen, out, scale):
+            calls.append(None)
+            if len(calls) == 3:
+                raise Stop
+            return draw(gen, out, scale)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sketch, "_draw_rows", failing)
+            with pytest.raises(Stop):
+                sketch_apply(S, v)
+    assert threading.active_count() == before
+    assert np.array_equal(sketch_apply(S, v), expected)
+    assert "entries" not in vars(S)
+
+
+def test_concurrent_applies_keep_their_own_streams(monkeypatch):
+    # four callers, each with its own worker, stream 1-row chunks while the
+    # interpreter switches threads as often as it can: every result must be
+    # the loop reference of its own seed
+    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30)
+    v = np.random.default_rng(0).standard_normal((30, 2))
+    seeds = range(4)
+    expected = {
+        seed: np.concatenate([row[None] @ v for row in gaussian_stream(25, 30, seed)])
+        for seed in seeds
+    }
+    results = {}
+
+    def apply(seed):
+        results[seed] = [sketch_apply(make_gaussian_sketch(25, 30, seed), v) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=apply, args=(seed,)) for seed in seeds]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for seed in seeds:
+        assert len(results[seed]) == 20
+        assert all(np.array_equal(r, expected[seed]) for r in results[seed])
 
 
 def test_sketch_entry_scaling():
@@ -207,6 +370,31 @@ def test_sketch_and_solve_counts():
     c = OpCounters()
     sketch_and_solve_ls(S, M, rhs, counters=c)
     assert c.sketch_apply_count == 5  # four columns plus the right-hand side
+
+
+def test_sketch_and_solve_makes_one_pass(monkeypatch):
+    # M and rhs are sketched together: each chunk of S is drawn once, and
+    # the solution is that of the two sketched halves
+    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 40 * 3)
+    threads = draw_threads(monkeypatch)
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((40, 4))
+    rhs = rng.standard_normal(40)
+    S = make_gaussian_sketch(10, 40, seed=2)
+    y = sketch_and_solve_ls(S, M, rhs)
+    assert len(threads) == 4  # chunks of 3, 3, 3 and 1 rows
+    E, Mr = gaussian_stream(10, 40, 2), np.column_stack([M, rhs])
+    SMr = np.concatenate([E[i : i + 3] @ Mr for i in range(0, 10, 3)])
+    assert np.array_equal(y, dense_qr_ls(SMr[:, :4], SMr[:, 4]))
+
+
+@pytest.mark.parametrize("shape", [(12,), (40, 1), (40, 2)])
+def test_sketch_and_solve_rejects_a_misshapen_rhs(monkeypatch, shape):
+    threads = draw_threads(monkeypatch)
+    S = make_gaussian_sketch(10, 40, seed=2)
+    with pytest.raises(ValueError, match=re.escape("rhs must be a vector of length 40")):
+        sketch_and_solve_ls(S, np.ones((40, 4)), np.ones(shape))
+    assert threads == []
 
 
 def test_sketch_and_solve_rejects_too_few_rows():

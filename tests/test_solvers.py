@@ -294,7 +294,8 @@ def test_trivial_sketched_start_draws_no_sketch(monkeypatch, name):
 
 def record_row_draws(monkeypatch, chunk_rows, in_rows):
     # every chunk of Gaussian rows a sketch draws, copied, in order, with
-    # chunks of chunk_rows rows of length in_rows
+    # chunks of chunk_rows rows of length in_rows: the chunk budget holds
+    # two such chunks, one drawn while the other multiplies
     drawn = []
     draw = sketch_module._draw_rows
 
@@ -302,7 +303,7 @@ def record_row_draws(monkeypatch, chunk_rows, in_rows):
         drawn.append(draw(gen, out, scale).copy())
         return out
 
-    monkeypatch.setattr(sketch_module, "_CHUNK_BYTES", 8 * chunk_rows * in_rows)
+    monkeypatch.setattr(sketch_module, "_CHUNK_BYTES", 2 * 8 * chunk_rows * in_rows)
     monkeypatch.setattr(sketch_module, "_draw_rows", recording)
     return drawn
 
