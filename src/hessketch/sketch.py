@@ -1,30 +1,31 @@
 """Gaussian sketching operators and the sketch-and-solve least-squares primitive.
 
 Reproducibility contract: a sketch is fully determined by
-``(out_rows, in_rows, seed)``.  Its entries are the stream of
-``numpy.random.Generator(numpy.random.PCG64(seed)).standard_normal`` in
-row-major order, each divided by ``sqrt(out_rows)``, giving i.i.d.
-N(0, 1/out_rows) entries.  Any two runs with the same triple produce the
-same operator, bit for bit.
+``(out_rows, in_rows, seed)``.  Row block r, rows [32 r, 32 r + 32) (the
+last may be shorter), is the stream of
+``Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))).standard_normal``
+in row-major order, each entry divided by ``sqrt(out_rows)``: i.i.d.
+N(0, 1/out_rows) entries, the same bits however the blocks are cut into
+buffers and whichever thread draws them.  A problem's noise is drawn from
+``default_rng(seed)``, the root stream (spawn key ``()``), which no block
+repeats.
 
-A drawn sketch is that triple and nothing else: making one draws nothing.
-:func:`sketch_apply` draws the rows again from the seed, in chunks, and
-multiplies each chunk into its rows of the result.  The chunks alternate
-between two reused buffers, 8 MB together: one worker thread draws chunk
-i+1 into one while the caller multiplies chunk i out of the other, from
-the same stream in the same order, so the draw and the product overlap
-and the bits are those of a draw on the caller's thread.  The caller
-draws the first chunk, and any draw the worker has not started by the
-time it is needed, so a second core busy elsewhere holds the apply up by
-at most the one draw in flight.  A sketch of one chunk is drawn inline
-and starts no thread.  An apply to b columns holds O(chunk + out_rows * b)
-memory, never the out_rows x in_rows matrix.
-Reading ``entries`` draws the whole matrix from the same stream, once per
-sketch, and every later apply reads it instead.  Both give the same bits.
+Making a sketch draws nothing.  :func:`sketch_apply` draws the blocks
+again from the seed: the caller and one helper thread take block indices
+from one shared iterator, and each draws its blocks into its own buffer
+of half of ``_CHUNK_BYTES`` (in sub-chunks, for a block taller than the
+buffer) and multiplies them into their rows of the result.  A helper that
+has not started when the blocks run out is cancelled, so a busy second
+core holds the apply up by at most one block in flight.  A sketch that
+fits in one buffer is drawn inline and starts no thread.  An apply to b
+columns holds O(chunk + out_rows * b) memory, never the matrix.
+Reading ``entries`` draws the same blocks into the whole matrix, once per
+sketch, and every later apply multiplies by it instead.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,10 +43,14 @@ __all__ = [
     "derive_seed",
 ]
 
-# the most bytes of S's rows a streamed apply holds: two chunk buffers of
-# half of it each, one being drawn while the other multiplies.  Each
-# chunk's product reads the whole block, so smaller chunks re-read it more
-# often: at 8 MB and in_rows = 16,384 a chunk is 32 rows
+# the rows of a block; each block is drawn from its own stream (part of
+# the reproducibility contract: changing it changes every sketch)
+_BLOCK_ROWS = 32
+
+# the most bytes of S's rows a streamed apply holds: one buffer of half of
+# it for each of the two threads.  Each buffer's product reads the whole
+# block of columns, so smaller buffers re-read it more often: at 8 MB and
+# in_rows = 16,384 a buffer is 32 rows
 _CHUNK_BYTES = 8 << 20
 
 
@@ -54,8 +59,9 @@ class SketchOperator:
     """A random embedding of R^in_rows into R^out_rows.
 
     Without ``entries`` it is a descriptor of the seeded Gaussian draw:
-    :func:`sketch_apply` streams its rows from the seed, and ``entries``
-    draws and keeps the full matrix on first read.  Sketches compare by
+    :func:`sketch_apply` draws its 32-row blocks from their own streams
+    of the seed, and ``entries`` draws the same blocks into the full
+    matrix on first read and keeps it.  Sketches compare by
     identity: sketches built from explicit entries share a seed, so
     (out_rows, in_rows, seed) does not determine one.  Explicit
     ``entries`` must have the declared shape and a real dtype; neither
@@ -94,8 +100,10 @@ class SketchOperator:
     def entries(self):
         """The full matrix, drawn from the seed on first read and kept."""
         entries = np.empty(self.shape)
-        for start, stop, rows in _row_chunks(self):
-            entries[start:stop] = rows
+        for r in range(-(-self.out_rows // _BLOCK_ROWS)):
+            # a buffer as tall as the rest of the matrix: the block is one
+            # sub-chunk, drawn in place
+            next(_block_rows(self, r, entries[r * _BLOCK_ROWS :]))
         return entries
 
 
@@ -106,69 +114,41 @@ def _check_integer(name, value, least, word):
         raise ValueError(f"sketch {name} must be {word}, got {value}")
 
 
-def _draw_rows(gen, out, scale):
-    """Fill ``out`` with the next standard normals of ``gen``, divided by
-    ``scale``.  Division, not a multiply by 1/scale, which rounds differently."""
-    gen.standard_normal(out=out)
-    out /= scale
-    return out
+def _block_rows(S, r, buf):
+    """Block r of S, as ``(start, stop, rows)`` sub-chunks drawn in order
+    from the block's own stream into the leading rows of ``buf``; each
+    ``rows`` is valid until the next is drawn."""
+    end = min((r + 1) * _BLOCK_ROWS, S.out_rows)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(S.seed, spawn_key=(r,))))
+    for start in range(r * _BLOCK_ROWS, end, len(buf)):
+        rows = buf[: min(len(buf), end - start)]
+        gen.standard_normal(out=rows)
+        # a division, not a multiply by the inverse, which rounds differently
+        rows /= np.sqrt(S.out_rows)
+        yield start, start + len(rows), rows
 
 
-def _row_chunks(S):
-    """The rows of S in order, as ``(start, stop, rows)`` chunks of at most
-    half of ``_CHUNK_BYTES`` (one row at least).
-
-    Held entries are cut into views.  A descriptor's chunks are drawn by
-    :func:`_draw_rows` from one stream, each into the leading rows of one
-    of two buffers used in turn: each ``rows`` is valid until the
-    generator is resumed.  Past one chunk, the caller draws the
-    first, and a worker thread draws chunk i+1 while the caller works on
-    chunk i; a draw the worker has not started when the caller needs it
-    is cancelled and drawn by the caller.  Chunk i+2 is submitted only
-    once the caller has resumed the generator, done with chunk i's
-    buffer.  Closing the generator early waits for the draw in flight and
-    stops the worker.
-    """
-    step = max(1, _CHUNK_BYTES // (16 * S.in_rows))
-    ranges = [(i, min(i + step, S.out_rows)) for i in range(0, S.out_rows, step)]
-    held = vars(S).get("entries")
-    if held is not None:
-        yield from ((start, stop, held[start:stop]) for start, stop in ranges)
-        return
-    gen = np.random.Generator(np.random.PCG64(S.seed))
-    scale = np.sqrt(S.out_rows)
-    if len(ranges) == 1:
-        yield 0, S.out_rows, _draw_rows(gen, np.empty(S.shape), scale)
-        return
-    bufs = np.empty((2, step, S.in_rows))
-
-    def buf(i):
-        start, stop = ranges[i]
-        return bufs[i % 2, : stop - start]
-
-    # the caller has nothing to overlap with the first chunk, so it draws it
-    rows = _draw_rows(gen, buf(0), scale)
-    # one worker and one draw in flight, so the stream is drawn in order.
-    # It calls _draw_rows alone (standard_normal and a division), none of
-    # the functions that perfbench wraps in spans: its Tracer is
-    # single-threaded
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for i, (start, stop) in enumerate(ranges[:-1]):
-            pending = pool.submit(_draw_rows, gen, buf(i + 1), scale)
-            yield start, stop, rows
-            # a draw the worker has not started (its core busy elsewhere)
-            # is taken back and drawn here rather than waited for
-            if pending.cancel():
-                rows = _draw_rows(gen, buf(i + 1), scale)
-            else:
-                rows = pending.result()
-    start, stop = ranges[-1]
-    yield start, stop, rows
+def _apply_blocks(S, v, out, blocks, buf):
+    """Draw and multiply each block that ``blocks`` hands out into its rows
+    of ``out``.  On an exception the shared iterator is drained, so the
+    other thread takes no new block."""
+    try:
+        for r in blocks:
+            for start, stop, rows in _block_rows(S, r, buf):
+                # np.dot, not np.matmul: matmul holds the GIL for an
+                # output of under 500 entries, which would stall the
+                # other thread's draw
+                np.dot(rows, v, out=out[start:stop])
+    except BaseException:
+        deque(blocks, maxlen=0)
+        raise
 
 
 def make_gaussian_sketch(out_rows, in_rows, seed):
     """A Gaussian sketch with i.i.d. N(0, 1/out_rows) entries, as a
-    descriptor: nothing is drawn until it is applied or its entries read.
+    descriptor: nothing is drawn until it is applied or its entries read,
+    and then in 32-row blocks, each from its own ``SeedSequence`` spawn
+    of the seed (see the module docstring).
 
     The scaling makes the map an isometry in expectation:
     ``E[||S v||^2] = ||v||^2`` for any fixed v.  The sizes must be
@@ -181,8 +161,8 @@ def sketch_apply(S, v, counters=None):
     """Apply the sketch to a vector, or to each column of an (in_rows, b)
     block at once.
 
-    A block is one pass over the entries, held or streamed from the seed
-    chunk by chunk, and charges b sketch applications; a vector charges one.
+    A block is one pass over the entries, held or drawn from the seed
+    block by block, and charges b sketch applications; a vector charges one.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != S.in_rows:
@@ -192,11 +172,28 @@ def sketch_apply(S, v, counters=None):
         )
     if counters is not None:
         counters.sketch_apply_count += 1 if v.ndim == 1 else v.shape[1]
+    held = vars(S).get("entries")
+    if held is not None:
+        return np.dot(held, v)
     out = np.empty((S.out_rows, *v.shape[1:]))
-    for start, stop, rows in _row_chunks(S):
-        # np.dot, not np.matmul: matmul holds the GIL for an output of
-        # under 500 entries, which would stall the worker's draw
-        np.dot(rows, v, out=out[start:stop])
+    height = max(1, _CHUNK_BYTES // (16 * S.in_rows))
+    count = -(-S.out_rows // _BLOCK_ROWS)
+    # a range iterator hands out each index once, whichever thread asks
+    blocks = iter(range(count))
+    if S.out_rows <= height or count == 1:
+        _apply_blocks(S, v, out, blocks, np.empty((min(height, S.out_rows), S.in_rows)))
+        return out
+    # the helper calls _apply_blocks alone (standard_normal, a division and
+    # np.dot), none of the functions that perfbench wraps in spans: its
+    # Tracer is single-threaded
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(_apply_blocks, S, v, out, blocks, np.empty((height, S.in_rows)))
+        _apply_blocks(S, v, out, blocks, np.empty((height, S.in_rows)))
+        # a helper that never started (its core busy elsewhere) has no
+        # block left to take; one that did is waited for, and its
+        # exception raised here
+        if not helper.cancel():
+            helper.result()
     return out
 
 

@@ -29,71 +29,110 @@ def test_sketch_shape_and_determinism():
     assert not np.array_equal(S1.entries, S3.entries)
 
 
-def gaussian_stream(out_rows, in_rows, seed):
-    # the reproducibility contract, spelled out
-    gen = np.random.Generator(np.random.PCG64(seed))
-    return gen.standard_normal((out_rows, in_rows)) / np.sqrt(out_rows)
+def gaussian_blocks(out_rows, in_rows, seed):
+    # the reproducibility contract, spelled out: 32-row blocks, block r
+    # drawn whole from spawn key (r,) of the seed
+    blocks = []
+    for r, start in enumerate(range(0, out_rows, 32)):
+        seq = np.random.SeedSequence(seed, spawn_key=(r,))
+        gen = np.random.Generator(np.random.PCG64(seq))
+        blocks.append(gen.standard_normal((min(32, out_rows - start), in_rows)))
+    return np.vstack(blocks) / np.sqrt(out_rows)
 
 
 @pytest.mark.parametrize("chunk_bytes", [8 << 20, 8 * 30 * 7, 8], ids=["whole", "7-row", "1-row"])
 def test_gaussian_entries_are_the_pcg64_stream(monkeypatch, chunk_bytes):
-    # entries are drawn chunk by chunk; the chunks must join into the one draw
+    # the bits do not depend on the chunk budget; (100, 30) is four
+    # blocks, the last one ragged
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk_bytes)
-    for shape, seed in [((50, 30), 0), ((7, 1), 12), ((1, 40), 2**63)]:
+    for shape, seed in [((50, 30), 0), ((7, 1), 12), ((1, 40), 2**63), ((100, 30), 5)]:
         S = make_gaussian_sketch(*shape, seed)
-        assert np.array_equal(S.entries, gaussian_stream(*shape, seed))
+        assert np.array_equal(S.entries, gaussian_blocks(*shape, seed))
+
+
+def test_block_streams_differ_from_the_root_stream():
+    # default_rng(seed), which draws a problem's noise, is the root stream:
+    # no block of the sketch starts with its normals, and no row is closer
+    # to parallel with them than chance allows (|cos| ~ 1/sqrt(in_rows))
+    for seed in range(5):
+        g = np.random.default_rng(seed).standard_normal(400)
+        E = make_gaussian_sketch(70, 400, seed).entries * np.sqrt(70)
+        assert not any(np.array_equal(E[i], g) for i in range(0, 70, 32))
+        cos = np.abs(E @ g) / (np.linalg.norm(E, axis=1) * np.linalg.norm(g))
+        assert cos.max() <= 5 / np.sqrt(400)
 
 
 def test_make_gaussian_sketch_draws_nothing(monkeypatch):
     calls = []
-    monkeypatch.setattr(sketch, "_draw_rows", lambda *args: calls.append(args))
+    monkeypatch.setattr(sketch, "_block_rows", lambda *args: calls.append(args))
     S = make_gaussian_sketch(1000, 1000, 0)
     assert calls == [] and "entries" not in vars(S)
 
 
-def chunk_rows(chunk_bytes, in_rows):
-    # the rows of one chunk: the budget holds two chunk buffers
+def buffer_rows(chunk_bytes, in_rows):
+    # the rows of one thread's buffer: the budget holds two of them
     return max(1, chunk_bytes // (2 * 8 * in_rows))
 
 
+def by_sub_chunk(E, v, height):
+    # the loop reference: one product per sub-chunk of each 32-row block
+    out_rows = len(E)
+    return np.concatenate([
+        E[i : min(i + height, start + 32, out_rows)] @ v
+        for start in range(0, out_rows, 32)
+        for i in range(start, min(start + 32, out_rows), height)
+    ])
+
+
 # (out_rows, in_rows, columns, chunk bytes); small, so every GEMM stays
-# single-threaded.  The budget 2 * 8 * 30 * 8 holds two 8-row chunks
+# single-threaded.  The budget 2 * 8 * 30 * 8 holds two 8-row buffers,
+# shorter than a block
 STREAMS = {
     "one-chunk": (40, 30, 5, 8 << 20),
-    "two-chunks": (16, 30, 5, 2 * 8 * 30 * 8),
+    "two-chunks": (16, 30, 5, 2 * 8 * 30 * 8),  # one block, two sub-chunks
     "vector": (40, 30, None, 2 * 8 * 30 * 8),
     "block": (40, 30, 5, 2 * 8 * 30 * 8),
-    "ragged": (43, 30, 5, 2 * 8 * 30 * 8),  # five chunks of 8 rows, then 3
+    "ragged": (43, 30, 5, 2 * 8 * 30 * 8),  # a block of 32, then 11
     "ragged-vector": (43, 30, None, 2 * 8 * 30 * 8),
-    "many-chunks": (97, 30, 3, 2 * 8 * 30 * 3),  # 32 chunks of 3 rows, then 1
+    "many-chunks": (97, 30, 3, 2 * 8 * 30 * 3),  # sub-chunks of 3 rows, ten and a 2
     "one-row-vector": (43, 30, None, 100),  # in_rows * 8 > chunk bytes
     "one-row-block": (43, 30, 4, 100),
+    "block-buffers": (97, 30, 3, 2 * 8 * 30 * 32),  # buffers as tall as a block
+    "block-buffers-vector": (97, 30, None, 2 * 8 * 30 * 32),
+    "tall-buffers": (97, 30, 3, 2 * 8 * 30 * 45),  # taller than a block
+    "tall-buffers-vector": (97, 30, None, 2 * 8 * 30 * 45),
 }
 
 
 @pytest.mark.parametrize("out_rows, in_rows, cols, chunk_bytes", STREAMS.values(), ids=STREAMS)
 def test_streamed_apply_is_exact(monkeypatch, out_rows, in_rows, cols, chunk_bytes):
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk_bytes)
-    step = chunk_rows(chunk_bytes, in_rows)
-    E = gaussian_stream(out_rows, in_rows, 7)
+    E = gaussian_blocks(out_rows, in_rows, 7)
     v = np.random.default_rng(7).standard_normal((in_rows,) if cols is None else (in_rows, cols))
     S = make_gaussian_sketch(out_rows, in_rows, 7)
     streamed = sketch_apply(S, v)
     assert "entries" not in vars(S)
-    # the loop reference: one product per chunk of the stream's entries
-    by_chunk = np.concatenate([E[i : i + step] @ v for i in range(0, out_rows, step)])
-    assert np.array_equal(streamed, by_chunk)
-    # held entries, read or explicit, are applied in the same chunks
+    assert np.array_equal(streamed, by_sub_chunk(E, v, buffer_rows(chunk_bytes, in_rows)))
+    # held entries, read or explicit, are applied as one product
     assert np.array_equal(S.entries, E)
-    assert np.array_equal(sketch_apply(S, v), streamed)
+    assert np.array_equal(sketch_apply(S, v), np.dot(E, v))
     held = SketchOperator(out_rows, in_rows, 7, entries=E)
-    assert np.array_equal(sketch_apply(held, v), streamed)
+    assert np.array_equal(sketch_apply(held, v), np.dot(E, v))
     # the unchunked product is one GEMM over all rows, which BLAS may
     # group differently; both products lie within gamma_m |E| |v| of the
     # exact one (m = in_rows terms per entry, unit roundoff u)
     u = np.finfo(float).eps / 2
     gamma = in_rows * u / (1 - in_rows * u)
     assert np.all(np.abs(streamed - E @ v) <= 2 * gamma * (np.abs(E) @ np.abs(v)))
+
+
+@pytest.mark.parametrize("chunk_bytes", [8 << 20, 2 * 8 * 30 * 8, 2 * 8 * 30 * 45])
+def test_entries_are_the_rows_an_apply_draws(monkeypatch, chunk_bytes):
+    # a product with the identity adds exact zeros to exact products, so
+    # it reads the drawn rows back bit for bit
+    monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk_bytes)
+    applied = sketch_apply(make_gaussian_sketch(97, 30, 3), np.eye(30))
+    assert np.array_equal(applied, make_gaussian_sketch(97, 30, 3).entries)
 
 
 def test_streamed_apply_holds_one_chunk(monkeypatch):
@@ -117,18 +156,25 @@ def test_streamed_apply_holds_one_chunk(monkeypatch):
     assert "entries" not in vars(S)
 
 
-def draw_threads(monkeypatch):
-    # the thread of every finished chunk draw, in order
-    threads = []
-    draw = sketch._draw_rows
+def block_draws(monkeypatch, before=None):
+    # every block drawn, as (index, thread, rows copied), in the order the
+    # draws finish; ``before(r)``, if given, runs as block r starts
+    draws = []
+    block_rows = sketch._block_rows
 
-    def recording(gen, out, scale):
-        rows = draw(gen, out, scale)
-        threads.append(threading.get_ident())
-        return rows
+    def recording(S, r, buf):
+        if before is not None:
+            before(r)
+        rows = [rows.copy() for _, _, rows in block_rows(S, r, buf)]
+        draws.append((r, threading.get_ident(), np.vstack(rows)))
+        # the caller multiplies the copies: buf is not read again
+        start = r * 32
+        for part in rows:
+            yield start, start + len(part), part
+            start += len(part)
 
-    monkeypatch.setattr(sketch, "_draw_rows", recording)
-    return threads
+    monkeypatch.setattr(sketch, "_block_rows", recording)
+    return draws
 
 
 def wait_for(condition):
@@ -138,29 +184,31 @@ def wait_for(condition):
         time.sleep(1e-3)
 
 
-def test_streamed_chunks_are_drawn_one_ahead_on_one_worker(monkeypatch):
-    # 43 rows in chunks of 8: the caller draws the first chunk, the worker
-    # each later one while the caller holds the one before, without
-    # overwriting it.  The caller here waits for each draw to finish, so
-    # none is taken back; the worker is gone by the last chunk
+def test_blocks_are_shared_by_the_caller_and_one_helper(monkeypatch):
+    # 20 blocks, 8-row buffers: the caller holds its first block until the
+    # helper has drawn one, so both take part.  Each block is drawn once,
+    # on one of two threads, and the result is the loop reference
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
-    threads = draw_threads(monkeypatch)
-    E = gaussian_stream(43, 30, 4)
+    caller = threading.get_ident()
+
+    def hold(r):
+        if threading.get_ident() == caller and not any(t != caller for _, t, _ in draws):
+            wait_for(lambda: any(t != caller for _, t, _ in draws))
+
+    draws = block_draws(monkeypatch, hold)
+    E = gaussian_blocks(640, 30, 4)
+    v = np.random.default_rng(4).standard_normal((30, 5))
     before = threading.active_count()
-    for i, (start, stop, rows) in enumerate(sketch._row_chunks(make_gaussian_sketch(43, 30, 4))):
-        if stop < 43:
-            assert threading.active_count() == before + 1
-            wait_for(lambda: len(threads) == i + 2)
-        else:
-            assert threading.active_count() == before
-        assert np.array_equal(rows, E[start:stop])
-    assert len(threads) == 6 and threads[0] == threading.get_ident()
-    assert len(set(threads[1:])) == 1 and threads[1] != threading.get_ident()
+    assert np.array_equal(sketch_apply(make_gaussian_sketch(640, 30, 4), v), by_sub_chunk(E, v, 8))
+    assert threading.active_count() == before
+    assert sorted(r for r, _, _ in draws) == list(range(20))
+    assert len({t for _, t, _ in draws}) == 2
+    assert all(np.array_equal(rows, E[32 * r : 32 * r + 32]) for r, _, rows in draws)
 
 
 class Stalled:
-    """An executor whose worker never starts a draw, as when its core is
-    busy elsewhere."""
+    """An executor whose helper never starts, as when its core is busy
+    elsewhere."""
 
     def __init__(self, max_workers):
         pass
@@ -176,81 +224,97 @@ class Stalled:
 
 
 def test_draws_the_worker_has_not_started_are_drawn_by_the_caller(monkeypatch):
+    # the caller takes every block, then cancels the helper, which never ran
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
     monkeypatch.setattr(sketch, "ThreadPoolExecutor", Stalled)
-    threads = draw_threads(monkeypatch)
-    E = gaussian_stream(43, 30, 4)
+    draws = block_draws(monkeypatch)
+    E = gaussian_blocks(100, 30, 4)
     v = np.random.default_rng(4).standard_normal((30, 5))
-    by_chunk = np.concatenate([E[i : i + 8] @ v for i in range(0, 43, 8)])
-    assert np.array_equal(sketch_apply(make_gaussian_sketch(43, 30, 4), v), by_chunk)
-    assert threads == [threading.get_ident()] * 6
+    assert np.array_equal(sketch_apply(make_gaussian_sketch(100, 30, 4), v), by_sub_chunk(E, v, 8))
+    assert [(r, t) for r, t, _ in draws] == [(r, threading.get_ident()) for r in range(4)]
 
 
 def test_one_chunk_sketch_starts_no_thread(monkeypatch):
-    threads = draw_threads(monkeypatch)
+    # 40 rows in one 8 MB buffer: two blocks, drawn inline in order
+    draws = block_draws(monkeypatch)
     monkeypatch.setattr(sketch, "ThreadPoolExecutor", None)  # would raise if called
     S = make_gaussian_sketch(40, 30, 4)
     v = np.random.default_rng(4).standard_normal((30, 5))
-    assert np.array_equal(sketch_apply(S, v), gaussian_stream(40, 30, 4) @ v)
-    assert threads == [threading.get_ident()]
+    assert np.array_equal(sketch_apply(S, v), by_sub_chunk(gaussian_blocks(40, 30, 4), v, 40))
+    assert [(r, t) for r, t, _ in draws] == [(0, threading.get_ident()), (1, threading.get_ident())]
 
 
 class Stop(Exception):
     pass
 
 
-@pytest.mark.parametrize("stop", ["consumer-raises", "closed-early", "draw-raises"])
+# where the failure happens: the thread, and the draw or the product
+STOPS = {
+    "draw-raises": ("helper", "draw"),
+    "consumer-raises": ("helper", "product"),
+    "caller-draw-raises": ("caller", "draw"),
+    "caller-product-raises": ("caller", "product"),
+}
+
+
+@pytest.mark.parametrize("stop", STOPS)
 def test_stopped_pass_stops_the_worker(monkeypatch, stop):
-    # a pass left mid-way waits for the draw in flight and joins the
-    # worker; the next apply starts from the seed and gives the same bits
+    # a failure on either thread propagates out of the apply, the other
+    # thread takes no new block, and no thread outlives the call; the next
+    # apply starts from the seed and gives the same bits.  The failing
+    # thread waits until the other has started a block, which in turn
+    # waits for the failure, so both are mid-pass when it happens
+    where, what = STOPS[stop]
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
-    S = make_gaussian_sketch(43, 30, 4)
+    S = make_gaussian_sketch(640, 30, 4)
     v = np.random.default_rng(4).standard_normal((30, 5))
     expected = sketch_apply(S, v)
+    caller, started, failed, taken = threading.get_ident(), set(), threading.Event(), []
+    block_rows = sketch._block_rows
+
+    def failing(S, r, buf):
+        me = "caller" if threading.get_ident() == caller else "helper"
+        taken.append(r)
+        started.add(me)
+        if me != where:
+            assert failed.wait(10)
+            yield from block_rows(S, r, buf)
+            return
+        wait_for(lambda: len(started) == 2)
+        failed.set()
+        if what == "draw":
+            raise Stop
+        for start, stop, rows in block_rows(S, r, buf):
+            yield start, stop, rows[:, :-1]  # np.dot raises on the shapes
+
     before = threading.active_count()
-    if stop == "consumer-raises":
-        with pytest.raises(Stop):
-            for start, _, _ in sketch._row_chunks(S):
-                if start > 0:
-                    raise Stop
-    elif stop == "closed-early":
-        chunks = sketch._row_chunks(S)
-        next(chunks)
-        next(chunks)
-        chunks.close()
-    else:
-        draw, calls = sketch._draw_rows, []
-
-        def failing(gen, out, scale):
-            calls.append(None)
-            if len(calls) == 3:
-                raise Stop
-            return draw(gen, out, scale)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(sketch, "_draw_rows", failing)
-            with pytest.raises(Stop):
-                sketch_apply(S, v)
+    with monkeypatch.context() as patch:
+        patch.setattr(sketch, "_block_rows", failing)
+        with pytest.raises(Stop if what == "draw" else ValueError):
+            sketch_apply(S, v)
     assert threading.active_count() == before
+    # the two first blocks, and at most one the other thread took before
+    # the failing one drained the indices
+    assert len(taken) <= 3
     assert np.array_equal(sketch_apply(S, v), expected)
     assert "entries" not in vars(S)
 
 
 def test_concurrent_applies_keep_their_own_streams(monkeypatch):
-    # four callers, each with its own worker, stream 1-row chunks while the
-    # interpreter switches threads as often as it can: every result must be
-    # the loop reference of its own seed
+    # four callers, each with its own helper, share three blocks in 1-row
+    # sub-chunks while the interpreter switches threads as often as it
+    # can: every result must be the loop reference of its own seed
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30)
     v = np.random.default_rng(0).standard_normal((30, 2))
     seeds = range(4)
     expected = {
-        seed: np.concatenate([row[None] @ v for row in gaussian_stream(25, 30, seed)])
+        seed: np.concatenate([row[None] @ v for row in gaussian_blocks(70, 30, seed)])
         for seed in seeds
     }
     results = {}
 
     def apply(seed):
-        results[seed] = [sketch_apply(make_gaussian_sketch(25, 30, seed), v) for _ in range(20)]
+        results[seed] = [sketch_apply(make_gaussian_sketch(70, 30, seed), v) for _ in range(20)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -373,28 +437,29 @@ def test_sketch_and_solve_counts():
 
 
 def test_sketch_and_solve_makes_one_pass(monkeypatch):
-    # M and rhs are sketched together: each chunk of S is drawn once, and
-    # the solution is that of the two sketched halves
+    # M and rhs are sketched together: S's one block is drawn once, in
+    # sub-chunks of 3, 3, 3 and 1 rows, and the solution is that of the
+    # two sketched halves
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 40 * 3)
-    threads = draw_threads(monkeypatch)
+    draws = block_draws(monkeypatch)
     rng = np.random.default_rng(5)
     M = rng.standard_normal((40, 4))
     rhs = rng.standard_normal(40)
     S = make_gaussian_sketch(10, 40, seed=2)
     y = sketch_and_solve_ls(S, M, rhs)
-    assert len(threads) == 4  # chunks of 3, 3, 3 and 1 rows
-    E, Mr = gaussian_stream(10, 40, 2), np.column_stack([M, rhs])
-    SMr = np.concatenate([E[i : i + 3] @ Mr for i in range(0, 10, 3)])
+    E, Mr = gaussian_blocks(10, 40, 2), np.column_stack([M, rhs])
+    assert [r for r, _, _ in draws] == [0] and np.array_equal(draws[0][2], E)
+    SMr = by_sub_chunk(E, Mr, 3)
     assert np.array_equal(y, dense_qr_ls(SMr[:, :4], SMr[:, 4]))
 
 
 @pytest.mark.parametrize("shape", [(12,), (40, 1), (40, 2)])
 def test_sketch_and_solve_rejects_a_misshapen_rhs(monkeypatch, shape):
-    threads = draw_threads(monkeypatch)
+    draws = block_draws(monkeypatch)
     S = make_gaussian_sketch(10, 40, seed=2)
     with pytest.raises(ValueError, match=re.escape("rhs must be a vector of length 40")):
         sketch_and_solve_ls(S, np.ones((40, 4)), np.ones(shape))
-    assert threads == []
+    assert draws == []
 
 
 def test_sketch_and_solve_rejects_too_few_rows():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hessketch import cli
 from hessketch import sketch as sketch_module
 from hessketch import solvers
 from hessketch.hessenberg import PivotStrategy, dump_factorization
@@ -16,7 +17,7 @@ from hessketch.linops import (
     spectral_condition_number,
     stacked_tikhonov_ls,
 )
-from hessketch.problems import gaussian_psf, make_deblur
+from hessketch.problems import gaussian_psf, make_deblur, make_tomography
 from hessketch.sketch import SketchOperator, derive_seed, make_gaussian_sketch
 from hessketch.solvers import (
     CSV_COLUMNS,
@@ -292,36 +293,39 @@ def test_trivial_sketched_start_draws_no_sketch(monkeypatch, name):
     assert result.termination == "trivial" and draws == []
 
 
-def record_row_draws(monkeypatch, chunk_rows, in_rows):
-    # every chunk of Gaussian rows a sketch draws, copied, in order, with
-    # chunks of chunk_rows rows of length in_rows: the chunk budget holds
-    # two such chunks, one drawn while the other multiplies
+def record_row_draws(monkeypatch, buffer_rows, in_rows):
+    # every block of Gaussian rows a sketch draws, as (seed, block index,
+    # rows copied), in the order the draws finish, with buffers of
+    # buffer_rows rows of length in_rows: the chunk budget holds two
     drawn = []
-    draw = sketch_module._draw_rows
+    block_rows = sketch_module._block_rows
 
-    def recording(gen, out, scale):
-        drawn.append(draw(gen, out, scale).copy())
-        return out
+    def recording(S, r, buf):
+        parts = []
+        for start, stop, rows in block_rows(S, r, buf):
+            parts.append(rows.copy())
+            yield start, stop, rows
+        drawn.append((S.seed, r, np.vstack(parts)))
 
-    monkeypatch.setattr(sketch_module, "_CHUNK_BYTES", 2 * 8 * chunk_rows * in_rows)
-    monkeypatch.setattr(sketch_module, "_draw_rows", recording)
+    monkeypatch.setattr(sketch_module, "_CHUNK_BYTES", 2 * 8 * buffer_rows * in_rows)
+    monkeypatch.setattr(sketch_module, "_block_rows", recording)
     return drawn
 
 
 @pytest.mark.parametrize("diagnostics", [False, True])
 def test_scmrh_draws_its_sketch_in_one_pass(monkeypatch, diagnostics):
     # the solve streams S once, into S U_{K+1}; eps_embed reads that
-    # product's triangle, so with diagnostics too each chunk of S is drawn
+    # product's triangle, so with diagnostics too each block of S is drawn
     # exactly once
     _, A, b = make_square(52, 20)
     cfg = SolverConfig(maxiter=8, seed=3, compute_diagnostics=diagnostics)
     ell = cfg.effective_sketch_rows(A.cols)
     drawn = record_row_draws(monkeypatch, 7, A.rows)
     result = scmrh(A, b, cfg)
-    assert [len(rows) for rows in drawn] == [7] * (ell // 7) + [ell % 7]
-    gen = np.random.Generator(np.random.PCG64(cfg.seed))
-    S = gen.standard_normal((ell, A.rows)) / np.sqrt(ell)
-    assert np.array_equal(np.vstack(drawn), S)
+    by_block = {r: rows for _, r, rows in drawn}
+    assert sorted(r for _, r, _ in drawn) == list(range(-(-ell // 32)))
+    S = make_gaussian_sketch(ell, A.rows, cfg.seed).entries
+    assert all(np.array_equal(rows, S[32 * r : 32 * r + 32]) for r, rows in by_block.items())
     eps = result.trace.column("eps_embed")
     assert all(e is not None for e in eps) == diagnostics
 
@@ -338,8 +342,11 @@ def test_prebuilt_descriptor_is_never_materialized(monkeypatch, name, diagnostic
     result = SOLVERS[name](A, b, cfg, sketch=S)
     assert "entries" not in vars(S) and len(result.trace.records) == 5
     assert all(r.eps_embed is not None for r in result.trace.records) == diagnostics
-    # one pass over S, and one over the damped solve's S1 of as many rows
-    assert sum(len(rows) for rows in drawn) == 2 * 60
+    # one pass over S, and one over the damped solve's S1 (seeded from
+    # cfg.seed) of as many rows: each of their two blocks drawn once
+    blocks = sorted((seed, r) for seed, r, _ in drawn)
+    assert blocks == sorted((seed, r) for seed in (11, derive_seed(0, 1)) for r in (0, 1))
+    assert sum(len(rows) for _, _, rows in drawn) == 2 * 60
 
 
 @pytest.mark.parametrize("field", ["b", "x0", "x_true"])
@@ -936,6 +943,62 @@ def test_slslu_sampled_pivoting_runs_clean():
     res = slslu(A, b, cfg)
     assert len(res.trace.records) == 7
     assert res.trace.final().dots == 0
+
+
+# The sketch must be drawn independently of the data it embeds.  A problem's
+# noise is drawn from default_rng(seed), and a config that sets both seeds
+# to one value (the defaults, or HESSKETCH_SEED) sketches with that seed too.
+
+
+def tomo48(seed):
+    return make_tomography(48, 36, noise_level=0.01, seed=seed)
+
+
+def max_eps_embed(p, seed):
+    cfg = SolverConfig(maxiter=30, seed=seed, compute_diagnostics=True)
+    return max(slslu(p.operator, p.b, cfg, x_true=p.x_true).trace.column("eps_embed"))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sketch_rows_are_not_aligned_with_the_noise_at_equal_seeds(seed):
+    p = tomo48(seed)
+    m = p.operator.rows
+    g = np.random.default_rng(seed).standard_normal(m)  # add_noise's draw
+    ell = SolverConfig(maxiter=30).effective_sketch_rows(p.operator.cols)
+    S = make_gaussian_sketch(ell, m, seed).entries
+    cos = np.abs(S @ g) / (np.linalg.norm(S, axis=1) * np.linalg.norm(g))
+    assert cos.max() <= 5 / np.sqrt(m)
+
+
+@pytest.fixture(scope="module")
+def tomo48_eps_range():
+    # max eps_embed of slslu on the seed-0 problem over sketch seeds 1-7
+    eps = [max_eps_embed(tomo48(0), seed) for seed in range(1, 8)]
+    return min(eps), max(eps)
+
+
+def test_equal_seeds_embed_like_any_other(tomo48_eps_range):
+    lo, hi = tomo48_eps_range
+    assert lo <= max_eps_embed(tomo48(0), 0) <= hi
+
+
+def test_env_seed_run_embeds_like_any_other(tmp_path, monkeypatch, tomo48_eps_range):
+    # HESSKETCH_SEED sets the problem seed and the sketch seed to one value
+    out = tmp_path / "out"
+    (tmp_path / "exp.cfg").write_text(
+        "problem.type = tomography\nproblem.grid = 48\nproblem.angles = 36\n"
+        "problem.noise_level = 0.01\nproblem.seed = 5\n"
+        f"output_dir = {out}\nsolver.s.name = slslu\nsolver.s.maxiter = 30\n"
+        "solver.s.seed = 9\n"
+    )
+    monkeypatch.setenv("HESSKETCH_SEED", "0")
+    assert cli.main(["solve", str(tmp_path / "exp.cfg"), "--diagnostics"]) == 0
+    rows = (out / "s.trace.csv").read_text().strip().split("\n")[1:]
+    column = CSV_COLUMNS.index("eps_embed")
+    eps = max(float(row.split(",")[column]) for row in rows)
+    assert eps == max_eps_embed(tomo48(0), 0)
+    lo, hi = tomo48_eps_range
+    assert lo <= eps <= hi
 
 
 # ---------------------------------------------------------------------------
