@@ -158,7 +158,13 @@ class LinearOperator:
 
     @classmethod
     def from_matrix(cls, M):
-        """Wrap a real dense array or scipy sparse matrix."""
+        """Wrap a real dense array or scipy sparse matrix.
+
+        A sparse matrix keeps a CSR copy of its transpose: serving the
+        transpose from the CSC view of A instead saves the copy but took
+        2.3-2.5 ms against 1.6-1.9 ms per apply on the 128-grid, 90-angle
+        tomography matrix (one BLAS thread, 2-vCPU host).
+        """
         if np.iscomplexobj(M):
             raise ValueError("matrix must be real; it has a complex dtype")
         if scipy.sparse.issparse(M):

@@ -11,9 +11,9 @@ Two problem families are provided, both returning a :class:`Problem` bundle
   ``correlate`` with ``mode="constant"``), not FFTs.
 * :func:`make_tomography` builds a rectangular parallel-beam transform.
   Rays are traced through the pixel grid and each matrix entry is the
-  exact intersection length of a ray with a pixel, assembled once into a
-  sparse matrix.  The rays of one angle are traced together with array
-  operations; the result is bit-identical to tracing one ray at a time.
+  exact intersection length of a ray with a pixel, written straight into
+  CSR and canonicalized by ``sum_duplicates`` (a peak of about 2.1 times the
+  matrix), bit-identical to tracing one ray at a time.
 
 Ray geometry (documented so tests can rebuild the matrix independently):
 the image occupies the box [0, grid] x [0, grid] with pixel (row j, col i)
@@ -299,10 +299,12 @@ def tomography_matrix(grid, n_angles):
     segments; a segment is credited to the pixel holding its midpoint.
     Segments that are not finite, belong to a ray missing the box, or are
     slivers of at most 1e-12 from corner-grazing arithmetic are dropped.
+    Each angle's ray counts, int32 indices and lengths go straight into CSR,
+    canonicalized by ``sum_duplicates``; the peak is about 2.1x the matrix.
     """
     offsets = np.arange(grid) + 0.5 - grid / 2.0
     planes = np.arange(1.0, grid)
-    rows, cols, vals = [], [], []
+    counts, cols, vals = [[0]], [], []  # indptr is the cumsum of counts
     # inf - inf between padding entries is expected and dropped below
     with np.errstate(invalid="ignore"):
         for a in range(n_angles):
@@ -311,38 +313,36 @@ def tomography_matrix(grid, n_angles):
             normal = (-math.sin(theta), math.cos(theta))
             origins = [grid / 2.0 + offsets * nk for nk in normal]
             t0, t1 = np.full(grid, -np.inf), np.full(grid, np.inf)
-            missed = np.zeros(grid, dtype=bool)
-            lines = []
-            for o, d in zip(origins, direction):
+            alphas = np.full((grid, 2 * grid), np.inf)  # entry, exit, crossings
+            for o, d, block in zip(origins, direction, np.hsplit(alphas[:, 2:], 2)):
                 if abs(d) < 1e-12:
-                    missed |= (o <= 0.0) | (o >= grid)
+                    t1[(o <= 0.0) | (o >= grid)] = -np.inf
                 else:
                     ta, tb = (0.0 - o) / d, (grid - o) / d
                     t0 = np.maximum(t0, np.minimum(ta, tb))
                     t1 = np.minimum(t1, np.maximum(ta, tb))
-                    lines.append((planes - o[:, None]) / d)
-            missed |= ~(t1 > t0)
+                    block[:] = (planes - o[:, None]) / d
             lo, hi = t0[:, None], t1[:, None]
-            alphas = np.concatenate(
-                [lo, hi] + [np.where((t > lo) & (t < hi), t, np.inf) for t in lines],
-                axis=1,
-            )
+            alphas[:, :2], lines = np.hstack([lo, hi]), alphas[:, 2:]
+            np.copyto(lines, np.inf, where=~((lines > lo) & (lines < hi)))
             alphas.sort(axis=1)
             lengths = np.diff(alphas, axis=1)
-            keep = np.isfinite(lengths) & (lengths > 1e-12) & ~missed[:, None]
-            ray, _ = np.nonzero(keep)
-            mids = (0.5 * (alphas[:, :-1] + alphas[:, 1:]))[keep]
+            keep = np.isfinite(lengths) & (lengths > 1e-12) & (t1 > t0)[:, None]
+            counts.append(np.count_nonzero(keep, axis=1))
+            ray = np.repeat(np.arange(grid), counts[-1])
+            mids = 0.5 * (alphas[:, :-1][keep] + alphas[:, 1:][keep])
             ci, rj = (
-                np.clip(np.floor(o[ray] + mids * d).astype(int), 0, grid - 1)
+                np.clip(np.floor(o[ray] + mids * d).astype(np.int32), 0, grid - 1)
                 for o, d in zip(origins, direction)
             )
-            rows.append(a * grid + ray)
             cols.append(rj * grid + ci)
             vals.append(lengths[keep])
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    K = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols), np.cumsum(np.concatenate(counts))),
         shape=(n_angles * grid, grid * grid),
     )
+    K.sum_duplicates()
+    return K
 
 
 def make_tomography(grid, n_angles, noise_level=0.0, seed=0):

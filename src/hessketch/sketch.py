@@ -20,7 +20,9 @@ core holds the apply up by at most one block in flight.  A sketch that
 fits in one buffer is drawn inline and starts no thread.  An apply to b
 columns holds O(chunk + out_rows * b) memory, never the matrix.
 Reading ``entries`` draws the same blocks into the whole matrix, once per
-sketch, and every later apply multiplies by it instead.
+sketch, for the reader alone: applies keep drawing the blocks, so a read
+changes no later product.  Only entries passed to the constructor are
+applied, as one product.
 """
 
 from __future__ import annotations
@@ -61,12 +63,12 @@ class SketchOperator:
     Without ``entries`` it is a descriptor of the seeded Gaussian draw:
     :func:`sketch_apply` draws its 32-row blocks from their own streams
     of the seed, and ``entries`` draws the same blocks into the full
-    matrix on first read and keeps it.  Sketches compare by
-    identity: sketches built from explicit entries share a seed, so
-    (out_rows, in_rows, seed) does not determine one.  Explicit
+    matrix on first read and keeps it, never to be applied.  Sketches
+    compare by identity: sketches built from explicit entries share a
+    seed, so (out_rows, in_rows, seed) does not determine one.  Explicit
     ``entries`` must have the declared shape and a real dtype; neither
-    check reads the entries.  The solvers check held entries for NaN and
-    inf before applying them; drawn ones are finite.
+    check reads the entries.  The solvers check explicit entries for NaN
+    and inf before applying them; drawn ones are finite.
     """
 
     out_rows: int
@@ -78,6 +80,8 @@ class SketchOperator:
             _check_integer(name, value, 1, "positive")
         _check_integer("seed", seed, 0, "nonnegative")
         self.out_rows, self.in_rows, self.seed = int(out_rows), int(in_rows), int(seed)
+        # the only entries an apply multiplies by
+        self._held = entries
         if entries is None:
             return
         if np.shape(entries) != self.shape:
@@ -89,8 +93,6 @@ class SketchOperator:
             raise ValueError(
                 f"sketch entries must be real, got dtype {np.asarray(entries).dtype}"
             )
-        # held as if already read: the cached property never draws them
-        self.__dict__["entries"] = entries
 
     @property
     def shape(self):
@@ -98,7 +100,10 @@ class SketchOperator:
 
     @cached_property
     def entries(self):
-        """The full matrix, drawn from the seed on first read and kept."""
+        """The full matrix: the explicit entries, or drawn from the seed on
+        first read and kept."""
+        if self._held is not None:
+            return self._held
         entries = np.empty(self.shape)
         for r in range(-(-self.out_rows // _BLOCK_ROWS)):
             # a buffer as tall as the rest of the matrix: the block is one
@@ -161,8 +166,9 @@ def sketch_apply(S, v, counters=None):
     """Apply the sketch to a vector, or to each column of an (in_rows, b)
     block at once.
 
-    A block is one pass over the entries, held or drawn from the seed
-    block by block, and charges b sketch applications; a vector charges one.
+    A block is one pass over the explicit entries, or over the blocks
+    drawn from the seed, and charges b sketch applications; a vector
+    charges one.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != S.in_rows:
@@ -172,9 +178,8 @@ def sketch_apply(S, v, counters=None):
         )
     if counters is not None:
         counters.sketch_apply_count += 1 if v.ndim == 1 else v.shape[1]
-    held = vars(S).get("entries")
-    if held is not None:
-        return np.dot(held, v)
+    if S._held is not None:
+        return np.dot(S._held, v)
     out = np.empty((S.out_rows, *v.shape[1:]))
     height = max(1, _CHUNK_BYTES // (16 * S.in_rows))
     count = -(-S.out_rows // _BLOCK_ROWS)

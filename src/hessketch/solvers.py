@@ -330,8 +330,8 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
                 f"sketch expects vectors of length {sketch.in_rows}, "
                 f"operator produces length {A.rows}"
             )
-        # only held entries: reading a descriptor's would draw all of S
-        if "entries" in vars(sketch) and not np.isfinite(sketch.entries).all():
+        # only explicit entries: reading a descriptor's would draw all of S
+        if sketch._held is not None and not np.isfinite(sketch._held).all():
             raise ValueError("sketch entries must be finite; they contain NaN or inf")
         rows, rows_name = sketch.out_rows, "sketch.out_rows"
     if sketched and rows < steps + 1:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,29 @@ def test_tomography_adjoint_consistency():
     lhs = np.dot(p.operator.forward(v), u)
     rhs = np.dot(v, p.operator.transpose(u))
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+def test_tomography_assembly_peaks_near_the_matrix():
+    # the CSR arrays are written directly: no COO copy, no int64 index
+    # lists.  The peak includes the transposed copy that from_matrix keeps
+    K = tomography_matrix(64, 45)
+    matrix = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+    tracemalloc.start()
+    try:
+        make_tomography(64, 45)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * matrix
+
+
+def test_tomography_transpose_is_the_transposed_csr_product():
+    K = tomography_matrix(24, 30)
+    operator = make_tomography(24, 30).operator
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        y = rng.standard_normal(operator.rows)
+        assert np.array_equal(operator.transpose(y), K.T.tocsr() @ y)
 
 
 def test_tomography_problem_shapes_and_noise():

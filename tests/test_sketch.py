@@ -113,9 +113,10 @@ def test_streamed_apply_is_exact(monkeypatch, out_rows, in_rows, cols, chunk_byt
     streamed = sketch_apply(S, v)
     assert "entries" not in vars(S)
     assert np.array_equal(streamed, by_sub_chunk(E, v, buffer_rows(chunk_bytes, in_rows)))
-    # held entries, read or explicit, are applied as one product
+    # a read draws the matrix but changes no apply; explicit entries are
+    # applied as one product
     assert np.array_equal(S.entries, E)
-    assert np.array_equal(sketch_apply(S, v), np.dot(E, v))
+    assert np.array_equal(sketch_apply(S, v), streamed)
     held = SketchOperator(out_rows, in_rows, 7, entries=E)
     assert np.array_equal(sketch_apply(held, v), np.dot(E, v))
     # the unchunked product is one GEMM over all rows, which BLAS may
@@ -124,6 +125,17 @@ def test_streamed_apply_is_exact(monkeypatch, out_rows, in_rows, cols, chunk_byt
     u = np.finfo(float).eps / 2
     gamma = in_rows * u / (1 - in_rows * u)
     assert np.all(np.abs(streamed - E @ v) <= 2 * gamma * (np.abs(E) @ np.abs(v)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_reading_entries_changes_no_apply(seed):
+    # one product with the whole drawn matrix groups the sums differently
+    # from the per-block products: at these seeds the two differ by 1.1e-16
+    S = make_gaussian_sketch(97, 30, seed)
+    v = np.random.default_rng(seed).standard_normal((30, 3))
+    before = sketch_apply(S, v)
+    assert S.entries.shape == (97, 30)
+    assert np.array_equal(sketch_apply(S, v), before)
 
 
 @pytest.mark.parametrize("chunk_bytes", [8 << 20, 2 * 8 * 30 * 8, 2 * 8 * 30 * 45])
