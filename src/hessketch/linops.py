@@ -10,13 +10,19 @@ untouched.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 import scipy.io
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg.lapack import dormqr
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "OpCounters",
@@ -31,11 +37,26 @@ __all__ = [
     "save_array",
     "load_array",
     "load_operator",
+    "run_blocks",
 ]
 
 # Relative threshold on the R diagonal below which a pivoted QR is declared
 # rank deficient.
 RANK_TOL = 1e-14
+
+# a sparse matrix's rows are cut into at most this many blocks of about
+# equal nonzeros, which the caller and the helper thread take in turn.
+# On tomography matrices (2 vCPUs, two rounds) 2, 4, 8 and 16 blocks were
+# within 5% of each other at 1.76 million nonzeros, and 8 was within 2% of
+# the fastest at 0.46 and 0.66 million
+_SPMV_BLOCKS = 8
+
+# a sparse matrix with fewer nonzeros is applied inline and starts no
+# thread: the handoff to the helper costs 55-100 us, so the split lost at
+# 0.22 million nonzeros (172-292 against 148-255 us inline) and won at
+# 0.46 million (267-418 against 369-499 us).  No benchmark workload has a
+# sparse matrix this small: only tests and isolated timings reach this side
+_SPMV_INLINE_NNZ = 1 << 18
 
 
 def _is_integer(value):
@@ -160,8 +181,29 @@ class LinearOperator:
     def from_matrix(cls, M):
         """Wrap a real dense array or scipy sparse matrix.
 
-        A sparse matrix keeps a CSR copy of its transpose: serving the
-        transpose from the CSC view of A instead saves the copy but took
+        A sparse matrix is applied on two cores.  Its CSR rows are cut
+        into at most ``_SPMV_BLOCKS`` blocks of about equal nonzeros.  The
+        caller and one helper thread take blocks from one iterator
+        (:func:`run_blocks`), and each block is scipy's own ``csr_matvec``
+        over a view of ``indptr`` into the whole matrix's ``indices`` and
+        ``data``, never a copy, added to zeroed rows: every row is summed
+        from 0.0 over the same entries in the same order, so the product
+        is bit-identical to ``M @ x``.  The caller does not wait for the
+        helper's last block: it computes that block again itself, into a
+        copy of the result.  All sparse operators share one helper thread
+        per process, started on first use (a forked child starts its
+        own).  A matrix of under
+        ``_SPMV_INLINE_NNZ`` nonzeros, of one block, or with data other
+        than float64 is applied as ``M @ x`` inline and starts no thread.
+        So is any input but a float64 ndarray vector of the input length:
+        a wrong-length vector still raises scipy's ``ValueError``, and a
+        2-D block gives the same product as before.  ``csr_matvec`` is
+        private to scipy: the split needs its present signature,
+        ``(n_row, n_col, indptr, indices, data, x, y)`` adding the rows'
+        products to y, which ``tests/test_spmv.py`` checks.
+
+        The transpose is applied the same way from a CSR copy of A^T:
+        serving it from the CSC view of A instead saves the copy but took
         2.3-2.5 ms against 1.6-1.9 ms per apply on the 128-grid, 90-angle
         tomography matrix (one BLAS thread, 2-vCPU host).
         """
@@ -169,8 +211,8 @@ class LinearOperator:
             raise ValueError("matrix must be real; it has a complex dtype")
         if scipy.sparse.issparse(M):
             M = M.tocsr()
-            Mt = M.T.tocsr()
-            return cls(M.shape[0], M.shape[1], lambda x: M @ x, lambda y: Mt @ y)
+            forward, transpose = _RowBlocks(M), _RowBlocks(M.T.tocsr())
+            return cls(M.shape[0], M.shape[1], forward, transpose)
         M = np.asarray(M, dtype=float)
         if M.ndim != 2:
             raise ValueError("expected a 2-D matrix")
@@ -179,6 +221,145 @@ class LinearOperator:
     @classmethod
     def identity(cls, n):
         return cls(n, n, lambda x: x.copy(), lambda y: y.copy())
+
+
+def run_blocks(work, count, pool, wait_for_helper=True):
+    """Call ``work(blocks)`` on the caller and on one helper thread from
+    ``pool``, and return the blocks that a late helper still holds.
+
+    Both threads take indices from one shared iterator over
+    ``range(count)``, so each index is handed out once, to whichever
+    thread asks first, and ``work`` computes each block it is handed into
+    its rows of the result.  An exception on either thread drains the
+    iterator, so the other takes no new index.  One on the caller is
+    raised here, and so is one on the helper that comes before the caller
+    has stopped waiting for it.
+
+    When the indices run out, a helper that has not started is cancelled.
+    One that did is waited for, unless ``wait_for_helper`` is false: then
+    the blocks it has not finished are returned at once.  Their rows are
+    not computed and the helper may still be writing them, so the caller
+    computes them again into a result of its own, and a helper whose core
+    the host has descheduled delays the call by the one block it holds.
+    When the helper is waited for, the list is empty.
+    """
+    # a range iterator hands out each index once, whichever thread asks
+    blocks = iter(range(count))
+    # block i is in its rows; list items are set whole under the GIL
+    done = [False] * count
+    failed = []
+
+    def marked(mine):
+        for i in mine:
+            yield i
+            done[i] = True
+
+    def helper():
+        try:
+            work(marked(blocks))
+        except BaseException as exc:
+            # recorded before the drain, so a caller that runs out of
+            # indices because of it sees it
+            failed.append(exc)
+            deque(blocks, maxlen=0)
+            raise
+
+    # the caller claims the first index before the helper can ask, so a
+    # helper that starts at once and is fast still leaves it a share
+    first = list(islice(blocks, 1))
+    future = pool.submit(helper)
+    try:
+        work(marked(chain(first, blocks)))
+    except BaseException:
+        deque(blocks, maxlen=0)
+        raise
+    if not future.cancel() and wait_for_helper:
+        wait((future,))
+    if failed:
+        raise failed[0]
+    return [i for i in range(count) if not done[i]]
+
+
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _helper_pool():
+    """The one helper thread that every sparse operator shares, started
+    on first use; an executor per apply costs a thread start each time."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hessketch-spmv")
+        return _helper
+
+
+def _forget_helper():
+    # a forked child has no helper thread, and its copy of the parent's
+    # executor would queue work that never runs: it starts its own
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+class _RowBlocks:
+    """The product ``M @ x`` of a CSR matrix, in row blocks of about equal
+    nonzeros shared with the helper thread (see
+    :meth:`LinearOperator.from_matrix`)."""
+
+    def __init__(self, M):
+        self.matrix = M
+        m = M.shape[0]
+        cuts = np.searchsorted(M.indptr, np.arange(1, _SPMV_BLOCKS) * (M.nnz / _SPMV_BLOCKS))
+        # block i is rows bounds[i]:bounds[i + 1]; a block ends where its
+        # share of the nonzeros does, and empty ones collapse
+        self.bounds = np.unique(np.concatenate([[0], cuts.clip(0, m), [m]]))
+        # csr_matvec would convert data of another dtype on every block
+        self.inline = (
+            M.dtype != np.float64 or M.nnz < _SPMV_INLINE_NNZ or len(self.bounds) < 3
+        )
+
+    def __call__(self, x):
+        M, bounds = self.matrix, self.bounds
+        if (
+            self.inline
+            or x.__class__ is not np.ndarray
+            or x.dtype != np.float64
+            or x.shape != (M.shape[1],)
+        ):
+            return M @ x
+        # a strided x is copied once here, not by csr_matvec for each block
+        x = np.ascontiguousarray(x)
+        out = np.zeros(M.shape[0])
+        # the caller does not wait for the helper's last block but computes
+        # it again: that costs about what the wait did on a quiet host, and
+        # it never sleeps through the time the host takes to give a
+        # descheduled helper's core back
+        late = run_blocks(
+            lambda blocks: self._add(x, out, blocks), len(bounds) - 1, _helper_pool(),
+            wait_for_helper=False,
+        )
+        if not late:
+            return out
+        # the late helper may still be adding to their rows of out
+        own = out.copy()
+        for i in late:
+            own[bounds[i] : bounds[i + 1]] = 0.0
+        self._add(x, own, late)
+        return own
+
+    def _add(self, x, out, blocks):
+        M, bounds = self.matrix, self.bounds
+        for i in blocks:
+            a, b = bounds[i], bounds[i + 1]
+            # the block's slice of indptr indexes M's own indices and data,
+            # so no array is copied; csr_matvec adds to out's rows a:b
+            _sparsetools.csr_matvec(
+                b - a, M.shape[1], M.indptr[a : b + 1], M.indices, M.data, x, out[a:b]
+            )
 
 
 def tracked_dot(counters, x, y):

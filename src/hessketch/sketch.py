@@ -11,14 +11,16 @@ buffers and whichever thread draws them.  A problem's noise is drawn from
 repeats.
 
 Making a sketch draws nothing.  :func:`sketch_apply` draws the blocks
-again from the seed: the caller and one helper thread take block indices
-from one shared iterator, and each draws its blocks into its own buffer
-of half of ``_CHUNK_BYTES`` (in sub-chunks, for a block taller than the
-buffer) and multiplies them into their rows of the result.  A helper that
-has not started when the blocks run out is cancelled, so a busy second
-core holds the apply up by at most one block in flight.  A sketch that
-fits in one buffer is drawn inline and starts no thread.  An apply to b
-columns holds O(chunk + out_rows * b) memory, never the matrix.
+again from the seed, on the caller and one helper thread of its own
+executor, through :func:`hessketch.linops.run_blocks`, the runner the
+sparse operators share: both take block indices from one iterator, and
+each draws its blocks into its own buffer of half of ``_CHUNK_BYTES`` (in
+sub-chunks, for a block taller than the buffer) and multiplies them into
+their rows of the result.  A helper that has not started when the
+blocks run out is cancelled, so a busy second core holds the apply up by
+at most one block in flight.  A sketch that fits in one buffer is drawn
+inline and starts no thread.  An apply to b columns holds
+O(chunk + out_rows * b) memory, never the matrix.
 Reading ``entries`` draws the same blocks into the whole matrix, once per
 sketch, for the reader alone: applies keep drawing the blocks, so a read
 changes no later product.  Only entries passed to the constructor are
@@ -27,14 +29,13 @@ applied, as one product.
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .linops import _is_integer, dense_qr_ls
+from .linops import _is_integer, dense_qr_ls, run_blocks
 
 __all__ = [
     "SketchOperator",
@@ -133,20 +134,15 @@ def _block_rows(S, r, buf):
         yield start, start + len(rows), rows
 
 
-def _apply_blocks(S, v, out, blocks, buf):
+def _apply_blocks(S, v, out, blocks, height):
     """Draw and multiply each block that ``blocks`` hands out into its rows
-    of ``out``.  On an exception the shared iterator is drained, so the
-    other thread takes no new block."""
-    try:
-        for r in blocks:
-            for start, stop, rows in _block_rows(S, r, buf):
-                # np.dot, not np.matmul: matmul holds the GIL for an
-                # output of under 500 entries, which would stall the
-                # other thread's draw
-                np.dot(rows, v, out=out[start:stop])
-    except BaseException:
-        deque(blocks, maxlen=0)
-        raise
+    of ``out``, through a buffer of ``height`` rows of this thread's own."""
+    buf = np.empty((height, S.in_rows))
+    for r in blocks:
+        for start, stop, rows in _block_rows(S, r, buf):
+            # np.dot, not np.matmul: matmul holds the GIL for an output of
+            # under 500 entries, which would stall the other thread's draw
+            np.dot(rows, v, out=out[start:stop])
 
 
 def make_gaussian_sketch(out_rows, in_rows, seed):
@@ -181,24 +177,18 @@ def sketch_apply(S, v, counters=None):
     if S._held is not None:
         return np.dot(S._held, v)
     out = np.empty((S.out_rows, *v.shape[1:]))
-    height = max(1, _CHUNK_BYTES // (16 * S.in_rows))
+    height = min(max(1, _CHUNK_BYTES // (16 * S.in_rows)), S.out_rows)
     count = -(-S.out_rows // _BLOCK_ROWS)
-    # a range iterator hands out each index once, whichever thread asks
-    blocks = iter(range(count))
-    if S.out_rows <= height or count == 1:
-        _apply_blocks(S, v, out, blocks, np.empty((min(height, S.out_rows), S.in_rows)))
+    if height == S.out_rows or count == 1:
+        _apply_blocks(S, v, out, range(count), height)
         return out
     # the helper calls _apply_blocks alone (standard_normal, a division and
     # np.dot), none of the functions that perfbench wraps in spans: its
-    # Tracer is single-threaded
+    # Tracer is single-threaded (tests/test_benchmark_hooks.py checks it)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        helper = pool.submit(_apply_blocks, S, v, out, blocks, np.empty((height, S.in_rows)))
-        _apply_blocks(S, v, out, blocks, np.empty((height, S.in_rows)))
-        # a helper that never started (its core busy elsewhere) has no
-        # block left to take; one that did is waited for, and its
-        # exception raised here
-        if not helper.cancel():
-            helper.result()
+        # leaving the executor waits for the helper's thread in any case,
+        # so the runner waits for its blocks too
+        run_blocks(lambda blocks: _apply_blocks(S, v, out, blocks, height), count, pool)
     return out
 
 
