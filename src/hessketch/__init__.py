@@ -34,9 +34,7 @@ from .linops import (
     RankDeficiencyError,
     dense_qr_ls,
     load_array,
-    load_operator,
     save_array,
-    spectral_condition_number,
     stacked_tikhonov_ls,
     tracked_dot,
     tracked_norm,

@@ -33,10 +33,8 @@ __all__ = [
     "dense_qr_ls",
     "stacked_tikhonov_ls",
     "condition_number",
-    "spectral_condition_number",
     "save_array",
     "load_array",
-    "load_operator",
     "run_blocks",
 ]
 
@@ -261,7 +259,7 @@ def run_blocks(work, count, pool, wait_for_helper=True):
             # recorded before the drain, so a caller that runs out of
             # indices because of it sees it
             failed.append(exc)
-            deque(blocks, maxlen=0)
+            _drain(blocks)
             raise
 
     # the caller claims the first index before the helper can ask, so a
@@ -271,13 +269,18 @@ def run_blocks(work, count, pool, wait_for_helper=True):
     try:
         work(marked(chain(first, blocks)))
     except BaseException:
-        deque(blocks, maxlen=0)
+        _drain(blocks)
         raise
     if not future.cancel() and wait_for_helper:
         wait((future,))
     if failed:
         raise failed[0]
     return [i for i in range(count) if not done[i]]
+
+
+def _drain(blocks):
+    # takes every index left, so the other thread is handed no new one
+    deque(blocks, maxlen=0)
 
 
 _helper = None
@@ -483,18 +486,6 @@ def condition_number(*spectra):
     return float(s.max() / s.min())
 
 
-def spectral_condition_number(M):
-    """sigma_max / sigma_min of a dense matrix, by SVD.
-
-    Returns ``inf`` when the smallest singular value underflows (below
-    1e-300).  Raises on an empty or identically zero matrix.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise ValueError("expected a nonempty 2-D matrix")
-    return condition_number(np.linalg.svd(M, compute_uv=False))
-
-
 def save_array(path, arr):
     """Write a dense vector or matrix in MatrixMarket array format.
 
@@ -518,14 +509,3 @@ def load_array(path):
     if arr.ndim == 2 and arr.shape[1] == 1:
         return arr[:, 0].copy()
     return arr
-
-
-def load_operator(path):
-    """Build a LinearOperator from a MatrixMarket file.
-
-    Coordinate-format files become sparse operators; array-format files
-    become dense ones.
-    """
-    with open(path, "rb") as fh:
-        M = scipy.io.mmread(fh)
-    return LinearOperator.from_matrix(M)

@@ -190,18 +190,20 @@ def motion_psf(length, angle_deg, oversample=64, *, image_size=None):
     dc = 0.0 if abs(dc) < 1e-12 else dc
     dr = 0.0 if abs(dr) < 1e-12 else dr
     n_samples = max(2, int(round(length * oversample)) + 1)
-    for t in np.linspace(-(length - 1.0) / 2.0, (length - 1.0) / 2.0, n_samples):
-        pr, pc = half + t * dr, half + t * dc
-        r0, c0 = int(math.floor(pr)), int(math.floor(pc))
-        fr, fc = pr - r0, pc - c0
-        for r, c, w in (
-            (r0, c0, (1 - fr) * (1 - fc)),
-            (r0, c0 + 1, (1 - fr) * fc),
-            (r0 + 1, c0, fr * (1 - fc)),
-            (r0 + 1, c0 + 1, fr * fc),
-        ):
-            if 0 <= r < side and 0 <= c < side and w > 0:
-                kernel[r, c] += w
+    t = np.linspace(-(length - 1.0) / 2.0, (length - 1.0) / 2.0, n_samples)
+    pr, pc = half + t * dr, half + t * dc
+    r0, c0 = np.floor(pr).astype(int), np.floor(pc).astype(int)
+    fr, fc = pr - r0, pc - c0
+    # one row per sample, one column per corner of its pixel square
+    rows = r0[:, None] + [0, 0, 1, 1]
+    cols = c0[:, None] + [0, 1, 0, 1]
+    weights = np.column_stack(
+        [(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc]
+    )
+    keep = (rows >= 0) & (rows < side) & (cols >= 0) & (cols < side) & (weights > 0)
+    # added in the order of the samples, then the corners: each pixel's
+    # sum is rounded as a loop over the samples would round it
+    np.add.at(kernel, (rows[keep], cols[keep]), weights[keep])
     return kernel / kernel.sum()
 
 

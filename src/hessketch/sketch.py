@@ -21,17 +21,14 @@ blocks run out is cancelled, so a busy second core holds the apply up by
 at most one block in flight.  A sketch that fits in one buffer is drawn
 inline and starts no thread.  An apply to b columns holds
 O(chunk + out_rows * b) memory, never the matrix.
-Reading ``entries`` draws the same blocks into the whole matrix, once per
-sketch, for the reader alone: applies keep drawing the blocks, so a read
-changes no later product.  Only entries passed to the constructor are
-applied, as one product.
+Reading ``entries`` draws the same blocks into the whole matrix for the
+reader, keeps nothing and changes no apply.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,54 +54,32 @@ _BLOCK_ROWS = 32
 _CHUNK_BYTES = 8 << 20
 
 
-@dataclass(eq=False, init=False)
+@dataclass
 class SketchOperator:
-    """A random embedding of R^in_rows into R^out_rows.
-
-    Without ``entries`` it is a descriptor of the seeded Gaussian draw:
-    :func:`sketch_apply` draws its 32-row blocks from their own streams
-    of the seed, and ``entries`` draws the same blocks into the full
-    matrix on first read and keeps it, never to be applied.  Sketches
-    compare by identity: sketches built from explicit entries share a
-    seed, so (out_rows, in_rows, seed) does not determine one.  Explicit
-    ``entries`` must have the declared shape and a real dtype; neither
-    check reads the entries.  The solvers check explicit entries for NaN
-    and inf before applying them; drawn ones are finite.
+    """A Gaussian embedding of R^in_rows into R^out_rows, as a descriptor
+    of its seeded draw: the three fields determine every entry, so
+    sketches compare by value.  :func:`sketch_apply` draws its 32-row
+    blocks from their own streams of the seed, and nothing is held.
     """
 
     out_rows: int
     in_rows: int
     seed: int
 
-    def __init__(self, out_rows, in_rows, seed, entries=None):
-        for name, value in (("out_rows", out_rows), ("in_rows", in_rows)):
+    def __post_init__(self):
+        for name, value in (("out_rows", self.out_rows), ("in_rows", self.in_rows)):
             _check_integer(name, value, 1, "positive")
-        _check_integer("seed", seed, 0, "nonnegative")
-        self.out_rows, self.in_rows, self.seed = int(out_rows), int(in_rows), int(seed)
-        # the only entries an apply multiplies by
-        self._held = entries
-        if entries is None:
-            return
-        if np.shape(entries) != self.shape:
-            raise ValueError(
-                f"sketch entries must have the declared shape {self.shape}, "
-                f"got {np.shape(entries)}"
-            )
-        if np.iscomplexobj(entries):
-            raise ValueError(
-                f"sketch entries must be real, got dtype {np.asarray(entries).dtype}"
-            )
+        _check_integer("seed", self.seed, 0, "nonnegative")
+        self.out_rows, self.in_rows, self.seed = int(self.out_rows), int(self.in_rows), int(self.seed)
 
     @property
     def shape(self):
         return (self.out_rows, self.in_rows)
 
-    @cached_property
+    @property
     def entries(self):
-        """The full matrix: the explicit entries, or drawn from the seed on
-        first read and kept."""
-        if self._held is not None:
-            return self._held
+        """The full matrix, drawn from the seed on each read and kept by
+        no one but the reader: a test and inspection helper."""
         entries = np.empty(self.shape)
         for r in range(-(-self.out_rows // _BLOCK_ROWS)):
             # a buffer as tall as the rest of the matrix: the block is one
@@ -162,9 +137,8 @@ def sketch_apply(S, v, counters=None):
     """Apply the sketch to a vector, or to each column of an (in_rows, b)
     block at once.
 
-    A block is one pass over the explicit entries, or over the blocks
-    drawn from the seed, and charges b sketch applications; a vector
-    charges one.
+    A block is one pass over the blocks drawn from the seed, and charges
+    b sketch applications; a vector charges one.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != S.in_rows:
@@ -174,8 +148,6 @@ def sketch_apply(S, v, counters=None):
         )
     if counters is not None:
         counters.sketch_apply_count += 1 if v.ndim == 1 else v.shape[1]
-    if S._held is not None:
-        return np.dot(S._held, v)
     out = np.empty((S.out_rows, *v.shape[1:]))
     height = min(max(1, _CHUNK_BYTES // (16 * S.in_rows)), S.out_rows)
     count = -(-S.out_rows // _BLOCK_ROWS)

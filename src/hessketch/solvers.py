@@ -44,7 +44,6 @@ iterate sequence, so a trace's cost columns are identical either way.
 from __future__ import annotations
 
 import numbers
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,7 +174,6 @@ class TraceRecord:
     tmatvecs: int = 0
     dots: int = 0
     sketches: int = 0
-    wall_ms: float = None
     rank_fallback: bool = False
 
 
@@ -206,19 +204,17 @@ def _cell(value):
     return repr(float(value))
 
 
-def trace_to_csv(trace, target, include_timing=False):
+def trace_to_csv(trace, target):
     """Serialize a trace with the fixed column order.
 
-    Timing is volatile, so ``wall_ms`` is left empty unless
-    ``include_timing`` is set; everything else replays byte-identically
-    for identical runs.
+    The last column, ``wall_ms``, is always empty: no record carries a
+    time, so identical runs replay byte-identically.
     """
     lines = [",".join(CSV_COLUMNS)]
     for r in trace.records:
         cells = [str(r.iteration)]
         cells += [_cell(getattr(r, name)) for name in CSV_COLUMNS[1:-1]]
-        cells.append(_cell(r.wall_ms) if include_timing else "")
-        lines.append(",".join(cells))
+        lines.append(",".join(cells) + ",")
     content = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
         target.write(content)
@@ -291,7 +287,7 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     The builder never reads the projected problem, so a solve is two
     passes.  The build pass takes every step first, stopping at
     ``maxiter``, the dimension or a breakdown, and keeps each step's
-    counter snapshot, basis lengths and seconds.  The driver then stacks
+    counter snapshot and basis lengths.  The driver then stacks
     Z (:func:`_stacked`) and factors it once by Householder QR, and the
     solve pass solves and records every k off that one R, each step from
     its own k alone (:func:`_projected_solve`).  ``proj_obj`` is
@@ -303,8 +299,7 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     for ``rel_err`` and ``res_norm``, in column blocks
     (:func:`_iterate_blocks`); the returned x is one GEMV, V_K y_K.  Each
     record carries its own step's counts, sketched columns included, as
-    if the steps had run one at a time, and its ``wall_ms`` is its build
-    seconds plus its share of the pass.  Diagnostics read the leading
+    if the steps had run one at a time.  Diagnostics read the leading
     blocks of one QR each of U_{K+1}, V and S U_{K+1}: S is never drawn whole.
     """
     cfg = cfg or SolverConfig()
@@ -330,9 +325,6 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
                 f"sketch expects vectors of length {sketch.in_rows}, "
                 f"operator produces length {A.rows}"
             )
-        # only explicit entries: reading a descriptor's would draw all of S
-        if sketch._held is not None and not np.isfinite(sketch._held).all():
-            raise ValueError("sketch entries must be finite; they contain NaN or inf")
         rows, rows_name = sketch.out_rows, "sketch.out_rows"
     if sketched and rows < steps + 1:
         raise ValueError(
@@ -353,11 +345,8 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
         S = make_gaussian_sketch(rows, A.rows, cfg.seed)
     built = []
     while len(built) < steps and not state.breakdown:
-        tic = time.perf_counter()
         step(state, A)
-        lengths = len(state.U_cols), len(state.V_cols)
-        built.append(_Step(A.counters.snapshot(), *lengths, time.perf_counter() - tic))
-    tic = time.perf_counter()
+        built.append(_Step(A.counters.snapshot(), len(state.U_cols), len(state.V_cols)))
     damped = cfg.lam > 0.0
     Z, data_rows, T = _stacked(state, S, cfg, A.counters)
     R = np.linalg.qr(Z, mode="r")
@@ -366,14 +355,11 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
         R_U = np.linalg.qr(state.U_cols.matrix(), mode="r")
         own_V = damped and not state.orthonormal and state.V_cols is not state.U_cols
         R_V = np.linalg.qr(state.V_cols.matrix(), mode="r") if own_V else R_U
-    # the first solve waits on the whole system and its QR
-    built[0].seconds += time.perf_counter() - tic
     K = len(built)
     # column k-1 holds y_k: the upper triangle of every step's solution
     Y = np.zeros((K, K))
     trace = SolverTrace()
     for k, done in enumerate(built, start=1):
-        tic = time.perf_counter()
         y, fallback = _projected_solve(R, Z, k)
         Y[:k, k - 1] = y
         # the columns of U, and of V when damped, that step k's basis holds
@@ -402,27 +388,19 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
                 # Q_S T_j, so S Q_j = Q_S T_j R_j^-1, one triangular solve
                 rec.eps_embed = _distortion(dtrsm(1.0, R_j, T[:j, :j], side=1))
         trace.records.append(rec)
-        done.seconds += time.perf_counter() - tic
     if S is not None and damped:
-        tic = time.perf_counter()
         # the data rows of every step's residual Z_k y_k - z, one GEMM
         data = Z[:data_rows, :K] @ Y - Z[:data_rows, -1:]
         for rec, value in zip(trace.records, np.linalg.norm(data, axis=0)):
             rec.sres_norm = float(value)
-        _share(built, 0, K, time.perf_counter() - tic)
     if x_true is not None or cfg.compute_diagnostics:
-        tic = time.perf_counter()
         for start, stop, X in _iterate_blocks(state.V_cols, Y, x0):
             for rec, x in zip(trace.records[start:stop], X.T):
                 _observe(rec, A, b, x, cfg, x_true)
-            _share(built, start, stop, time.perf_counter() - tic)
-            tic = time.perf_counter()
     # the returned iterate is one GEMV on a view of the solution basis
     x = state.V_cols.matrix(K) @ y
     if x0 is not None:
         x = x0 + x
-    for rec, done in zip(trace.records, built):
-        rec.wall_ms = done.seconds * 1e3
     termination = "breakdown" if state.breakdown else "maxiter"
     return SolveResult(x=x, trace=trace, termination=termination, factorization=state)
 
@@ -451,21 +429,14 @@ def _iterate_blocks(V, Y, x0):
         yield start, stop, X
 
 
-def _share(built, start, stop, seconds):
-    # time spent on steps start+1..stop together, charged in equal parts
-    for done in built[start:stop]:
-        done.seconds += seconds / (stop - start)
-
-
 @dataclass
 class _Step:
     """What the build pass keeps of one builder step for the solve pass:
-    the counter snapshot, both basis lengths and the seconds spent on it."""
+    the counter snapshot and both basis lengths."""
 
     counts: tuple
     u_len: int
     v_len: int
-    seconds: float
 
 
 def _stacked(state, S, cfg, counters):

@@ -14,11 +14,10 @@ from hessketch.linops import (
     RankDeficiencyError,
     dense_qr_ls,
     load_array,
-    spectral_condition_number,
     stacked_tikhonov_ls,
 )
 from hessketch.problems import gaussian_psf, make_deblur, make_tomography
-from hessketch.sketch import SketchOperator, derive_seed, make_gaussian_sketch
+from hessketch.sketch import derive_seed, make_gaussian_sketch
 from hessketch.solvers import (
     CSV_COLUMNS,
     SOLVERS,
@@ -222,13 +221,6 @@ def counting_operator(M, applies):
     return LinearOperator(M.shape[0], M.shape[1], forward, transpose)
 
 
-def sketch_with_entry(value):
-    # a prebuilt sketch with one entry replaced
-    entries = make_gaussian_sketch(40, 20, 0).entries.copy()
-    entries[17, 3] = value
-    return SketchOperator(40, 20, 0, entries)
-
-
 @pytest.mark.parametrize(
     "sketch, message",
     [
@@ -239,10 +231,8 @@ def sketch_with_entry(value):
             "sketch.out_rows=3 cannot embed a 3-dimensional projected problem; "
             "need at least 4 rows",
         ),
-        (sketch_with_entry(np.nan), "sketch entries must be finite"),
-        (sketch_with_entry(-np.inf), "sketch entries must be finite"),
     ],
-    ids=["in_rows", "ndarray", "out_rows", "nan", "inf"],
+    ids=["in_rows", "ndarray", "out_rows"],
 )
 @pytest.mark.parametrize("name", ["scmrh", "slslu"])
 @pytest.mark.parametrize("start", ["x0", "b0"])
@@ -333,8 +323,7 @@ def test_scmrh_draws_its_sketch_in_one_pass(monkeypatch, diagnostics):
 @pytest.mark.parametrize("diagnostics", [False, True])
 @pytest.mark.parametrize("name", ["scmrh", "slslu"])
 def test_prebuilt_descriptor_is_never_materialized(monkeypatch, name, diagnostics):
-    # the finiteness check reads held entries only; a descriptor streams,
-    # and eps_embed needs no pass of its own
+    # a prebuilt descriptor streams, and eps_embed needs no pass of its own
     _, A, b = problem_for(name, 53)
     S = make_gaussian_sketch(60, A.rows, 11)
     drawn = record_row_draws(monkeypatch, 8, A.rows)
@@ -422,7 +411,7 @@ def diagnostics_tolerance(U, S=None):
     U = Q R.  c is derived from Householder backward stability in
     tests/test_properties.py (agreement_bound)."""
     (m, j), u = U.shape, np.finfo(float).eps / 2
-    kappa = spectral_condition_number(U)
+    kappa = np.linalg.cond(U)
     tol_kappa = 32 * m * j**1.5 * u * kappa
     if S is None:
         return tol_kappa, None
@@ -438,7 +427,7 @@ def test_kappa_basis_is_condition_of_data_basis(name):
     U_cols = res.factorization.U_cols
     for k, rec in enumerate(res.trace.records, start=1):
         U = np.column_stack(U_cols[: k + 1])
-        kappa = spectral_condition_number(U)
+        kappa = np.linalg.cond(U)
         # read off the triangle of one QR of the whole basis
         assert abs(rec.kappa_basis - kappa) <= diagnostics_tolerance(U)[0] * kappa
 
@@ -841,13 +830,15 @@ def test_scmrh_identity_solves_regardless_of_sketch():
     assert res.termination == "breakdown"
 
 
-def test_scmrh_scaled_orthogonal_sketch_is_exact_projection():
+def test_scmrh_scaled_orthogonal_sketch_is_exact_projection(monkeypatch):
     # ||c Q v|| = c ||v||, so the sketched minimizer is the subspace
-    # minimizer exactly
+    # minimizer exactly; no Gaussian draw is orthogonal, so the solver's
+    # sketch_apply is stood in for by the product with 3 Q
     M, A, b = make_square(18, 10, shift=0.0)
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
-    S = SketchOperator(10, 10, seed=0, entries=3.0 * Q)
+    monkeypatch.setattr(solvers, "sketch_apply", lambda S, v, counters=None: 3.0 * Q @ v)
+    S = make_gaussian_sketch(10, 10, 0)
     res = scmrh(
         A, b, SolverConfig(maxiter=6, compute_diagnostics=True), sketch=S
     )
@@ -1604,18 +1595,9 @@ def test_trace_csv_layout_and_determinism():
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 5
-    # wall time stays blank unless requested, so reruns are byte-identical
+    # wall_ms is always blank, so reruns are byte-identical
     assert all(line.endswith(",") for line in lines[1:])
     assert text == buf2.getvalue()
-
-
-def test_trace_csv_timing_opt_in():
-    _, A, b = make_rect(36, 12, 6)
-    res = lslu(A, b, SolverConfig(maxiter=3))
-    buf = io.StringIO()
-    trace_to_csv(res.trace, buf, include_timing=True)
-    lines = buf.getvalue().strip().split("\n")
-    assert not lines[1].endswith(",")
 
 
 def test_trace_csv_empty_fields_without_diagnostics():

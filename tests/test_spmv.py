@@ -367,13 +367,19 @@ class Stop(Exception):
 @pytest.mark.parametrize("where", ["caller", "helper"])
 def test_failed_block_is_raised_and_the_next_apply_is_whole(split, patient, monkeypatch, where):
     # the failing thread waits until the other has started a block, which
-    # in turn waits for the failure, so both are mid-apply when it happens
+    # in turn waits until the failure has drained the indices, so both are
+    # mid-apply when it happens
     M = random_csr(200, 150, 0.1, 16)
     A = LinearOperator.from_matrix(M)
     x = np.random.default_rng(0).standard_normal(150)
     expected = M @ x
     assert np.array_equal(A.forward(x), expected)  # the helper exists now
     caller, started, failed = threading.get_ident(), set(), threading.Event()
+    drain = linops._drain
+
+    def draining(blocks):
+        drain(blocks)
+        failed.set()
 
     def fail_once():
         me = "caller" if threading.get_ident() == caller else "helper"
@@ -382,12 +388,12 @@ def test_failed_block_is_raised_and_the_next_apply_is_whole(split, patient, monk
             assert failed.wait(10)
             return
         wait_for(lambda: len(started) == 2)
-        failed.set()
         raise Stop
 
     before = threading.active_count()
     with monkeypatch.context() as patch:
         calls = recorded_matvec(patch, fail_once)
+        patch.setattr(linops, "_drain", draining)
         with pytest.raises(Stop):
             A.forward(x)
     assert threading.active_count() == before
