@@ -12,7 +12,7 @@ The package is organized bottom up:
   residual solvers CMRH/LSLU and their sketched variants, all run by one
   Krylov driver and all taking a damping parameter.
 * :mod:`hessketch.problems` -- reproducible deblurring and tomography
-  test problems, noise injection, and image I/O.
+  test problems, noise injection, and PGM image output.
 * :mod:`hessketch.cli` -- the ``hessketch`` experiment harness.
 """
 
@@ -33,7 +33,6 @@ from .linops import (
     OpCounters,
     RankDeficiencyError,
     dense_qr_ls,
-    load_array,
     save_array,
     stacked_tikhonov_ls,
     tracked_dot,
@@ -41,7 +40,6 @@ from .linops import (
 )
 from .problems import (
     Image,
-    ImageFormatError,
     Problem,
     add_noise,
     gaussian_psf,
@@ -49,7 +47,6 @@ from .problems import (
     make_deblur,
     make_tomography,
     motion_psf,
-    read_image,
     write_image,
 )
 from .sketch import (

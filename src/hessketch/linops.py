@@ -10,10 +10,12 @@ untouched.
 
 from __future__ import annotations
 
+# the executor's module is loaded with this one, not by the first two-core
+# apply, whose peak memory would then hold its 70 KB or so
+import concurrent.futures.thread
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -34,7 +36,6 @@ __all__ = [
     "stacked_tikhonov_ls",
     "condition_number",
     "save_array",
-    "load_array",
     "run_blocks",
 ]
 
@@ -188,9 +189,9 @@ class LinearOperator:
         from 0.0 over the same entries in the same order, so the product
         is bit-identical to ``M @ x``.  The caller does not wait for the
         helper's last block: it computes that block again itself, into a
-        copy of the result.  All sparse operators share one helper thread
-        per process, started on first use (a forked child starts its
-        own).  A matrix of under
+        copy of the result.  The helper is the process's one helper
+        thread, which the sketch applies share too, started on first use
+        (a forked child starts its own).  A matrix of under
         ``_SPMV_INLINE_NNZ`` nonzeros, of one block, or with data other
         than float64 is applied as ``M @ x`` inline and starts no thread.
         So is any input but a float64 ndarray vector of the input length:
@@ -221,9 +222,10 @@ class LinearOperator:
         return cls(n, n, lambda x: x.copy(), lambda y: y.copy())
 
 
-def run_blocks(work, count, pool, wait_for_helper=True):
-    """Call ``work(blocks)`` on the caller and on one helper thread from
-    ``pool``, and return the blocks that a late helper still holds.
+def run_blocks(work, count, wait_for_helper=True):
+    """Call ``work(blocks)`` on the caller and on the process's one helper
+    thread (:func:`_helper_pool`), and return the blocks that a late
+    helper still holds.
 
     Both threads take indices from one shared iterator over
     ``range(count)``, so each index is handed out once, to whichever
@@ -233,13 +235,18 @@ def run_blocks(work, count, pool, wait_for_helper=True):
     raised here, and so is one on the helper that comes before the caller
     has stopped waiting for it.
 
-    When the indices run out, a helper that has not started is cancelled.
-    One that did is waited for, unless ``wait_for_helper`` is false: then
+    Every two-core apply in the process, sparse or sketch, submits to the
+    same helper, so this call's task may be queued behind another's.
+    When the indices run out, a task the helper has not started is
+    cancelled, so the caller never waits for another apply's work.  One
+    that started is waited for, unless ``wait_for_helper`` is false: then
     the blocks it has not finished are returned at once.  Their rows are
     not computed and the helper may still be writing them, so the caller
     computes them again into a result of its own, and a helper whose core
     the host has descheduled delays the call by the one block it holds.
-    When the helper is waited for, the list is empty.
+    When the helper is waited for, the list is empty.  An exception on
+    the caller is raised without waiting: the helper may still finish its
+    block into the result that the caller drops.
     """
     # a range iterator hands out each index once, whichever thread asks
     blocks = iter(range(count))
@@ -265,14 +272,14 @@ def run_blocks(work, count, pool, wait_for_helper=True):
     # the caller claims the first index before the helper can ask, so a
     # helper that starts at once and is fast still leaves it a share
     first = list(islice(blocks, 1))
-    future = pool.submit(helper)
+    future = _helper_pool().submit(helper)
     try:
         work(marked(chain(first, blocks)))
     except BaseException:
         _drain(blocks)
         raise
     if not future.cancel() and wait_for_helper:
-        wait((future,))
+        concurrent.futures.wait((future,))
     if failed:
         raise failed[0]
     return [i for i in range(count) if not done[i]]
@@ -288,12 +295,15 @@ _helper_lock = threading.Lock()
 
 
 def _helper_pool():
-    """The one helper thread that every sparse operator shares, started
-    on first use; an executor per apply costs a thread start each time."""
+    """The one helper thread that every two-core apply shares, sparse and
+    sketch alike, started on first use; an executor per apply costs a
+    thread start each time."""
     global _helper
     with _helper_lock:
         if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hessketch-spmv")
+            _helper = concurrent.futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="hessketch-helper"
+            )
         return _helper
 
 
@@ -342,8 +352,7 @@ class _RowBlocks:
         # it never sleeps through the time the host takes to give a
         # descheduled helper's core back
         late = run_blocks(
-            lambda blocks: self._add(x, out, blocks), len(bounds) - 1, _helper_pool(),
-            wait_for_helper=False,
+            lambda blocks: self._add(x, out, blocks), len(bounds) - 1, wait_for_helper=False,
         )
         if not late:
             return out
@@ -497,15 +506,3 @@ def save_array(path, arr):
         arr = arr.reshape(-1, 1)
     with open(path, "wb") as fh:
         scipy.io.mmwrite(fh, arr)
-
-
-def load_array(path):
-    """Read a MatrixMarket file into a dense array; vectors come back 1-D."""
-    with open(path, "rb") as fh:
-        arr = scipy.io.mmread(fh)
-    if scipy.sparse.issparse(arr):
-        arr = arr.toarray()
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 1:
-        return arr[:, 0].copy()
-    return arr

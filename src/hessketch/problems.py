@@ -28,8 +28,8 @@ Noise is injected at an *exact* relative level: the Gaussian perturbation is
 rescaled so that ``norm(e) / norm(b_clean)`` equals the requested level to
 machine precision.
 
-Images travel as 16-bit binary PGM (P5, big-endian samples), which
-round-trips the quantized values exactly.
+Images are written as 16-bit binary PGM (P5, big-endian samples), which
+keeps the quantized values exactly.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .linops import LinearOperator
 __all__ = [
     "Problem",
     "Image",
-    "ImageFormatError",
     "gaussian_psf",
     "motion_psf",
     "deblur_phantom",
@@ -57,7 +56,6 @@ __all__ = [
     "add_noise",
     "image_from_vector",
     "write_image",
-    "read_image",
 ]
 
 
@@ -122,10 +120,6 @@ class Image:
             raise ValueError("pixel values must be finite")
         if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
             raise ValueError("pixel values must lie in [0, 1]")
-
-
-class ImageFormatError(ValueError):
-    """Raised for malformed image files; the message names a byte offset."""
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +383,7 @@ def add_noise(b_clean, level, seed):
 
 
 # ---------------------------------------------------------------------------
-# image I/O (binary PGM, 16-bit)
+# image output (binary PGM, 16-bit)
 
 
 def image_from_vector(v, height, width, clip=True):
@@ -403,89 +397,11 @@ def image_from_vector(v, height, width, clip=True):
 def write_image(image, path):
     """Write an Image as binary PGM with 16-bit big-endian samples.
 
-    Values are clamped to [0, 1] and quantized to 0..65535; quantized
-    values round-trip exactly through :func:`read_image`.
+    Values are clamped to [0, 1] and quantized to 0..65535, so a sample
+    divided by 65535 gives back a quantized value exactly.
     """
     quant = np.round(np.clip(image.pixels, 0.0, 1.0) * 65535.0).astype(">u2")
     header = f"P5\n{image.width} {image.height}\n65535\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(quant.tobytes())
-
-
-class _PgmScanner:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def fail(self, what):
-        raise ImageFormatError(f"{what} at byte offset {self.pos}")
-
-    def skip_separators(self):
-        while self.pos < len(self.data):
-            c = self.data[self.pos : self.pos + 1]
-            if c.isspace():
-                self.pos += 1
-            elif c == b"#":
-                while self.pos < len(self.data) and self.data[
-                    self.pos : self.pos + 1
-                ] not in (b"\n", b"\r"):
-                    self.pos += 1
-            else:
-                return
-
-    def token(self):
-        self.skip_separators()
-        start = self.pos
-        while self.pos < len(self.data) and not self.data[
-            self.pos : self.pos + 1
-        ].isspace():
-            self.pos += 1
-        if self.pos == start:
-            self.fail("unexpected end of header")
-        return self.data[start : self.pos]
-
-    def integer(self, what):
-        tok = self.token()
-        try:
-            value = int(tok)
-        except ValueError:
-            self.pos -= len(tok)
-            self.fail(f"invalid {what} {tok!r}")
-        if value < 1:
-            self.pos -= len(tok)
-            self.fail(f"nonpositive {what}")
-        return value
-
-
-def read_image(path):
-    """Read a binary PGM (P5) file into an Image.
-
-    Accepts any maximum sample value up to 65535 (one- or two-byte
-    samples per the format); values are scaled into [0, 1].  Malformed
-    files raise :class:`ImageFormatError` naming the failing byte offset.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    scan = _PgmScanner(data)
-    if scan.token() != b"P5":
-        scan.pos = 0
-        scan.fail("missing P5 magic token")
-    width = scan.integer("width")
-    height = scan.integer("height")
-    maxval = scan.integer("maximum sample value")
-    if maxval > 65535:
-        scan.fail("maximum sample value above 65535")
-    if scan.pos >= len(data) or not data[scan.pos : scan.pos + 1].isspace():
-        scan.fail("missing separator before samples")
-    scan.pos += 1
-    dtype = ">u2" if maxval > 255 else "u1"
-    count = width * height
-    body = data[scan.pos :]
-    need = count * np.dtype(dtype).itemsize
-    if len(body) < need:
-        scan.pos = len(data)
-        scan.fail("truncated sample data")
-    samples = np.frombuffer(body[:need], dtype=dtype).astype(float)
-    pixels = (samples / maxval).reshape(height, width)
-    return Image(width=width, height=height, pixels=pixels)

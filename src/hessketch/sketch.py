@@ -11,15 +11,16 @@ buffers and whichever thread draws them.  A problem's noise is drawn from
 repeats.
 
 Making a sketch draws nothing.  :func:`sketch_apply` draws the blocks
-again from the seed, on the caller and one helper thread of its own
-executor, through :func:`hessketch.linops.run_blocks`, the runner the
-sparse operators share: both take block indices from one iterator, and
-each draws its blocks into its own buffer of half of ``_CHUNK_BYTES`` (in
-sub-chunks, for a block taller than the buffer) and multiplies them into
-their rows of the result.  A helper that has not started when the
-blocks run out is cancelled, so a busy second core holds the apply up by
-at most one block in flight.  A sketch that fits in one buffer is drawn
-inline and starts no thread.  An apply to b columns holds
+again from the seed, on the caller and the process's one helper thread,
+which the sparse operators share, through
+:func:`hessketch.linops.run_blocks`: both take block indices from one
+iterator, and each draws its blocks into its own buffer of half of
+``_CHUNK_BYTES`` (in sub-chunks, for a block taller than the buffer) and
+multiplies them into their rows of the result.  A helper that has not
+started when the blocks run out is cancelled, and one that has is waited
+for, so a busy second core holds the apply up by at most one block in
+flight.  A sketch that fits in one buffer is drawn inline and touches no
+thread.  An apply to b columns holds
 O(chunk + out_rows * b) memory, never the matrix.
 Reading ``entries`` draws the same blocks into the whole matrix for the
 reader, keeps nothing and changes no apply.
@@ -27,7 +28,6 @@ reader, keeps nothing and changes no apply.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,10 +157,7 @@ def sketch_apply(S, v, counters=None):
     # the helper calls _apply_blocks alone (standard_normal, a division and
     # np.dot), none of the functions that perfbench wraps in spans: its
     # Tracer is single-threaded (tests/test_benchmark_hooks.py checks it)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # leaving the executor waits for the helper's thread in any case,
-        # so the runner waits for its blocks too
-        run_blocks(lambda blocks: _apply_blocks(S, v, out, blocks, height), count, pool)
+    run_blocks(lambda blocks: _apply_blocks(S, v, out, blocks, height), count)
     return out
 
 

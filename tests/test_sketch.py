@@ -209,7 +209,7 @@ def test_blocks_are_shared_by_the_caller_and_one_helper(monkeypatch):
     v = np.random.default_rng(4).standard_normal((30, 5))
     before = threading.active_count()
     assert np.array_equal(sketch_apply(make_gaussian_sketch(640, 30, 4), v), by_sub_chunk(E, v, 8))
-    assert threading.active_count() == before
+    assert threading.active_count() <= before + 1
     assert sorted(r for r, _, _ in draws) == list(range(20))
     assert len({t for _, t, _ in draws}) == 2
     assert all(np.array_equal(rows, E[32 * r : 32 * r + 32]) for r, _, rows in draws)
@@ -219,15 +219,6 @@ class Stalled:
     """An executor whose helper never starts, as when its core is busy
     elsewhere."""
 
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def submit(self, fn, *args):
         return Future()
 
@@ -235,7 +226,7 @@ class Stalled:
 def test_draws_the_worker_has_not_started_are_drawn_by_the_caller(monkeypatch):
     # the caller takes every block, then cancels the helper, which never ran
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
-    monkeypatch.setattr(sketch, "ThreadPoolExecutor", Stalled)
+    monkeypatch.setattr(linops, "_helper_pool", Stalled)
     draws = block_draws(monkeypatch)
     E = gaussian_blocks(100, 30, 4)
     v = np.random.default_rng(4).standard_normal((30, 5))
@@ -246,7 +237,7 @@ def test_draws_the_worker_has_not_started_are_drawn_by_the_caller(monkeypatch):
 def test_one_chunk_sketch_starts_no_thread(monkeypatch):
     # 40 rows in one 8 MB buffer: two blocks, drawn inline in order
     draws = block_draws(monkeypatch)
-    monkeypatch.setattr(sketch, "ThreadPoolExecutor", None)  # would raise if called
+    monkeypatch.setattr(linops, "_helper_pool", None)  # would raise if called
     S = make_gaussian_sketch(40, 30, 4)
     v = np.random.default_rng(4).standard_normal((30, 5))
     assert np.array_equal(sketch_apply(S, v), by_sub_chunk(gaussian_blocks(40, 30, 4), v, 40))
@@ -269,11 +260,11 @@ STOPS = {
 @pytest.mark.parametrize("stop", STOPS)
 def test_stopped_pass_stops_the_worker(monkeypatch, stop):
     # a failure on either thread propagates out of the apply, the other
-    # thread takes no new block, and no thread outlives the call; the next
-    # apply starts from the seed and gives the same bits.  The failing
-    # thread waits until the other has started a block, which in turn
-    # waits until the failure has drained the indices, so both are
-    # mid-pass when it happens
+    # thread takes no new block, and no thread is left but the shared
+    # helper; the next apply starts from the seed and gives the same bits.
+    # The failing thread waits until the other has started a block, which
+    # in turn waits until the failure has drained the indices, so both
+    # are mid-pass when it happens
     where, what = STOPS[stop]
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
     S = make_gaussian_sketch(640, 30, 4)
@@ -306,7 +297,7 @@ def test_stopped_pass_stops_the_worker(monkeypatch, stop):
         patch.setattr(linops, "_drain", draining)
         with pytest.raises(Stop if what == "draw" else ValueError):
             sketch_apply(S, v)
-    assert threading.active_count() == before
+    assert threading.active_count() <= before + 1
     # the two first blocks, and at most one the other thread took before
     # the failing one drained the indices
     assert len(taken) <= 3
@@ -315,9 +306,9 @@ def test_stopped_pass_stops_the_worker(monkeypatch, stop):
 
 
 def test_concurrent_applies_keep_their_own_streams(monkeypatch):
-    # four callers, each with its own helper, share three blocks in 1-row
-    # sub-chunks while the interpreter switches threads as often as it
-    # can: every result must be the loop reference of its own seed
+    # four callers, all with the one shared helper, split three blocks in
+    # 1-row sub-chunks while the interpreter switches threads as often as
+    # it can: every result must be the loop reference of its own seed
     monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30)
     v = np.random.default_rng(0).standard_normal((30, 2))
     seeds = range(4)

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from hessketch import linops
+from hessketch import linops, sketch
 from hessketch.linops import LinearOperator
 from hessketch.problems import tomography_matrix
+from hessketch.sketch import make_gaussian_sketch, sketch_apply
 
 
 @pytest.fixture
@@ -334,12 +335,27 @@ def test_blocks_of_a_late_helper_are_taken_back(split, monkeypatch, then):
     assert np.array_equal(A.forward(x), expected)
 
 
+def two_core_sketch(monkeypatch):
+    # the apply of a 20-block sketch in 8-row buffers, which hands blocks
+    # to the helper
+    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
+    S = make_gaussian_sketch(640, 30, 4)
+    v = np.random.default_rng(4).standard_normal((30, 5))
+    return lambda: sketch_apply(S, v)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_starts_its_own_helper(split):
-    M = random_csr(200, 150, 0.1, 21)
-    A = LinearOperator.from_matrix(M)
-    x = np.random.default_rng(0).standard_normal(150)
-    assert np.array_equal(A.forward(x), M @ x)
+@pytest.mark.parametrize("kind", ["sparse", "sketch"])
+def test_forked_child_starts_its_own_helper(split, monkeypatch, kind):
+    if kind == "sparse":
+        M = random_csr(200, 150, 0.1, 21)
+        A = LinearOperator.from_matrix(M)
+        x = np.random.default_rng(0).standard_normal(150)
+        apply, expected = (lambda: A.forward(x)), M @ x
+    else:
+        apply = two_core_sketch(monkeypatch)
+        expected = apply()
+    assert np.array_equal(apply(), expected)
     assert linops._helper is not None
     pid = os.fork()
     if pid == 0:
@@ -347,7 +363,7 @@ def test_forked_child_starts_its_own_helper(split):
         try:
             # the parent's helper thread is not in the child
             ok = linops._helper is None
-            ok = ok and np.array_equal(A.forward(x), M @ x)
+            ok = ok and np.array_equal(apply(), expected)
             ok = ok and linops._helper is not None
         finally:
             os._exit(0 if ok else 1)
@@ -413,6 +429,49 @@ def test_operators_share_one_helper_thread(split):
         assert np.array_equal(A.apply(x), M @ x)
         assert np.array_equal(A.apply_transpose(y), M.T @ y)
     assert threading.active_count() <= before + 1
+
+
+def test_sparse_and_sketch_applies_share_one_helper(split, monkeypatch):
+    # each apply's caller holds its first block until a helper has started
+    # one of that apply, so every apply hands work to a helper: across
+    # alternating sparse and sketch applies that is one thread, and no
+    # second helper is alive while a block runs
+    M = random_csr(200, 150, 0.1, 22)
+    A = LinearOperator.from_matrix(M)
+    x = np.random.default_rng(0).standard_normal(150)
+    sketched = two_core_sketch(monkeypatch)
+    applies = ((lambda: A.forward(x), M @ x), (sketched, sketched()))
+    caller, workers, alive = threading.current_thread(), [], []
+    before = threading.active_count()
+
+    # the number of helper blocks started before the current apply
+    start = [0]
+
+    def hold():
+        alive.append(threading.active_count())
+        if threading.current_thread() is not caller:
+            workers.append(threading.current_thread())
+        elif len(workers) == start[0]:
+            wait_for(lambda: len(workers) > start[0])
+
+    matvec, block_rows = linops._sparsetools.csr_matvec, sketch._block_rows
+
+    def held_matvec(*args):
+        hold()
+        matvec(*args)
+
+    def held_block_rows(*args):
+        hold()
+        yield from block_rows(*args)
+
+    monkeypatch.setattr(linops, "_sparsetools", types.SimpleNamespace(csr_matvec=held_matvec))
+    monkeypatch.setattr(sketch, "_block_rows", held_block_rows)
+    for _ in range(5):
+        for apply, want in applies:
+            start[0] = len(workers)
+            assert np.array_equal(apply(), want)
+    assert len(set(workers)) == 1
+    assert max(alive) <= before + 1
 
 
 def test_concurrent_applies_of_one_operator(split):

@@ -17,7 +17,9 @@ under ``--work`` (a temporary directory unless given).
   columns; trivial starts (b = 0 and an exact x0) come on top.  A 64x64
   deblurring problem at maxiter 80, whose iterates span more than one of
   the solve pass's blocks, runs gmres, cmrh and scmrh at both lambdas,
-  with diagnostics.  Each solve writes its trace CSV, x, its
+  with diagnostics, and a 64-grid, 60-angle tomography problem, large
+  enough for the sparse operator to run on two cores, runs lsqr, lslu and
+  slslu the same way at maxiter 20.  Each solve writes its trace CSV, x, its
   termination, the ``rank_fallback`` flag of every trace record (one 0/1
   line each; the CSV does not carry it), ||b|| and the
   ``dump_factorization`` files.
@@ -136,6 +138,10 @@ def _library_problems(grid):
     # more than one block
     p = make_deblur(64, gaussian_psf(1.0), 0.01, 0)
     problems["deblur64"] = (p.operator, p.b, p.x_true, 80)
+    # 293,528 nonzeros, over linops._SPMV_INLINE_NNZ: the only replay
+    # matrix applied on two cores
+    p = make_tomography(64, 60, 0.01, 0)
+    problems["tomo64"] = (p.operator, p.b, p.x_true, 20)
     return problems
 
 
@@ -149,10 +155,12 @@ def _library_cases(grid):
         "full": PivotStrategy.full(),
         "sampled5": PivotStrategy.sampled(5, seed=3),
     }
+    # the larger problems run only these solvers, at both lambdas
+    large = {"deblur64": ("gmres", "cmrh", "scmrh"), "tomo64": ("lsqr", "lslu", "slslu")}
     for pname, (A, b, x_true, maxiter) in _library_problems(grid).items():
         x0 = np.random.default_rng(7).standard_normal(A.cols) * 0.1
-        if pname == "deblur64":
-            for name, lam in itertools.product(("gmres", "cmrh", "scmrh"), (0.0, 0.5)):
+        if pname in large:
+            for name, lam in itertools.product(large[pname], (0.0, 0.5)):
                 cfg = SolverConfig(
                     maxiter=maxiter, lam=lam, seed=11, compute_diagnostics=True
                 )
