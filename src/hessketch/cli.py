@@ -341,9 +341,15 @@ def build_problem(cfg):
 
 
 def _atomic(path, write):
-    """Call ``write(tmp)`` on a temporary name, then rename it to ``path``."""
+    """Call ``write(tmp)`` on a temporary name, then rename it to ``path``.
+    A ``write`` that raises leaves no temporary file behind."""
     tmp = f"{path}.tmp"
-    write(tmp)
+    try:
+        write(tmp)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 

@@ -4,26 +4,23 @@ Reproducibility contract: a sketch is fully determined by
 ``(out_rows, in_rows, seed)``.  Row block r, rows [32 r, 32 r + 32) (the
 last may be shorter), is the stream of
 ``Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))).standard_normal``
-in row-major order, each entry divided by ``sqrt(out_rows)``: i.i.d.
-N(0, 1/out_rows) entries, the same bits however the blocks are cut into
-buffers and whichever thread draws them.  A problem's noise is drawn from
+filling the block panel by panel, each panel row-major: panel c is
+columns [1024 c, 1024 c + 1024) (the last may be narrower), so a sketch
+of at most 1,024 columns has row-major blocks.  Each entry is divided by
+``sqrt(out_rows)``: i.i.d. N(0, 1/out_rows) entries, the same bits
+whichever thread draws them.  A problem's noise is drawn from
 ``default_rng(seed)``, the root stream (spawn key ``()``), which no block
 repeats.
 
 Making a sketch draws nothing.  :func:`sketch_apply` draws the blocks
-again from the seed, on the caller and the process's one helper thread,
-which the sparse operators share, through
-:func:`hessketch.linops.run_blocks`: both take block indices from one
-iterator, and each draws its blocks into its own buffer of half of
-``_CHUNK_BYTES`` (in sub-chunks, for a block taller than the buffer) and
-multiplies them into their rows of the result.  A helper that has not
-started when the blocks run out is cancelled, and one that has is waited
-for, so a busy second core holds the apply up by at most one block in
-flight.  A sketch that fits in one buffer is drawn inline and touches no
-thread.  An apply to b columns holds
-O(chunk + out_rows * b) memory, never the matrix.
-Reading ``entries`` draws the same blocks into the whole matrix for the
-reader, keeps nothing and changes no apply.
+again from the seed, on the caller and the process's one helper thread
+(:func:`hessketch.linops.run_blocks`, which waits for a block the helper
+has started): each thread draws a block one 32 x 1,024 tile (256 KiB) at
+a time into its own buffer and sums the tiles' products with their
+panels of the input into the block's rows of the result.  A sketch of at
+most 2**19 entries, or of one block, is drawn inline.  An apply to b
+columns holds O(tile + out_rows * b) memory, never the matrix; reading
+``entries`` draws the whole matrix for the reader and keeps nothing.
 """
 
 from __future__ import annotations
@@ -43,15 +40,13 @@ __all__ = [
     "derive_seed",
 ]
 
-# the rows of a block; each block is drawn from its own stream (part of
-# the reproducibility contract: changing it changes every sketch)
+# the rows of a block and the columns of a panel; each block is drawn from
+# its own stream, panel by panel (part of the reproducibility contract:
+# changing either changes every sketch)
 _BLOCK_ROWS = 32
+_PANEL_COLS = 1024
 
-# the most bytes of S's rows a streamed apply holds: one buffer of half of
-# it for each of the two threads.  Each buffer's product reads the whole
-# block of columns, so smaller buffers re-read it more often: at 8 MB and
-# in_rows = 16,384 a buffer is 32 rows
-_CHUNK_BYTES = 8 << 20
+_INLINE_ENTRIES = 1 << 19  # a sketch of at most this many entries is applied inline
 
 
 @dataclass
@@ -59,7 +54,7 @@ class SketchOperator:
     """A Gaussian embedding of R^in_rows into R^out_rows, as a descriptor
     of its seeded draw: the three fields determine every entry, so
     sketches compare by value.  :func:`sketch_apply` draws its 32-row
-    blocks from their own streams of the seed, and nothing is held.
+    blocks tile by tile from their own streams of the seed; nothing is held.
     """
 
     out_rows: int
@@ -81,10 +76,10 @@ class SketchOperator:
         """The full matrix, drawn from the seed on each read and kept by
         no one but the reader: a test and inspection helper."""
         entries = np.empty(self.shape)
+        tile = np.empty(_BLOCK_ROWS * _PANEL_COLS)
         for r in range(-(-self.out_rows // _BLOCK_ROWS)):
-            # a buffer as tall as the rest of the matrix: the block is one
-            # sub-chunk, drawn in place
-            next(_block_rows(self, r, entries[r * _BLOCK_ROWS :]))
+            for rows, cols, panel in _block_tiles(self, r, tile):
+                entries[rows, cols] = panel
         return entries
 
 
@@ -95,36 +90,41 @@ def _check_integer(name, value, least, word):
         raise ValueError(f"sketch {name} must be {word}, got {value}")
 
 
-def _block_rows(S, r, buf):
-    """Block r of S, as ``(start, stop, rows)`` sub-chunks drawn in order
-    from the block's own stream into the leading rows of ``buf``; each
-    ``rows`` is valid until the next is drawn."""
-    end = min((r + 1) * _BLOCK_ROWS, S.out_rows)
+def _block_tiles(S, r, tile):
+    """Block r of S, as ``(rows, cols, panel)`` tiles drawn in panel order
+    from the block's own stream into the head of ``tile``, a flat buffer
+    of 32 * 1,024; each ``panel`` is valid until the next is drawn."""
+    rows = slice(r * _BLOCK_ROWS, min((r + 1) * _BLOCK_ROWS, S.out_rows))
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(S.seed, spawn_key=(r,))))
-    for start in range(r * _BLOCK_ROWS, end, len(buf)):
-        rows = buf[: min(len(buf), end - start)]
-        gen.standard_normal(out=rows)
+    for start in range(0, S.in_rows, _PANEL_COLS):
+        cols = slice(start, min(start + _PANEL_COLS, S.in_rows))
+        panel = tile[: (rows.stop - rows.start) * (cols.stop - start)].reshape(-1, cols.stop - start)
+        gen.standard_normal(out=panel)
         # a division, not a multiply by the inverse, which rounds differently
-        rows /= np.sqrt(S.out_rows)
-        yield start, start + len(rows), rows
+        panel /= np.sqrt(S.out_rows)
+        yield rows, cols, panel
 
 
-def _apply_blocks(S, v, out, blocks, height):
-    """Draw and multiply each block that ``blocks`` hands out into its rows
-    of ``out``, through a buffer of ``height`` rows of this thread's own."""
-    buf = np.empty((height, S.in_rows))
+def _apply_blocks(S, v, out, blocks):
+    """Sum each block's tile products with ``v`` into its rows of ``out``,
+    in panel order, for the blocks that ``blocks`` hands this thread."""
+    tile, product = np.empty(_BLOCK_ROWS * _PANEL_COLS), np.empty((_BLOCK_ROWS, *v.shape[1:]))
+    # np.matmul multiplies a row slice of an F-order block in place, where
+    # np.dot copies it; np.dot releases the GIL for a vector's short output
+    multiply = np.dot if v.ndim == 1 else np.matmul
     for r in blocks:
-        for start, stop, rows in _block_rows(S, r, buf):
-            # np.dot, not np.matmul: matmul holds the GIL for an output of
-            # under 500 entries, which would stall the other thread's draw
-            np.dot(rows, v, out=out[start:stop])
+        for rows, cols, panel in _block_tiles(S, r, tile):
+            part = product[: len(panel)] if cols.start else out[rows]
+            multiply(panel, v[cols], out=part)
+            if cols.start:
+                out[rows] += part
 
 
 def make_gaussian_sketch(out_rows, in_rows, seed):
     """A Gaussian sketch with i.i.d. N(0, 1/out_rows) entries, as a
     descriptor: nothing is drawn until it is applied or its entries read,
     and then in 32-row blocks, each from its own ``SeedSequence`` spawn
-    of the seed (see the module docstring).
+    of the seed, in 1,024-column panels (see the module docstring).
 
     The scaling makes the map an isometry in expectation:
     ``E[||S v||^2] = ||v||^2`` for any fixed v.  The sizes must be
@@ -149,15 +149,14 @@ def sketch_apply(S, v, counters=None):
     if counters is not None:
         counters.sketch_apply_count += 1 if v.ndim == 1 else v.shape[1]
     out = np.empty((S.out_rows, *v.shape[1:]))
-    height = min(max(1, _CHUNK_BYTES // (16 * S.in_rows)), S.out_rows)
     count = -(-S.out_rows // _BLOCK_ROWS)
-    if height == S.out_rows or count == 1:
-        _apply_blocks(S, v, out, range(count), height)
+    if S.out_rows * S.in_rows <= _INLINE_ENTRIES or count == 1:
+        _apply_blocks(S, v, out, range(count))
         return out
     # the helper calls _apply_blocks alone (standard_normal, a division and
-    # np.dot), none of the functions that perfbench wraps in spans: its
-    # Tracer is single-threaded (tests/test_benchmark_hooks.py checks it)
-    run_blocks(lambda blocks: _apply_blocks(S, v, out, blocks, height), count)
+    # the products), none of the functions that perfbench wraps in spans:
+    # its Tracer is single-threaded (tests/test_benchmark_hooks.py checks it)
+    run_blocks(lambda blocks: _apply_blocks(S, v, out, blocks), count)
     return out
 
 

@@ -66,6 +66,23 @@ def test_solve_writes_trace_solution_and_recon(tmp_path):
     assert not (out / "PARTIAL").exists()
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    # the image writer dies half-way through its file: the error reaches
+    # the caller, and neither the .tmp file nor a recon is left behind
+    def failing_write_image(img, path):
+        with open(path, "wb") as f:
+            f.write(b"P5\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_image", failing_write_image)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, deblur_cfg(out, "solver.cmrh.maxiter = 3\n"))
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(["solve", cfg])
+    assert (out / "cmrh.trace.csv").exists()
+    assert not list(out.glob("*.tmp")) and not (out / "cmrh.recon.pgm").exists()
+
+
 def test_solve_default_maxiter_thirty_rows(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(

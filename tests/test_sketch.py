@@ -31,23 +31,53 @@ def test_sketch_shape_and_determinism():
 
 def gaussian_blocks(out_rows, in_rows, seed):
     # the reproducibility contract, spelled out: 32-row blocks, block r
-    # drawn whole from spawn key (r,) of the seed
+    # drawn from spawn key (r,) of the seed, 1,024-column panel after
+    # panel, each panel row-major
     blocks = []
     for r, start in enumerate(range(0, out_rows, 32)):
         seq = np.random.SeedSequence(seed, spawn_key=(r,))
         gen = np.random.Generator(np.random.PCG64(seq))
+        height = min(32, out_rows - start)
+        panels = [gen.standard_normal((height, min(1024, in_rows - c))) for c in range(0, in_rows, 1024)]
+        blocks.append(np.hstack(panels))
+    return np.vstack(blocks) / np.sqrt(out_rows)
+
+
+def row_major_blocks(out_rows, in_rows, seed):
+    # the contract before panels: each block's stream drawn whole, row-major
+    blocks = []
+    for r, start in enumerate(range(0, out_rows, 32)):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))))
         blocks.append(gen.standard_normal((min(32, out_rows - start), in_rows)))
     return np.vstack(blocks) / np.sqrt(out_rows)
 
 
-@pytest.mark.parametrize("chunk_bytes", [8 << 20, 8 * 30 * 7, 8], ids=["whole", "7-row", "1-row"])
-def test_gaussian_entries_are_the_pcg64_stream(monkeypatch, chunk_bytes):
-    # the bits do not depend on the chunk budget; (100, 30) is four
-    # blocks, the last one ragged
-    monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk_bytes)
-    for shape, seed in [((50, 30), 0), ((7, 1), 12), ((1, 40), 2**63), ((100, 30), 5)]:
-        S = make_gaussian_sketch(*shape, seed)
-        assert np.array_equal(S.entries, gaussian_blocks(*shape, seed))
+# (out_rows, in_rows, seed): (100, 30) is four blocks, the last one
+# ragged; 1,025 and 2,500 columns end in a ragged panel
+ENTRIES = [(50, 30, 0), (7, 1, 12), (1, 40, 2**63), (100, 30, 5), (43, 1024, 1),
+           (43, 1025, 2), (70, 2500, 3)]
+
+
+@pytest.mark.parametrize("out_rows, in_rows, seed", ENTRIES)
+def test_gaussian_entries_are_the_pcg64_stream(out_rows, in_rows, seed):
+    S = make_gaussian_sketch(out_rows, in_rows, seed)
+    assert np.array_equal(S.entries, gaussian_blocks(out_rows, in_rows, seed))
+
+
+@pytest.mark.parametrize("in_rows", [1, 30, 1000, 1024])
+@pytest.mark.parametrize("threads", ["inline", "two"])
+def test_one_panel_sketches_keep_the_row_major_bits(monkeypatch, in_rows, threads):
+    # a sketch of at most 1,024 columns is one panel wide: its entries and
+    # its applies are those of the whole row-major blocks, bit for bit
+    if threads == "two":
+        monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
+    E = row_major_blocks(75, in_rows, 6)
+    S = make_gaussian_sketch(75, in_rows, 6)
+    assert np.array_equal(S.entries, E)
+    rng = np.random.default_rng(6)
+    for v in (rng.standard_normal(in_rows), np.asfortranarray(rng.standard_normal((in_rows, 4)))):
+        whole_blocks = np.concatenate([E[start : start + 32] @ v for start in range(0, 75, 32)])
+        assert np.array_equal(sketch_apply(S, v), whole_blocks)
 
 
 def test_block_streams_differ_from_the_root_stream():
@@ -64,59 +94,63 @@ def test_block_streams_differ_from_the_root_stream():
 
 def test_make_gaussian_sketch_draws_nothing(monkeypatch):
     calls = []
-    monkeypatch.setattr(sketch, "_block_rows", lambda *args: calls.append(args))
+    monkeypatch.setattr(sketch, "_block_tiles", lambda *args: calls.append(args))
     S = make_gaussian_sketch(1000, 1000, 0)
     assert calls == [] and "entries" not in vars(S)
 
 
-def buffer_rows(chunk_bytes, in_rows):
-    # the rows of one thread's buffer: the budget holds two of them
-    return max(1, chunk_bytes // (2 * 8 * in_rows))
+def by_panel(E, v):
+    # the loop reference: each 32-row block's products with its
+    # 1,024-column panels, summed in panel order
+    out_rows, in_rows = E.shape
+    blocks = []
+    for start in range(0, out_rows, 32):
+        rows = E[start : start + 32]
+        block = rows[:, :1024] @ v[:1024]
+        for c in range(1024, in_rows, 1024):
+            block += rows[:, c : c + 1024] @ v[c : c + 1024]
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
-def by_sub_chunk(E, v, height):
-    # the loop reference: one product per sub-chunk of each 32-row block
-    out_rows = len(E)
-    return np.concatenate([
-        E[i : min(i + height, start + 32, out_rows)] @ v
-        for start in range(0, out_rows, 32)
-        for i in range(start, min(start + 32, out_rows), height)
-    ])
-
-
-# (out_rows, in_rows, columns, chunk bytes); small, so every GEMM stays
-# single-threaded.  The budget 2 * 8 * 30 * 8 holds two 8-row buffers,
-# shorter than a block
+# (out_rows, in_rows, columns, two threads): a ragged last block of 11
+# rows, and one, two and three panels, the last ragged at 1,025 and 2,500
+# columns.  Small, so every GEMM stays single-threaded: two threads are
+# forced, except for 97 x 6,000, which is over the inline bound of 2**19
+# entries on its own
 STREAMS = {
-    "one-chunk": (40, 30, 5, 8 << 20),
-    "two-chunks": (16, 30, 5, 2 * 8 * 30 * 8),  # one block, two sub-chunks
-    "vector": (40, 30, None, 2 * 8 * 30 * 8),
-    "block": (40, 30, 5, 2 * 8 * 30 * 8),
-    "ragged": (43, 30, 5, 2 * 8 * 30 * 8),  # a block of 32, then 11
-    "ragged-vector": (43, 30, None, 2 * 8 * 30 * 8),
-    "many-chunks": (97, 30, 3, 2 * 8 * 30 * 3),  # sub-chunks of 3 rows, ten and a 2
-    "one-row-vector": (43, 30, None, 100),  # in_rows * 8 > chunk bytes
-    "one-row-block": (43, 30, 4, 100),
-    "block-buffers": (97, 30, 3, 2 * 8 * 30 * 32),  # buffers as tall as a block
-    "block-buffers-vector": (97, 30, None, 2 * 8 * 30 * 32),
-    "tall-buffers": (97, 30, 3, 2 * 8 * 30 * 45),  # taller than a block
-    "tall-buffers-vector": (97, 30, None, 2 * 8 * 30 * 45),
+    "vector": (40, 30, None, True),
+    "block": (40, 30, 5, True),
+    "ragged": (43, 30, 5, True),
+    "ragged-vector": (43, 30, None, True),
+    "inline": (43, 30, 5, False),
+    "inline-vector": (43, 30, None, False),
+    **{
+        f"{in_rows}-{'vector' if cols is None else 'block'}{'' if threads else '-inline'}":
+            (out_rows, in_rows, cols, threads)
+        for out_rows, in_rows in [(43, 1024), (43, 1025), (43, 2500)]
+        for cols in (None, 5)
+        for threads in (True, False)
+    },
+    "6000-vector": (97, 6000, None, False),
+    "6000-block": (97, 6000, 5, False),
 }
 
 
-@pytest.mark.parametrize("out_rows, in_rows, cols, chunk_bytes", STREAMS.values(), ids=STREAMS)
-def test_streamed_apply_is_exact(monkeypatch, out_rows, in_rows, cols, chunk_bytes):
-    monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk_bytes)
+@pytest.mark.parametrize("out_rows, in_rows, cols, threads", STREAMS.values(), ids=STREAMS)
+def test_streamed_apply_is_exact(monkeypatch, out_rows, in_rows, cols, threads):
+    if threads:
+        monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
     E = gaussian_blocks(out_rows, in_rows, 7)
     v = np.random.default_rng(7).standard_normal((in_rows,) if cols is None else (in_rows, cols))
     S = make_gaussian_sketch(out_rows, in_rows, 7)
     streamed = sketch_apply(S, v)
     assert "entries" not in vars(S)
-    assert np.array_equal(streamed, by_sub_chunk(E, v, buffer_rows(chunk_bytes, in_rows)))
+    assert np.array_equal(streamed, by_panel(E, v))
     # a read draws the matrix but changes no apply
     assert np.array_equal(S.entries, E)
     assert np.array_equal(sketch_apply(S, v), streamed)
-    # the unchunked product is one GEMM over all rows, which BLAS may
+    # the unpanelled product is one GEMM over all rows, which BLAS may
     # group differently; both products lie within gamma_m |E| |v| of the
     # exact one (m = in_rows terms per entry, unit roundoff u)
     u = np.finfo(float).eps / 2
@@ -135,33 +169,33 @@ def test_reading_entries_changes_no_apply(seed):
     assert np.array_equal(sketch_apply(S, v), before)
 
 
-@pytest.mark.parametrize("chunk_bytes", [8 << 20, 2 * 8 * 30 * 8, 2 * 8 * 30 * 45])
-def test_entries_are_the_rows_an_apply_draws(monkeypatch, chunk_bytes):
-    # a product with the identity adds exact zeros to exact products, so
-    # it reads the drawn rows back bit for bit
-    monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk_bytes)
-    applied = sketch_apply(make_gaussian_sketch(97, 30, 3), np.eye(30))
-    assert np.array_equal(applied, make_gaussian_sketch(97, 30, 3).entries)
+@pytest.mark.parametrize("in_rows", [30, 1025, 2500])
+def test_entries_are_the_rows_an_apply_draws(in_rows):
+    # a product with columns of the identity adds exact zeros to exact
+    # products, so it reads the drawn columns back bit for bit, from
+    # either side of each panel edge
+    cols = np.unique(np.minimum([0, 1, 1023, 1024, 2047, 2048, in_rows - 1], in_rows - 1))
+    applied = sketch_apply(make_gaussian_sketch(97, in_rows, 3), np.eye(in_rows)[:, cols])
+    assert np.array_equal(applied, make_gaussian_sketch(97, in_rows, 3).entries[:, cols])
 
 
-def test_streamed_apply_holds_one_chunk(monkeypatch):
-    # A 256 x 8192 sketch is 16 MiB.  With 1 MiB chunks (16 rows) an apply
-    # to 4 columns allocates one chunk buffer (1 MiB), the 256 x 4 result
-    # (8 KiB) and interpreter-sized objects: the generator, the list of
-    # row ranges, views.  64 KiB covers those many times over; the bound
-    # is then 1.07 MiB, a fifteenth of the full entries.
-    chunk = 1 << 20
-    monkeypatch.setattr(sketch, "_CHUNK_BYTES", chunk)
-    S = make_gaussian_sketch(256, 8192, 0)
-    v = np.random.default_rng(0).standard_normal((8192, 4))
+def test_streamed_apply_holds_two_tiles():
+    # A 96 x 65,536 sketch is 48 MiB, in three blocks, so the apply runs on
+    # two threads.  Applied to 4 columns it allocates on each thread one
+    # 32 x 1,024 tile (256 KiB) and one 32 x 4 product, the 96 x 4 result,
+    # and interpreter-sized objects: the generators, views.  64 KiB covers
+    # those many times over; the bound, about 0.57 MiB, does not grow
+    # with in_rows
+    S = make_gaussian_sketch(96, 65536, 0)
+    v = np.random.default_rng(0).standard_normal((65536, 4))
     tracemalloc.start()
     try:
         out = sketch_apply(S, v)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    bound = chunk + out.nbytes + (64 << 10)
-    assert peak <= bound < S.out_rows * S.in_rows * 8
+    tile, product = 32 * 1024 * 8, 32 * 4 * 8
+    assert peak <= 2 * tile + 2 * product + out.nbytes + (64 << 10)
     assert "entries" not in vars(S)
 
 
@@ -169,20 +203,17 @@ def block_draws(monkeypatch, before=None):
     # every block drawn, as (index, thread, rows copied), in the order the
     # draws finish; ``before(r)``, if given, runs as block r starts
     draws = []
-    block_rows = sketch._block_rows
+    block_tiles = sketch._block_tiles
 
-    def recording(S, r, buf):
+    def recording(S, r, tile):
         if before is not None:
             before(r)
-        rows = [rows.copy() for _, _, rows in block_rows(S, r, buf)]
-        draws.append((r, threading.get_ident(), np.vstack(rows)))
-        # the caller multiplies the copies: buf is not read again
-        start = r * 32
-        for part in rows:
-            yield start, start + len(part), part
-            start += len(part)
+        tiles = [(rows, cols, panel.copy()) for rows, cols, panel in block_tiles(S, r, tile)]
+        draws.append((r, threading.get_ident(), np.hstack([panel for _, _, panel in tiles])))
+        # the caller multiplies the copies: tile is not read again
+        yield from tiles
 
-    monkeypatch.setattr(sketch, "_block_rows", recording)
+    monkeypatch.setattr(sketch, "_block_tiles", recording)
     return draws
 
 
@@ -194,10 +225,10 @@ def wait_for(condition):
 
 
 def test_blocks_are_shared_by_the_caller_and_one_helper(monkeypatch):
-    # 20 blocks, 8-row buffers: the caller holds its first block until the
+    # 20 blocks of two panels: the caller holds its first block until the
     # helper has drawn one, so both take part.  Each block is drawn once,
     # on one of two threads, and the result is the loop reference
-    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
+    monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
     caller = threading.get_ident()
 
     def hold(r):
@@ -205,10 +236,10 @@ def test_blocks_are_shared_by_the_caller_and_one_helper(monkeypatch):
             wait_for(lambda: any(t != caller for _, t, _ in draws))
 
     draws = block_draws(monkeypatch, hold)
-    E = gaussian_blocks(640, 30, 4)
-    v = np.random.default_rng(4).standard_normal((30, 5))
+    E = gaussian_blocks(640, 1100, 4)
+    v = np.random.default_rng(4).standard_normal((1100, 5))
     before = threading.active_count()
-    assert np.array_equal(sketch_apply(make_gaussian_sketch(640, 30, 4), v), by_sub_chunk(E, v, 8))
+    assert np.array_equal(sketch_apply(make_gaussian_sketch(640, 1100, 4), v), by_panel(E, v))
     assert threading.active_count() <= before + 1
     assert sorted(r for r, _, _ in draws) == list(range(20))
     assert len({t for _, t, _ in draws}) == 2
@@ -225,23 +256,26 @@ class Stalled:
 
 def test_draws_the_worker_has_not_started_are_drawn_by_the_caller(monkeypatch):
     # the caller takes every block, then cancels the helper, which never ran
-    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
+    monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
     monkeypatch.setattr(linops, "_helper_pool", Stalled)
     draws = block_draws(monkeypatch)
     E = gaussian_blocks(100, 30, 4)
     v = np.random.default_rng(4).standard_normal((30, 5))
-    assert np.array_equal(sketch_apply(make_gaussian_sketch(100, 30, 4), v), by_sub_chunk(E, v, 8))
+    assert np.array_equal(sketch_apply(make_gaussian_sketch(100, 30, 4), v), by_panel(E, v))
     assert [(r, t) for r, t, _ in draws] == [(r, threading.get_ident()) for r in range(4)]
 
 
-def test_one_chunk_sketch_starts_no_thread(monkeypatch):
-    # 40 rows in one 8 MB buffer: two blocks, drawn inline in order
+@pytest.mark.parametrize("out_rows, in_rows", [(40, 30), (40, 13107), (32, 20000)])
+def test_small_sketch_starts_no_thread(monkeypatch, out_rows, in_rows):
+    # at most 2**19 entries (two blocks of 30 columns, or of 13,107, just
+    # under) or one block (32 x 20,000, over it): drawn inline, in order
     draws = block_draws(monkeypatch)
     monkeypatch.setattr(linops, "_helper_pool", None)  # would raise if called
-    S = make_gaussian_sketch(40, 30, 4)
-    v = np.random.default_rng(4).standard_normal((30, 5))
-    assert np.array_equal(sketch_apply(S, v), by_sub_chunk(gaussian_blocks(40, 30, 4), v, 40))
-    assert [(r, t) for r, t, _ in draws] == [(0, threading.get_ident()), (1, threading.get_ident())]
+    S = make_gaussian_sketch(out_rows, in_rows, 4)
+    v = np.random.default_rng(4).standard_normal((in_rows, 5))
+    assert np.array_equal(sketch_apply(S, v), by_panel(gaussian_blocks(out_rows, in_rows, 4), v))
+    count = -(-out_rows // 32)
+    assert [(r, t) for r, t, _ in draws] == [(r, threading.get_ident()) for r in range(count)]
 
 
 class Stop(Exception):
@@ -266,34 +300,34 @@ def test_stopped_pass_stops_the_worker(monkeypatch, stop):
     # in turn waits until the failure has drained the indices, so both
     # are mid-pass when it happens
     where, what = STOPS[stop]
-    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
+    monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
     S = make_gaussian_sketch(640, 30, 4)
     v = np.random.default_rng(4).standard_normal((30, 5))
     expected = sketch_apply(S, v)
     caller, started, failed, taken = threading.get_ident(), set(), threading.Event(), []
-    block_rows, drain = sketch._block_rows, linops._drain
+    block_tiles, drain = sketch._block_tiles, linops._drain
 
     def draining(blocks):
         drain(blocks)
         failed.set()
 
-    def failing(S, r, buf):
+    def failing(S, r, tile):
         me = "caller" if threading.get_ident() == caller else "helper"
         taken.append(r)
         started.add(me)
         if me != where:
             assert failed.wait(10)
-            yield from block_rows(S, r, buf)
+            yield from block_tiles(S, r, tile)
             return
         wait_for(lambda: len(started) == 2)
         if what == "draw":
             raise Stop
-        for start, stop, rows in block_rows(S, r, buf):
-            yield start, stop, rows[:, :-1]  # np.dot raises on the shapes
+        for rows, cols, panel in block_tiles(S, r, tile):
+            yield rows, cols, panel[:, :-1]  # np.matmul raises on the shapes
 
     before = threading.active_count()
     with monkeypatch.context() as patch:
-        patch.setattr(sketch, "_block_rows", failing)
+        patch.setattr(sketch, "_block_tiles", failing)
         patch.setattr(linops, "_drain", draining)
         with pytest.raises(Stop if what == "draw" else ValueError):
             sketch_apply(S, v)
@@ -306,20 +340,17 @@ def test_stopped_pass_stops_the_worker(monkeypatch, stop):
 
 
 def test_concurrent_applies_keep_their_own_streams(monkeypatch):
-    # four callers, all with the one shared helper, split three blocks in
-    # 1-row sub-chunks while the interpreter switches threads as often as
-    # it can: every result must be the loop reference of its own seed
-    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30)
-    v = np.random.default_rng(0).standard_normal((30, 2))
+    # four callers, all with the one shared helper, split three blocks of
+    # two panels while the interpreter switches threads as often as it
+    # can: every result must be the loop reference of its own seed
+    monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
+    v = np.random.default_rng(0).standard_normal((1100, 2))
     seeds = range(4)
-    expected = {
-        seed: np.concatenate([row[None] @ v for row in gaussian_blocks(70, 30, seed)])
-        for seed in seeds
-    }
+    expected = {seed: by_panel(gaussian_blocks(70, 1100, seed), v) for seed in seeds}
     results = {}
 
     def apply(seed):
-        results[seed] = [sketch_apply(make_gaussian_sketch(70, 30, seed), v) for _ in range(20)]
+        results[seed] = [sketch_apply(make_gaussian_sketch(70, 1100, seed), v) for _ in range(20)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -438,18 +469,16 @@ def test_sketch_and_solve_counts():
 
 def test_sketch_and_solve_makes_one_pass(monkeypatch):
     # M and rhs are sketched together: S's one block is drawn once, in
-    # sub-chunks of 3, 3, 3 and 1 rows, and the solution is that of the
-    # two sketched halves
-    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 40 * 3)
+    # three panels, and the solution is that of the two sketched halves
     draws = block_draws(monkeypatch)
     rng = np.random.default_rng(5)
-    M = rng.standard_normal((40, 4))
-    rhs = rng.standard_normal(40)
-    S = make_gaussian_sketch(10, 40, seed=2)
+    M = rng.standard_normal((2500, 4))
+    rhs = rng.standard_normal(2500)
+    S = make_gaussian_sketch(10, 2500, seed=2)
     y = sketch_and_solve_ls(S, M, rhs)
-    E, Mr = gaussian_blocks(10, 40, 2), np.column_stack([M, rhs])
+    E, Mr = gaussian_blocks(10, 2500, 2), np.column_stack([M, rhs])
     assert [r for r, _, _ in draws] == [0] and np.array_equal(draws[0][2], E)
-    SMr = by_sub_chunk(E, Mr, 3)
+    SMr = by_panel(E, Mr)
     assert np.array_equal(y, dense_qr_ls(SMr[:, :4], SMr[:, 4]))
 
 

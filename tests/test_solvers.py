@@ -283,22 +283,22 @@ def test_trivial_sketched_start_draws_no_sketch(monkeypatch, name):
     assert result.termination == "trivial" and draws == []
 
 
-def record_row_draws(monkeypatch, buffer_rows, in_rows):
+def record_row_draws(monkeypatch):
     # every block of Gaussian rows a sketch draws, as (seed, block index,
-    # rows copied), in the order the draws finish, with buffers of
-    # buffer_rows rows of length in_rows: the chunk budget holds two
+    # rows copied), in the order the draws finish, with every sketch
+    # applied on two threads
     drawn = []
-    block_rows = sketch_module._block_rows
+    block_tiles = sketch_module._block_tiles
 
-    def recording(S, r, buf):
-        parts = []
-        for start, stop, rows in block_rows(S, r, buf):
-            parts.append(rows.copy())
-            yield start, stop, rows
-        drawn.append((S.seed, r, np.vstack(parts)))
+    def recording(S, r, tile):
+        panels = []
+        for rows, cols, panel in block_tiles(S, r, tile):
+            panels.append(panel.copy())
+            yield rows, cols, panel
+        drawn.append((S.seed, r, np.hstack(panels)))
 
-    monkeypatch.setattr(sketch_module, "_CHUNK_BYTES", 2 * 8 * buffer_rows * in_rows)
-    monkeypatch.setattr(sketch_module, "_block_rows", recording)
+    monkeypatch.setattr(sketch_module, "_INLINE_ENTRIES", 0)
+    monkeypatch.setattr(sketch_module, "_block_tiles", recording)
     return drawn
 
 
@@ -310,7 +310,7 @@ def test_scmrh_draws_its_sketch_in_one_pass(monkeypatch, diagnostics):
     _, A, b = make_square(52, 20)
     cfg = SolverConfig(maxiter=8, seed=3, compute_diagnostics=diagnostics)
     ell = cfg.effective_sketch_rows(A.cols)
-    drawn = record_row_draws(monkeypatch, 7, A.rows)
+    drawn = record_row_draws(monkeypatch)
     result = scmrh(A, b, cfg)
     by_block = {r: rows for _, r, rows in drawn}
     assert sorted(r for _, r, _ in drawn) == list(range(-(-ell // 32)))
@@ -326,7 +326,7 @@ def test_prebuilt_descriptor_is_never_materialized(monkeypatch, name, diagnostic
     # a prebuilt descriptor streams, and eps_embed needs no pass of its own
     _, A, b = problem_for(name, 53)
     S = make_gaussian_sketch(60, A.rows, 11)
-    drawn = record_row_draws(monkeypatch, 8, A.rows)
+    drawn = record_row_draws(monkeypatch)
     cfg = SolverConfig(maxiter=5, lam=0.5, compute_diagnostics=diagnostics)
     result = SOLVERS[name](A, b, cfg, sketch=S)
     assert "entries" not in vars(S) and len(result.trace.records) == 5

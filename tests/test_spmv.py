@@ -336,9 +336,8 @@ def test_blocks_of_a_late_helper_are_taken_back(split, monkeypatch, then):
 
 
 def two_core_sketch(monkeypatch):
-    # the apply of a 20-block sketch in 8-row buffers, which hands blocks
-    # to the helper
-    monkeypatch.setattr(sketch, "_CHUNK_BYTES", 2 * 8 * 30 * 8)
+    # the apply of a 20-block sketch, made to hand blocks to the helper
+    monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
     S = make_gaussian_sketch(640, 30, 4)
     v = np.random.default_rng(4).standard_normal((30, 5))
     return lambda: sketch_apply(S, v)
@@ -454,18 +453,18 @@ def test_sparse_and_sketch_applies_share_one_helper(split, monkeypatch):
         elif len(workers) == start[0]:
             wait_for(lambda: len(workers) > start[0])
 
-    matvec, block_rows = linops._sparsetools.csr_matvec, sketch._block_rows
+    matvec, block_tiles = linops._sparsetools.csr_matvec, sketch._block_tiles
 
     def held_matvec(*args):
         hold()
         matvec(*args)
 
-    def held_block_rows(*args):
+    def held_block_tiles(*args):
         hold()
-        yield from block_rows(*args)
+        yield from block_tiles(*args)
 
     monkeypatch.setattr(linops, "_sparsetools", types.SimpleNamespace(csr_matvec=held_matvec))
-    monkeypatch.setattr(sketch, "_block_rows", held_block_rows)
+    monkeypatch.setattr(sketch, "_block_tiles", held_block_tiles)
     for _ in range(5):
         for apply, want in applies:
             start[0] = len(workers)
