@@ -387,9 +387,10 @@ def _run(cfg, runs, write):
     """Build the problem, then run each ``(stem, spec)`` pair in order.
 
     ``write(stem, problem, result)`` handles each result as soon as its run
-    returns.  Returns the exit code: 0, or 1 when a solver raises, after
-    writing a PARTIAL file that names the failure and lists every stem
-    that completed before it.
+    returns; it gets ``x`` and the trace, but not the factorization, whose
+    bases are dropped first.  Returns the exit code: 0, or 1 when a solver
+    raises, after writing a PARTIAL file that names the failure and lists
+    every stem that completed before it.
     """
     problem = build_problem(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -405,8 +406,9 @@ def _run(cfg, runs, write):
             _write_lines(os.path.join(cfg.output_dir, "PARTIAL"), lines)
             print(error, file=sys.stderr)
             return 1
+        # no output reads the bases, the solve's largest arrays: free them
+        result.factorization = None
         write(stem, problem, result)
-        # the result holds the solve's bases; free them before the next solve
         del result
         done.append(stem)
     return 0

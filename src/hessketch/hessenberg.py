@@ -114,6 +114,12 @@ def pivot_select(v, admissible, strategy, rng=None):
         if rng is None:
             raise ValueError("sampled pivoting requires a random generator")
         admissible = rng.choice(admissible, size=strategy.sample_size, replace=False)
+    else:
+        # the first largest |entry| of all is the first max or min; if it is
+        # admissible, none beats it (a remainder is 0 at its pivoted rows)
+        idx = min((-abs(v[i]), i) for i in (int(np.argmax(v)), int(np.argmin(v))))[1]
+        if v[idx] != 0.0 and idx in admissible:
+            return idx, float(v[idx])
     vals = np.abs(v[admissible])
     top = vals.max()
     if top == 0.0:
@@ -136,42 +142,50 @@ def _swap_to_position(perm, used, idx):
     perm[used], perm[pos] = perm[pos], perm[used]
 
 
-def _reduce(u, cols, perm, strategy, rng):
-    """Eliminate u against cols at the pivots perm[:k], k = len(cols), then
-    pivot the rest.
+def _reduce(u, store, perm, strategy, rng):
+    """Eliminate u against the store's k columns at the pivots perm[:k],
+    then pivot the rest.
 
-    Returns the k+1 coefficients (the last is the new pivot value, 0 on
-    breakdown) and the remainder scaled to a unit pivot, or None when no
-    nonzero entry is left or the basis already spans the whole space.
+    The remainder is built in the store's next column: u is copied in and
+    dropped, each ``c * l_j`` goes through one reused temporary, and the
+    pivot divides in place.  Returns the k+1 coefficients (the last is the
+    new pivot value, 0 on breakdown) and whether the column was added: not
+    when no nonzero entry is left or the basis spans the whole space.
     """
-    k = len(cols)
+    k = len(store)
     h = np.empty(k + 1)
     # u may be an operator's output, which is never written
-    u = u.copy()
+    col = store._slot()
+    col[:] = u
+    del u
+    tmp = np.empty_like(col) if k else None
     for j in range(k):
-        c = u[perm[j]]
+        c = col[perm[j]]
         h[j] = c
-        u -= c * cols[j]
-    if k < u.size:
-        idx, val = _pivot_with_fallback(u, perm[k:], strategy, rng)
+        np.multiply(c, store[j], out=tmp)
+        col -= tmp
+    if k < col.size:
+        idx, val = _pivot_with_fallback(col, perm[k:], strategy, rng)
     else:
         val = 0.0
     h[k] = val
     if val == 0.0:
-        return h, None
+        return h, False
     _swap_to_position(perm, k, idx)
-    return h, u / val
+    col /= val
+    store._commit()
+    return h, True
 
 
-def _pivoted_start(r0, strategy):
-    # scale beta and first basis column of r0, its pivots and the sampling
-    # generator; TrivialSolution if r0 = 0
+def _pivoted_start(r0, store, strategy):
+    # reduce r0 into the empty store; its scale beta, its pivots and the
+    # sampling generator; TrivialSolution if r0 = 0
     rng = np.random.default_rng(strategy.seed) if strategy.kind == "sampled" else None
     t = np.arange(r0.size)
-    h, u1 = _reduce(r0, [], t, strategy, rng)
-    if u1 is None:
+    h, added = _reduce(r0, store, t, strategy, rng)
+    if not added:
         raise TrivialSolution("initial residual is zero; starting point is exact")
-    return h[0], u1, t, rng
+    return h[0], t, rng
 
 
 class ColumnStore(Sequence):
@@ -182,6 +196,7 @@ class ColumnStore(Sequence):
     never copies.  ``append`` writes the next column, of shape (rows,),
     into the next free slot, and ``matrix(k)`` is the first k columns
     (0 <= k <= len) as one (rows, k) view, ready for a single BLAS call.
+    The Hessenberg builders build the next column in place instead.
     A store made without a ``capacity`` doubles it when full (earlier views
     stay valid, on the old array); the solver driver passes the most
     columns a solve can produce.
@@ -217,14 +232,21 @@ class ColumnStore(Sequence):
             raise ValueError(
                 f"column must have shape ({rows},), got {np.shape(column)}"
             )
+        self._slot()[:] = column
+        self._commit()
+
+    def _slot(self):
+        # the next free column, writable; a builder fills it, then commits
         k = len(self._views)
         if k == self.capacity:
             data = np.empty((self._data.shape[0], 2 * k), order="F")
             data[:, :k] = self._data
             self._data = data
             self._views = [self._readonly(data[:, j]) for j in range(k)]
-        self._data[:, k] = column
-        self._views.append(self._readonly(self._data[:, k]))
+        return self._data[:, k]
+
+    def _commit(self):
+        self._views.append(self._readonly(self._data[:, len(self._views)]))
 
     def matrix(self, k=None):
         """The first k columns (all by default) as one read-only view."""
@@ -310,8 +332,8 @@ def init_square(A, r0, strategy=_FULL, *, capacity=None):
     """
     if not A.is_square:
         raise ValueError("the square Hessenberg process needs a square operator")
-    beta, l1, t, rng = _pivoted_start(r0, strategy)
-    L = ColumnStore.from_column(l1, capacity)
+    L = ColumnStore(r0.size, capacity)
+    beta, t, rng = _pivoted_start(r0, L, strategy)
     return KrylovFactorization(
         r0=r0, beta=beta, U_cols=L, V_cols=L, t=t, strategy=strategy, rng=rng
     )
@@ -328,12 +350,11 @@ def step_square(state, A):
     """
     if state.breakdown:
         raise RuntimeError("factorization already broke down")
-    u = A.apply(state.V_cols[-1])
-    h, u_new = _reduce(u, state.U_cols, state.t, state.strategy, state.rng)
-    if u_new is None:
-        state.breakdown = True
-    else:
-        state.U_cols.append(u_new)
+    # A's output is not bound here, so _reduce can drop it once copied
+    h, added = _reduce(
+        A.apply(state.V_cols[-1]), state.U_cols, state.t, state.strategy, state.rng
+    )
+    state.breakdown = not added
     state.h_cols.append(h)
     return state
 
@@ -346,19 +367,20 @@ def init_generalized(A, r0, strategy=_FULL, *, capacity=None):
     seeds W with the coefficient of A^T u_1 along v_1.  ``capacity``
     reserves room for that many columns in each basis.
     """
-    beta, u1, t, rng = _pivoted_start(r0, strategy)
+    U, V = ColumnStore(r0.size, capacity), ColumnStore(A.cols, capacity)
+    beta, t, rng = _pivoted_start(r0, U, strategy)
     g = np.arange(A.cols)
-    h, v1 = _reduce(A.apply_transpose(r0), [], g, strategy, rng)
-    if v1 is None:
+    h, added = _reduce(A.apply_transpose(r0), V, g, strategy, rng)
+    if not added:
         raise TrivialSolution(
             "transposed residual is zero; the normal equations already hold"
         )
-    r = A.apply_transpose(u1)
+    r = A.apply_transpose(U[0])
     return KrylovFactorization(
         r0=r0,
         beta=beta,
-        U_cols=ColumnStore.from_column(u1, capacity),
-        V_cols=ColumnStore.from_column(v1, capacity),
+        U_cols=U,
+        V_cols=V,
         alpha=h[0],
         t=t,
         g=g,
@@ -380,13 +402,10 @@ def step_generalized(state, A):
     step_square(state, A)
     if state.breakdown:
         return state
-    q = A.apply_transpose(state.U_cols[-1])
-    w, v_new = _reduce(q, state.V_cols, state.g, state.strategy, state.rng)
+    q = state.U_cols[-1]
+    w, added = _reduce(A.apply_transpose(q), state.V_cols, state.g, state.strategy, state.rng)
     state.w_cols.append(w)
-    if v_new is None:
-        state.breakdown = True
-    else:
-        state.V_cols.append(v_new)
+    state.breakdown = not added
     return state
 
 

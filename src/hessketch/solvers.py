@@ -9,8 +9,8 @@ the penalty rows [lam P | 0] into Z, and step k solves min ||Z_k y - z||
 on the first k columns Z_k of Z and its last column z; the iterate is
 x_k = x0 + V_k y.  One Householder QR Z = QR serves every step: step k
 solves its k-by-k triangle by a pivoted QR that forms no Q, and reads
-``proj_obj`` off R's last column; the iterates are formed in column
-blocks, one GEMM each, only to read the errors off them.
+``proj_obj`` off R's last column; every step's error is read off one
+pass over V, in row blocks, without forming the iterates.
 
 =========  ======================  ========================================
 solver     basis builder           projected problem
@@ -47,7 +47,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dtrmm, dtrsm
 
 from .hessenberg import (
     ColumnStore,
@@ -295,10 +295,10 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     triangle passes the rank test, and the explicit residual on a
     fallback.  ``sres_norm`` is the norm of the residual's data rows:
     ``proj_obj`` undamped, and damped the data rows of Z Y - z, one GEMM
-    with Y the upper triangle of every y_k.  The iterates are formed only
-    for ``rel_err`` and ``res_norm``, in column blocks
-    (:func:`_iterate_blocks`); the returned x is one GEMV, V_K y_K.  Each
-    record carries its own step's counts, sketched columns included, as
+    with Y the upper triangle of every y_k.  Every ``rel_err`` comes from
+    one pass over V_K (:func:`_rel_errors`), diagnostics on or off; only
+    ``res_norm`` forms each iterate, and the returned x is one GEMV,
+    V_K y_K.  Each record carries its own step's counts, sketched columns included, as
     if the steps had run one at a time.  Diagnostics read the leading
     blocks of one QR each of U_{K+1}, V and S U_{K+1}: S is never drawn whole.
     """
@@ -393,10 +393,14 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
         data = Z[:data_rows, :K] @ Y - Z[:data_rows, -1:]
         for rec, value in zip(trace.records, np.linalg.norm(data, axis=0)):
             rec.sres_norm = float(value)
-    if x_true is not None or cfg.compute_diagnostics:
-        for start, stop, X in _iterate_blocks(state.V_cols, Y, x0):
-            for rec, x in zip(trace.records[start:stop], X.T):
-                _observe(rec, A, b, x, cfg, x_true)
+    if x_true is not None:
+        errors = _rel_errors(state.V_cols.matrix(K), Y, x0, x_true)
+        for rec, error in zip(trace.records, errors):
+            rec.rel_err = float(error)
+    if cfg.compute_diagnostics:
+        for k, rec in enumerate(trace.records, start=1):
+            x = state.V_cols.matrix(k) @ Y[:k, k - 1]
+            _observe(rec, A, b, x if x0 is None else x + x0, cfg, None)
     # the returned iterate is one GEMV on a view of the solution basis
     x = state.V_cols.matrix(K) @ y
     if x0 is not None:
@@ -405,28 +409,31 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     return SolveResult(x=x, trace=trace, termination=termination, factorization=state)
 
 
-# the solve pass forms iterates in blocks of at most this many bytes
-_BLOCK_BYTES = 2 << 20
+# the solve pass reads the errors off row blocks of at most this many bytes
+_ERROR_BLOCK_BYTES = 256 << 10
 
 
-def _iterate_blocks(V, Y, x0):
-    """Yield ``(start, stop, X)``: the iterates x_k = x0 + V_k y_k of steps
-    start+1..stop as the columns of X, y_k being column k-1 of Y.
-
-    Each block is one GEMM into one reused buffer of at most
-    ``_BLOCK_BYTES`` (one column at least); y_k is zero past row k, so the
-    block needs only the first ``stop`` columns of V.
+def _rel_errors(V, Y, x0, x_true):
+    """||x_k - x_true|| / ||x_true|| of every iterate x_k = x0 + V y_k, y_k
+    column k-1 of Y, in one pass over V: each row block of V is copied into
+    one buffer of at most ``_ERROR_BLOCK_BYTES`` (one row at least), times
+    Y's upper triangle in place, and adds its squares to every step's sum.
     """
-    n, K = V.matrix(1).shape[0], Y.shape[1]
-    width = max(1, _BLOCK_BYTES // (8 * n))
-    buffer = np.empty((n, min(width, K)), order="F")
-    for start in range(0, K, width):
-        stop = min(start + width, K)
-        X = buffer[:, : stop - start]
-        np.matmul(V.matrix(stop), Y[:stop, start:stop], out=X)
+    n, K = V.shape
+    rows = max(1, _ERROR_BLOCK_BYTES // (8 * K))
+    buffer = np.empty(min(rows, n) * K)
+    squares = np.zeros(K)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        X = buffer[: (stop - start) * K].reshape((stop - start, K), order="F")
+        X[...] = V[start:stop]
+        # X Y with Y's transpose, a lower triangle in Fortran order: no copy
+        dtrmm(1.0, Y.T, X, side=1, lower=1, trans_a=1, overwrite_b=True)
         if x0 is not None:
-            X += x0[:, None]
-        yield start, stop, X
+            X += x0[start:stop, None]
+        X -= x_true[start:stop, None]
+        squares += np.einsum("ij,ij->j", X, X)
+    return np.sqrt(squares) / np.linalg.norm(x_true)
 
 
 @dataclass

@@ -503,6 +503,57 @@ def test_each_result_is_released_before_the_next_solve(tmp_path, monkeypatch, ar
     assert all(all(released) for released in starts)
 
 
+def test_output_is_written_without_the_bases(tmp_path, monkeypatch):
+    # cmrh and lslu on a 256 x 256 image: each solve's bases are 11 of its
+    # 65,536-vectors (22 for lslu), and writing needs only x and the trace.
+    # When writing starts, the process holds what it held before the solve
+    # plus x and 64 KiB, so no basis; and it peaks no higher while writing
+    # than during the solve
+    marks, xs = [], []
+
+    def mark(name):
+        # (name, memory in use, peak since the last mark)
+        marks.append((name, *tracemalloc.get_traced_memory()))
+        tracemalloc.reset_peak()
+
+    def measured(solve):
+        def call(A, b, cfg, x_true=None):
+            mark("start")
+            result = solve(A, b, cfg, x_true=x_true)
+            mark("solve")
+            xs.append(result.x.nbytes)
+            return result
+
+        return call
+
+    trace_to_csv = cli.trace_to_csv
+
+    def writing(trace, target):
+        mark("write")
+        return trace_to_csv(trace, target)
+
+    for name in ("cmrh", "lslu"):
+        monkeypatch.setitem(cli.SOLVERS, name, measured(cli.SOLVERS[name]))
+    monkeypatch.setattr(cli, "trace_to_csv", writing)
+    out = tmp_path / "out"
+    solvers = "solver.cmrh.maxiter = 10\nsolver.lslu.maxiter = 10\n"
+    cfg = write_cfg(tmp_path, deblur_cfg(out, solvers, size=256))
+    tracemalloc.start()
+    try:
+        assert cli.main(["solve", cfg]) == 0
+        mark("end")
+    finally:
+        tracemalloc.stop()
+    names = [name for name, _, _ in marks]
+    assert names == ["start", "solve", "write"] * 2 + ["end"], names
+    for i, x in zip((0, 3), xs):
+        (_, before, _), (_, _, solve_peak), (_, writing_starts, _) = marks[i : i + 3]
+        # the next mark reads the peak since writing started
+        write_peak = marks[i + 3][2]
+        assert writing_starts <= before + x + (64 << 10), (i, writing_starts - before)
+        assert write_peak <= solve_peak, (i, write_peak, solve_peak)
+
+
 def test_summary_line_of_trivial_solve_reports_iteration_zero():
     problem = Problem(LinearOperator.identity(4), np.zeros(4), x_true=np.ones(4))
     result = cmrh(problem.operator, problem.b, x_true=problem.x_true)

@@ -20,6 +20,7 @@ Examples are derandomized, so the suite stays deterministic.
 """
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessketch import solvers
+from hessketch import hessenberg, solvers
 from hessketch.hessenberg import PivotStrategy
 from hessketch.linops import (
     RANK_TOL,
@@ -87,6 +88,71 @@ def test_factorization_relations(name, seed, m, n, pivot):
         W = state.W_matrix(rows=V.shape[1])
         gap = np.linalg.norm(M.T @ U - V @ W)
         assert gap <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(U)
+
+
+def vanish_at(column, rows):
+    # exactly +0.0 or -0.0 at every given row
+    return np.all(column[np.asarray(rows, dtype=int)] == 0.0)
+
+
+@pytest.mark.parametrize("rank", [None, 2], ids=["full-rank", "rank-2"])
+@pytest.mark.parametrize(
+    "pivot", [PivotStrategy.full(), PivotStrategy.sampled(5, 7)], ids=["full", "sampled5"]
+)
+@pytest.mark.parametrize("builder", ["square", "generalized"])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12), n=st.integers(2, 12))
+def test_remainders_vanish_at_earlier_pivots(builder, pivot, rank, seed, m, n):
+    # the full pivot searches every row, because every remainder, and so
+    # every later basis column, reads exactly zero at each earlier pivot
+    if builder == "square":
+        n = m
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, n))
+    if rank is not None:
+        M = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    A = LinearOperator.from_matrix(M)
+    init, step = {
+        "square": (hessenberg.init_square, hessenberg.step_square),
+        "generalized": (hessenberg.init_generalized, hessenberg.step_generalized),
+    }[builder]
+    select, remainders = hessenberg.pivot_select, []
+
+    def checking(v, admissible, strategy, rng=None):
+        # the rows the process has pivoted are the ones not admissible
+        pivoted = np.setdiff1d(np.arange(v.size), admissible)
+        remainders.append(vanish_at(v, pivoted))
+        return select(v, admissible, strategy, rng)
+
+    with mock.patch.object(hessenberg, "pivot_select", checking):
+        state = init(A, rng.standard_normal(m), pivot)
+        bases = [(state.U_cols, state.t), (state.V_cols, state.g)]
+        for _ in range(n):
+            step(state, A)
+            for store, perm in bases[: 2 if builder == "generalized" else 1]:
+                for j, column in enumerate(store):
+                    assert vanish_at(column, perm[:j]) and column[perm[j]] == 1.0
+            if state.breakdown:
+                break
+    assert remainders and all(remainders)
+
+
+def test_pivot_select_ties_signs_and_zeros():
+    full = PivotStrategy.full()
+    # a -max before the +max wins the tie, in any listing order
+    v = np.array([0.0, -3.0, 1.0, 3.0])
+    assert hessenberg.pivot_select(v, [0, 1, 2, 3], full) == (1, -3.0)
+    assert hessenberg.pivot_select(v, [3, 2, 1, 0], full) == (1, -3.0)
+    # an entry outside the set that ties the max at a smaller row is skipped
+    v = np.array([5.0, 0.0, -5.0, 5.0])
+    assert hessenberg.pivot_select(v, [3, 2], full) == (2, -5.0)
+    # a larger one outside the set is skipped too
+    v = np.array([9.0, -0.0, 4.0, -4.0])
+    assert hessenberg.pivot_select(v, [1, 2, 3], full) == (2, 4.0)
+    # an all-zero set, signed zeros included, signals breakdown
+    for v in (np.array([7.0, 0.0, -0.0, 0.0]), np.array([0.0, -0.0, 0.0, -0.0])):
+        idx, val = hessenberg.pivot_select(v, [3, 1, 2], full)
+        assert val == 0.0 and idx in (1, 2, 3)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))

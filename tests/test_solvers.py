@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -1280,21 +1281,22 @@ def gamma(m):
     return m * u / (1 - m * u)
 
 
-# columns per block of iterates: one (the bytes of less than one column),
-# seven (ragged on 20 and 15 steps, the last block of 15 one column), and
-# the default 2 MB, which holds every step of these solves
-ITERATE_BLOCKS = {"one-column": 1, "ragged": 7, "single": None}
+# rows per block of the error pass: one (the bytes of less than one row),
+# seven (ragged on 20 and 15 rows, the last block of 15 one row), and the
+# default 256 KiB, which holds every row of these solves
+ERROR_BLOCKS = {"one-row": 1, "ragged": 7, "single": None}
 
 
-@pytest.mark.parametrize("width", ITERATE_BLOCKS.values(), ids=ITERATE_BLOCKS)
+@pytest.mark.parametrize("rows", ERROR_BLOCKS.values(), ids=ERROR_BLOCKS)
 @pytest.mark.parametrize("start", [False, True], ids=["no-x0", "x0"])
 @pytest.mark.parametrize("diagnostics", [False, True], ids=["plain", "diag"])
 def test_iterates_in_blocks_match_one_gemv_per_column(
-    monkeypatch, width, start, diagnostics
+    monkeypatch, rows, start, diagnostics
 ):
-    # the solve pass forms x_k = x0 + V_k y_k a block of columns at a time;
-    # each record reads what one GEMV per column gives, within rounding,
-    # and the returned x is the one GEMV V_K y_K, whatever the blocks
+    # the solve pass reads every step's error off one pass over V, a block
+    # of rows at a time; each record reads what one GEMV per column gives,
+    # within rounding, by the same formula with diagnostics on or off, and
+    # the returned x is the one GEMV V_K y_K, whatever the blocks
     for name in sorted(SOLVERS):
         M, A, b = problem_for(name, 31)
         rng = np.random.default_rng(32)
@@ -1304,29 +1306,32 @@ def test_iterates_in_blocks_match_one_gemv_per_column(
             maxiter=A.cols, lam=0.5, seed=5, x0=x0, compute_diagnostics=diagnostics
         )
         whole = SOLVERS[name](A, b, cfg, x_true)
+        K = len(whole.trace.records)
         ys, blocks = [], []
-        solve, iterate_blocks = solvers._projected_solve, solvers._iterate_blocks
+        solve, dtrmm = solvers._projected_solve, solvers.dtrmm
 
         def recording(R, Z, k):
             y, fallback = solve(R, Z, k)
             ys.append(y)
             return y, fallback
 
-        def blocking(V, Y, x0):
-            for first, stop, X in iterate_blocks(V, Y, x0):
-                blocks.append((first, stop))
-                yield first, stop, X
+        def blocking(alpha, a, b, **kwargs):
+            blocks.append(b.shape)
+            return dtrmm(alpha, a, b, **kwargs)
 
+        if rows is not None:
+            monkeypatch.setattr(solvers, "_ERROR_BLOCK_BYTES", 8 * K * rows)
+        flipped = replace(cfg, compute_diagnostics=not diagnostics)
+        other = SOLVERS[name](A, b, flipped, x_true)
         monkeypatch.setattr(solvers, "_projected_solve", recording)
-        monkeypatch.setattr(solvers, "_iterate_blocks", blocking)
-        if width is not None:
-            block_bytes = 8 * A.cols * width if width > 1 else 8
-            monkeypatch.setattr(solvers, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(solvers, "dtrmm", blocking)
         result = SOLVERS[name](A, b, cfg, x_true)
         monkeypatch.undo()
-        K = len(result.trace.records)
-        step = width or K
-        assert blocks == [(i, min(i + step, K)) for i in range(0, K, step)], name
+        assert len(result.trace.records) == K, name
+        step = rows or A.cols
+        assert blocks == [
+            (min(i + step, A.cols) - i, K) for i in range(0, A.cols, step)
+        ], name
         V = result.factorization.V_cols
         offset = np.zeros(A.cols) if x0 is None else x0
         assert np.array_equal(result.x, whole.x), name
@@ -1352,14 +1357,42 @@ def test_iterates_in_blocks_match_one_gemv_per_column(
             tol = np.linalg.norm(np.abs(M) @ moved)
             tol += 2 * gamma(A.cols + 2) * np.linalg.norm(np.abs(b) + np.abs(M) @ np.abs(x))
             assert abs(rec.res_norm - res) <= tol, (name, k)
+        # the errors do not depend on whether diagnostics are on
+        assert other.trace.column("rel_err") == result.trace.column("rel_err"), name
         if not diagnostics:
-            # with nothing to read off them, no iterate but the last is formed
+            # with nothing to read off them, the error pass does not run
             blocks.clear()
-            monkeypatch.setattr(solvers, "_iterate_blocks", blocking)
+            monkeypatch.setattr(solvers, "dtrmm", blocking)
             plain = SOLVERS[name](A, b, cfg)
             monkeypatch.undo()
             assert blocks == [] and np.array_equal(plain.x, whole.x), name
             assert plain.trace.column("rel_err") == [None] * K, name
+
+
+@pytest.mark.parametrize("name, vectors", [("cmrh", 4), ("lslu", 5)])
+def test_hessenberg_solve_holds_its_bases_and_a_few_vectors(name, vectors):
+    # a diagonal operator on 65,536 unknowns allocates nothing but its
+    # output.  Beyond its bases, cmrh holds four n-vectors at most: r0,
+    # the pivot order t, A's output or the one elimination temporary (the
+    # remainder is built in the basis's next column), and the returned x;
+    # lslu also holds the order g.  256 KiB covers the error pass's row
+    # block, H, the projected systems and interpreter-sized objects
+    n = 1 << 16
+    rng = np.random.default_rng(0)
+    d = 1.0 + rng.random(n)
+    A = LinearOperator(n, n, lambda x: d * x, lambda y: d * y)
+    b, x_true = rng.standard_normal(n), rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        result = SOLVERS[name](A, b, SolverConfig(maxiter=10), x_true)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state = result.factorization
+    assert len(result.trace.records) == 10 and len(state.V_cols) == 11
+    stores = {id(s): s for s in (state.U_cols, state.V_cols)}.values()
+    bases = sum(store.matrix().nbytes for store in stores)
+    assert peak <= bases + vectors * 8 * n + (256 << 10), (peak - bases) / (8 * n)
 
 
 # ---------------------------------------------------------------------------

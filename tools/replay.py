@@ -15,8 +15,8 @@ under ``--work`` (a temporary directory unless given).
   prebuilt sketch (its own seed and row count) at both lambdas, and on
   the random and rectangular problems with maxiter twice the operator's
   columns; trivial starts (b = 0 and an exact x0) come on top.  A 64x64
-  deblurring problem at maxiter 80, whose iterates span more than one of
-  the solve pass's blocks, runs gmres, cmrh and scmrh at both lambdas,
+  deblurring problem at maxiter 80, whose basis spans more than one of
+  the error pass's row blocks, runs gmres, cmrh and scmrh at both lambdas,
   with diagnostics, and a 64-grid, 60-angle tomography problem, large
   enough for the sparse operator to run on two cores, runs lsqr, lslu and
   slslu the same way at maxiter 20.  Each solve writes its trace CSV, x, its
