@@ -272,7 +272,7 @@ class KrylovFactorization:
     After k steps, with u the data-space and v the solution-space basis:
 
     * ``U_cols`` holds u_1..u_{k+1} (only k after a breakdown), with
-      r0 = beta u_1;
+      r0 = beta u_1, so r0 itself is not kept;
     * ``V_cols`` holds v_1..v_{k+1} (fewer after a breakdown); the square
       builders pass the same store as ``U_cols``;
     * ``h_cols`` holds the columns of H_{k+1,k}, column j with its first
@@ -292,7 +292,6 @@ class KrylovFactorization:
     read-only views into one array per basis.
     """
 
-    r0: np.ndarray
     beta: float
     U_cols: ColumnStore
     V_cols: ColumnStore
@@ -335,7 +334,7 @@ def init_square(A, r0, strategy=_FULL, *, capacity=None):
     L = ColumnStore(r0.size, capacity)
     beta, t, rng = _pivoted_start(r0, L, strategy)
     return KrylovFactorization(
-        r0=r0, beta=beta, U_cols=L, V_cols=L, t=t, strategy=strategy, rng=rng
+        beta=beta, U_cols=L, V_cols=L, t=t, strategy=strategy, rng=rng
     )
 
 
@@ -377,7 +376,6 @@ def init_generalized(A, r0, strategy=_FULL, *, capacity=None):
         )
     r = A.apply_transpose(U[0])
     return KrylovFactorization(
-        r0=r0,
         beta=beta,
         U_cols=U,
         V_cols=V,

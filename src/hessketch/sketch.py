@@ -2,25 +2,32 @@
 
 Reproducibility contract: a sketch is fully determined by
 ``(out_rows, in_rows, seed)``.  Row block r, rows [32 r, 32 r + 32) (the
-last may be shorter), is the stream of
-``Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))).standard_normal``
-filling the block panel by panel, each panel row-major: panel c is
-columns [1024 c, 1024 c + 1024) (the last may be narrower), so a sketch
-of at most 1,024 columns has row-major blocks.  Each entry is divided by
-``sqrt(out_rows)``: i.i.d. N(0, 1/out_rows) entries, the same bits
-whichever thread draws them.  A problem's noise is drawn from
-``default_rng(seed)``, the root stream (spawn key ``()``), which no block
-repeats.
+last may be shorter), is drawn from
+``Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))`` panel by panel:
+panel c is columns [1024 c, 1024 c + 1024) (the last may be narrower).
+A panel of ``size`` entries takes p = ceil(size / 2) Box-Muller pairs from
+one ``random`` call of 2 p uniforms, u_1 the first p and u_2 the next p:
+the radius rho = sqrt(-2 log(1 - u_1) / out_rows) in float64, the angle
+2 pi u_2 cast to float32, and the panel, row-major, is the p values of
+rho cos(angle) followed by the p of rho sin(angle), cos and sin taken in
+float32 and the products in float64 (an odd panel drops the last).  The
+entries are i.i.d. N(0, 1/out_rows) to within about 1e-7 relative, the
+same bits whichever thread draws them, on a given machine and numpy
+build: numpy's SIMD dispatch for float32 sin and cos and float64 log
+decides their last bits, as BLAS does the products'.  A problem's noise
+is drawn from ``default_rng(seed)``, the root stream (spawn key ``()``),
+which no block repeats.
 
 Making a sketch draws nothing.  :func:`sketch_apply` draws the blocks
 again from the seed, on the caller and the process's one helper thread
 (:func:`hessketch.linops.run_blocks`, which waits for a block the helper
 has started): each thread draws a block one 32 x 1,024 tile (256 KiB) at
-a time into its own buffer and sums the tiles' products with their
-panels of the input into the block's rows of the result.  A sketch of at
-most 2**19 entries, or of one block, is drawn inline.  An apply to b
-columns holds O(tile + out_rows * b) memory, never the matrix; reading
-``entries`` draws the whole matrix for the reader and keeps nothing.
+a time into its own buffer, which also holds the draw's 128 KiB of
+scratch, and sums the tiles' products with their panels of the input
+into the block's rows of the result.  A sketch of at most 2**19 entries,
+or of one block, is drawn inline.  An apply to b columns holds
+O(tile + out_rows * b) memory, never the matrix; reading ``entries``
+draws the whole matrix for the reader and keeps nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ __all__ = [
 # changing either changes every sketch)
 _BLOCK_ROWS = 32
 _PANEL_COLS = 1024
+# a thread's buffer: one tile, then the draw's scratch of half as many
+# float64 slots, viewed as two float32 arrays of one panel's pairs each
+_TILE = _BLOCK_ROWS * _PANEL_COLS
+_PAIRS = _TILE // 2
 
 _INLINE_ENTRIES = 1 << 19  # a sketch of at most this many entries is applied inline
 
@@ -76,7 +87,7 @@ class SketchOperator:
         """The full matrix, drawn from the seed on each read and kept by
         no one but the reader: a test and inspection helper."""
         entries = np.empty(self.shape)
-        tile = np.empty(_BLOCK_ROWS * _PANEL_COLS)
+        tile = np.empty(_TILE + _PAIRS)
         for r in range(-(-self.out_rows // _BLOCK_ROWS)):
             for rows, cols, panel in _block_tiles(self, r, tile):
                 entries[rows, cols] = panel
@@ -93,22 +104,46 @@ def _check_integer(name, value, least, word):
 def _block_tiles(S, r, tile):
     """Block r of S, as ``(rows, cols, panel)`` tiles drawn in panel order
     from the block's own stream into the head of ``tile``, a flat buffer
-    of 32 * 1,024; each ``panel`` is valid until the next is drawn."""
+    of 32 * 1,024 + 16,384 whose tail is the draw's scratch; each
+    ``panel`` is valid until the next is drawn.
+
+    Each panel is drawn by Box-Muller (see the module docstring) in place:
+    no ufunc mixes dtypes, which would allocate a cast buffer, so every
+    cast is an ``np.copyto`` into slots whose values are dead.
+    """
     rows = slice(r * _BLOCK_ROWS, min((r + 1) * _BLOCK_ROWS, S.out_rows))
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(S.seed, spawn_key=(r,))))
+    scratch = tile[_TILE:]
+    first, second = scratch.view(np.float32).reshape(2, _PAIRS)
     for start in range(0, S.in_rows, _PANEL_COLS):
         cols = slice(start, min(start + _PANEL_COLS, S.in_rows))
-        panel = tile[: (rows.stop - rows.start) * (cols.stop - start)].reshape(-1, cols.stop - start)
-        gen.standard_normal(out=panel)
-        # a division, not a multiply by the inverse, which rounds differently
-        panel /= np.sqrt(S.out_rows)
-        yield rows, cols, panel
+        size = (rows.stop - rows.start) * (cols.stop - start)
+        p = -(-size // 2)
+        gen.random(out=tile[: 2 * p])
+        rho, angle = tile[:p], tile[p : 2 * p]
+        angle *= 2.0 * np.pi
+        np.copyto(second[:p], angle)
+        # 1 - u is never 0, and as small as 2**-53: tails to 8.6 sigma
+        np.subtract(1.0, rho, out=rho)
+        np.log(rho, out=rho)
+        rho *= -2.0 / S.out_rows
+        np.sqrt(rho, out=rho)
+        np.sin(second[:p], out=first[:p])
+        np.cos(second[:p], out=second[:p])
+        np.copyto(angle, first[:p])
+        angle *= rho
+        # the cosines, half a panel at a time, through the dead sines' slots
+        for half in (slice(0, p // 2), slice(p // 2, p)):
+            cos = scratch[: half.stop - half.start]
+            np.copyto(cos, second[half])
+            rho[half] *= cos
+        yield rows, cols, tile[:size].reshape(-1, cols.stop - start)
 
 
 def _apply_blocks(S, v, out, blocks):
     """Sum each block's tile products with ``v`` into its rows of ``out``,
     in panel order, for the blocks that ``blocks`` hands this thread."""
-    tile, product = np.empty(_BLOCK_ROWS * _PANEL_COLS), np.empty((_BLOCK_ROWS, *v.shape[1:]))
+    tile, product = np.empty(_TILE + _PAIRS), np.empty((_BLOCK_ROWS, *v.shape[1:]))
     # np.matmul multiplies a row slice of an F-order block in place, where
     # np.dot copies it; np.dot releases the GIL for a vector's short output
     multiply = np.dot if v.ndim == 1 else np.matmul
@@ -124,7 +159,8 @@ def make_gaussian_sketch(out_rows, in_rows, seed):
     """A Gaussian sketch with i.i.d. N(0, 1/out_rows) entries, as a
     descriptor: nothing is drawn until it is applied or its entries read,
     and then in 32-row blocks, each from its own ``SeedSequence`` spawn
-    of the seed, in 1,024-column panels (see the module docstring).
+    of the seed, in 1,024-column panels of Box-Muller pairs, float64
+    radii times float32 cosines and sines (see the module docstring).
 
     The scaling makes the map an isometry in expectation:
     ``E[||S v||^2] = ||v||^2`` for any fixed v.  The sizes must be
@@ -153,8 +189,8 @@ def sketch_apply(S, v, counters=None):
     if S.out_rows * S.in_rows <= _INLINE_ENTRIES or count == 1:
         _apply_blocks(S, v, out, range(count))
         return out
-    # the helper calls _apply_blocks alone (standard_normal, a division and
-    # the products), none of the functions that perfbench wraps in spans:
+    # the helper calls _apply_blocks alone (the draw's ufuncs and the
+    # products), none of the functions that perfbench wraps in spans:
     # its Tracer is single-threaded (tests/test_benchmark_hooks.py checks it)
     run_blocks(lambda blocks: _apply_blocks(S, v, out, blocks), count)
     return out

@@ -297,9 +297,10 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     ``proj_obj`` undamped, and damped the data rows of Z Y - z, one GEMM
     with Y the upper triangle of every y_k.  Every ``rel_err`` comes from
     one pass over V_K (:func:`_rel_errors`), diagnostics on or off; only
-    ``res_norm`` forms each iterate, and the returned x is one GEMV,
-    V_K y_K.  Each record carries its own step's counts, sketched columns included, as
-    if the steps had run one at a time.  Diagnostics read the leading
+    ``res_norm`` forms the iterates, as V_K Y in column blocks of at most
+    ``_ITERATE_BLOCK_BYTES``, and the returned x is one GEMV, V_K y_K.
+    Each record carries its own step's counts, sketched columns included,
+    as if the steps had run one at a time.  Diagnostics read the leading
     blocks of one QR each of U_{K+1}, V and S U_{K+1}: S is never drawn whole.
     """
     cfg = cfg or SolverConfig()
@@ -331,9 +332,9 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
             f"{rows_name}={rows} cannot embed a {steps}-dimensional projected "
             f"problem; need at least {steps + 1} rows"
         )
-    r0 = b.copy() if x0 is None else b - A.apply(x0)
     try:
-        state = init(A, r0, cfg.pivot, capacity=steps + 1)
+        # r0 = b - A x0 is held only while the builder starts from it
+        state = init(A, b if x0 is None else b - A.apply(x0), cfg.pivot, capacity=steps + 1)
     except TrivialSolution:
         x = np.zeros(A.cols) if x0 is None else x0.copy()
         rec = TraceRecord(iteration=0)
@@ -398,9 +399,20 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
         for rec, error in zip(trace.records, errors):
             rec.rel_err = float(error)
     if cfg.compute_diagnostics:
-        for k, rec in enumerate(trace.records, start=1):
-            x = state.V_cols.matrix(k) @ Y[:k, k - 1]
-            _observe(rec, A, b, x if x0 is None else x + x0, cfg, None)
+        # res_norm's iterates V_K Y, a block of columns at a time: y_k is
+        # zero past row k, so block [start, stop) is one GEMM with the
+        # first ``stop`` columns of V into one buffer
+        n = A.cols
+        width = max(1, _ITERATE_BLOCK_BYTES // (8 * n))
+        buffer = np.empty((n, min(width, K)), order="F")
+        for start in range(0, K, width):
+            stop = min(start + width, K)
+            X = buffer[:, : stop - start]
+            np.matmul(state.V_cols.matrix(stop), Y[:stop, start:stop], out=X)
+            if x0 is not None:
+                X += x0[:, None]
+            for rec, x in zip(trace.records[start:stop], X.T):
+                _observe(rec, A, b, x, cfg, None)
     # the returned iterate is one GEMV on a view of the solution basis
     x = state.V_cols.matrix(K) @ y
     if x0 is not None:
@@ -409,8 +421,11 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     return SolveResult(x=x, trace=trace, termination=termination, factorization=state)
 
 
-# the solve pass reads the errors off row blocks of at most this many bytes
+# the solve pass reads the errors off row blocks of at most this many
+# bytes, and forms the diagnostics' iterates in column blocks of at most
+# this many
 _ERROR_BLOCK_BYTES = 256 << 10
+_ITERATE_BLOCK_BYTES = 2 << 20
 
 
 def _rel_errors(V, Y, x0, x_true):
@@ -497,7 +512,7 @@ def _init_arnoldi(A, r0, strategy=None, *, capacity=None):
         raise ValueError("gmres needs a square operator")
     beta, v1 = _unit_start(A, r0)
     V = ColumnStore.from_column(v1, capacity)
-    return KrylovFactorization(r0=r0, beta=beta, U_cols=V, V_cols=V, orthonormal=True)
+    return KrylovFactorization(beta=beta, U_cols=V, V_cols=V, orthonormal=True)
 
 
 def _step_arnoldi(state, A):
@@ -526,7 +541,6 @@ def _init_golub_kahan(A, r0, strategy=None, *, capacity=None):
             "transposed residual is zero; the normal equations already hold"
         )
     return KrylovFactorization(
-        r0=r0,
         beta=beta,
         U_cols=ColumnStore.from_column(u, capacity),
         V_cols=ColumnStore.from_column(z / alpha, capacity),

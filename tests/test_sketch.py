@@ -7,6 +7,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hessketch import linops, sketch
 from hessketch.linops import OpCounters, dense_qr_ls
@@ -29,27 +30,30 @@ def test_sketch_shape_and_determinism():
     assert not np.array_equal(S1.entries, S3.entries)
 
 
+def box_muller(gen, size, out_rows):
+    # one panel of the contract, in fresh contiguous arrays: p pairs from
+    # 2 p uniforms, the float64 radius sqrt(-2 log(1 - u_1) / out_rows),
+    # the angle 2 pi u_2 in float32, the p cosine products and then the p
+    # sine products; an odd panel drops the last
+    p = -(-size // 2)
+    u = gen.random(2 * p)
+    rho = np.sqrt(np.log(1.0 - u[:p]) * (-2.0 / out_rows))
+    angle = (u[p:] * (2.0 * np.pi)).astype(np.float32)
+    return np.concatenate([rho * np.cos(angle).astype(float), rho * np.sin(angle).astype(float)])[:size]
+
+
 def gaussian_blocks(out_rows, in_rows, seed):
     # the reproducibility contract, spelled out: 32-row blocks, block r
     # drawn from spawn key (r,) of the seed, 1,024-column panel after
-    # panel, each panel row-major
+    # panel, each a row-major Box-Muller panel
     blocks = []
     for r, start in enumerate(range(0, out_rows, 32)):
         seq = np.random.SeedSequence(seed, spawn_key=(r,))
         gen = np.random.Generator(np.random.PCG64(seq))
         height = min(32, out_rows - start)
-        panels = [gen.standard_normal((height, min(1024, in_rows - c))) for c in range(0, in_rows, 1024)]
-        blocks.append(np.hstack(panels))
-    return np.vstack(blocks) / np.sqrt(out_rows)
-
-
-def row_major_blocks(out_rows, in_rows, seed):
-    # the contract before panels: each block's stream drawn whole, row-major
-    blocks = []
-    for r, start in enumerate(range(0, out_rows, 32)):
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))))
-        blocks.append(gen.standard_normal((min(32, out_rows - start), in_rows)))
-    return np.vstack(blocks) / np.sqrt(out_rows)
+        widths = [min(1024, in_rows - c) for c in range(0, in_rows, 1024)]
+        blocks.append(np.hstack([box_muller(gen, height * w, out_rows).reshape(height, w) for w in widths]))
+    return np.vstack(blocks)
 
 
 # (out_rows, in_rows, seed): (100, 30) is four blocks, the last one
@@ -64,20 +68,47 @@ def test_gaussian_entries_are_the_pcg64_stream(out_rows, in_rows, seed):
     assert np.array_equal(S.entries, gaussian_blocks(out_rows, in_rows, seed))
 
 
-@pytest.mark.parametrize("in_rows", [1, 30, 1000, 1024])
-@pytest.mark.parametrize("threads", ["inline", "two"])
-def test_one_panel_sketches_keep_the_row_major_bits(monkeypatch, in_rows, threads):
-    # a sketch of at most 1,024 columns is one panel wide: its entries and
-    # its applies are those of the whole row-major blocks, bit for bit
-    if threads == "two":
-        monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
-    E = row_major_blocks(75, in_rows, 6)
-    S = make_gaussian_sketch(75, in_rows, 6)
-    assert np.array_equal(S.entries, E)
-    rng = np.random.default_rng(6)
-    for v in (rng.standard_normal(in_rows), np.asfortranarray(rng.standard_normal((in_rows, 4)))):
-        whole_blocks = np.concatenate([E[start : start + 32] @ v for start in range(0, 75, 32)])
-        assert np.array_equal(sketch_apply(S, v), whole_blocks)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_entries_are_standard_normal_at_scale(seed):
+    # sqrt(out_rows) S has N(0, 1) entries: the sample moments of 1.02e6
+    # of them lie within 5 standard errors (sqrt(1/N), sqrt(2/N) and
+    # sqrt(24/N) for the mean, variance and kurtosis), and the KS test
+    # against N(0, 1) does not reject them.  97 x 10,501 is blocks of 32
+    # rows and a last one of one row, in panels of 1,024 columns and a
+    # last one of 261, which is odd in the last block
+    E = make_gaussian_sketch(97, 10501, seed).entries.ravel() * np.sqrt(97)
+    n = E.size
+    assert n >= 10**6 and np.isfinite(E).all()
+    mean, var = E.mean(), E.var()
+    kurtosis = np.mean((E - mean) ** 4) / var**2
+    assert abs(mean) <= 5 * np.sqrt(1 / n)
+    assert abs(var - 1) <= 5 * np.sqrt(2 / n)
+    assert abs(kurtosis - 3) <= 5 * np.sqrt(24 / n)
+    assert stats.kstest(E, "norm").pvalue > 1e-3
+
+
+class Constant:
+    """A generator whose every uniform is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, bit_generator):
+        return self
+
+    def random(self, out):
+        out[...] = self.value
+
+
+@pytest.mark.parametrize("u, radius", [(0.0, 0.0), (1 - 2.0**-53, np.sqrt(2 * 53 * np.log(2) / 4))])
+def test_extreme_uniforms_give_finite_radii(monkeypatch, u, radius):
+    # 1 - u is never 0: the largest uniform below 1 gives the largest
+    # radius, sqrt(2 * 53 ln 2 / out_rows), 8.6 standard deviations; a
+    # 4 x 6 panel is 12 pairs, cosines first
+    monkeypatch.setattr(np.random, "Generator", Constant(u))
+    E = make_gaussian_sketch(4, 6, 0).entries.ravel()
+    assert np.isfinite(E).all()
+    assert np.allclose(np.hypot(E[:12], E[12:]), radius, rtol=1e-6, atol=0.0)
 
 
 def test_block_streams_differ_from_the_root_stream():
@@ -182,10 +213,10 @@ def test_entries_are_the_rows_an_apply_draws(in_rows):
 def test_streamed_apply_holds_two_tiles():
     # A 96 x 65,536 sketch is 48 MiB, in three blocks, so the apply runs on
     # two threads.  Applied to 4 columns it allocates on each thread one
-    # 32 x 1,024 tile (256 KiB) and one 32 x 4 product, the 96 x 4 result,
-    # and interpreter-sized objects: the generators, views.  64 KiB covers
-    # those many times over; the bound, about 0.57 MiB, does not grow
-    # with in_rows
+    # 32 x 1,024 tile (256 KiB) with the draw's 128 KiB of scratch and one
+    # 32 x 4 product, the 96 x 4 result, and interpreter-sized objects:
+    # the generators, views.  64 KiB covers those many times over; the
+    # bound, about 0.82 MiB, does not grow with in_rows
     S = make_gaussian_sketch(96, 65536, 0)
     v = np.random.default_rng(0).standard_normal((65536, 4))
     tracemalloc.start()
@@ -194,8 +225,8 @@ def test_streamed_apply_holds_two_tiles():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tile, product = 32 * 1024 * 8, 32 * 4 * 8
-    assert peak <= 2 * tile + 2 * product + out.nbytes + (64 << 10)
+    tile, scratch, product = 32 * 1024 * 8, 16384 * 8, 32 * 4 * 8
+    assert peak <= 2 * tile + 2 * scratch + 2 * product + out.nbytes + (64 << 10)
     assert "entries" not in vars(S)
 
 

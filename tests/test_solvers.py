@@ -1014,7 +1014,7 @@ def test_slslu_tikhonov_solves_stated_objective():
     Lk = np.column_stack(state.V_cols[:k])
     Z = S2.entries @ (M @ Lk)
     F = S1.entries @ Lk
-    sr0 = S2.entries @ state.r0
+    sr0 = S2.entries @ b  # r0 = b: no x0
     y = np.linalg.solve(Z.T @ Z + lam**2 * (F.T @ F), Z.T @ sr0)
     assert np.allclose(res.x, Lk @ y, rtol=1e-6, atol=1e-9)
 
@@ -1367,6 +1367,51 @@ def test_iterates_in_blocks_match_one_gemv_per_column(
             monkeypatch.undo()
             assert blocks == [] and np.array_equal(plain.x, whole.x), name
             assert plain.trace.column("rel_err") == [None] * K, name
+
+
+# columns per block of the diagnostics' iterates: one (the bytes of less
+# than one column), four (ragged on 20 and 15 columns), and the default
+# 2 MB, which holds every column of these solves
+ITERATE_BLOCKS = {"one-column": 1, "ragged": 4, "single": None}
+
+
+@pytest.mark.parametrize("width", ITERATE_BLOCKS.values(), ids=ITERATE_BLOCKS)
+@pytest.mark.parametrize("start", [False, True], ids=["no-x0", "x0"])
+def test_res_norm_in_column_blocks_matches_one_gemv_per_step(monkeypatch, width, start):
+    # res_norm's iterates are V_K Y, formed a block of columns at a time;
+    # each step reads the residual of one GEMV, x0 + V_k y_k, to within
+    # 1e-13 of the column's largest value, replay's gate for res_norm
+    for name in sorted(SOLVERS):
+        _, A, b = problem_for(name, 33)
+        x0 = 0.1 * np.random.default_rng(33).standard_normal(A.cols) if start else None
+        cfg = SolverConfig(maxiter=A.cols, lam=0.5, seed=5, x0=x0, compute_diagnostics=True)
+        ys, solve, observed = [], solvers._projected_solve, []
+        observe = solvers._observe
+
+        def recording(R, Z, k):
+            y, fallback = solve(R, Z, k)
+            ys.append(y)
+            return y, fallback
+
+        def observing(rec, A, b, x, cfg, x_true):
+            observed.append(x.copy())
+            return observe(rec, A, b, x, cfg, x_true)
+
+        if width is not None:
+            monkeypatch.setattr(solvers, "_ITERATE_BLOCK_BYTES", 8 * A.cols * width)
+        monkeypatch.setattr(solvers, "_projected_solve", recording)
+        monkeypatch.setattr(solvers, "_observe", observing)
+        result = SOLVERS[name](A, b, cfg)
+        monkeypatch.undo()
+        V = result.factorization.V_cols
+        offset = np.zeros(A.cols) if x0 is None else x0
+        iterates = [offset + V.matrix(k) @ y for k, y in enumerate(ys, start=1)]
+        assert len(observed) == len(iterates) == len(result.trace.records), name
+        res = np.array([np.linalg.norm(b - A.forward(x)) for x in iterates])
+        got = np.array(result.trace.column("res_norm"))
+        assert np.max(np.abs(got - res)) <= 1e-13 * np.max(res), name
+        for x, y in zip(observed, iterates):
+            assert np.allclose(x, y, rtol=0, atol=1e-13 * np.abs(y).max()), name
 
 
 @pytest.mark.parametrize("name, vectors", [("cmrh", 4), ("lslu", 5)])
