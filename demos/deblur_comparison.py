@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from hessketch.hessenberg import PivotStrategy
-from hessketch.problems import image_from_vector, make_deblur, motion_psf, write_image
+from hessketch.problems import make_deblur, motion_psf, write_image
 from hessketch.solvers import SolverConfig, cmrh, gmres, scmrh, trace_to_csv
 
 OUT = "demo_output"
@@ -56,12 +56,12 @@ for name, run in runs.items():
     )
     trace_to_csv(run.trace, os.path.join(OUT, f"deblur_{name}.trace.csv"))
     write_image(
-        image_from_vector(run.x, *problem.image_shape),
+        run.x.reshape(problem.image_shape),
         os.path.join(OUT, f"deblur_{name}.recon.pgm"),
     )
 
 write_image(
-    image_from_vector(problem.x_true, *problem.image_shape),
+    problem.x_true.reshape(problem.image_shape),
     os.path.join(OUT, "deblur_truth.pgm"),
 )
 print(f"\ntraces and reconstructions written to {OUT}/")

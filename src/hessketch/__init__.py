@@ -39,11 +39,9 @@ from .linops import (
     tracked_norm,
 )
 from .problems import (
-    Image,
     Problem,
     add_noise,
     gaussian_psf,
-    image_from_vector,
     make_deblur,
     make_tomography,
     motion_psf,

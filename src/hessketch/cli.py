@@ -68,14 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linops import save_array
-from .problems import (
-    gaussian_psf,
-    image_from_vector,
-    make_deblur,
-    make_tomography,
-    motion_psf,
-    write_image,
-)
+from .problems import gaussian_psf, make_deblur, make_tomography, motion_psf, write_image
 from .solvers import CSV_COLUMNS, SOLVERS, SolverConfig, _cell, trace_to_csv
 
 __all__ = [
@@ -422,7 +415,7 @@ def cmd_solve(config_path, diagnostics=False):
         _write_trace(cfg.output_dir, stem, result)
         _atomic(f"{base}.solution.mm", lambda tmp: save_array(tmp, result.x))
         if problem.image_shape is not None:
-            img = image_from_vector(result.x, *problem.image_shape)
+            img = result.x.reshape(problem.image_shape)
             _atomic(f"{base}.recon.pgm", lambda tmp: write_image(img, tmp))
 
     return _run(cfg, [(spec.label, spec) for spec in cfg.solvers], write)

@@ -407,7 +407,7 @@ def step_generalized(state, A):
     return state
 
 
-def dump_factorization(state, directory, prefix=""):
+def dump_factorization(state, directory):
     """Write the factorization pieces as MatrixMarket files for inspection.
 
     ``L.mm`` (the solution basis) and ``H.mm`` always; ``D.mm`` (the data
@@ -417,7 +417,7 @@ def dump_factorization(state, directory, prefix=""):
     import os
 
     def path(name):
-        return os.path.join(str(directory), prefix + name)
+        return os.path.join(str(directory), name)
 
     save_array(path("L.mm"), state.V_cols.matrix())
     save_array(path("H.mm"), state.H_matrix())

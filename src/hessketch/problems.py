@@ -28,8 +28,10 @@ Noise is injected at an *exact* relative level: the Gaussian perturbation is
 rescaled so that ``norm(e) / norm(b_clean)`` equals the requested level to
 machine precision.
 
-Images are written as 16-bit binary PGM (P5, big-endian samples), which
-keeps the quantized values exactly.
+An image is its 2-D pixel array, row 0 at the top; a solution vector is
+one after ``reshape(problem.image_shape)``.  Images are written as 16-bit
+binary PGM (P5, big-endian samples), which keeps the quantized values
+exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .linops import LinearOperator
 
 __all__ = [
     "Problem",
-    "Image",
     "gaussian_psf",
     "motion_psf",
     "deblur_phantom",
@@ -54,7 +55,6 @@ __all__ = [
     "make_deblur",
     "make_tomography",
     "add_noise",
-    "image_from_vector",
     "write_image",
 ]
 
@@ -99,31 +99,11 @@ class Problem:
             raise ValueError("noise level must be nonnegative")
 
 
-@dataclass
-class Image:
-    """A grayscale image with values in [0, 1], stored row major.
-
-    ``pixels`` has shape (height, width); row 0 is the top of the image.
-    """
-
-    width: int
-    height: int
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
-        self.pixels = np.asarray(self.pixels, dtype=float)
-        if self.pixels.shape != (self.height, self.width):
-            raise ValueError("pixel array must have shape (height, width)")
-        if not np.all(np.isfinite(self.pixels)):
-            raise ValueError("pixel values must be finite")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
-            raise ValueError("pixel values must lie in [0, 1]")
-
-
 # ---------------------------------------------------------------------------
 # point spread functions
+
+# samples per pixel of length along a motion blur's segment
+_MOTION_OVERSAMPLE = 64
 
 
 def _check_fits(side, image_size):
@@ -133,13 +113,13 @@ def _check_fits(side, image_size):
         raise ValueError("psf support must be smaller than the image")
 
 
-def gaussian_psf(sigma, radius=None, *, image_size=None):
+def gaussian_psf(sigma, *, image_size=None):
     """Normalized 2-D Gaussian kernel with odd side length.
 
-    ``sigma = 0`` degenerates to the 1x1 delta kernel (identity blur).
-    ``radius`` defaults to ``ceil(3 * sigma)``, at least 1.  Given an
-    ``image_size``, a kernel whose side is not smaller than it is refused
-    before any array is built, as :func:`make_deblur` would refuse it.
+    ``sigma = 0`` degenerates to the 1x1 delta kernel (identity blur); the
+    radius is ``ceil(3 * sigma)``, at least 1.  Given an ``image_size``, a
+    kernel whose side is not smaller than it is refused before any array
+    is built, as :func:`make_deblur` would refuse it.
     """
     if not np.isfinite(sigma):
         raise ValueError("sigma must be finite")
@@ -147,10 +127,7 @@ def gaussian_psf(sigma, radius=None, *, image_size=None):
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
         return np.ones((1, 1))
-    if radius is None:
-        radius = max(1, math.ceil(3.0 * sigma))
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
+    radius = max(1, math.ceil(3.0 * sigma))
     _check_fits(2 * radius + 1, image_size)
     d = np.arange(-radius, radius + 1, dtype=float)
     g = np.exp(-(d**2) / (2.0 * sigma**2))
@@ -158,13 +135,14 @@ def gaussian_psf(sigma, radius=None, *, image_size=None):
     return kernel / kernel.sum()
 
 
-def motion_psf(length, angle_deg, oversample=64, *, image_size=None):
+def motion_psf(length, angle_deg, *, image_size=None):
     """Unit-mass line-segment kernel modelling linear motion blur.
 
     The segment has the given length in pixels, centred in the kernel, at
-    ``angle_deg`` degrees from the horizontal axis.  Sample points along the
-    segment are deposited with bilinear weights, so non-axis-aligned angles
-    produce a smoothly rasterized line.  The kernel side length is odd.
+    ``angle_deg`` degrees from the horizontal axis.  ``_MOTION_OVERSAMPLE``
+    sample points per pixel of length are deposited with bilinear weights,
+    so non-axis-aligned angles produce a smoothly rasterized line.  The
+    kernel side length is odd.
     ``image_size`` refuses a kernel that cannot fit, as for
     :func:`gaussian_psf`.
     """
@@ -183,7 +161,7 @@ def motion_psf(length, angle_deg, oversample=64, *, image_size=None):
     # snap axis-aligned directions so 90-degree blur is exactly vertical
     dc = 0.0 if abs(dc) < 1e-12 else dc
     dr = 0.0 if abs(dr) < 1e-12 else dr
-    n_samples = max(2, int(round(length * oversample)) + 1)
+    n_samples = max(2, int(round(length * _MOTION_OVERSAMPLE)) + 1)
     t = np.linspace(-(length - 1.0) / 2.0, (length - 1.0) / 2.0, n_samples)
     pr, pc = half + t * dr, half + t * dc
     r0, c0 = np.floor(pr).astype(int), np.floor(pc).astype(int)
@@ -386,22 +364,24 @@ def add_noise(b_clean, level, seed):
 # image output (binary PGM, 16-bit)
 
 
-def image_from_vector(v, height, width, clip=True):
-    """Reshape a flat solution vector into an Image, clipping to [0, 1]."""
-    pixels = np.asarray(v, dtype=float).reshape(height, width)
-    if clip:
-        pixels = np.clip(pixels, 0.0, 1.0)
-    return Image(width=width, height=height, pixels=pixels)
+def write_image(pixels, path):
+    """Write a 2-D pixel array as binary PGM with 16-bit big-endian samples.
 
-
-def write_image(image, path):
-    """Write an Image as binary PGM with 16-bit big-endian samples.
-
-    Values are clamped to [0, 1] and quantized to 0..65535, so a sample
-    divided by 65535 gives back a quantized value exactly.
+    Row 0 is the top of the image.  Values are clamped to [0, 1] and
+    quantized to 0..65535, so a sample divided by 65535 gives back a
+    quantized value exactly.  An array that is not 2-D, is empty or holds
+    NaN or inf is refused before the file is opened.
     """
-    quant = np.round(np.clip(image.pixels, 0.0, 1.0) * 65535.0).astype(">u2")
-    header = f"P5\n{image.width} {image.height}\n65535\n".encode("ascii")
+    pixels = np.asarray(pixels, dtype=float)
+    if pixels.ndim != 2:
+        raise ValueError(f"image must be a 2-D array, got shape {pixels.shape}")
+    if pixels.size == 0:
+        raise ValueError(f"image must not be empty, got shape {pixels.shape}")
+    if not np.all(np.isfinite(pixels)):
+        raise ValueError("pixel values must be finite")
+    height, width = pixels.shape
+    quant = np.round(np.clip(pixels, 0.0, 1.0) * 65535.0).astype(">u2")
+    header = f"P5\n{width} {height}\n65535\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(quant.tobytes())

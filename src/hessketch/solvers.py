@@ -68,7 +68,7 @@ from .linops import (
     tracked_dot,
     tracked_norm,
 )
-from .sketch import SketchOperator, derive_seed, make_gaussian_sketch
+from .sketch import derive_seed, make_gaussian_sketch
 from .sketch import _distortion, sketch_apply
 
 __all__ = [
@@ -111,7 +111,7 @@ class SolverConfig:
     ``sketch_rows`` of None means the experiment default 10*(K+1), for
     the K = min(maxiter, n) steps a solve on n columns can take.
     ``pivot`` only affects the Hessenberg-based solvers; ``seed`` only the
-    sketched ones (it determines the embedding).
+    sketched ones: it determines S and S1.
     """
 
     maxiter: int = 30
@@ -270,7 +270,7 @@ def _observe(rec, A, b, x, cfg, x_true):
     return rec
 
 
-def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
+def _krylov(A, b, cfg, x_true, init, step, sketched=False):
     """Run one solve with basis builder ``init``/``step``.
 
     ``init(A, r0, strategy, capacity=...)`` returns a
@@ -281,8 +281,8 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     ``cfg.x0``, ``x_true``, ``cfg.lam`` and the sketch: it owns input
     checks, r0, trivial returns, the damped projected solve with its rank
     fallback, and the trace records.  A sketched solve holds the data
-    sketch S: ``sketch``, or one drawn from ``cfg.seed`` once the start
-    proves nontrivial; the quasi-minimal solves have none.
+    sketch S, drawn from ``cfg.sketch_rows`` and ``cfg.seed`` once the
+    start proves nontrivial; the quasi-minimal solves have none.
 
     The builder never reads the projected problem, so a solve is two
     passes.  The build pass takes every step first, stopping at
@@ -315,21 +315,10 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
     # break down by then, and the references stop here
     steps = min(cfg.maxiter, A.cols)
     # S sketches at most steps + 1 columns of U
-    rows, rows_name = cfg.effective_sketch_rows(A.cols), "sketch_rows"
-    if sketch is not None:
-        if not isinstance(sketch, SketchOperator):
-            raise ValueError(
-                f"sketch must be a SketchOperator, got {type(sketch).__name__}"
-            )
-        if sketch.in_rows != A.rows:
-            raise ValueError(
-                f"sketch expects vectors of length {sketch.in_rows}, "
-                f"operator produces length {A.rows}"
-            )
-        rows, rows_name = sketch.out_rows, "sketch.out_rows"
+    rows = cfg.effective_sketch_rows(A.cols)
     if sketched and rows < steps + 1:
         raise ValueError(
-            f"{rows_name}={rows} cannot embed a {steps}-dimensional projected "
+            f"sketch_rows={rows} cannot embed a {steps}-dimensional projected "
             f"problem; need at least {steps + 1} rows"
         )
     try:
@@ -341,9 +330,7 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False, sketch=None):
         rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = A.counters.snapshot()
         trace = SolverTrace([_observe(rec, A, b, x, cfg, x_true)])
         return SolveResult(x=x, trace=trace, termination="trivial")
-    S = sketch
-    if sketched and S is None:
-        S = make_gaussian_sketch(rows, A.rows, cfg.seed)
+    S = make_gaussian_sketch(rows, A.rows, cfg.seed) if sketched else None
     built = []
     while len(built) < steps and not state.breakdown:
         step(state, A)
@@ -624,28 +611,28 @@ def lslu(A, b, cfg=None, x_true=None):
     return _krylov(A, b, cfg, x_true, init_generalized, step_generalized)
 
 
-def scmrh(A, b, cfg=None, x_true=None, *, sketch=None):
+def scmrh(A, b, cfg=None, x_true=None):
     """Sketched projected minimal residual on the Hessenberg basis.
 
-    Draws one Gaussian embedding S from cfg.seed and solves
-    min ||S(A L_k y - r0)|| per iteration, assembled after the build pass
-    as (S L_{k+1}) [H_{k+1,k} | beta e1], since A L_k = L_{k+1} H_{k+1,k}
-    and r0 = beta l_1.  A prebuilt ``sketch`` overrides the seeded draw.
-    A positive cfg.lam adds lam^2 ||S1 L_k y||^2, with S1 drawn from a
-    seed derived from cfg.seed.
+    Draws one Gaussian embedding S of cfg.sketch_rows rows from cfg.seed
+    and solves min ||S(A L_k y - r0)|| per iteration, assembled after the
+    build pass as (S L_{k+1}) [H_{k+1,k} | beta e1], since
+    A L_k = L_{k+1} H_{k+1,k} and r0 = beta l_1.  A positive cfg.lam adds
+    lam^2 ||S1 L_k y||^2, with S1 of S's rows drawn from
+    ``derive_seed(cfg.seed, 1)``.
     """
-    return _krylov(A, b, cfg, x_true, init_square, step_square, True, sketch)
+    return _krylov(A, b, cfg, x_true, init_square, step_square, True)
 
 
-def slslu(A, b, cfg=None, x_true=None, *, sketch=None):
+def slslu(A, b, cfg=None, x_true=None):
     """Sketched projected least squares on the generalized bases.
 
     Solves min ||S2(A L_k y - r0)||^2 + lam^2 ||S1 L_k y||^2 (the penalty
     only when cfg.lam > 0), with the data system assembled as
-    (S2 D_{k+1}) [H_{k+1,k} | beta e1] and the same ``sketch`` option as
-    :func:`scmrh`.
+    (S2 D_{k+1}) [H_{k+1,k} | beta e1] and S2, S1 drawn from the config
+    as for :func:`scmrh`.
     """
-    return _krylov(A, b, cfg, x_true, init_generalized, step_generalized, True, sketch)
+    return _krylov(A, b, cfg, x_true, init_generalized, step_generalized, True)
 
 
 def projected_minres_oracle(A, basis, b):

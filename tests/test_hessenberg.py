@@ -493,13 +493,13 @@ def test_dump_factorization_roundtrip(tmp_path):
     rng = np.random.default_rng(59)
     M = rng.standard_normal((9, 6))
     state, _ = run_generalized(M, rng.standard_normal(9), 3)
-    dump_factorization(state, tmp_path, prefix="gh_")
+    dump_factorization(state, tmp_path)
     L, D = np.column_stack(state.V_cols), np.column_stack(state.U_cols)
-    assert np.allclose(scipy.io.mmread(tmp_path / "gh_L.mm"), L)
-    assert np.allclose(scipy.io.mmread(tmp_path / "gh_D.mm"), D)
-    assert np.allclose(scipy.io.mmread(tmp_path / "gh_H.mm"), state.H_matrix())
-    assert np.allclose(scipy.io.mmread(tmp_path / "gh_W.mm"), state.W_matrix())
-    assert np.array_equal(scipy.io.mmread(tmp_path / "gh_pivots_g.mm"), state.g[:, None])
+    assert np.allclose(scipy.io.mmread(tmp_path / "L.mm"), L)
+    assert np.allclose(scipy.io.mmread(tmp_path / "D.mm"), D)
+    assert np.allclose(scipy.io.mmread(tmp_path / "H.mm"), state.H_matrix())
+    assert np.allclose(scipy.io.mmread(tmp_path / "W.mm"), state.W_matrix())
+    assert np.array_equal(scipy.io.mmread(tmp_path / "pivots_g.mm"), state.g[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,12 +11,10 @@ import scipy.sparse
 
 from hessketch import problems
 from hessketch.problems import (
-    Image,
     Problem,
     add_noise,
     deblur_phantom,
     gaussian_psf,
-    image_from_vector,
     make_deblur,
     make_tomography,
     motion_psf,
@@ -155,8 +154,9 @@ def test_motion_psf_axis_aligned():
     assert np.all(Kv[:, np.arange(5) != 2] == 0)
 
 
-def loop_motion_psf(length, angle_deg, oversample=64):
-    # the reference: each sample's four bilinear weights added one by one
+def loop_motion_psf(length, angle_deg):
+    # the reference: each sample's four bilinear weights added one by one,
+    # 64 samples per pixel of length
     half = math.ceil((length - 1.0) / 2.0)
     side = 2 * half + 1
     kernel = np.zeros((side, side))
@@ -164,7 +164,7 @@ def loop_motion_psf(length, angle_deg, oversample=64):
     dc, dr = math.cos(theta), math.sin(theta)
     dc = 0.0 if abs(dc) < 1e-12 else dc
     dr = 0.0 if abs(dr) < 1e-12 else dr
-    n_samples = max(2, int(round(length * oversample)) + 1)
+    n_samples = max(2, int(round(length * 64)) + 1)
     for t in np.linspace(-(length - 1.0) / 2.0, (length - 1.0) / 2.0, n_samples):
         pr, pc = half + t * dr, half + t * dc
         r0, c0 = int(math.floor(pr)), int(math.floor(pc))
@@ -182,12 +182,11 @@ def loop_motion_psf(length, angle_deg, oversample=64):
 
 def test_motion_psf_is_the_loop_bit_for_bit():
     # the same weights added in the same order: equal bytes, signed zeros
-    # included, over 108 (length, angle) pairs and a coarse oversampling
+    # included, over 108 (length, angle) pairs
     for length in [1, 1.5, 2, 2.5, 3, 4.7, 5, 7, 9, 12, 13.3, 21]:
         for angle in [0.0, 15.0, 30.0, 45.0, 90.0, 135.0, 180.0, -33.3, 270.0]:
             got, want = motion_psf(length, angle), loop_motion_psf(length, angle)
             assert got.tobytes() == want.tobytes(), (length, angle)
-    assert motion_psf(6, 20.0, 3).tobytes() == loop_motion_psf(6, 20.0, 3).tobytes()
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -207,8 +206,6 @@ def test_psfs_that_cannot_fit_are_refused_before_allocation():
         gaussian_psf(2.5, image_size=16)
     with pytest.raises(ValueError, match=fits):
         motion_psf(16, 30.0, image_size=16)
-    with pytest.raises(ValueError, match=fits):
-        gaussian_psf(1.0, radius=8, image_size=16)
     # kernels of about 1e20 entries: built, they would raise MemoryError
     with pytest.raises(ValueError, match=fits):
         gaussian_psf(1e9, image_size=16)
@@ -255,7 +252,8 @@ def test_deblur_delta_psf_is_identity():
 
 
 def test_deblur_matches_dense_convolution_oracle():
-    K = gaussian_psf(1.0, radius=2)
+    K = gaussian_psf(0.6)  # radius ceil(1.8) = 2
+    assert K.shape == (5, 5)
     p = make_deblur(16, K, noise_level=0.0, seed=0)
     C = dense_convolution_matrix(K, 16)
     rng = np.random.default_rng(1)
@@ -311,7 +309,7 @@ def test_deblur_validation():
     with pytest.raises(ValueError):
         make_deblur(16, np.ones((2, 3)) / 6.0)  # even kernel side
     with pytest.raises(ValueError):
-        make_deblur(8, gaussian_psf(2.0, radius=4))  # support not smaller
+        make_deblur(8, gaussian_psf(1.2))  # side 9: support not smaller
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +460,6 @@ def test_problem_validation():
         Problem(p.operator, p.b, noise_level=-0.5)
 
 
-def test_image_validation():
-    with pytest.raises(ValueError):
-        Image(width=2, height=2, pixels=np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        Image(width=2, height=2, pixels=np.full((2, 2), 1.5))
-    with pytest.raises(ValueError):
-        Image(width=0, height=2, pixels=np.zeros((2, 0)))
-
-
-def test_image_from_vector_clips():
-    img = image_from_vector(np.array([-0.5, 0.25, 0.75, 2.0]), 2, 2)
-    assert np.array_equal(img.pixels, [[0.0, 0.25], [0.75, 1.0]])
-
-
 # ---------------------------------------------------------------------------
 # image output
 
@@ -488,33 +472,52 @@ def pgm_pixels(path, width, height):
     return np.frombuffer(data[len(header) :], ">u2").reshape(height, width) / 65535.0
 
 
+def test_image_validation(tmp_path):
+    # each refused before the file is opened
+    path = tmp_path / "bad.pgm"
+    for pixels, message in [
+        (np.zeros(4), "image must be a 2-D array, got shape (4,)"),
+        (np.zeros((2, 0)), "image must not be empty, got shape (2, 0)"),
+        (np.array([[0.5, np.nan]]), "pixel values must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_image(pixels, path)
+        assert not path.exists()
+
+
+def test_image_values_are_clamped(tmp_path):
+    path = tmp_path / "clamped.pgm"
+    write_image(np.array([[-0.5, 0.25], [0.75, 2.0]]), path)
+    samples = np.frombuffer(path.read_bytes()[-8:], ">u2")
+    assert samples[0] == 0 and samples[-1] == 65535
+    assert np.array_equal(pgm_pixels(path, 2, 2), [[0.0, 16384 / 65535], [49151 / 65535, 1.0]])
+
+
 def test_image_round_trip_quantization_bound(tmp_path):
     rng = np.random.default_rng(11)
-    img = Image(width=9, height=7, pixels=rng.uniform(0, 1, (7, 9)))
+    pixels = rng.uniform(0, 1, (7, 9))
     path = tmp_path / "img.pgm"
-    write_image(img, path)
+    write_image(pixels, path)
     back = pgm_pixels(path, 9, 7)
-    assert np.max(np.abs(back - img.pixels)) <= 0.5 / 65535 + 1e-12
+    assert np.max(np.abs(back - pixels)) <= 0.5 / 65535 + 1e-12
 
 
 def test_image_quantized_values_round_trip_exactly(tmp_path):
     vals = np.arange(12, dtype=float).reshape(3, 4) * 4369 / 65535.0
-    img = Image(width=4, height=3, pixels=vals)
     path = tmp_path / "exact.pgm"
-    write_image(img, path)
+    write_image(vals, path)
     assert np.array_equal(pgm_pixels(path, 4, 3), vals)
 
 
 def test_image_zero_round_trips_exactly(tmp_path):
-    img = Image(width=5, height=5, pixels=np.zeros((5, 5)))
     path = tmp_path / "zero.pgm"
-    write_image(img, path)
+    write_image(np.zeros((5, 5)), path)
     assert np.array_equal(pgm_pixels(path, 5, 5), np.zeros((5, 5)))
 
 
 def test_image_header_magic(tmp_path):
     path = tmp_path / "img.pgm"
-    write_image(Image(width=2, height=2, pixels=np.zeros((2, 2))), path)
+    write_image(np.zeros((2, 2)), path)
     assert path.read_bytes()[:2] == b"P5"
 
 

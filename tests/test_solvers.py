@@ -222,33 +222,26 @@ def counting_operator(M, applies):
     return LinearOperator(M.shape[0], M.shape[1], forward, transpose)
 
 
-@pytest.mark.parametrize(
-    "sketch, message",
-    [
-        (make_gaussian_sketch(30, 7, 0), "sketch expects vectors of length 7"),
-        (np.eye(20), "sketch must be a SketchOperator, got ndarray"),
-        (
-            make_gaussian_sketch(3, 20, 0),
-            "sketch.out_rows=3 cannot embed a 3-dimensional projected problem; "
-            "need at least 4 rows",
-        ),
-    ],
-    ids=["in_rows", "ndarray", "out_rows"],
-)
+# a sketch with fewer out_rows than the 4 a 3-step solve sketches
+@pytest.mark.parametrize("rows", [3], ids=["out_rows"])
 @pytest.mark.parametrize("name", ["scmrh", "slslu"])
 @pytest.mark.parametrize("start", ["x0", "b0"])
-def test_bad_sketch_rejected_before_any_apply(name, start, sketch, message):
+def test_bad_sketch_rejected_before_any_apply(name, start, rows):
     # with a start vector r0 alone would apply A, and slslu's start applies
     # A^T; with b = 0 and no start vector the start would be trivial
     M, _, b = make_square(48, 20)
     applies = []
     A = counting_operator(M, applies)
     if start == "x0":
-        cfg = SolverConfig(maxiter=3, x0=np.ones(20))
+        cfg = SolverConfig(maxiter=3, sketch_rows=rows, x0=np.ones(20))
     else:
-        cfg, b = SolverConfig(maxiter=3), np.zeros(20)
+        cfg, b = SolverConfig(maxiter=3, sketch_rows=rows), np.zeros(20)
+    message = (
+        f"sketch_rows={rows} cannot embed a 3-dimensional projected problem; "
+        "need at least 4 rows"
+    )
     with pytest.raises(ValueError, match=re.escape(message)):
-        SOLVERS[name](A, b, cfg, sketch=sketch)
+        SOLVERS[name](A, b, cfg)
     assert applies == []
 
 
@@ -265,8 +258,8 @@ def test_sketch_rows_bound_the_krylov_dimension_not_maxiter(name):
     )
     with pytest.raises(ValueError, match=re.escape(message)):
         SOLVERS[name](A, b, SolverConfig(maxiter=50, sketch_rows=20))
-    S = make_gaussian_sketch(21, 20, 5)
-    assert SOLVERS[name](A, b, SolverConfig(maxiter=50), sketch=S).trace.records
+    cfg = SolverConfig(maxiter=50, sketch_rows=21, seed=5)
+    assert SOLVERS[name](A, b, cfg).trace.records
 
 
 @pytest.mark.parametrize("name", ["scmrh", "slslu"])
@@ -323,19 +316,30 @@ def test_scmrh_draws_its_sketch_in_one_pass(monkeypatch, diagnostics):
 
 @pytest.mark.parametrize("diagnostics", [False, True])
 @pytest.mark.parametrize("name", ["scmrh", "slslu"])
-def test_prebuilt_descriptor_is_never_materialized(monkeypatch, name, diagnostics):
-    # a prebuilt descriptor streams, and eps_embed needs no pass of its own
+def test_damped_sketches_come_from_the_config(monkeypatch, name, diagnostics):
+    # S has the config's rows and seed, S1 S's rows and a seed derived
+    # from it; both stream, and eps_embed needs no pass of its own
     _, A, b = problem_for(name, 53)
-    S = make_gaussian_sketch(60, A.rows, 11)
+    cfg = SolverConfig(maxiter=5, lam=0.5, seed=11, sketch_rows=60,
+                       compute_diagnostics=diagnostics)
     drawn = record_row_draws(monkeypatch)
-    cfg = SolverConfig(maxiter=5, lam=0.5, compute_diagnostics=diagnostics)
-    result = SOLVERS[name](A, b, cfg, sketch=S)
-    assert "entries" not in vars(S) and len(result.trace.records) == 5
+    draws, sketches = [], []
+    draw = solvers.make_gaussian_sketch
+
+    def recording(*args):
+        draws.append(args)
+        sketches.append(draw(*args))
+        return sketches[-1]
+
+    monkeypatch.setattr(solvers, "make_gaussian_sketch", recording)
+    result = SOLVERS[name](A, b, cfg)
+    assert draws == [(60, A.rows, 11), (60, A.cols, derive_seed(11, 1))]
+    assert all("entries" not in vars(S) for S in sketches)
+    assert len(result.trace.records) == 5
     assert all(r.eps_embed is not None for r in result.trace.records) == diagnostics
-    # one pass over S, and one over the damped solve's S1 (seeded from
-    # cfg.seed) of as many rows: each of their two blocks drawn once
+    # one pass over each: both 32-row blocks of S and of S1 drawn once
     blocks = sorted((seed, r) for seed, r, _ in drawn)
-    assert blocks == sorted((seed, r) for seed in (11, derive_seed(0, 1)) for r in (0, 1))
+    assert blocks == sorted((seed, r) for seed in (11, derive_seed(11, 1)) for r in (0, 1))
     assert sum(len(rows) for _, _, rows in drawn) == 2 * 60
 
 
@@ -841,10 +845,7 @@ def test_scmrh_scaled_orthogonal_sketch_is_exact_projection(monkeypatch):
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
     monkeypatch.setattr(solvers, "sketch_apply", lambda S, v, counters=None: 3.0 * Q @ v)
-    S = make_gaussian_sketch(10, 10, 0)
-    res = scmrh(
-        A, b, SolverConfig(maxiter=6, compute_diagnostics=True), sketch=S
-    )
+    res = scmrh(A, b, SolverConfig(maxiter=6, sketch_rows=10, compute_diagnostics=True))
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
         basis = np.column_stack(state.V_cols[:k])
@@ -1102,12 +1103,6 @@ def form_problems(form):
     return [(n, solver, A, b, m) for n, s, A, b, m in sketched_problems() if s is shape]
 
 
-def run_form(solver, A, b, cfg, sketch=None):
-    if solver in SKETCHED:
-        return solver(A, b, cfg, sketch=sketch)
-    return solver(A, b, cfg)
-
-
 def full_projected_system(cfg, S, result):
     """The whole projected system (M, rhs, N) recomputed from the
     factorization: for the quasi-minimal forms H, beta e1 and I."""
@@ -1134,7 +1129,7 @@ def test_triangle_solve_matches_from_scratch_solve(monkeypatch, lam, form):
         cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=4)
         S = form_sketch(solver, A, cfg)
         calls = record_qr_solves(monkeypatch)
-        result = run_form(solver, A, b, cfg, S)
+        result = solver(A, b, cfg)
         monkeypatch.undo()
         assert len(calls) == len(result.trace.records) == maxiter
         M, rhs, N = full_projected_system(cfg, S, result)
@@ -1153,7 +1148,7 @@ def test_each_step_solves_one_k_by_k_triangle(monkeypatch, lam, form):
     for name, solver, A, b, maxiter in form_problems(form):
         cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=5)
         calls = record_qr_solves(monkeypatch)
-        result = run_form(solver, A, b, cfg)
+        result = solver(A, b, cfg)
         monkeypatch.undo()
         assert not any(result.trace.column("rank_fallback"))
         steps = range(1, maxiter + 1)
@@ -1179,7 +1174,7 @@ def test_recorded_objectives_measure_the_projected_system(monkeypatch, lam, form
             return y, fallback
 
         monkeypatch.setattr(solvers, "_projected_solve", recording)
-        result = run_form(solver, A, b, cfg, S)
+        result = solver(A, b, cfg)
         monkeypatch.undo()
         M, rhs, N = full_projected_system(cfg, S, result)
         for k, (y, rec) in enumerate(zip(ys, result.trace.records), start=1):
@@ -1191,36 +1186,6 @@ def test_recorded_objectives_measure_the_projected_system(monkeypatch, lam, form
                 assert rec.sres_norm is None, case
             else:
                 assert rec.sres_norm == pytest.approx(data, rel=1e-10), case
-
-
-@pytest.mark.parametrize("solver", SKETCHED, ids=lambda s: s.__name__)
-def test_damped_prebuilt_sketch_pairs_with_s1_of_its_rows(monkeypatch, solver):
-    # the prebuilt S has its own seed and row count; S1 takes S's rows and
-    # a seed derived from cfg.seed, so an S1 drawn from S.seed or with the
-    # config's rows moves every y
-    lam = 0.5
-    for name, _, A, b, maxiter in form_problems(solver.__name__):
-        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=4)
-        S = make_gaussian_sketch(3 * (maxiter + 1), A.rows, 17)
-        assert S.out_rows != cfg.effective_sketch_rows(A.cols)
-        ys = []
-        solve = solvers._projected_solve
-
-        def recording(R, Z, k):
-            y, fallback = solve(R, Z, k)
-            ys.append(y)
-            return y, fallback
-
-        monkeypatch.setattr(solvers, "_projected_solve", recording)
-        result = solver(A, b, cfg, sketch=S)
-        monkeypatch.undo()
-        assert len(ys) == maxiter
-        M, rhs, N = full_sketched_system(cfg, S, result)
-        for k, y in enumerate(ys, start=1):
-            ref = stacked_tikhonov_ls(M[:, :k], N[:, :k], rhs, lam)
-            assert relative_gap(y, ref) <= 1e-12, (name, k)
-        V = result.factorization.V_cols.matrix(maxiter)
-        assert np.array_equal(result.x, V @ ys[-1]), name
 
 
 def full_system_solve(M, rhs, lam, N):
@@ -1414,14 +1379,16 @@ def test_res_norm_in_column_blocks_matches_one_gemv_per_step(monkeypatch, width,
             assert np.allclose(x, y, rtol=0, atol=1e-13 * np.abs(y).max()), name
 
 
-@pytest.mark.parametrize("name, vectors", [("cmrh", 4), ("lslu", 5)])
+@pytest.mark.parametrize("name, vectors", [("cmrh", 2), ("lslu", 3)])
 def test_hessenberg_solve_holds_its_bases_and_a_few_vectors(name, vectors):
     # a diagonal operator on 65,536 unknowns allocates nothing but its
-    # output.  Beyond its bases, cmrh holds four n-vectors at most: r0,
-    # the pivot order t, A's output or the one elimination temporary (the
-    # remainder is built in the basis's next column), and the returned x;
-    # lslu also holds the order g.  256 KiB covers the error pass's row
-    # block, H, the projected systems and interpreter-sized objects
+    # output.  Beyond its bases, cmrh holds two n-vectors at a time at
+    # most: the pivot order t, and A's output or the one elimination
+    # temporary (the remainder is built in the basis's next column) while
+    # building, the returned x after; lslu also holds the order g.  r0
+    # lives only while the builder starts from it, so one more vector
+    # fails.  256 KiB covers the error pass's row block, H, the projected
+    # systems and interpreter-sized objects
     n = 1 << 16
     rng = np.random.default_rng(0)
     d = 1.0 + rng.random(n)
@@ -1561,7 +1528,7 @@ def replay_basis(monkeypatch, cfg, S, problem, result, calls):
     for k in range(1, K + 1):
         monkeypatch.undo()
         mine = record_projected_solves(monkeypatch)
-        one = solver(A, b, replace(cfg, maxiter=k), sketch=S)
+        one = solver(A, b, replace(cfg, maxiter=k))
         case = (name, solver.__name__, k)
         assert one.termination == (result.termination if k == K else "maxiter"), case
         assert record_bytes(one) == record_bytes(result)[:k], case
@@ -1598,10 +1565,13 @@ def test_blocked_driver_replays_one_step_blocks(monkeypatch, lam, basis):
     replay = replay_basis if basis else replay_products
     for problem in products_problems():
         name, solver, A, b, maxiter = problem
-        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=7, compute_diagnostics=True)
-        S = make_gaussian_sketch(cfg.effective_sketch_rows(A.cols), A.rows, cfg.seed)
+        # a fixed sketch_rows keeps S, and S1, in the maxiter=k replays
+        rows = SolverConfig(maxiter=maxiter).effective_sketch_rows(A.cols)
+        cfg = SolverConfig(maxiter=maxiter, lam=lam, seed=7, sketch_rows=rows,
+                           compute_diagnostics=True)
+        S = make_gaussian_sketch(rows, A.rows, cfg.seed)
         calls = record_projected_solves(monkeypatch)
-        result = solver(A, b, cfg, sketch=S)
+        result = solver(A, b, cfg)
         if name in ("shift", "identity"):
             assert result.termination == "breakdown", name
         replay(monkeypatch, cfg, S, problem, result, calls)

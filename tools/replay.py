@@ -12,9 +12,10 @@ under ``--work`` (a temporary directory unless given).
   deblurring and tomography problems with the six solvers, over damping
   lambda in {0, 0.5}, diagnostics off and on, full and sampled(5) pivots,
   and with and without a start vector; scmrh and slslu also run with a
-  prebuilt sketch (its own seed and row count) at both lambdas, and on
-  the random and rectangular problems with maxiter twice the operator's
-  columns; trivial starts (b = 0 and an exact x0) come on top.  A 64x64
+  sketch of other rows and seed (sketch_rows 4 (maxiter + 1), seed 23)
+  at both lambdas, and on the random and rectangular problems with
+  maxiter twice the operator's columns; trivial starts (b = 0 and an
+  exact x0) come on top.  A 64x64
   deblurring problem at maxiter 80, whose basis spans more than one of
   the error pass's row blocks, runs gmres, cmrh and scmrh at both lambdas,
   with diagnostics, and a 64-grid, 60-angle tomography problem, large
@@ -146,10 +147,9 @@ def _library_problems(grid):
 
 
 def _library_cases(grid):
-    """(case, solver name, A, b, x_true, SolverConfig, sketch or None)."""
+    """(case, solver name, A, b, x_true, SolverConfig)."""
     from hessketch import SolverConfig
     from hessketch.hessenberg import PivotStrategy
-    from hessketch.sketch import make_gaussian_sketch
 
     pivots = {
         "full": PivotStrategy.full(),
@@ -164,8 +164,7 @@ def _library_cases(grid):
                 cfg = SolverConfig(
                     maxiter=maxiter, lam=lam, seed=11, compute_diagnostics=True
                 )
-                yield (f"{pname}-{name}-lam{lam}-diag1-x00-full", name, A, b, x_true,
-                       cfg, None)
+                yield f"{pname}-{name}-lam{lam}-diag1-x00-full", name, A, b, x_true, cfg
             continue
         for name in ("gmres", "lsqr", "cmrh", "lslu", "scmrh", "slslu"):
             if not A.is_square and name in ("gmres", "cmrh", "scmrh"):
@@ -191,46 +190,46 @@ def _library_cases(grid):
                     f"{pname}-{name}-lam{lam}-diag{int(diag)}"
                     f"-x0{int(start)}-{piv}"
                 )
-                yield case, name, A, b, x_true, cfg, None
+                yield case, name, A, b, x_true, cfg
             if grid == "smoke":
                 continue
             if name in ("scmrh", "slslu"):
-                # neither the seed nor the rows of the config's own sketch
-                sketch = make_gaussian_sketch(4 * (maxiter + 1), A.rows, 23)
+                # neither the seed nor the default rows of the other cases
                 for lam in (0.0, 0.5):
                     cfg = SolverConfig(
-                        maxiter=maxiter, lam=lam, seed=11, compute_diagnostics=True
+                        maxiter=maxiter,
+                        sketch_rows=4 * (maxiter + 1),
+                        lam=lam,
+                        seed=23,
+                        compute_diagnostics=True,
                     )
-                    yield (f"{pname}-{name}-lam{lam}-sketch", name, A, b, x_true,
-                           cfg, sketch)
+                    yield f"{pname}-{name}-lam{lam}-sketch", name, A, b, x_true, cfg
                 if pname in ("random", "rect"):
                     # more steps asked for than the operator has columns
                     cfg = SolverConfig(
                         maxiter=2 * A.cols, seed=11, compute_diagnostics=True
                     )
-                    yield (f"{pname}-{name}-maxiter2n", name, A, b, x_true, cfg,
-                           None)
+                    yield f"{pname}-{name}-maxiter2n", name, A, b, x_true, cfg
             # trivial starts: b = 0, and an exact x0 where b = A x_true
             for diag in (False, True):
                 zero = SolverConfig(maxiter=maxiter, compute_diagnostics=diag)
                 yield (f"{pname}-{name}-trivialb-diag{int(diag)}", name, A,
-                       np.zeros(A.rows), x_true, zero, None)
+                       np.zeros(A.rows), x_true, zero)
                 if pname in ("random", "rect"):
                     exact = replace(zero, x0=x_true)
                     yield (f"{pname}-{name}-trivialx0-diag{int(diag)}", name, A,
-                           b, x_true, exact, None)
+                           b, x_true, exact)
 
 
 def _run_library(grid):
     from hessketch import SOLVERS, trace_to_csv
     from hessketch.hessenberg import dump_factorization
 
-    for case, name, A, b, x_true, cfg, sketch in _library_cases(grid):
+    for case, name, A, b, x_true, cfg in _library_cases(grid):
         out = os.path.join("lib", case)
         os.makedirs(out)
-        extra = {} if sketch is None else {"sketch": sketch}
         try:
-            result = SOLVERS[name](A, b, cfg, x_true=x_true, **extra)
+            result = SOLVERS[name](A, b, cfg, x_true=x_true)
         except Exception as exc:  # recorded, then compared like any output
             _write(os.path.join(out, "error"), f"{type(exc).__name__}: {exc}\n")
             continue
