@@ -17,14 +17,18 @@ solver driver also gets from its Arnoldi and Golub-Kahan builders: the
 data basis (L or D) is its ``U_cols``, the solution basis L its ``V_cols``;
 each basis lives in one column-major array (a :class:`ColumnStore`).
 
-Every elimination coefficient is read off a single entry at a pivot
-position, so the construction performs no inner products; the counters on
-the operator certify that.  Pivots are chosen as the largest-magnitude
-entry over the not-yet-pivoted positions, either over all of them (full)
-or over a random subset redrawn each step (sampled).  A sampled subset can
-land entirely on zeros of a nonzero vector; since a zero pivot is fatal,
-selection then falls back to scanning the whole admissible set, and only
-an all-zero set signals breakdown.
+A new column u is eliminated against the k it follows with one triangular
+solve and one GEMV: its k coefficients c solve the unit lower triangular
+system of its entries at the k pivot rows, and the remainder is u - L_k c.
+Each row of L_k c is a length-k product of that row with c, which every
+row holds, not a sum over the n entries of a vector, so the construction
+performs no inner products; the counters on the operator certify that.
+Pivots are chosen as the largest-magnitude entry over the not-yet-pivoted
+positions, either over all of them (full) or over a random subset redrawn
+each step (sampled).  A sampled subset can land entirely on zeros of a
+nonzero vector; since a zero pivot is fatal, selection then falls back to
+scanning the whole admissible set, and only an all-zero set signals
+breakdown.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemv, dtpsv
 
 from .linops import _is_integer, save_array
 
@@ -142,15 +147,21 @@ def _swap_to_position(perm, used, idx):
     perm[used], perm[pos] = perm[pos], perm[used]
 
 
-def _reduce(u, store, perm, strategy, rng):
+def _reduce(u, store, perm, tri, strategy, rng):
     """Eliminate u against the store's k columns at the pivots perm[:k],
     then pivot the rest.
 
-    The remainder is built in the store's next column: u is copied in and
-    dropped, each ``c * l_j`` goes through one reused temporary, and the
-    pivot divides in place.  Returns the k+1 coefficients (the last is the
-    new pivot value, 0 on breakdown) and whether the column was added: not
-    when no nonzero entry is left or the basis spans the whole space.
+    ``tri`` holds P, the unit lower triangle of the pivot rows
+    (P[i, j] = l_j[perm[i]]), packed by rows: the column-major packed
+    upper storage of P^T, so its first k(k+1)/2 entries are P_k.  The k
+    coefficients c solve P_k c = u[perm[:k]], one triangular solve; the
+    remainder u - L_k c is formed in the store's next column by one GEMV,
+    and its pivoted rows are set to the exact zeros that unit
+    triangularity asks for.  The pivot then divides in place, and its row
+    of L (and a 1) is appended to P.  Returns the k+1 coefficients (the
+    last is the new pivot value, 0 on breakdown), whether the column was
+    added (not when no nonzero entry is left or the basis spans the whole
+    space), and P, reallocated when it had no room for the new row.
     """
     k = len(store)
     h = np.empty(k + 1)
@@ -158,34 +169,40 @@ def _reduce(u, store, perm, strategy, rng):
     col = store._slot()
     col[:] = u
     del u
-    tmp = np.empty_like(col) if k else None
-    for j in range(k):
-        c = col[perm[j]]
-        h[j] = c
-        np.multiply(c, store[j], out=tmp)
-        col -= tmp
+    if k:
+        pivots = perm[:k]
+        h[:k] = dtpsv(k, tri, col[pivots], trans=1, diag=1, overwrite_x=1)
+        dgemv(-1.0, store.matrix(k), h[:k], beta=1.0, y=col, overwrite_y=1)
+        col[pivots] = 0.0
     if k < col.size:
         idx, val = _pivot_with_fallback(col, perm[k:], strategy, rng)
     else:
         val = 0.0
     h[k] = val
     if val == 0.0:
-        return h, False
+        return h, False, tri
     _swap_to_position(perm, k, idx)
     col /= val
+    end = (k + 1) * (k + 2) // 2
+    if tri.size < end:
+        # room for as many rows as the store has columns; keeps P_k
+        tri = np.resize(tri, store.capacity * (store.capacity + 1) // 2)
+    tri[end - k - 1 : end - 1] = store.matrix(k)[idx]
+    tri[end - 1] = 1.0
     store._commit()
-    return h, True
+    return h, True, tri
 
 
 def _pivoted_start(r0, store, strategy):
-    # reduce r0 into the empty store; its scale beta, its pivots and the
-    # sampling generator; TrivialSolution if r0 = 0
+    # reduce r0 into the empty store; its scale beta, its pivots, the
+    # packed triangle of its pivot rows (grown from empty) and the sampling
+    # generator; TrivialSolution if r0 = 0
     rng = np.random.default_rng(strategy.seed) if strategy.kind == "sampled" else None
     t = np.arange(r0.size)
-    h, added = _reduce(r0, store, t, strategy, rng)
+    h, added, tri = _reduce(r0, store, t, np.empty(0), strategy, rng)
     if not added:
         raise TrivialSolution("initial residual is zero; starting point is exact")
-    return h[0], t, rng
+    return h[0], t, tri, rng
 
 
 class ColumnStore(Sequence):
@@ -283,7 +300,10 @@ class KrylovFactorization:
     fields belong to single builders and stay None elsewhere: ``alpha``,
     the scale of A^T r0 (Golub-Kahan then keeps its next diagonal entry
     there); ``t`` and ``g``, the pivot orders
-    under which U and V are unit lower triangular; ``w_cols``, the columns
+    under which U and V are unit lower triangular; ``t_rows`` and
+    ``g_rows``, the unit lower triangles of U's rows at t and V's rows at
+    g, packed by rows, from which each step solves for its elimination
+    coefficients; ``w_cols``, the columns
     of the generalized process's upper triangular W with
     A^T U_{k+1} = V_{k+1} W_{k+1}; ``strategy`` and ``rng``, the pivot
     rule and its sampling generator.
@@ -301,6 +321,8 @@ class KrylovFactorization:
     alpha: float = None
     t: np.ndarray = None
     g: np.ndarray = None
+    t_rows: np.ndarray = None
+    g_rows: np.ndarray = None
     w_cols: list = None
     strategy: PivotStrategy = None
     rng: object = None
@@ -332,26 +354,31 @@ def init_square(A, r0, strategy=_FULL, *, capacity=None):
     if not A.is_square:
         raise ValueError("the square Hessenberg process needs a square operator")
     L = ColumnStore(r0.size, capacity)
-    beta, t, rng = _pivoted_start(r0, L, strategy)
+    beta, t, t_rows, rng = _pivoted_start(r0, L, strategy)
     return KrylovFactorization(
-        beta=beta, U_cols=L, V_cols=L, t=t, strategy=strategy, rng=rng
+        beta=beta, U_cols=L, V_cols=L, t=t, t_rows=t_rows, strategy=strategy, rng=rng
     )
 
 
 def step_square(state, A):
     """Advance the data side of the factorization by one column.
 
-    Applies A to the newest solution-basis column, eliminates against all
-    data-basis columns by reading coefficients at the t pivots, then
-    pivots the remainder.  An all-zero remainder is a lucky breakdown: H
-    gains a column with a zero subdiagonal entry and the basis stops
-    growing.  A v_k itself is left as the operator returned it.
+    Applies A to the newest solution-basis column, eliminates it against
+    all data-basis columns with coefficients solved for at the t pivots,
+    then pivots the remainder.  An all-zero remainder is a lucky
+    breakdown: H gains a column with a zero subdiagonal entry and the
+    basis stops growing.  A v_k itself is left as the operator returned it.
     """
     if state.breakdown:
         raise RuntimeError("factorization already broke down")
     # A's output is not bound here, so _reduce can drop it once copied
-    h, added = _reduce(
-        A.apply(state.V_cols[-1]), state.U_cols, state.t, state.strategy, state.rng
+    h, added, state.t_rows = _reduce(
+        A.apply(state.V_cols[-1]),
+        state.U_cols,
+        state.t,
+        state.t_rows,
+        state.strategy,
+        state.rng,
     )
     state.breakdown = not added
     state.h_cols.append(h)
@@ -367,9 +394,9 @@ def init_generalized(A, r0, strategy=_FULL, *, capacity=None):
     reserves room for that many columns in each basis.
     """
     U, V = ColumnStore(r0.size, capacity), ColumnStore(A.cols, capacity)
-    beta, t, rng = _pivoted_start(r0, U, strategy)
+    beta, t, t_rows, rng = _pivoted_start(r0, U, strategy)
     g = np.arange(A.cols)
-    h, added = _reduce(A.apply_transpose(r0), V, g, strategy, rng)
+    h, added, g_rows = _reduce(A.apply_transpose(r0), V, g, np.empty(0), strategy, rng)
     if not added:
         raise TrivialSolution(
             "transposed residual is zero; the normal equations already hold"
@@ -382,6 +409,8 @@ def init_generalized(A, r0, strategy=_FULL, *, capacity=None):
         alpha=h[0],
         t=t,
         g=g,
+        t_rows=t_rows,
+        g_rows=g_rows,
         w_cols=[np.array([r[g[0]]])],
         strategy=strategy,
         rng=rng,
@@ -392,16 +421,23 @@ def step_generalized(state, A):
     """Advance both bases by one column.
 
     Data side: :func:`step_square`, which gives H column k and u_{k+1}.
-    Solution side: A^T u_{k+1} is eliminated against v_1..v_k at the g
-    pivots, giving W column k+1 and v_{k+1}.  Breakdown on either side
-    (all remaining entries zero, or a basis reaching full dimension) is
-    terminal.
+    Solution side: A^T u_{k+1} is eliminated against v_1..v_k with
+    coefficients solved for at the g pivots, giving W column k+1 and
+    v_{k+1}.  Breakdown on either side (all remaining entries zero, or a
+    basis reaching full dimension) is terminal.
     """
     step_square(state, A)
     if state.breakdown:
         return state
     q = state.U_cols[-1]
-    w, added = _reduce(A.apply_transpose(q), state.V_cols, state.g, state.strategy, state.rng)
+    w, added, state.g_rows = _reduce(
+        A.apply_transpose(q),
+        state.V_cols,
+        state.g,
+        state.g_rows,
+        state.strategy,
+        state.rng,
+    )
     state.w_cols.append(w)
     state.breakdown = not added
     return state

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessketch.hessenberg import (
     ColumnStore,
@@ -14,6 +16,7 @@ from hessketch.hessenberg import (
     step_generalized,
     step_square,
 )
+from hessketch.hessenberg import _pivot_with_fallback, _swap_to_position
 from hessketch.linops import LinearOperator
 from hessketch.solvers import SolverConfig, cmrh
 
@@ -100,6 +103,63 @@ def dense_generalized_reference(M, b, steps):
     for j, col in enumerate(w_cols):
         W[: j + 1, j] = col
     return np.column_stack(D), np.column_stack(L), H, W, t, g
+
+
+# the per-column elimination that the triangular solve and GEMV replaced,
+# bit for bit: each coefficient read off the remainder at a pivot, then
+# one axpy
+
+
+def axpy_reduce(u, cols, perm, strategy, rng):
+    k = len(cols)
+    col = u.copy()
+    h = np.empty(k + 1)
+    for j in range(k):
+        h[j] = c = col[perm[j]]
+        col -= c * cols[j]
+    idx, val = 0, 0.0
+    if k < col.size:
+        idx, val = _pivot_with_fallback(col, perm[k:], strategy, rng)
+    h[k] = val
+    if val == 0.0:
+        return h, None
+    _swap_to_position(perm, k, idx)
+    return h, col / val
+
+
+def axpy_reference(M, b, steps, strategy=FULL, generalized=False):
+    """The square or generalized process built with axpy_reduce; returns
+    (U, V, H, W or None, t, g or None) as dense arrays."""
+    rng = np.random.default_rng(strategy.seed) if strategy.kind == "sampled" else None
+    t = np.arange(M.shape[0])
+    U = [axpy_reduce(b, [], t, strategy, rng)[1]]
+    V, g, w_cols = U, None, None
+    if generalized:
+        g = np.arange(M.shape[1])
+        V = [axpy_reduce(M.T @ b, [], g, strategy, rng)[1]]
+        w_cols = [np.array([(M.T @ U[0])[g[0]]])]
+    h_cols = []
+    for _ in range(steps):
+        h, col = axpy_reduce(M @ V[-1], U, t, strategy, rng)
+        h_cols.append(h)
+        if col is None:
+            break
+        U.append(col)
+        if generalized:
+            w, col = axpy_reduce(M.T @ U[-1], V, g, strategy, rng)
+            w_cols.append(w)
+            if col is None:
+                break
+            V.append(col)
+    H = np.zeros((len(h_cols) + 1, len(h_cols)))
+    for j, col in enumerate(h_cols):
+        H[: j + 2, j] = col
+    W = None
+    if generalized:
+        W = np.zeros((len(w_cols), len(w_cols)))
+        for j, col in enumerate(w_cols):
+            W[: j + 1, j] = col
+    return np.column_stack(U), np.column_stack(V), H, W, t, g
 
 
 def run_square(M, b, steps, strategy=FULL):
@@ -608,3 +668,78 @@ def test_generalized_views_equal_fresh_stack_at_full_dimension(capacity):
     assert np.linalg.norm(M.T @ D - L @ W[:, : D.shape[1]]) <= 1e-10 * scale * np.linalg.norm(D)
     assert_unit_triangular(state.U_cols, state.t)
     assert_unit_triangular(state.V_cols, state.g)
+
+
+def close(a, b):
+    return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize(
+    "pivot", [FULL, PivotStrategy.sampled(8, seed=19)], ids=["full", "sampled8"]
+)
+@pytest.mark.parametrize("shape", [(120, 120), (150, 90)], ids=["square", "rect"])
+def test_elimination_agrees_with_the_axpy_loop(shape, pivot):
+    # same pivots, and the same factorization up to rounding: the
+    # triangular solve and the GEMV only reorder the loop's arithmetic
+    rng = np.random.default_rng(71)
+    M = rng.standard_normal(shape)
+    b = rng.standard_normal(shape[0])
+    generalized = shape[0] != shape[1]
+    if generalized:
+        state, _ = run_generalized(M, b, 40, pivot)
+    else:
+        M += 12.0 * np.eye(shape[0])
+        state, _ = run_square(M, b, 40, pivot)
+    U, V, H, W, t, g = axpy_reference(M, b, 40, pivot, generalized)
+    assert len(state.h_cols) == 40 and not state.breakdown
+    assert np.array_equal(state.t, t)
+    assert close(state.H_matrix(), H)
+    assert close(state.U_cols.matrix(), U)
+    assert close(state.V_cols.matrix(), V)
+    if generalized:
+        assert np.array_equal(state.g, g)
+        assert close(state.W_matrix(), W)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(34, 60),
+    extra_steps=st.integers(0, 27),
+    generalized=st.booleans(),
+    pivot=st.sampled_from([FULL, PivotStrategy.sampled(6, seed=4)]),
+)
+def test_store_growth_changes_no_bit(seed, n, extra_steps, generalized, pivot):
+    # a store made without a capacity starts at 16 columns and doubles;
+    # past 16 and 32 columns its basis and pivot triangle are reallocated
+    # and the run must not tell
+    rng = np.random.default_rng(seed)
+    m = n + 7 if generalized else n
+    M = rng.standard_normal((m, n)) + (0.0 if generalized else 8.0 * np.eye(n))
+    b = rng.standard_normal(m)
+    A = LinearOperator.from_matrix(M)
+    init, step = init_square, step_square
+    if generalized:
+        init, step = init_generalized, step_generalized
+    steps = min(33 + extra_steps, n)
+    grown, ample = (init(A, b, pivot, capacity=c) for c in (None, n + 1))
+    for _ in range(steps):
+        for state in (grown, ample):
+            if not state.breakdown:
+                step(state, A)
+    assert grown.U_cols.capacity >= 64 > ample.U_cols.capacity
+    assert np.array_equal(grown.t, ample.t)
+    assert np.array_equal(grown.H_matrix(), ample.H_matrix())
+    for side in ("U_cols", "V_cols"):
+        grown_basis, ample_basis = getattr(grown, side), getattr(ample, side)
+        assert np.array_equal(grown_basis.matrix(), ample_basis.matrix())
+    k = len(grown.h_cols)
+    U, V = grown.U_cols.matrix(), grown.V_cols.matrix()
+    H = grown.H_matrix(rows=U.shape[1])
+    gap = np.linalg.norm(M @ V[:, :k] - U @ H)
+    assert gap <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(V)
+    assert_unit_triangular(grown.U_cols, grown.t)
+    if generalized:
+        assert np.array_equal(grown.g, ample.g)
+        assert np.array_equal(grown.W_matrix(), ample.W_matrix())
+        assert_unit_triangular(grown.V_cols, grown.g)

@@ -4,6 +4,10 @@ import importlib.util
 import io
 import pathlib
 
+import numpy as np
+
+from hessketch.linops import save_array
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -100,3 +104,31 @@ def test_reference_cases_are_reported_in_their_own_groups(tmp_path):
         "library, rank-deficient problems (gmres, lsqr)",
     ]
     assert groups["library, full-rank problems (gmres, lsqr)"]["res_norm"].cases == 1
+
+
+def test_a_pivot_order_miss_names_its_first_differing_position(tmp_path):
+    replay = load_tool()
+    order = np.arange(30)
+    # the worst value and the earliest difference come from different cases
+    swaps = {
+        "rect-lslu-lam0.0-diag0-x00-full": [18, 19],
+        "rect-slslu-lam0.5-sketch": [21, 29],
+    }
+    for case, swap in swaps.items():
+        for side, new in (("old", False), ("new", True)):
+            path = tmp_path / side / "lib" / case
+            path.mkdir(parents=True)
+            t = order.copy()
+            if new:
+                t[swap] = t[swap[::-1]]
+            save_array(path / "pivots_t.mm", t)
+            save_array(path / "pivots_g.mm", order[:18])
+    out = io.StringIO()
+    groups = replay.compare(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert replay.report(groups, out) == 1
+    lines = {line.split()[0]: line for line in out.getvalue().splitlines()[1:]}
+    assert lines["pivots_t.mm"].endswith(
+        "MISS 2 of 2 differ, worst 2.67e-01 at rect-slslu-lam0.5-sketch; "
+        "first differing position 18 at rect-lslu-lam0.0-diag0-x00-full"
+    ), lines["pivots_t.mm"]
+    assert lines["pivots_g.mm"].endswith("byte-identical (2)")

@@ -1383,11 +1383,12 @@ def test_res_norm_in_column_blocks_matches_one_gemv_per_step(monkeypatch, width,
 def test_hessenberg_solve_holds_its_bases_and_a_few_vectors(name, vectors):
     # a diagonal operator on 65,536 unknowns allocates nothing but its
     # output.  Beyond its bases, cmrh holds two n-vectors at a time at
-    # most: the pivot order t, and A's output or the one elimination
-    # temporary (the remainder is built in the basis's next column) while
-    # building, the returned x after; lslu also holds the order g.  r0
-    # lives only while the builder starts from it, so one more vector
-    # fails.  256 KiB covers the error pass's row block, H, the projected
+    # most: the pivot order t, and A's output until it is copied into the
+    # basis's next column (one triangular solve and one GEMV build the
+    # remainder there, with no temporary) while building, the returned x
+    # after; lslu also holds the order g.  r0 lives only while the builder
+    # starts from it, so one more vector fails.  256 KiB covers the error
+    # pass's row block, H, the packed pivot triangles, the projected
     # systems and interpreter-sized objects
     n = 1 << 16
     rng = np.random.default_rng(0)

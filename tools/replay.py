@@ -39,7 +39,9 @@ compared relative to its own largest value, except a residual column whose old v
 are all at rounding level (at most ``ROUNDING`` * ||b||): an exact zero
 measured as rounding noise is compared relative to ||b||.  ``TOLERANCES`` holds the
 gates.  A field that misses its gate is printed as MISS, never skipped,
-and then the exit status is 1.  Timings are volatile and never written:
+and then the exit status is 1.  A pivot order that differs also names the
+first position (counted from 0) at which any case's order differs, and
+that case.  Timings are volatile and never written:
 ``trace_to_csv`` leaves ``wall_ms`` empty, and ``compare.csv`` has no
 ``wall_ms`` rows.  No golden outputs are kept, since BLAS builds differ
 between machines; the two trees run on the same one.
@@ -91,6 +93,7 @@ REFERENCES = ("gmres", "lsqr")
 # residual columns, and the level, relative to ||b||, up to which their
 # values are rounding noise around an exact zero
 RESIDUAL_COLUMNS = ("res_norm", "sres_norm", "proj_obj")
+PIVOT_FILES = ("pivots_t.mm", "pivots_g.mm")
 ROUNDING = 1e3 * np.finfo(float).eps
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -383,13 +386,16 @@ class Field:
         self.identical = True
         self.worst = 0.0
         self.worst_case = None
+        self.first = None  # (position, case) of the earliest difference
 
-    def add(self, case, identical, diff=0.0):
+    def add(self, case, identical, diff=0.0, position=None):
         self.cases += 1
         self.differ += not identical
         self.identical &= identical
         if not identical and (self.worst_case is None or not diff <= self.worst):
             self.worst, self.worst_case = diff, case
+        if position is not None and (self.first is None or position < self.first[0]):
+            self.first = position, case
 
     @property
     def missed(self):
@@ -400,10 +406,13 @@ class Field:
     def describe(self):
         if self.identical:
             return f"byte-identical ({self.cases})"
-        return (
+        text = (
             f"{self.differ} of {self.cases} differ, worst {self.worst:.2e} "
             f"at {self.worst_case}"
         )
+        if self.first is not None:
+            text += f"; first differing position {self.first[0]} at {self.first[1]}"
+        return text
 
 
 def _rel(a, b, scale=None):
@@ -436,6 +445,14 @@ def _text_diff(a, b):
     return _rel(
         [float(t) for t in _NUMBER.findall(a)], [float(t) for t in _NUMBER.findall(b)]
     )
+
+
+def _first_difference(a, b):
+    # the first entry at which two MatrixMarket vectors differ, or the
+    # shorter length when one is a prefix of the other; comments dropped,
+    # the first two numbers are the dimensions
+    a, b = ([float(t) for t in re.sub("%.*", "", text).split()][2:] for text in (a, b))
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 def _csv_columns(text):
@@ -542,7 +559,10 @@ def compare(old_root, new_root):
         else:
             tol = TOLERANCES.get(name, DEFAULT_TOLERANCE)
             diff = _text_diff(old.decode(), new.decode())
-            field(group, name, tol).add(case, old == new, diff)
+            position = None
+            if name in PIVOT_FILES and old != new:
+                position = _first_difference(old.decode(), new.decode())
+            field(group, name, tol).add(case, old == new, diff, position)
     return groups
 
 
