@@ -94,6 +94,15 @@ class OpCounters:
         )
 
 
+def _real(name, value):
+    """``value`` as a float array; a complex one is refused by name, since
+    the cast would drop its imaginary part."""
+    value = np.asarray(value)
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real; it has complex dtype {value.dtype}")
+    return np.asarray(value, dtype=float)
+
+
 def _checked_output(out, direction, length):
     out = np.asarray(out)
     if np.iscomplexobj(out):
@@ -150,7 +159,7 @@ class LinearOperator:
 
     def apply(self, x):
         """Return A @ x and count one forward application."""
-        x = np.asarray(x, dtype=float)
+        x = _real("x", x)
         if x.shape != (self.cols,):
             raise ValueError(
                 f"operator expects a vector of length {self.cols}, got shape {x.shape}"
@@ -160,7 +169,7 @@ class LinearOperator:
 
     def apply_transpose(self, y):
         """Return A.T @ y and count one transpose application."""
-        y = np.asarray(y, dtype=float)
+        y = _real("y", y)
         if y.shape != (self.rows,):
             raise ValueError(
                 f"operator transpose expects a vector of length {self.rows}, got shape {y.shape}"
@@ -414,13 +423,13 @@ def dense_qr_ls(M, rhs):
     Raises
     ------
     ValueError
-        If M or rhs holds NaN or inf; the message names which.
+        If M or rhs is complex or holds NaN or inf; the message names which.
     RankDeficiencyError
         If the smallest |R| diagonal falls below ``RANK_TOL`` times the
         largest; the exception carries the detected numerical rank.
     """
-    M = np.asarray(M, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    M = _real("M", M)
+    rhs = _real("rhs", rhs)
     if M.ndim != 2:
         raise ValueError("M must be 2-D")
     l, k = M.shape
@@ -466,9 +475,9 @@ def stacked_tikhonov_ls(M, N, rhs, lam):
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:
         return dense_qr_ls(M, rhs)
-    M = np.asarray(M, dtype=float)
-    N = np.asarray(N, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    M = _real("M", M)
+    N = _real("N", N)
+    rhs = _real("rhs", rhs)
     if N.shape[1] != M.shape[1]:
         raise ValueError("M and N must have the same number of columns")
     if not np.isfinite(N).all():

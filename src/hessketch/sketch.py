@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import _is_integer, dense_qr_ls, run_blocks
+from .linops import _is_integer, _real, dense_qr_ls, run_blocks
 
 __all__ = [
     "SketchOperator",
@@ -174,9 +174,9 @@ def sketch_apply(S, v, counters=None):
     block at once.
 
     A block is one pass over the blocks drawn from the seed, and charges
-    b sketch applications; a vector charges one.
+    b sketch applications; a vector charges one.  A complex v is refused.
     """
-    v = np.asarray(v, dtype=float)
+    v = _real("v", v)
     if v.ndim not in (1, 2) or v.shape[0] != S.in_rows:
         raise ValueError(
             f"sketch expects a vector of length {S.in_rows} or a block of "
@@ -204,7 +204,7 @@ def sketch_and_solve_ls(S, M, rhs, counters=None):
     ``S.out_rows >= k`` so the compressed problem is still overdetermined
     (or square).
     """
-    M = np.asarray(M, dtype=float)
+    M = _real("M", M)
     if M.ndim != 2 or M.shape[0] != S.in_rows:
         raise ValueError(
             f"M must have {S.in_rows} rows to be sketched, got shape {M.shape}"
@@ -214,7 +214,7 @@ def sketch_and_solve_ls(S, M, rhs, counters=None):
             f"sketch with {S.out_rows} rows cannot preserve a "
             f"{M.shape[1]}-dimensional least-squares problem"
         )
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = _real("rhs", rhs)
     if rhs.shape != (S.in_rows,):
         raise ValueError(
             f"rhs must be a vector of length {S.in_rows}, got shape {rhs.shape}"
@@ -234,7 +234,7 @@ def measured_epsilon(S, basis):
 
     A diagnostic: never touches operation counters.
     """
-    basis = np.asarray(basis, dtype=float)
+    basis = _real("basis", basis)
     if basis.ndim != 2 or basis.shape[0] != S.in_rows:
         raise ValueError(
             f"basis must have {S.in_rows} rows, got shape {basis.shape}"

@@ -1,7 +1,9 @@
 """Every demo runs end to end, in a scratch working directory.
 
 Running a demo checks that every name it imports from hessketch exists
-and that every attribute it reads on a result or factorization does."""
+and that every attribute it reads on a result or factorization does.  A
+demo that certifies a bound, as ``sketch_bounds.py`` does, exits nonzero
+when the bound is violated, which fails its case here."""
 
 import pathlib
 import runpy

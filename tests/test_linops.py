@@ -238,6 +238,28 @@ def test_matrixmarket_roundtrip_matrix(tmp_path):
     assert np.allclose(scipy.io.mmread(p), M)
 
 
+COMPLEX_KERNELS = {
+    "apply": ("x", lambda A, z: A.apply(z[:3])),
+    "apply_transpose": ("y", lambda A, z: A.apply_transpose(z)),
+    "dense_qr_ls": ("M", lambda A, z: dense_qr_ls(np.outer(z, z[:2]), np.ones(4))),
+    "dense_qr_ls-rhs": ("rhs", lambda A, z: dense_qr_ls(np.eye(4)[:, :2], z)),
+    "stacked_tikhonov_ls": (
+        "N",
+        lambda A, z: stacked_tikhonov_ls(np.eye(4)[:, :2], np.outer(z, z[:2]), np.ones(4), 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", COMPLEX_KERNELS.values(), ids=COMPLEX_KERNELS)
+def test_complex_input_rejected_naming_the_argument(kernel):
+    # casting would drop the imaginary part: 1j * ones would read as zeros
+    name, call = kernel
+    A = LinearOperator.from_matrix(np.ones((4, 3)))
+    with pytest.raises(ValueError, match=f"^{name} must be real; it has complex dtype"):
+        call(A, 1j * np.ones(4))
+    assert A.counters.snapshot() == (0, 0, 0, 0)
+
+
 @pytest.mark.parametrize(
     "M",
     [

@@ -109,7 +109,8 @@ def test_reference_cases_are_reported_in_their_own_groups(tmp_path):
 def test_a_pivot_order_miss_names_its_first_differing_position(tmp_path):
     replay = load_tool()
     order = np.arange(30)
-    # the worst value and the earliest difference come from different cases
+    # the worst value and the earliest difference come from different cases;
+    # the worst is 8 / 29, scaled by the largest entry, not the size line's 30
     swaps = {
         "rect-lslu-lam0.0-diag0-x00-full": [18, 19],
         "rect-slslu-lam0.5-sketch": [21, 29],
@@ -128,7 +129,23 @@ def test_a_pivot_order_miss_names_its_first_differing_position(tmp_path):
     assert replay.report(groups, out) == 1
     lines = {line.split()[0]: line for line in out.getvalue().splitlines()[1:]}
     assert lines["pivots_t.mm"].endswith(
-        "MISS 2 of 2 differ, worst 2.67e-01 at rect-slslu-lam0.5-sketch; "
+        "MISS 2 of 2 differ, worst 2.76e-01 at rect-slslu-lam0.5-sketch; "
         "first differing position 18 at rect-lslu-lam0.0-diag0-x00-full"
     ), lines["pivots_t.mm"]
     assert lines["pivots_g.mm"].endswith("byte-identical (2)")
+
+
+def test_a_matrix_market_file_is_scaled_by_its_entries_alone(tmp_path):
+    # the size line's dimensions are far larger than these entries: they
+    # must not scale the difference
+    replay = load_tool()
+    H = np.array([[1e-3, 2e-3], [3e-3, 4e-3]])
+    for side, scale in (("old", 1.0), ("new", 1.0 + 1e-12)):
+        path = tmp_path / side / "lib" / "random-cmrh"
+        path.mkdir(parents=True)
+        save_array(path / "H.mm", H * [[1.0, 1.0], [1.0, scale]])
+    out = io.StringIO()
+    groups = replay.compare(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert replay.report(groups, out) == 1
+    worst = groups["library, full-rank problems"]["H.mm"].worst
+    assert abs(worst - 1e-12) < 1e-14, worst

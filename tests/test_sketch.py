@@ -460,6 +460,25 @@ def test_sketch_apply_rejects_misshapen_input(shape):
         sketch_apply(S, np.ones(shape))
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("v", lambda S, z: sketch_apply(S, z)),
+        ("v", lambda S, z: sketch_apply(S, np.column_stack([z, z]))),
+        ("M", lambda S, z: sketch_and_solve_ls(S, z[:, None], np.ones(12))),
+        ("rhs", lambda S, z: sketch_and_solve_ls(S, np.ones((12, 1)), z)),
+        ("basis", lambda S, z: measured_epsilon(S, z[:, None])),
+    ],
+    ids=["sketch_apply", "sketch_apply-block", "sketch_and_solve_ls",
+         "sketch_and_solve_ls-rhs", "measured_epsilon"],
+)
+def test_complex_input_rejected_naming_the_argument(name, call):
+    # casting would drop the imaginary part: S (1j * ones) would read as zeros
+    S = make_gaussian_sketch(5, 12, seed=1)
+    with pytest.raises(ValueError, match=f"^{name} must be real; it has complex dtype"):
+        call(S, 1j * np.ones(12))
+
+
 def test_sketch_apply_linearity():
     S = make_gaussian_sketch(8, 30, seed=9)
     rng = np.random.default_rng(9)

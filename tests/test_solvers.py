@@ -1,4 +1,5 @@
 import io
+import itertools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -1334,49 +1335,89 @@ def test_iterates_in_blocks_match_one_gemv_per_column(
             assert plain.trace.column("rel_err") == [None] * K, name
 
 
-# columns per block of the diagnostics' iterates: one (the bytes of less
-# than one column), four (ragged on 20 and 15 columns), and the default
-# 2 MB, which holds every column of these solves
-ITERATE_BLOCKS = {"one-column": 1, "ragged": 4, "single": None}
+def deficient_shift_problem(name):
+    """A rank-5 operator on which every builder breaks down exactly: a
+    cyclic shift of five coordinates, zero elsewhere.  Square, with b off
+    its range; rectangular, with its rows scaled by powers of two and b in
+    its range."""
+    if name in SQUARE_ONLY:
+        M = np.zeros((12, 12))
+        M[:5, :5] = np.roll(np.eye(5), 1, axis=0)
+        b = np.zeros(12)
+        b[[0, 7]] = 1.0, 2.0
+    else:
+        M = np.zeros((14, 10))
+        M[:5, :5] = np.roll(np.eye(5), 1, axis=0) * 2.0 ** np.arange(5)[:, None]
+        b = np.zeros(14)
+        b[:5] = 1.0
+    return M, LinearOperator.from_matrix(M), b
 
 
-@pytest.mark.parametrize("width", ITERATE_BLOCKS.values(), ids=ITERATE_BLOCKS)
-@pytest.mark.parametrize("start", [False, True], ids=["no-x0", "x0"])
-def test_res_norm_in_column_blocks_matches_one_gemv_per_step(monkeypatch, width, start):
-    # res_norm's iterates are V_K Y, formed a block of columns at a time;
-    # each step reads the residual of one GEMV, x0 + V_k y_k, to within
-    # 1e-13 of the column's largest value, replay's gate for res_norm
+def test_res_norm_read_off_the_factorization_matches_the_explicit_residual(
+    monkeypatch,
+):
+    # res_norm is ||R_j (beta e1 - H y_k)[:j]||, read off the QR of U_j and
+    # H, with no iterate and no operator apply.  It matches ||b - A x_k||,
+    # x_k = x0 + V_k y_k, to within 1e-13 of the column's largest value,
+    # replay's gate for res_norm, plus two terms that are at rounding level
+    # unless the basis grows: what the factorization's own rounding leaves
+    # of A V_k = U_j H_{j,k} along y_k (the residual gap), and what the
+    # rounding of x_k, within gamma_{k+1} (|V_k| |y| + |x0|) entry by
+    # entry, moves A x_k by.  Sampled pivots on the scaled shift grow V's
+    # entries to 2^16 and |y| to 4.5e4 in lslu and slslu: there the terms
+    # reach 8e-11 and 1e-9, and the two residuals differ by up to 1.1e-10,
+    # 6e-11 of the column's largest value.
+    # Cases: sampled pivots, lam = 0, a start vector, and breakdowns at
+    # which U_{K+1} lacks its last column
+    pivots = (PivotStrategy.full(), PivotStrategy.sampled(3, seed=4))
     for name in sorted(SOLVERS):
-        _, A, b = problem_for(name, 33)
-        x0 = 0.1 * np.random.default_rng(33).standard_normal(A.cols) if start else None
-        cfg = SolverConfig(maxiter=A.cols, lam=0.5, seed=5, x0=x0, compute_diagnostics=True)
-        ys, solve, observed = [], solvers._projected_solve, []
-        observe = solvers._observe
+        for problem in ("random", "shift"):
+            if problem == "random":
+                M, A, b = problem_for(name, 34)
+            else:
+                M, A, b = deficient_shift_problem(name)
+            for lam, pivot, start in itertools.product((0.0, 0.5), pivots, (False, True)):
+                case = (name, problem, lam, pivot.kind, start)
+                x0 = 0.25 * (np.arange(A.cols) % 3) if start else None
+                cfg = SolverConfig(maxiter=A.cols, lam=lam, seed=5, pivot=pivot, x0=x0,
+                                   compute_diagnostics=True)
+                ys, solve, forward = [], solvers._projected_solve, A.forward
 
-        def recording(R, Z, k):
-            y, fallback = solve(R, Z, k)
-            ys.append(y)
-            return y, fallback
+                def recording(R, Z, k):
+                    y, fallback = solve(R, Z, k)
+                    ys.append(y)
+                    return y, fallback
 
-        def observing(rec, A, b, x, cfg, x_true):
-            observed.append(x.copy())
-            return observe(rec, A, b, x, cfg, x_true)
+                def applying(x):
+                    applied.append(x)
+                    return forward(x)
 
-        if width is not None:
-            monkeypatch.setattr(solvers, "_ITERATE_BLOCK_BYTES", 8 * A.cols * width)
-        monkeypatch.setattr(solvers, "_projected_solve", recording)
-        monkeypatch.setattr(solvers, "_observe", observing)
-        result = SOLVERS[name](A, b, cfg)
-        monkeypatch.undo()
-        V = result.factorization.V_cols
-        offset = np.zeros(A.cols) if x0 is None else x0
-        iterates = [offset + V.matrix(k) @ y for k, y in enumerate(ys, start=1)]
-        assert len(observed) == len(iterates) == len(result.trace.records), name
-        res = np.array([np.linalg.norm(b - A.forward(x)) for x in iterates])
-        got = np.array(result.trace.column("res_norm"))
-        assert np.max(np.abs(got - res)) <= 1e-13 * np.max(res), name
-        for x, y in zip(observed, iterates):
-            assert np.allclose(x, y, rtol=0, atol=1e-13 * np.abs(y).max()), name
+                applied = []
+                monkeypatch.setattr(solvers, "_projected_solve", recording)
+                monkeypatch.setattr(A, "forward", applying)
+                result = SOLVERS[name](A, b, cfg)
+                monkeypatch.undo()
+                records, state = result.trace.records, result.factorization
+                # every forward apply is a counted one: diagnostics make none
+                assert len(applied) == records[-1].matvecs, case
+                if problem == "shift":
+                    assert result.termination == "breakdown", case
+                    assert len(state.U_cols) == len(state.h_cols), case
+                U, V = state.U_cols, state.V_cols
+                H = state.H_matrix(len(U))
+                offset = np.zeros(A.cols) if x0 is None else x0
+                res, gaps = [], []
+                for k, y in enumerate(ys, start=1):
+                    res.append(np.linalg.norm(b - M @ (offset + V.matrix(k) @ y)))
+                    j = min(k + 1, len(U))
+                    relation = M @ V.matrix(k) - U.matrix(j) @ H[:j, :k]
+                    moved = gamma(k + 1) * (np.abs(V.matrix(k)) @ np.abs(y) + np.abs(offset))
+                    gaps.append(
+                        np.linalg.norm(relation @ y) + np.linalg.norm(np.abs(M) @ moved)
+                    )
+                got = np.array(result.trace.column("res_norm"))
+                tol = 1e-13 * max(res) + np.array(gaps)
+                assert np.all(np.abs(got - res) <= tol), case
 
 
 @pytest.mark.parametrize("name, vectors", [("cmrh", 2), ("lslu", 3)])
@@ -1633,6 +1674,15 @@ def test_oracle_one_dimensional_closed_form():
     Ab = M @ b
     y, _ = projected_minres_oracle(A, b, b)
     assert y[0] == pytest.approx(np.dot(Ab, b) / np.dot(Ab, Ab), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["basis", "b"])
+def test_oracle_rejects_complex_input_by_name(name):
+    _, A, b = make_square(34, 7)
+    inputs = {"basis": b, "b": b}
+    inputs[name] = 1j * b
+    with pytest.raises(ValueError, match=f"^{name} must be real; it has complex dtype"):
+        projected_minres_oracle(A, inputs["basis"], inputs["b"])
 
 
 def test_trace_csv_layout_and_determinism():

@@ -37,7 +37,9 @@ problems, rank-deficient problems and the CLI; the library cases of the
 references (gmres, lsqr) get groups of their own.  A trace column is
 compared relative to its own largest value, except a residual column whose old values
 are all at rounding level (at most ``ROUNDING`` * ||b||): an exact zero
-measured as rounding noise is compared relative to ||b||.  ``TOLERANCES`` holds the
+measured as rounding noise is compared relative to ||b||.  A MatrixMarket
+file is compared relative to its largest entry, and its header (comments
+and size line) must match exactly.  ``TOLERANCES`` holds the
 gates.  A field that misses its gate is printed as MISS, never skipped,
 and then the exit status is 1.  A pivot order that differs also names the
 first position (counted from 0) at which any case's order differs, and
@@ -438,8 +440,22 @@ def _vector_diff(a, b):
     return float(np.linalg.norm(a - b) / scale) if scale > 0 else np.inf
 
 
+def _matrix_market(text):
+    # a MatrixMarket file's header (its comments and its size line) and
+    # the text of its entries
+    lines = text.split("\n")
+    size = next((i for i, line in enumerate(lines) if not line.startswith("%")), len(lines))
+    return "\n".join(lines[: size + 1]), "\n".join(lines[size + 1 :])
+
+
 def _text_diff(a, b):
-    # numbers compared by value, everything between them exactly
+    # numbers compared by value, everything between them exactly; a
+    # MatrixMarket header is compared exactly instead, so that the
+    # dimensions in its size line do not scale the entries' difference
+    if a.startswith("%%MatrixMarket"):
+        (head_a, a), (head_b, b) = _matrix_market(a), _matrix_market(b)
+        if head_a != head_b:
+            return np.inf
     if _NUMBER.split(a) != _NUMBER.split(b):
         return np.inf
     return _rel(
@@ -449,9 +465,8 @@ def _text_diff(a, b):
 
 def _first_difference(a, b):
     # the first entry at which two MatrixMarket vectors differ, or the
-    # shorter length when one is a prefix of the other; comments dropped,
-    # the first two numbers are the dimensions
-    a, b = ([float(t) for t in re.sub("%.*", "", text).split()][2:] for text in (a, b))
+    # shorter length when one is a prefix of the other
+    a, b = ([float(t) for t in _matrix_market(text)[1].split()] for text in (a, b))
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
