@@ -2,7 +2,7 @@
 
 Builds a config file, runs `hessketch sweep --param seed`, and prints the
 aggregate statistics the harness writes.  Rerunning produces byte-identical
-CSVs; set HESSKETCH_SEED to pin every seed from the environment instead.
+CSVs: every seed comes from the config, and the sweep sets the solver seed.
 """
 
 import os

@@ -38,23 +38,24 @@ Exit codes:
 
 * 0: success.
 * 2: config error.  The message names the offending field (with its line
-  for syntax errors and unknown keys) and nothing is written.  Solver values
-  are checked by SolverConfig and PivotStrategy, whether they come from the
-  file, from ``sweep --values`` or from ``HESSKETCH_SEED``, all before the
-  problem is built.
+  for syntax errors and unknown keys) and nothing is written.  A problem
+  key that its type or PSF does not read is an error, and so is a sweep
+  value listed twice.  Solver values are checked by SolverConfig and
+  PivotStrategy, whether they come from the file or from
+  ``sweep --values``, all before the problem is built.
 * 1: a solver raised at run time, such as a sketch with fewer than K+1
   rows, K = min(maxiter, n) being the most steps the solve can take.
   Every run before it has written its files, and a ``PARTIAL`` file in
   the output directory names the failure and lists the runs that
   completed: labels for ``solve`` and ``compare``,
-  ``<label>.<param>.<value>`` stems for ``sweep``.
+  ``<label>.<param>.<value>`` stems for ``sweep``.  A run deletes any
+  ``PARTIAL`` an earlier run left before its first solve.
 
-The environment variable ``HESSKETCH_SEED`` replaces every seed read from
-the config (problem noise, solver sketch, sampled pivot) so CI runs are
-reproducible; explicit ``sweep --param seed`` values still take effect.
-Every output replays byte for byte: timings are never written and all
-randomness is seed-derived.  Output files are written to a temporary name
-and renamed into place.
+The config file is the only input: every seed (problem noise, solver
+sketch, sampled pivot) is read from it, and only ``sweep --param seed``
+overrides the solver seeds.  Every output replays byte for byte: timings
+are never written and all randomness is seed-derived.  Output files are
+written to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ _PROBLEM_KEYS = {
     "noise_level": float,
     "seed": int,
 }
+# the problem keys each type reads besides type, noise_level and seed, and
+# the ones a deblur problem reads for each PSF
+_TYPE_KEYS = {"deblur": ("size", "psf"), "tomography": ("grid", "angles")}
+_PSF_KEYS = {"gaussian": ("psf_sigma",), "motion": ("psf_length", "psf_angle")}
 _SOLVER_KEYS = {
     "name": str,
     "maxiter": int,
@@ -140,20 +145,7 @@ class ExperimentConfig:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        cfg = parse_config(text, source=str(path))
-        if seed_env := os.environ.get("HESSKETCH_SEED"):
-            try:
-                seed = int(seed_env)
-            except ValueError:
-                raise ConfigError(
-                    f"HESSKETCH_SEED must be an integer, got {seed_env!r}"
-                ) from None
-            cfg.problem["seed"] = seed
-            cfg.solvers = [
-                _respec(spec, "HESSKETCH_SEED", _reseed, seed=seed)
-                for spec in cfg.solvers
-            ]
-        return cfg
+        return parse_config(text, source=str(path))
 
 
 def _with_pivot(config, **changes):
@@ -284,7 +276,7 @@ def _solver_spec(label, fields, diagnostics, source):
 def validate_config(cfg):
     """Check the problem keys, and that each solver suits the problem."""
     ptype = cfg.problem.get("type")
-    if ptype not in ("deblur", "tomography"):
+    if ptype not in _TYPE_KEYS:
         raise ConfigError(
             f"{cfg.path}: problem.type must be 'deblur' or 'tomography', "
             f"got {ptype!r}"
@@ -293,13 +285,19 @@ def validate_config(cfg):
     for key in required:
         if key not in cfg.problem:
             raise ConfigError(f"{cfg.path}: missing required key problem.{key}")
-    if ptype == "deblur" and cfg.problem.get("psf", "gaussian") not in (
-        "gaussian",
-        "motion",
-    ):
-        raise ConfigError(
-            f"{cfg.path}: problem.psf must be 'gaussian' or 'motion'"
-        )
+    applies = ("type", "noise_level", "seed") + _TYPE_KEYS[ptype]
+    owner = f"problem.type = {ptype}"
+    if ptype == "deblur":
+        psf = cfg.problem.get("psf", "gaussian")
+        if psf not in _PSF_KEYS:
+            raise ConfigError(
+                f"{cfg.path}: problem.psf must be 'gaussian' or 'motion'"
+            )
+        applies += _PSF_KEYS[psf]
+        owner += f" with problem.psf = {psf}"
+    for key in cfg.problem:
+        if key not in applies:
+            raise ConfigError(f"{cfg.path}: problem.{key} does not apply to {owner}")
     if ptype == "tomography":
         for spec in cfg.solvers:
             if spec.name in SQUARE_ONLY_SOLVERS:
@@ -364,18 +362,6 @@ def _final_residual(problem, x):
 # the run loop and the three subcommands
 
 
-def _load(config_path, diagnostics):
-    """The parsed config; the ``--diagnostics`` flag turns diagnostics on
-    for every solver."""
-    cfg = ExperimentConfig.from_path(config_path)
-    if diagnostics:
-        cfg.solvers = [
-            _respec(spec, "--diagnostics", replace, compute_diagnostics=True)
-            for spec in cfg.solvers
-        ]
-    return cfg
-
-
 def _run(cfg, runs, write):
     """Build the problem, then run each ``(stem, spec)`` pair in order.
 
@@ -383,10 +369,14 @@ def _run(cfg, runs, write):
     returns; it gets ``x`` and the trace, but not the factorization, whose
     bases are dropped first.  Returns the exit code: 0, or 1 when a solver
     raises, after writing a PARTIAL file that names the failure and lists
-    every stem that completed before it.
+    every stem that completed before it.  A PARTIAL left by an earlier run
+    goes before the first solve.
     """
     problem = build_problem(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
+    partial = os.path.join(cfg.output_dir, "PARTIAL")
+    if os.path.exists(partial):
+        os.remove(partial)
     done = []
     for stem, spec in runs:
         try:
@@ -396,7 +386,7 @@ def _run(cfg, runs, write):
         except Exception as exc:
             error = f"solver {spec.label} failed: {exc}"
             lines = [f"failed: {error}"] + [f"completed: {s}" for s in done]
-            _write_lines(os.path.join(cfg.output_dir, "PARTIAL"), lines)
+            _write_lines(partial, lines)
             print(error, file=sys.stderr)
             return 1
         # no output reads the bases, the solve's largest arrays: free them
@@ -407,8 +397,8 @@ def _run(cfg, runs, write):
     return 0
 
 
-def cmd_solve(config_path, diagnostics=False):
-    cfg = _load(config_path, diagnostics)
+def cmd_solve(config_path):
+    cfg = ExperimentConfig.from_path(config_path)
 
     def write(stem, problem, result):
         base = os.path.join(cfg.output_dir, stem)
@@ -441,8 +431,8 @@ def _summary_line(label, problem, result):
     )
 
 
-def cmd_compare(config_path, diagnostics=False):
-    cfg = _load(config_path, diagnostics)
+def cmd_compare(config_path):
+    cfg = ExperimentConfig.from_path(config_path)
     if len(cfg.solvers) < 2:
         raise ConfigError(f"{cfg.path}: compare needs at least two solvers")
     rows = ["solver,iter,metric,value"]
@@ -466,11 +456,15 @@ def _sweep_values(param, raw_values):
     values = []
     for raw in raw_values:
         if param == "lambda":
-            values.append(float(raw))
+            value = float(raw)
         elif param == "sample_size":
-            values.append("full" if raw == "full" else int(raw))
+            value = "full" if raw == "full" else int(raw)
         else:
-            values.append(int(raw))
+            value = int(raw)
+        # 0.5 and 0.50 are one run, with one stem
+        if value in values:
+            raise ValueError(f"{param}={value} is listed twice")
+        values.append(value)
     return values
 
 
@@ -493,8 +487,8 @@ def _swept(spec, param, value):
     return _respec(spec, where, _with_pivot, kind="sampled", sample_size=value)
 
 
-def cmd_sweep(config_path, param, values, diagnostics=False):
-    cfg = _load(config_path, diagnostics)
+def cmd_sweep(config_path, param, values):
+    cfg = ExperimentConfig.from_path(config_path)
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}")
     try:
@@ -548,11 +542,6 @@ def main(argv=None):
     for name in ("solve", "compare", "sweep"):
         cmd = sub.add_parser(name)
         cmd.add_argument("config")
-        cmd.add_argument(
-            "--diagnostics",
-            action="store_true",
-            help="record exact residuals and conditioning each iteration",
-        )
         if name == "sweep":
             cmd.add_argument("--param", required=True)
             cmd.add_argument(
@@ -563,11 +552,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "solve":
-            return cmd_solve(args.config, args.diagnostics)
+            return cmd_solve(args.config)
         if args.command == "compare":
-            return cmd_compare(args.config, args.diagnostics)
+            return cmd_compare(args.config)
         values = [v for v in args.values.split(",") if v]
-        return cmd_sweep(args.config, args.param, values, args.diagnostics)
+        return cmd_sweep(args.config, args.param, values)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,11 +7,12 @@ A V_k = U_{k+1} H_{k+1,k}; the driver stacks the data system [C | c] =
 [H | beta e1], premultiplied by S U_{K+1} when the solver sketches, over
 the penalty rows [lam P | 0] into Z, and step k solves min ||Z_k y - z||
 on the first k columns Z_k of Z and its last column z; the iterate is
-x_k = x0 + V_k y.  One Householder QR Z = QR serves every step: step k
-solves its k-by-k triangle by a pivoted QR that forms no Q, and reads
-``proj_obj`` off R's last column; every step's error is read off one
-pass over V, in row blocks, without forming the iterates, and every
-step's residual norm off the factorization, without an operator apply.
+x_k = V_k y.  Every solve starts from x = 0, so r0 = b.  One Householder
+QR Z = QR serves every step: step k solves its k-by-k triangle by a
+pivoted QR that forms no Q, and reads ``proj_obj`` off R's last column;
+every step's error is read off one pass over V, in row blocks, without
+forming the iterates, and every step's residual norm off the
+factorization, without an operator apply.
 
 =========  ======================  ========================================
 solver     basis builder           projected problem
@@ -125,7 +126,6 @@ class SolverConfig:
     sketch_rows: int = None
     lam: float = 0.0
     seed: int = 0
-    x0: np.ndarray = None
     compute_diagnostics: bool = False
 
     def __post_init__(self):
@@ -269,8 +269,8 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False):
     the solve can produce, or raises TrivialSolution; ``step(state, A)``
     extends it by one column.
     This is the only iteration loop and the only place that reads ``b``,
-    ``cfg.x0``, ``x_true``, ``cfg.lam`` and the sketch: it owns input
-    checks, r0, trivial returns, the damped projected solve with its rank
+    ``x_true``, ``cfg.lam`` and the sketch: it owns input checks, the
+    start r0 = b, trivial returns, the damped projected solve with its rank
     fallback, and the trace records.  A sketched solve holds the data
     sketch S, drawn from ``cfg.sketch_rows`` and ``cfg.seed`` once the
     start proves nontrivial; the quasi-minimal solves have none.
@@ -292,12 +292,11 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False):
     Each record carries its own step's counts, sketched columns included,
     as if the steps had run one at a time.  Diagnostics read the leading
     blocks of one QR each of U_{K+1}, V and S U_{K+1}: S is never drawn
-    whole, and only a trivial solve's one ``res_norm`` applies A.
+    whole, and no diagnostic applies A.
     """
     cfg = cfg or SolverConfig()
     A = A.with_fresh_counters()
     b = _finite_vector("b", b, A.rows)
-    x0 = None if cfg.x0 is None else _finite_vector("x0", cfg.x0, A.cols)
     if x_true is not None:
         x_true = _finite_vector("x_true", x_true, A.cols)
         if np.linalg.norm(x_true) == 0.0:
@@ -313,19 +312,16 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False):
             f"problem; need at least {steps + 1} rows"
         )
     try:
-        # r0 = b - A x0 is held only while the builder starts from it
-        state = init(A, b if x0 is None else b - A.apply(x0), cfg.pivot, capacity=steps + 1)
+        state = init(A, b, cfg.pivot, capacity=steps + 1)
     except TrivialSolution:
-        x = np.zeros(A.cols) if x0 is None else x0.copy()
+        # x = 0, so its error is all of x_true and its residual all of b
         rec = TraceRecord(iteration=0)
         rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches = A.counters.snapshot()
         if x_true is not None:
-            rec.rel_err = float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true))
+            rec.rel_err = 1.0
         if cfg.compute_diagnostics:
-            # no factorization to read it off: the one explicit residual,
-            # by the raw forward map, so no counter moves
-            rec.res_norm = float(np.linalg.norm(b - np.asarray(A.forward(x), dtype=float)))
-        return SolveResult(x=x, trace=SolverTrace([rec]), termination="trivial")
+            rec.res_norm = float(np.linalg.norm(b))
+        return SolveResult(np.zeros(A.cols), SolverTrace([rec]), "trivial")
     S = make_gaussian_sketch(rows, A.rows, cfg.seed) if sketched else None
     built = []
     while len(built) < steps and not state.breakdown:
@@ -385,13 +381,11 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False):
         for rec, value in zip(trace.records, np.linalg.norm(data, axis=0)):
             rec.sres_norm = float(value)
     if x_true is not None:
-        errors = _rel_errors(state.V_cols.matrix(K), Y, x0, x_true)
+        errors = _rel_errors(state.V_cols.matrix(K), Y, x_true)
         for rec, error in zip(trace.records, errors):
             rec.rel_err = float(error)
     # the returned iterate is one GEMV on a view of the solution basis
     x = state.V_cols.matrix(K) @ y
-    if x0 is not None:
-        x = x0 + x
     termination = "breakdown" if state.breakdown else "maxiter"
     return SolveResult(x=x, trace=trace, termination=termination, factorization=state)
 
@@ -400,8 +394,8 @@ def _krylov(A, b, cfg, x_true, init, step, sketched=False):
 _ERROR_BLOCK_BYTES = 256 << 10
 
 
-def _rel_errors(V, Y, x0, x_true):
-    """||x_k - x_true|| / ||x_true|| of every iterate x_k = x0 + V y_k, y_k
+def _rel_errors(V, Y, x_true):
+    """||x_k - x_true|| / ||x_true|| of every iterate x_k = V y_k, y_k
     column k-1 of Y, in one pass over V: each row block of V is copied into
     one buffer of at most ``_ERROR_BLOCK_BYTES`` (one row at least), times
     Y's upper triangle in place, and adds its squares to every step's sum.
@@ -416,8 +410,6 @@ def _rel_errors(V, Y, x0, x_true):
         X[...] = V[start:stop]
         # X Y with Y's transpose, a lower triangle in Fortran order: no copy
         dtrmm(1.0, Y.T, X, side=1, lower=1, trans_a=1, overwrite_b=True)
-        if x0 is not None:
-            X += x0[start:stop, None]
         X -= x_true[start:stop, None]
         squares += np.einsum("ij,ij->j", X, X)
     return np.sqrt(squares) / np.linalg.norm(x_true)

@@ -113,10 +113,16 @@ def test_solve_rerun_is_byte_identical(tmp_path):
     ).read_bytes()
 
 
-def test_solve_diagnostics_flag_populates_residuals(tmp_path):
+def test_solve_diagnostics_flag_populates_residuals(tmp_path, capsys):
+    # the config key is the one switch: there is no command-line option
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, deblur_cfg(out, "solver.cmrh.maxiter = 3\n"))
-    assert cli.main(["solve", cfg, "--diagnostics"]) == 0
+    body = deblur_cfg(out, "solver.cmrh.maxiter = 3\n", extra="diagnostics = true\n")
+    cfg = write_cfg(tmp_path, body)
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["solve", cfg, "--diagnostics"])
+    assert usage.value.code == 2 and not out.exists()
+    assert "unrecognized arguments: --diagnostics" in capsys.readouterr().err
+    assert cli.main(["solve", cfg]) == 0
     rows = (out / "cmrh.trace.csv").read_text().strip().split("\n")[1:]
     res_col = CSV_COLUMNS.index("res_norm")
     assert all(row.split(",")[res_col] != "" for row in rows)
@@ -137,18 +143,22 @@ def test_solve_runtime_failure_exits_one_and_flags_partial(tmp_path, capsys):
     assert (out / "lslu.trace.csv").exists()
 
 
-def test_env_seed_override_unifies_runs(tmp_path, monkeypatch):
-    solvers = (
-        "solver.a.name = slslu\n"
-        "solver.a.seed = 1\n"
-        "solver.b.name = slslu\n"
-        "solver.b.seed = 2\n"
-    )
+@pytest.mark.parametrize(
+    "args",
+    [["solve"], ["compare"], ["sweep", "--param", "lambda", "--values", "0,0.5"]],
+    ids=["solve", "compare", "sweep"],
+)
+def test_successful_rerun_removes_a_stale_partial(tmp_path, args):
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, tomo_cfg(out, solvers))
-    monkeypatch.setenv("HESSKETCH_SEED", "9")
-    assert cli.main(["solve", cfg]) == 0
-    assert (out / "a.trace.csv").read_bytes() == (out / "b.trace.csv").read_bytes()
+    solvers = "solver.lslu.maxiter = 3\nsolver.slslu.maxiter = 3\n"
+    failing = write_cfg(
+        tmp_path, tomo_cfg(out, solvers + "solver.slslu.sketch_rows = 2\n"), "a.cfg"
+    )
+    passing = write_cfg(tmp_path, tomo_cfg(out, solvers), "b.cfg")
+    assert cli.main([args[0], failing, *args[1:]]) == 1
+    assert (out / "PARTIAL").exists()
+    assert cli.main([args[0], passing, *args[1:]]) == 0
+    assert not (out / "PARTIAL").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +219,23 @@ def test_sampled_pivot_requires_sample_size(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "lines, env_seed, names",
+    "lines, names",
     [
-        ("solver.s.sketch_rows = 0\n", None, ["solver.s:", "sketch_rows"]),
-        ("solver.s.pivot = sampled\nsolver.s.sample_size = 0\n", None,
+        ("solver.s.sketch_rows = 0\n", ["solver.s:", "sketch_rows"]),
+        ("solver.s.pivot = sampled\nsolver.s.sample_size = 0\n",
          ["solver.s:", "sample_size"]),
-        ("solver.s.pivot = bogus\n", None, ["solver.s:", "pivot kind 'bogus'"]),
-        ("solver.s.maxiter = 0\n", None, ["solver.s:", "maxiter"]),
-        ("solver.s.lambda = -1\n", None, ["solver.s:", "lam must"]),
-        ("solver.s.seed = -5\n", None, ["solver.s:", "seed must", "-5"]),
-        ("solver.s.pivot_seed = -1\n", None, ["solver.s:", "pivot seed", "-1"]),
-        ("", "-1", ["HESSKETCH_SEED", "solver.s:", "seed must", "-1"]),
-        ("solver.s.lambda = nan\n", None, ["solver.s:", "lam must be finite"]),
-        ("solver.s.lambda = inf\n", None, ["solver.s:", "lam must be finite"]),
+        ("solver.s.pivot = bogus\n", ["solver.s:", "pivot kind 'bogus'"]),
+        ("solver.s.maxiter = 0\n", ["solver.s:", "maxiter"]),
+        ("solver.s.lambda = -1\n", ["solver.s:", "lam must"]),
+        ("solver.s.seed = -5\n", ["solver.s:", "seed must", "-5"]),
+        ("solver.s.pivot_seed = -1\n", ["solver.s:", "pivot seed", "-1"]),
+        ("solver.s.lambda = nan\n", ["solver.s:", "lam must be finite"]),
+        ("solver.s.lambda = inf\n", ["solver.s:", "lam must be finite"]),
     ],
 )
-def test_invalid_solver_value_exits_two_before_any_output(
-    tmp_path, capsys, monkeypatch, lines, env_seed, names
-):
+def test_invalid_solver_value_exits_two_before_any_output(tmp_path, capsys, lines, names):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, tomo_cfg(out, "solver.s.name = slslu\n" + lines))
-    if env_seed is not None:
-        monkeypatch.setenv("HESSKETCH_SEED", env_seed)
     assert cli.main(["solve", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
@@ -262,6 +267,35 @@ def test_non_finite_problem_value_exits_two_before_any_output(
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert f"invalid problem: {name}" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, key, owner",
+    [
+        ("problem.type = deblur\nproblem.size = 16\nproblem.grid = 12\n",
+         "problem.grid", "problem.type = deblur with problem.psf = gaussian"),
+        ("problem.type = deblur\nproblem.size = 16\nproblem.angles = 8\n",
+         "problem.angles", "problem.type = deblur"),
+        ("problem.type = deblur\nproblem.size = 16\nproblem.psf_length = 7\n",
+         "problem.psf_length", "problem.psf = gaussian"),
+        ("problem.type = deblur\nproblem.size = 16\nproblem.psf = motion\n"
+         "problem.psf_sigma = 2\n", "problem.psf_sigma", "problem.psf = motion"),
+        ("problem.type = tomography\nproblem.grid = 12\nproblem.angles = 8\n"
+         "problem.size = 16\n", "problem.size", "problem.type = tomography"),
+        ("problem.type = tomography\nproblem.grid = 12\nproblem.angles = 8\n"
+         "problem.psf = motion\n", "problem.psf", "problem.type = tomography"),
+    ],
+    ids=["grid", "angles", "psf_length", "psf_sigma", "size", "psf"],
+)
+def test_problem_key_of_another_type_exits_two_before_any_output(
+    tmp_path, capsys, body, key, owner
+):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"{body}output_dir = {out}\nsolver.lslu.maxiter = 3\n")
+    assert cli.main(["solve", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} does not apply to " in err and owner in err, err
     assert not out.exists()
 
 
@@ -300,6 +334,10 @@ def test_psf_that_cannot_fit_exits_two_before_building_it(
          ["sweep sketch_rows=0", "solver.slslu:", "sketch_rows must"]),
         ("sample_size", "0", ["sweep sample_size=0", "solver.slslu:", "sample_size"]),
         ("seed", "-3", ["sweep seed=-3", "solver.slslu:", "seed must"]),
+        # one value twice after parsing: one stem, so one run
+        ("lambda", "0.5,0.50,1", ["lambda=0.5 is listed twice"]),
+        ("seed", "1,2,01", ["seed=1 is listed twice"]),
+        ("sample_size", "full,3,full", ["sample_size=full is listed twice"]),
     ],
 )
 def test_invalid_sweep_value_exits_two_before_any_output(

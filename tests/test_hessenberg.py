@@ -18,7 +18,6 @@ from hessketch.hessenberg import (
 )
 from hessketch.hessenberg import _pivot_with_fallback, _swap_to_position
 from hessketch.linops import LinearOperator
-from hessketch.solvers import SolverConfig, cmrh
 
 FULL = PivotStrategy.full()
 
@@ -267,8 +266,8 @@ def test_init_square_identity_example():
 
 
 def test_init_square_trivial_when_start_exact():
-    # an exact start leaves the residual r0 = b - A x0 the process starts
-    # from at zero; the solvers return x0 (test_cmrh_trivial_when_start_exact)
+    # the process starts from r0 = b; at b = 0 the solvers return x = 0
+    # (test_trivial_solve_returns_iteration_zero_record)
     A = LinearOperator.from_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]))
     with pytest.raises(TrivialSolution, match="starting point is exact"):
         init_square(A, np.zeros(2))
@@ -341,14 +340,6 @@ def test_square_inner_product_free_and_matvec_count():
     assert A.counters.dot_product_count == 0
     assert A.counters.matvec_count == 6
     assert A.counters.transpose_matvec_count == 0
-
-
-def test_square_x0_costs_one_matvec():
-    rng = np.random.default_rng(6)
-    A = LinearOperator.from_matrix(rng.standard_normal((7, 7)))
-    b, x0 = rng.standard_normal(7), rng.standard_normal(7)
-    res = cmrh(A, b, SolverConfig(maxiter=3, x0=x0))
-    assert res.trace.final().matvecs == 4
 
 
 def test_square_sampled_superset_bitwise_equals_full():

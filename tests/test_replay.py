@@ -112,7 +112,7 @@ def test_a_pivot_order_miss_names_its_first_differing_position(tmp_path):
     # the worst value and the earliest difference come from different cases;
     # the worst is 8 / 29, scaled by the largest entry, not the size line's 30
     swaps = {
-        "rect-lslu-lam0.0-diag0-x00-full": [18, 19],
+        "rect-lslu-lam0.0-diag0-full": [18, 19],
         "rect-slslu-lam0.5-sketch": [21, 29],
     }
     for case, swap in swaps.items():
@@ -130,7 +130,7 @@ def test_a_pivot_order_miss_names_its_first_differing_position(tmp_path):
     lines = {line.split()[0]: line for line in out.getvalue().splitlines()[1:]}
     assert lines["pivots_t.mm"].endswith(
         "MISS 2 of 2 differ, worst 2.76e-01 at rect-slslu-lam0.5-sketch; "
-        "first differing position 18 at rect-lslu-lam0.0-diag0-x00-full"
+        "first differing position 18 at rect-lslu-lam0.0-diag0-full"
     ), lines["pivots_t.mm"]
     assert lines["pivots_g.mm"].endswith("byte-identical (2)")
 

@@ -139,22 +139,6 @@ def test_nonfinite_b_rejected(name):
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_nonfinite_x0_rejected(name):
-    _, A, b = make_square(42, 6)
-    x0 = np.zeros(6)
-    x0[0] = np.inf
-    with pytest.raises(ValueError, match="x0 must be finite"):
-        SOLVERS[name](A, b, SolverConfig(maxiter=3, x0=x0))
-
-
-@pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_x0_of_wrong_length_rejected(name):
-    _, A, b = make_square(43, 6)
-    with pytest.raises(ValueError, match="x0 must have length 6"):
-        SOLVERS[name](A, b, SolverConfig(maxiter=3, x0=np.zeros(5)))
-
-
-@pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_misshapen_operator_output_rejected(name):
     # forward and transpose both return columns; the first one applied
     # (forward for the square solvers, transpose for the others) is named
@@ -183,33 +167,6 @@ def test_nonfinite_transpose_output_rejected(name):
         SOLVERS[name](A, b, SolverConfig(maxiter=3))
 
 
-@pytest.mark.parametrize(
-    "x_true, message",
-    [
-        (np.ones(1), "x_true must have length 20"),
-        (np.ones(3), "x_true must have length 20"),
-        (np.full(20, np.nan), "x_true must be finite"),
-        (np.zeros(20), "x_true must be nonzero"),
-    ],
-    ids=["length-1", "length-3", "nan", "zero"],
-)
-@pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_bad_x_true_rejected_before_any_apply(name, x_true, message):
-    # with a start vector, r0 alone would take a forward apply
-    M, _, b = make_square(47, 20)
-    applies = []
-
-    def forward(x):
-        applies.append(x)
-        return M @ x
-
-    A = LinearOperator(20, 20, forward, lambda y: M.T @ y)
-    cfg = SolverConfig(maxiter=3, x0=np.zeros(20))
-    with pytest.raises(ValueError, match=message):
-        SOLVERS[name](A, b, cfg, x_true=x_true)
-    assert applies == []
-
-
 def counting_operator(M, applies):
     # records every forward and transpose apply by direction
     def forward(x):
@@ -223,26 +180,46 @@ def counting_operator(M, applies):
     return LinearOperator(M.shape[0], M.shape[1], forward, transpose)
 
 
+@pytest.mark.parametrize(
+    "x_true, message",
+    [
+        (np.ones(1), "x_true must have length 20"),
+        (np.ones(3), "x_true must have length 20"),
+        (np.full(20, np.nan), "x_true must be finite"),
+        (np.zeros(20), "x_true must be nonzero"),
+    ],
+    ids=["length-1", "length-3", "nan", "zero"],
+)
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_bad_x_true_rejected_before_any_apply(name, x_true, message):
+    # lsqr, lslu and slslu start by applying A^T to b, and every solver's
+    # first step applies A
+    M, _, b = make_square(47, 20)
+    applies = []
+    A = counting_operator(M, applies)
+    with pytest.raises(ValueError, match=message):
+        SOLVERS[name](A, b, SolverConfig(maxiter=3), x_true=x_true)
+    assert applies == []
+
+
 # a sketch with fewer out_rows than the 4 a 3-step solve sketches
 @pytest.mark.parametrize("rows", [3], ids=["out_rows"])
 @pytest.mark.parametrize("name", ["scmrh", "slslu"])
-@pytest.mark.parametrize("start", ["x0", "b0"])
+@pytest.mark.parametrize("start", ["b", "b0"])
 def test_bad_sketch_rejected_before_any_apply(name, start, rows):
-    # with a start vector r0 alone would apply A, and slslu's start applies
-    # A^T; with b = 0 and no start vector the start would be trivial
+    # slslu's start applies A^T to a nonzero b, and every solver's first
+    # step applies A; with b = 0 the start would be trivial
     M, _, b = make_square(48, 20)
     applies = []
     A = counting_operator(M, applies)
-    if start == "x0":
-        cfg = SolverConfig(maxiter=3, sketch_rows=rows, x0=np.ones(20))
-    else:
-        cfg, b = SolverConfig(maxiter=3, sketch_rows=rows), np.zeros(20)
+    if start == "b0":
+        b = np.zeros(20)
     message = (
         f"sketch_rows={rows} cannot embed a 3-dimensional projected problem; "
         "need at least 4 rows"
     )
     with pytest.raises(ValueError, match=re.escape(message)):
-        SOLVERS[name](A, b, cfg)
+        SOLVERS[name](A, b, SolverConfig(maxiter=3, sketch_rows=rows))
     assert applies == []
 
 
@@ -344,15 +321,15 @@ def test_damped_sketches_come_from_the_config(monkeypatch, name, diagnostics):
     assert sum(len(rows) for _, _, rows in drawn) == 2 * 60
 
 
-@pytest.mark.parametrize("field", ["b", "x0", "x_true"])
+@pytest.mark.parametrize("field", ["b", "x_true"])
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_complex_inputs_rejected_naming_them(name, field):
     M, _, b = make_square(51, 6)
     applies = []
     A = counting_operator(M, applies)
-    inputs = {"b": b, "x0": np.zeros(6), "x_true": np.ones(6)}
+    inputs = {"b": b, "x_true": np.ones(6)}
     inputs[field] = inputs[field] + 1j
-    cfg = SolverConfig(maxiter=3, x0=inputs["x0"])
+    cfg = SolverConfig(maxiter=3)
     with pytest.raises(ValueError, match=f"^{field} must be real"):
         SOLVERS[name](A, inputs["b"], cfg, x_true=inputs["x_true"])
     assert applies == []
@@ -438,24 +415,21 @@ def test_kappa_basis_is_condition_of_data_basis(name):
         assert abs(rec.kappa_basis - kappa) <= diagnostics_tolerance(U)[0] * kappa
 
 
-@pytest.mark.parametrize("exact_x0", [False, True], ids=["zero_b", "exact_x0"])
 @pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_trivial_solve_returns_iteration_zero_record(name, exact_x0):
+def test_trivial_solve_returns_iteration_zero_record(name):
     M, A, _ = problem_for(name, 47)
     x_true = np.arange(1.0, M.shape[1] + 1)
-    b = M @ x_true if exact_x0 else np.zeros(M.shape[0])
-    x0 = x_true.copy() if exact_x0 else None
-    cfg = SolverConfig(maxiter=3, x0=x0, compute_diagnostics=True)
-    res = SOLVERS[name](A, b, cfg, x_true=x_true)
+    cfg = SolverConfig(maxiter=3, compute_diagnostics=True)
+    res = SOLVERS[name](A, np.zeros(M.shape[0]), cfg, x_true=x_true)
     assert res.termination == "trivial"
-    assert np.array_equal(res.x, x_true if exact_x0 else np.zeros(M.shape[1]))
+    assert np.array_equal(res.x, np.zeros(M.shape[1]))
     (rec,) = res.trace.records
     assert rec.iteration == 0
-    # r0 = b - A x0 costs the one matvec; the references take its norm
+    # no apply; the references take the norm of b
     dots = 1 if name in ("gmres", "lsqr") else 0
     counts = (rec.matvecs, rec.tmatvecs, rec.dots, rec.sketches)
-    assert counts == (int(exact_x0), 0, dots, 0)
-    assert rec.rel_err == (0.0 if exact_x0 else 1.0)
+    assert counts == (0, 0, dots, 0)
+    assert rec.rel_err == 1.0
     assert rec.res_norm == 0.0
 
 
@@ -672,9 +646,11 @@ def test_lsqr_damped_matches_dense_tikhonov():
 
 def test_lsqr_trivial_when_normal_equations_hold():
     A = LinearOperator.from_matrix(np.array([[1.0], [0.0]]))
-    res = lsqr(A, np.array([0.0, 1.0]))
+    res = lsqr(A, np.array([0.0, 2.0]), SolverConfig(compute_diagnostics=True))
     assert res.termination == "trivial"
     assert np.array_equal(res.x, [0.0])
+    # x = 0 leaves all of b as the residual
+    assert res.trace.final().res_norm == 2.0
 
 
 def unit_roundoff_gamma(n):
@@ -759,14 +735,6 @@ def test_cmrh_inner_product_free_counters():
     assert rec.matvecs == 7
     assert rec.tmatvecs == 0
     assert rec.sketches == 0
-
-
-def test_cmrh_trivial_when_start_exact():
-    M, A, _ = make_square(12, 6)
-    x0 = np.arange(1.0, 7.0)
-    res = cmrh(A, M @ x0, SolverConfig(x0=x0))
-    assert res.termination == "trivial"
-    assert np.array_equal(res.x, x0)
 
 
 def test_cmrh_heavy_damping_shrinks_iterates():
@@ -943,7 +911,7 @@ def test_slslu_sampled_pivoting_runs_clean():
 
 # The sketch must be drawn independently of the data it embeds.  A problem's
 # noise is drawn from default_rng(seed), and a config that sets both seeds
-# to one value (the defaults, or HESSKETCH_SEED) sketches with that seed too.
+# to one value (as the defaults, 0 and 0, do) sketches with that seed too.
 
 
 def tomo48(seed):
@@ -978,17 +946,15 @@ def test_equal_seeds_embed_like_any_other(tomo48_eps_range):
     assert lo <= max_eps_embed(tomo48(0), 0) <= hi
 
 
-def test_env_seed_run_embeds_like_any_other(tmp_path, monkeypatch, tomo48_eps_range):
-    # HESSKETCH_SEED sets the problem seed and the sketch seed to one value
+def test_default_seed_run_embeds_like_any_other(tmp_path, tomo48_eps_range):
+    # a config that sets neither seed runs the problem and the sketch at 0
     out = tmp_path / "out"
     (tmp_path / "exp.cfg").write_text(
         "problem.type = tomography\nproblem.grid = 48\nproblem.angles = 36\n"
-        "problem.noise_level = 0.01\nproblem.seed = 5\n"
+        "problem.noise_level = 0.01\ndiagnostics = true\n"
         f"output_dir = {out}\nsolver.s.name = slslu\nsolver.s.maxiter = 30\n"
-        "solver.s.seed = 9\n"
     )
-    monkeypatch.setenv("HESSKETCH_SEED", "0")
-    assert cli.main(["solve", str(tmp_path / "exp.cfg"), "--diagnostics"]) == 0
+    assert cli.main(["solve", str(tmp_path / "exp.cfg")]) == 0
     rows = (out / "s.trace.csv").read_text().strip().split("\n")[1:]
     column = CSV_COLUMNS.index("eps_embed")
     eps = max(float(row.split(",")[column]) for row in rows)
@@ -1016,7 +982,7 @@ def test_slslu_tikhonov_solves_stated_objective():
     Lk = np.column_stack(state.V_cols[:k])
     Z = S2.entries @ (M @ Lk)
     F = S1.entries @ Lk
-    sr0 = S2.entries @ b  # r0 = b: no x0
+    sr0 = S2.entries @ b  # r0 = b
     y = np.linalg.solve(Z.T @ Z + lam**2 * (F.T @ F), Z.T @ sr0)
     assert np.allclose(res.x, Lk @ y, rtol=1e-6, atol=1e-9)
 
@@ -1254,11 +1220,8 @@ ERROR_BLOCKS = {"one-row": 1, "ragged": 7, "single": None}
 
 
 @pytest.mark.parametrize("rows", ERROR_BLOCKS.values(), ids=ERROR_BLOCKS)
-@pytest.mark.parametrize("start", [False, True], ids=["no-x0", "x0"])
 @pytest.mark.parametrize("diagnostics", [False, True], ids=["plain", "diag"])
-def test_iterates_in_blocks_match_one_gemv_per_column(
-    monkeypatch, rows, start, diagnostics
-):
+def test_iterates_in_blocks_match_one_gemv_per_column(monkeypatch, rows, diagnostics):
     # the solve pass reads every step's error off one pass over V, a block
     # of rows at a time; each record reads what one GEMV per column gives,
     # within rounding, by the same formula with diagnostics on or off, and
@@ -1267,10 +1230,7 @@ def test_iterates_in_blocks_match_one_gemv_per_column(
         M, A, b = problem_for(name, 31)
         rng = np.random.default_rng(32)
         x_true = rng.standard_normal(A.cols)
-        x0 = 0.1 * rng.standard_normal(A.cols) if start else None
-        cfg = SolverConfig(
-            maxiter=A.cols, lam=0.5, seed=5, x0=x0, compute_diagnostics=diagnostics
-        )
+        cfg = SolverConfig(maxiter=A.cols, lam=0.5, seed=5, compute_diagnostics=diagnostics)
         whole = SOLVERS[name](A, b, cfg, x_true)
         K = len(whole.trace.records)
         ys, blocks = [], []
@@ -1299,15 +1259,13 @@ def test_iterates_in_blocks_match_one_gemv_per_column(
             (min(i + step, A.cols) - i, K) for i in range(0, A.cols, step)
         ], name
         V = result.factorization.V_cols
-        offset = np.zeros(A.cols) if x0 is None else x0
         assert np.array_equal(result.x, whole.x), name
-        assert np.array_equal(result.x, offset + V.matrix(K) @ ys[-1]), name
+        assert np.array_equal(result.x, V.matrix(K) @ ys[-1]), name
         for k, (y, rec) in enumerate(zip(ys, result.trace.records), start=1):
-            # both sum the same k products, in orders BLAS picks, then add
-            # x0: each within gamma_{k+1} (|V_k| |y| + |x0|) of the exact
-            # iterate, entry by entry
-            x = offset + V.matrix(k) @ y
-            moved = 2 * gamma(k + 1) * (np.abs(V.matrix(k)) @ np.abs(y) + np.abs(offset))
+            # both sum the same k products, in orders BLAS picks: each
+            # within gamma_k |V_k| |y| of the exact iterate, entry by entry
+            x = V.matrix(k) @ y
+            moved = 2 * gamma(k) * (np.abs(V.matrix(k)) @ np.abs(y))
             error = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
             # plus the rounding of a difference, a norm and a quotient on
             # each side
@@ -1358,17 +1316,17 @@ def test_res_norm_read_off_the_factorization_matches_the_explicit_residual(
 ):
     # res_norm is ||R_j (beta e1 - H y_k)[:j]||, read off the QR of U_j and
     # H, with no iterate and no operator apply.  It matches ||b - A x_k||,
-    # x_k = x0 + V_k y_k, to within 1e-13 of the column's largest value,
+    # x_k = V_k y_k, to within 1e-13 of the column's largest value,
     # replay's gate for res_norm, plus two terms that are at rounding level
     # unless the basis grows: what the factorization's own rounding leaves
     # of A V_k = U_j H_{j,k} along y_k (the residual gap), and what the
-    # rounding of x_k, within gamma_{k+1} (|V_k| |y| + |x0|) entry by
-    # entry, moves A x_k by.  Sampled pivots on the scaled shift grow V's
+    # rounding of x_k, within gamma_k |V_k| |y| entry by entry, moves
+    # A x_k by.  Sampled pivots on the scaled shift grow V's
     # entries to 2^16 and |y| to 4.5e4 in lslu and slslu: there the terms
     # reach 8e-11 and 1e-9, and the two residuals differ by up to 1.1e-10,
     # 6e-11 of the column's largest value.
-    # Cases: sampled pivots, lam = 0, a start vector, and breakdowns at
-    # which U_{K+1} lacks its last column
+    # Cases: sampled pivots, lam = 0, and breakdowns at which U_{K+1}
+    # lacks its last column
     pivots = (PivotStrategy.full(), PivotStrategy.sampled(3, seed=4))
     for name in sorted(SOLVERS):
         for problem in ("random", "shift"):
@@ -1376,10 +1334,9 @@ def test_res_norm_read_off_the_factorization_matches_the_explicit_residual(
                 M, A, b = problem_for(name, 34)
             else:
                 M, A, b = deficient_shift_problem(name)
-            for lam, pivot, start in itertools.product((0.0, 0.5), pivots, (False, True)):
-                case = (name, problem, lam, pivot.kind, start)
-                x0 = 0.25 * (np.arange(A.cols) % 3) if start else None
-                cfg = SolverConfig(maxiter=A.cols, lam=lam, seed=5, pivot=pivot, x0=x0,
+            for lam, pivot in itertools.product((0.0, 0.5), pivots):
+                case = (name, problem, lam, pivot.kind)
+                cfg = SolverConfig(maxiter=A.cols, lam=lam, seed=5, pivot=pivot,
                                    compute_diagnostics=True)
                 ys, solve, forward = [], solvers._projected_solve, A.forward
 
@@ -1405,13 +1362,12 @@ def test_res_norm_read_off_the_factorization_matches_the_explicit_residual(
                     assert len(state.U_cols) == len(state.h_cols), case
                 U, V = state.U_cols, state.V_cols
                 H = state.H_matrix(len(U))
-                offset = np.zeros(A.cols) if x0 is None else x0
                 res, gaps = [], []
                 for k, y in enumerate(ys, start=1):
-                    res.append(np.linalg.norm(b - M @ (offset + V.matrix(k) @ y)))
+                    res.append(np.linalg.norm(b - M @ (V.matrix(k) @ y)))
                     j = min(k + 1, len(U))
                     relation = M @ V.matrix(k) - U.matrix(j) @ H[:j, :k]
-                    moved = gamma(k + 1) * (np.abs(V.matrix(k)) @ np.abs(y) + np.abs(offset))
+                    moved = gamma(k) * (np.abs(V.matrix(k)) @ np.abs(y))
                     gaps.append(
                         np.linalg.norm(relation @ y) + np.linalg.norm(np.abs(M) @ moved)
                     )

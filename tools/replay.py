@@ -10,12 +10,11 @@ under ``--work`` (a temporary directory unless given).
 
 * The library grid solves random, rectangular, rank-3, identity,
   deblurring and tomography problems with the six solvers, over damping
-  lambda in {0, 0.5}, diagnostics off and on, full and sampled(5) pivots,
-  and with and without a start vector; scmrh and slslu also run with a
-  sketch of other rows and seed (sketch_rows 4 (maxiter + 1), seed 23)
-  at both lambdas, and on the random and rectangular problems with
-  maxiter twice the operator's columns; trivial starts (b = 0 and an
-  exact x0) come on top.  A 64x64
+  lambda in {0, 0.5}, diagnostics off and on, and full and sampled(5)
+  pivots; scmrh and slslu also run with a sketch of other rows and seed
+  (sketch_rows 4 (maxiter + 1), seed 23) at both lambdas, and on the
+  random and rectangular problems with maxiter twice the operator's
+  columns; a trivial start (b = 0) comes on top.  A 64x64
   deblurring problem at maxiter 80, whose basis spans more than one of
   the error pass's row blocks, runs gmres, cmrh and scmrh at both lambdas,
   with diagnostics, and a 64-grid, 60-angle tomography problem, large
@@ -26,9 +25,9 @@ under ``--work`` (a temporary directory unless given).
   ``dump_factorization`` files.
 * The CLI grid runs ``hessketch solve``, ``compare`` and ``sweep`` (over
   each of its four parameters) on deblurring and tomography configs at two
-  sizes, with diagnostics off and on, plus ``HESSKETCH_SEED``,
-  ``--diagnostics``, solver failures and config errors.  Each run records
-  its exit code, its stderr and every file it writes.
+  sizes, with diagnostics off and on, plus solver failures and config
+  errors.  Each run records its exit code, its stderr and every file it
+  writes.
 
 For each field (a trace column, x, termination, a factorization file, or a
 kind of CLI output) the report gives "byte-identical", or the worst
@@ -60,7 +59,6 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
@@ -163,38 +161,31 @@ def _library_cases(grid):
     # the larger problems run only these solvers, at both lambdas
     large = {"deblur64": ("gmres", "cmrh", "scmrh"), "tomo64": ("lsqr", "lslu", "slslu")}
     for pname, (A, b, x_true, maxiter) in _library_problems(grid).items():
-        x0 = np.random.default_rng(7).standard_normal(A.cols) * 0.1
         if pname in large:
             for name, lam in itertools.product(large[pname], (0.0, 0.5)):
                 cfg = SolverConfig(
                     maxiter=maxiter, lam=lam, seed=11, compute_diagnostics=True
                 )
-                yield f"{pname}-{name}-lam{lam}-diag1-x00-full", name, A, b, x_true, cfg
+                yield f"{pname}-{name}-lam{lam}-diag1-full", name, A, b, x_true, cfg
             continue
         for name in ("gmres", "lsqr", "cmrh", "lslu", "scmrh", "slslu"):
             if not A.is_square and name in ("gmres", "cmrh", "scmrh"):
                 continue
             hessenberg = name not in ("gmres", "lsqr")
             piv_options = ("full", "sampled5") if hessenberg else ("full",)
-            # lambda, diagnostics, start vector, pivots
-            settings = itertools.product(
-                (0.0, 0.5), (False, True), (False, True), piv_options
-            )
+            # lambda, diagnostics, pivots
+            settings = itertools.product((0.0, 0.5), (False, True), piv_options)
             if grid == "smoke":
-                settings = [(0.5, True, True, piv_options[-1])]
-            for lam, diag, start, piv in settings:
+                settings = [(0.5, True, piv_options[-1])]
+            for lam, diag, piv in settings:
                 cfg = SolverConfig(
                     maxiter=maxiter,
                     pivot=pivots[piv],
                     lam=lam,
                     seed=11,
-                    x0=x0 if start else None,
                     compute_diagnostics=diag,
                 )
-                case = (
-                    f"{pname}-{name}-lam{lam}-diag{int(diag)}"
-                    f"-x0{int(start)}-{piv}"
-                )
+                case = f"{pname}-{name}-lam{lam}-diag{int(diag)}-{piv}"
                 yield case, name, A, b, x_true, cfg
             if grid == "smoke":
                 continue
@@ -215,15 +206,11 @@ def _library_cases(grid):
                         maxiter=2 * A.cols, seed=11, compute_diagnostics=True
                     )
                     yield f"{pname}-{name}-maxiter2n", name, A, b, x_true, cfg
-            # trivial starts: b = 0, and an exact x0 where b = A x_true
+            # a trivial start: b = 0
             for diag in (False, True):
                 zero = SolverConfig(maxiter=maxiter, compute_diagnostics=diag)
                 yield (f"{pname}-{name}-trivialb-diag{int(diag)}", name, A,
                        np.zeros(A.rows), x_true, zero)
-                if pname in ("random", "rect"):
-                    exact = replace(zero, x0=x_true)
-                    yield (f"{pname}-{name}-trivialx0-diag{int(diag)}", name, A,
-                           b, x_true, exact)
 
 
 def _run_library(grid):
@@ -299,7 +286,7 @@ def _cli_configs(grid):
 
 
 def _cli_cases(grid):
-    """(case, config text, argv after the config path, HESSKETCH_SEED)."""
+    """(case, config text, argv after the config path)."""
     sweeps = {
         "lambda": "0,0.5",
         "seed": "1,2",
@@ -308,51 +295,41 @@ def _cli_cases(grid):
     }
     configs = _cli_configs(grid)
     for cname, text in configs.items():
-        yield f"{cname}-solve", text, ["solve"], None
+        yield f"{cname}-solve", text, ["solve"]
         if grid == "smoke":
             continue
-        yield f"{cname}-compare", text, ["compare"], None
+        yield f"{cname}-compare", text, ["compare"]
         for param, values in sweeps.items():
             args = ["sweep", "--param", param, "--values", values]
-            yield f"{cname}-sweep-{param}", text, args, None
+            yield f"{cname}-sweep-{param}", text, args
     if grid == "smoke":
         return
     small = configs["tomo12-diagfalse"]
-    yield "deblur16-seedenv", configs["deblur16-diagfalse"], ["solve"], "7"
-    yield "tomo12-seedenv", small, ["solve"], "7"
-    flag = ["solve", "--diagnostics"]
-    yield "deblur16-diagflag", configs["deblur16-diagfalse"], flag, None
     # a solver that fails at run time: fewer sketch rows than the
     # maxiter + 1 basis columns it would sketch
     failing = small + "solver.s2.sketch_rows = 4\n"
-    yield "tomo12-fail-solve", failing, ["solve"], None
-    yield "tomo12-fail-compare", failing, ["compare"], None
+    yield "tomo12-fail-solve", failing, ["solve"]
+    yield "tomo12-fail-compare", failing, ["compare"]
     seeds = ["sweep", "--param", "seed", "--values", "1,2"]
-    yield "tomo12-fail-sweep", failing, seeds, None
+    yield "tomo12-fail-sweep", failing, seeds
     # invalid values: a negative seed, and a negative swept lambda
     bad_seed = small + "solver.s3.name = lslu\nsolver.s3.seed = -5\n"
-    yield "tomo12-bad-seed", bad_seed, ["solve"], None
+    yield "tomo12-bad-seed", bad_seed, ["solve"]
     lambdas = ["sweep", "--param", "lambda", "--values", "0,-1"]
-    yield "tomo12-bad-sweep", small, lambdas, None
-    yield "tomo12-bad-env", small, ["solve"], "-1"
+    yield "tomo12-bad-sweep", small, lambdas
 
 
 def _run_cli(grid):
     from hessketch import cli
 
-    for case, text, args, seed in _cli_cases(grid):
+    for case, text, args in _cli_cases(grid):
         base = os.path.join("cli", case)
         os.makedirs(base)
         cfg = os.path.join(base, "exp.cfg")
         _write(cfg, f"output_dir = {os.path.join(base, 'out')}\n{text}")
-        if seed is not None:
-            os.environ["HESSKETCH_SEED"] = seed
         stderr = io.StringIO()
-        try:
-            with contextlib.redirect_stderr(stderr):
-                code = cli.main([args[0], cfg, *args[1:]])
-        finally:
-            os.environ.pop("HESSKETCH_SEED", None)
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main([args[0], cfg, *args[1:]])
         _write(os.path.join(base, "exit_code"), f"{code}\n")
         _write(os.path.join(base, "stderr"), stderr.getvalue())
 
@@ -599,6 +576,7 @@ def report(groups, out=sys.stdout):
 def run_tree(tree, work, grid):
     """Start one tree's worker subprocess in ``work``; returns the Popen."""
     os.makedirs(work)
+    # trees from before HESSKETCH_SEED was removed still read it
     env = {k: v for k, v in os.environ.items() if k != "HESSKETCH_SEED"}
     env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
     env.update({var: "1" for var in THREAD_VARS})
