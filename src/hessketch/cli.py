@@ -44,9 +44,12 @@ Exit codes:
   PivotStrategy, whether they come from the file or from
   ``sweep --values``, all before the problem is built.
 * 1: a solver raised at run time, such as a sketch with fewer than K+1
-  rows, K = min(maxiter, n) being the most steps the solve can take.
-  Every run before it has written its files, and a ``PARTIAL`` file in
-  the output directory names the failure and lists the runs that
+  rows, K = min(maxiter, n) being the most steps the solve can take, or
+  an output could not be written, such as with a regular file in
+  ``output_dir``'s path or a directory at a file's name.  One stderr
+  line names the failure and the output's path.  Every run before it
+  has written its files, and, when the output directory exists, a
+  ``PARTIAL`` file in it names the failure and lists the runs that
   completed: labels for ``solve`` and ``compare``,
   ``<label>.<param>.<value>`` stems for ``sweep``.  A run deletes any
   ``PARTIAL`` an earlier run left before its first solve.
@@ -333,15 +336,15 @@ def build_problem(cfg):
 
 def _atomic(path, write):
     """Call ``write(tmp)`` on a temporary name, then rename it to ``path``.
-    A ``write`` that raises leaves no temporary file behind."""
+    A ``write`` or rename that raises leaves no temporary file behind."""
     tmp = f"{path}.tmp"
     try:
         write(tmp)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    os.replace(tmp, path)
 
 
 def _write_lines(path, lines):
@@ -362,18 +365,24 @@ def _final_residual(problem, x):
 # the run loop and the three subcommands
 
 
-def _run(cfg, runs, write):
+def _run(cfg, runs, write, finish=lambda: None):
     """Build the problem, then run each ``(stem, spec)`` pair in order.
 
     ``write(stem, problem, result)`` handles each result as soon as its run
     returns; it gets ``x`` and the trace, but not the factorization, whose
-    bases are dropped first.  Returns the exit code: 0, or 1 when a solver
-    raises, after writing a PARTIAL file that names the failure and lists
-    every stem that completed before it.  A PARTIAL left by an earlier run
-    goes before the first solve.
+    bases are dropped first.  ``finish()`` writes what needs every run.
+    Returns the exit code: 0, or 1 when a solver raises or ``write`` or
+    ``finish`` raises an OSError, after writing a PARTIAL file that names
+    the failure and lists every stem that completed before it; an output
+    directory that cannot be made gets one stderr line and no PARTIAL.  A
+    PARTIAL left by an earlier run goes before the first solve.
     """
     problem = build_problem(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot make output_dir: {exc}", file=sys.stderr)
+        return 1
     partial = os.path.join(cfg.output_dir, "PARTIAL")
     if os.path.exists(partial):
         os.remove(partial)
@@ -384,17 +393,28 @@ def _run(cfg, runs, write):
                 problem.operator, problem.b, spec.config, x_true=problem.x_true
             )
         except Exception as exc:
-            error = f"solver {spec.label} failed: {exc}"
-            lines = [f"failed: {error}"] + [f"completed: {s}" for s in done]
-            _write_lines(partial, lines)
-            print(error, file=sys.stderr)
-            return 1
+            return _failed(partial, f"solver {spec.label} failed: {exc}", done)
         # no output reads the bases, the solve's largest arrays: free them
         result.factorization = None
-        write(stem, problem, result)
+        try:
+            write(stem, problem, result)
+        except OSError as exc:
+            return _failed(partial, f"output of {stem} failed: {exc}", done)
         del result
         done.append(stem)
+    try:
+        finish()
+    except OSError as exc:
+        return _failed(partial, f"output failed: {exc}", done)
     return 0
+
+
+def _failed(partial, error, done):
+    # the PARTIAL file and the stderr line of a run that stops at ``error``
+    lines = [f"failed: {error}"] + [f"completed: {s}" for s in done]
+    _write_lines(partial, lines)
+    print(error, file=sys.stderr)
+    return 1
 
 
 def cmd_solve(config_path):
@@ -442,11 +462,11 @@ def cmd_compare(config_path):
         rows.extend(_compare_rows(stem, result.trace))
         summary.append(_summary_line(stem, problem, result))
 
-    code = _run(cfg, [(spec.label, spec) for spec in cfg.solvers], collect)
-    if code == 0:
+    def finish():
         _write_lines(os.path.join(cfg.output_dir, "compare.csv"), rows)
         _write_lines(os.path.join(cfg.output_dir, "summary.txt"), summary)
-    return code
+
+    return _run(cfg, [(spec.label, spec) for spec in cfg.solvers], collect, finish)
 
 
 SWEEP_PARAMS = ("lambda", "seed", "sketch_rows", "sample_size")
@@ -518,19 +538,18 @@ def cmd_sweep(config_path, param, values):
         finals.setdefault(label, []).append(final)
         min_errs.setdefault(label, []).append(best)
 
-    code = _run(cfg, runs, record)
-    if code:
-        return code
-    summary = [
-        f"{label}: runs={len(vals)} "
-        f"final_res_mean={np.mean(vals):.6e} "
-        f"final_res_std={np.std(vals):.6e} "
-        f"min_rel_err_mean={np.mean(min_errs[label]):.6e}"
-        for label, vals in finals.items()
-    ]
-    _write_lines(os.path.join(cfg.output_dir, "sweep.csv"), agg)
-    _write_lines(os.path.join(cfg.output_dir, "sweep_summary.txt"), summary)
-    return 0
+    def finish():
+        summary = [
+            f"{label}: runs={len(vals)} "
+            f"final_res_mean={np.mean(vals):.6e} "
+            f"final_res_std={np.std(vals):.6e} "
+            f"min_rel_err_mean={np.mean(min_errs[label]):.6e}"
+            for label, vals in finals.items()
+        ]
+        _write_lines(os.path.join(cfg.output_dir, "sweep.csv"), agg)
+        _write_lines(os.path.join(cfg.output_dir, "sweep_summary.txt"), summary)
+
+    return _run(cfg, runs, record, finish)
 
 
 def main(argv=None):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dgemv, dtpsv
 
-from .linops import _is_integer, save_array
+from .linops import _check_int, _is_integer, save_array
 
 __all__ = [
     "PivotStrategy",
@@ -71,14 +71,9 @@ class PivotStrategy:
     def __post_init__(self):
         if self.kind not in ("full", "sampled"):
             raise ValueError(f"unknown pivot kind {self.kind!r}")
-        for name in ("sample_size", "seed"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"pivot {name} must be an integer, got {value!r}")
-        if self.kind == "sampled" and self.sample_size < 1:
-            raise ValueError("sampled pivoting needs sample_size >= 1")
-        if self.seed < 0:
-            raise ValueError(f"pivot seed must be nonnegative, got {self.seed}")
+        # a full scan reads no sample size, but still refuses a negative one
+        _check_int("pivot sample_size", self.sample_size, int(self.kind == "sampled"))
+        _check_int("pivot seed", self.seed, 0)
 
     @classmethod
     def full(cls):

@@ -13,6 +13,8 @@ from __future__ import annotations
 # the executor's module is loaded with this one, not by the first two-core
 # apply, whose peak memory would then hold its 70 KB or so
 import concurrent.futures.thread
+import math
+import numbers
 import os
 import threading
 from collections import deque
@@ -103,18 +105,48 @@ def _real(name, value):
     return np.asarray(value, dtype=float)
 
 
-def _checked_output(out, direction, length):
-    out = np.asarray(out)
-    if np.iscomplexobj(out):
-        raise ValueError(f"operator {direction} returned complex values")
-    out = np.asarray(out, dtype=float)
-    if out.shape != (length,):
-        raise ValueError(
-            f"operator {direction} returned shape {out.shape}, expected ({length},)"
-        )
-    if not np.isfinite(out).all():
-        raise ValueError(f"operator {direction} returned NaN or inf")
-    return out
+# Every public entry checks its integers, real numbers and vectors with the
+# three helpers below, so each kind of input fails with one form of message
+# that names the argument; each returns the value it checked.
+
+
+def _check_int(name, value, least):
+    """``value``, an integer (not a bool) of at least ``least``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        word = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{name} must be {word}, got {value}")
+    return value
+
+
+def _check_real(name, value, least=-math.inf):
+    """``value``, a finite real number (not a bool) of at least ``least``.
+    Unlike an integer's, a bound of 1 does not read "positive": 0.5 is."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond every float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < least:
+        word = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {word}, got {value}")
+    return value
+
+
+def _finite_vector(name, v, length):
+    """``v`` as a float vector of ``length`` finite real entries."""
+    v = _real(name, v)
+    if v.shape != (length,):
+        raise ValueError(f"{name} must have length {length}, got shape {v.shape}")
+    # this runs on every operator apply, where the function form
+    # np.all(np.isfinite(v)) costs about a microsecond more
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite; it contains NaN or inf")
+    return v
 
 
 @dataclass
@@ -142,12 +174,8 @@ class LinearOperator:
     counters: OpCounters = field(default_factory=OpCounters)
 
     def __post_init__(self):
-        for name in ("rows", "cols"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"operator {name} must be an integer, got {value!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("operator dimensions must be positive")
+        _check_int("operator rows", self.rows, 1)
+        _check_int("operator cols", self.cols, 1)
 
     @property
     def shape(self):
@@ -165,7 +193,7 @@ class LinearOperator:
                 f"operator expects a vector of length {self.cols}, got shape {x.shape}"
             )
         self.counters.matvec_count += 1
-        return _checked_output(self.forward(x), "forward", self.rows)
+        return _finite_vector("operator forward output", self.forward(x), self.rows)
 
     def apply_transpose(self, y):
         """Return A.T @ y and count one transpose application."""
@@ -175,7 +203,7 @@ class LinearOperator:
                 f"operator transpose expects a vector of length {self.rows}, got shape {y.shape}"
             )
         self.counters.transpose_matvec_count += 1
-        return _checked_output(self.transpose(y), "transpose", self.cols)
+        return _finite_vector("operator transpose output", self.transpose(y), self.cols)
 
     def with_fresh_counters(self):
         """A view of the same map with a new, zeroed counter object.
@@ -429,17 +457,14 @@ def dense_qr_ls(M, rhs):
         largest; the exception carries the detected numerical rank.
     """
     M = _real("M", M)
-    rhs = _real("rhs", rhs)
     if M.ndim != 2:
         raise ValueError("M must be 2-D")
     l, k = M.shape
     if l < k:
         raise ValueError(f"need at least as many rows as columns, got {M.shape}")
-    if rhs.shape != (l,):
-        raise ValueError(f"rhs must have length {l}, got shape {rhs.shape}")
-    for name, value in (("M", M), ("rhs", rhs)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite; it contains NaN or inf")
+    if not np.isfinite(M).all():
+        raise ValueError("M must be finite; it contains NaN or inf")
+    rhs = _finite_vector("rhs", rhs, l)
 
     (house, tau), R, piv = scipy.linalg.qr(
         M, mode="raw", pivoting=True, check_finite=False
@@ -469,11 +494,7 @@ def stacked_tikhonov_ls(M, N, rhs, lam):
     this takes exactly the :func:`dense_qr_ls` path, so the reduction is
     bit-for-bit.  A NaN or inf ``lam`` or ``N`` is rejected by name.
     """
-    if not np.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if lam == 0.0:
+    if _check_real("lam", lam, 0) == 0.0:
         return dense_qr_ls(M, rhs)
     M = _real("M", M)
     N = _real("N", N)

@@ -44,7 +44,7 @@ import numpy as np
 import scipy.ndimage
 import scipy.sparse
 
-from .linops import LinearOperator
+from .linops import LinearOperator, _check_int, _check_real
 
 __all__ = [
     "Problem",
@@ -95,8 +95,7 @@ class Problem:
             self.x_true = np.asarray(self.x_true, dtype=float)
             if self.x_true.ndim != 1 or self.x_true.size != self.operator.cols:
                 raise ValueError("ground truth length must match operator cols")
-        if self.noise_level < 0:
-            raise ValueError("noise level must be nonnegative")
+        _check_real("noise level", self.noise_level, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +120,7 @@ def gaussian_psf(sigma, *, image_size=None):
     kernel whose side is not smaller than it is refused before any array
     is built, as :func:`make_deblur` would refuse it.
     """
-    if not np.isfinite(sigma):
-        raise ValueError("sigma must be finite")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0:
+    if _check_real("sigma", sigma, 0) == 0:
         return np.ones((1, 1))
     radius = max(1, math.ceil(3.0 * sigma))
     _check_fits(2 * radius + 1, image_size)
@@ -146,12 +141,8 @@ def motion_psf(length, angle_deg, *, image_size=None):
     ``image_size`` refuses a kernel that cannot fit, as for
     :func:`gaussian_psf`.
     """
-    if not np.isfinite(length):
-        raise ValueError("length must be finite")
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    if not np.isfinite(angle_deg):
-        raise ValueError("angle must be finite")
+    _check_real("length", length, 1)
+    _check_real("angle_deg", angle_deg)
     half = math.ceil((length - 1.0) / 2.0)
     side = 2 * half + 1
     _check_fits(side, image_size)
@@ -239,8 +230,7 @@ def make_deblur(size, psf, noise_level=0.0, seed=0):
     applies the blur matrix free; its transpose is correlation with the same
     kernel, which is the exact adjoint under zero boundary conditions.
     """
-    if size < 8:
-        raise ValueError("size must be at least 8")
+    _check_int("size", size, 8)
     kernel = np.asarray(psf, dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
         raise ValueError("psf must be a 2-D kernel with odd side lengths")
@@ -326,10 +316,8 @@ def make_tomography(grid, n_angles, noise_level=0.0, seed=0):
     pixels (columns); it is assembled once as a sparse matrix of exact
     ray-pixel intersection lengths.
     """
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
-    if n_angles < 2:
-        raise ValueError("need at least 2 angles")
+    _check_int("grid", grid, 8)
+    _check_int("n_angles", n_angles, 2)
     K = tomography_matrix(grid, n_angles)
     operator = LinearOperator.from_matrix(K)
     x_true = tomography_phantom(grid).ravel()
@@ -346,11 +334,7 @@ def add_noise(b_clean, level, seed):
     ``(b_clean + e, e)``.
     """
     b_clean = np.asarray(b_clean, dtype=float)
-    if not np.isfinite(level):
-        raise ValueError("noise level must be finite")
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
-    if level == 0:
+    if _check_real("noise level", level, 0) == 0:
         return b_clean.copy(), np.zeros_like(b_clean)
     scale = np.linalg.norm(b_clean)
     if scale == 0:

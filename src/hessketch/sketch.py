@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import _is_integer, _real, dense_qr_ls, run_blocks
+from .linops import _check_int, _real, dense_qr_ls, run_blocks
 
 __all__ = [
     "SketchOperator",
@@ -73,10 +73,9 @@ class SketchOperator:
     seed: int
 
     def __post_init__(self):
-        for name, value in (("out_rows", self.out_rows), ("in_rows", self.in_rows)):
-            _check_integer(name, value, 1, "positive")
-        _check_integer("seed", self.seed, 0, "nonnegative")
-        self.out_rows, self.in_rows, self.seed = int(self.out_rows), int(self.in_rows), int(self.seed)
+        self.out_rows = int(_check_int("sketch out_rows", self.out_rows, 1))
+        self.in_rows = int(_check_int("sketch in_rows", self.in_rows, 1))
+        self.seed = int(_check_int("sketch seed", self.seed, 0))
 
     @property
     def shape(self):
@@ -92,13 +91,6 @@ class SketchOperator:
             for rows, cols, panel in _block_tiles(self, r, tile):
                 entries[rows, cols] = panel
         return entries
-
-
-def _check_integer(name, value, least, word):
-    if not _is_integer(value):
-        raise ValueError(f"sketch {name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"sketch {name} must be {word}, got {value}")
 
 
 def _block_tiles(S, r, tile):
@@ -264,8 +256,6 @@ def derive_seed(seed, stream):
     distinct streams from one root seed give statistically independent
     generators, deterministically.  Both must be nonnegative integers.
     """
-    for name, value in (("seed", seed), ("stream", stream)):
-        if not _is_integer(value) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream),))
+    seed, stream = int(_check_int("seed", seed, 0)), int(_check_int("stream", stream, 0))
+    ss = np.random.SeedSequence(seed, spawn_key=(stream,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])

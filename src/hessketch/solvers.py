@@ -49,7 +49,6 @@ returned x, does see.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +66,9 @@ from .hessenberg import (
 )
 from .linops import (
     RankDeficiencyError,
-    _is_integer,
+    _check_int,
+    _check_real,
+    _finite_vector,
     _real,
     condition_number,
     dense_qr_ls,
@@ -129,28 +130,19 @@ class SolverConfig:
     compute_diagnostics: bool = False
 
     def __post_init__(self):
-        for name in ("maxiter", "sketch_rows", "seed"):
-            value = getattr(self, name)
-            if value is not None and not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # a config file with several bad values is reported by the first
+        # of maxiter, lam, sketch_rows and seed
+        _check_int("maxiter", self.maxiter, 1)
+        _check_real("lam", self.lam, 0)
+        if self.sketch_rows is not None:
+            _check_int("sketch_rows", self.sketch_rows, 1)
+        _check_int("seed", self.seed, 0)
         if not isinstance(self.pivot, PivotStrategy):
             raise ValueError(f"pivot must be a PivotStrategy, got {self.pivot!r}")
         if not isinstance(self.compute_diagnostics, (bool, np.bool_)):
             raise ValueError(
                 f"compute_diagnostics must be a bool, got {self.compute_diagnostics!r}"
             )
-        if not isinstance(self.lam, numbers.Real) or isinstance(self.lam, bool):
-            raise ValueError(f"lam must be a real number, got {self.lam!r}")
-        if self.maxiter < 1:
-            raise ValueError(f"maxiter must be positive, got {self.maxiter}")
-        if not np.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.sketch_rows is not None and self.sketch_rows < 1:
-            raise ValueError(f"sketch_rows must be positive, got {self.sketch_rows}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def effective_sketch_rows(self, cols):
         """Rows of the data sketch for an operator with ``cols`` columns."""
@@ -246,15 +238,6 @@ def _projected_solve(R, Z, k):
         return dense_qr_ls(R[:k, :k], R[:k, -1]), False
     except RankDeficiencyError:
         return np.linalg.lstsq(Z[:, :k], Z[:, -1], rcond=None)[0], True
-
-
-def _finite_vector(name, v, length):
-    v = _real(name, v)
-    if v.shape != (length,):
-        raise ValueError(f"{name} must have length {length}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite; it contains NaN or inf")
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,9 @@ def test_solve_writes_trace_solution_and_recon(tmp_path):
     assert not (out / "PARTIAL").exists()
 
 
-def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
-    # the image writer dies half-way through its file: the error reaches
-    # the caller, and neither the .tmp file nor a recon is left behind
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    # the image writer dies half-way through its file: the run fails with
+    # exit code 1, and neither the .tmp file nor a recon is left behind
     def failing_write_image(img, path):
         with open(path, "wb") as f:
             f.write(b"P5\n")
@@ -77,10 +77,54 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "write_image", failing_write_image)
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, deblur_cfg(out, "solver.cmrh.maxiter = 3\n"))
-    with pytest.raises(OSError, match="disk full"):
-        cli.main(["solve", cfg])
+    assert cli.main(["solve", cfg]) == 1
+    assert capsys.readouterr().err == "output of cmrh failed: disk full\n"
+    assert (out / "PARTIAL").read_text() == "failed: output of cmrh failed: disk full\n"
     assert (out / "cmrh.trace.csv").exists()
     assert not list(out.glob("*.tmp")) and not (out / "cmrh.recon.pgm").exists()
+
+
+def test_output_dir_under_a_regular_file_exits_one_in_one_line(tmp_path, capsys):
+    # the directory cannot be made, so there is nowhere to put a PARTIAL
+    (tmp_path / "taken").write_text("a file\n")
+    out = tmp_path / "taken" / "out"
+    cfg = write_cfg(tmp_path, deblur_cfg(out, "solver.cmrh.maxiter = 3\n"))
+    assert cli.main(["solve", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot make output_dir: ") and err.count("\n") == 1
+    assert "Not a directory" in err and str(out) in err
+    assert (tmp_path / "taken").read_text() == "a file\n"
+
+
+def test_directory_at_an_output_name_exits_one_and_flags_partial(tmp_path, capsys):
+    # the rename onto the directory fails: its .tmp file goes, and the
+    # PARTIAL lists the run that completed before it
+    out = tmp_path / "out"
+    (out / "cmrh.trace.csv").mkdir(parents=True)
+    solvers = "solver.gmres.maxiter = 3\nsolver.cmrh.maxiter = 3\n"
+    cfg = write_cfg(tmp_path, deblur_cfg(out, solvers))
+    assert cli.main(["solve", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output of cmrh failed: ") and err.count("\n") == 1
+    assert "Is a directory" in err and str(out / "cmrh.trace.csv") in err
+    lines = (out / "PARTIAL").read_text().splitlines()
+    assert lines == [f"failed: {err.strip()}", "completed: gmres"]
+    assert not list(out.glob("*.tmp")) and (out / "cmrh.trace.csv").is_dir()
+    assert (out / "gmres.solution.mm").exists()
+
+
+def test_directory_at_compare_csv_exits_one_after_every_run(tmp_path, capsys):
+    # compare.csv needs every run, so each is listed as completed
+    out = tmp_path / "out"
+    (out / "compare.csv").mkdir(parents=True)
+    solvers = "solver.gmres.maxiter = 3\nsolver.cmrh.maxiter = 3\n"
+    cfg = write_cfg(tmp_path, deblur_cfg(out, solvers))
+    assert cli.main(["compare", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output failed: ") and str(out / "compare.csv") in err
+    lines = (out / "PARTIAL").read_text().splitlines()
+    assert lines == [f"failed: {err.strip()}", "completed: gmres", "completed: cmrh"]
+    assert not list(out.glob("*.tmp")) and not (out / "summary.txt").exists()
 
 
 def test_solve_default_maxiter_thirty_rows(tmp_path):

@@ -251,6 +251,9 @@ def test_strategy_validation():
         PivotStrategy("partial")
     with pytest.raises(ValueError):
         PivotStrategy.sampled(0)
+    # a full scan reads no sample size, but a negative one is still refused
+    with pytest.raises(ValueError, match="^pivot sample_size must be nonnegative, got -3$"):
+        PivotStrategy("full", sample_size=-3)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,8 @@ def test_gaussian_psf_delta_limit():
 def test_gaussian_psf_rejects_negative_sigma():
     with pytest.raises(ValueError):
         gaussian_psf(-1.0)
+    with pytest.raises(ValueError, match="^sigma must be a real number, got True$"):
+        gaussian_psf(True)
 
 
 def test_motion_psf_axis_aligned():
@@ -222,6 +224,8 @@ def test_motion_psf_rejects_bad_parameters():
         motion_psf(0.5, 0.0)
     with pytest.raises(ValueError):
         motion_psf(5, np.inf)
+    with pytest.raises(ValueError, match="^length must be a real number, got True$"):
+        motion_psf(True, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +314,9 @@ def test_deblur_validation():
         make_deblur(16, np.ones((2, 3)) / 6.0)  # even kernel side
     with pytest.raises(ValueError):
         make_deblur(8, gaussian_psf(1.2))  # side 9: support not smaller
+    # not the operator's 256.0 rows: the size itself is named
+    with pytest.raises(ValueError, match=r"^size must be an integer, got 16\.0$"):
+        make_deblur(16.0, gaussian_psf(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +411,10 @@ def test_tomography_validation():
         make_tomography(4, 8)
     with pytest.raises(ValueError):
         make_tomography(16, 1)
+    with pytest.raises(ValueError, match=r"^grid must be an integer, got 12\.0$"):
+        make_tomography(12.0, 4)
+    with pytest.raises(ValueError, match=r"^n_angles must be an integer, got 4\.0$"):
+        make_tomography(12, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +469,8 @@ def test_problem_validation():
         Problem(p.operator, p.b, x_true=np.zeros(7))
     with pytest.raises(ValueError):
         Problem(p.operator, p.b, noise_level=-0.5)
+    with pytest.raises(ValueError, match="^noise level must be finite, got nan$"):
+        Problem(p.operator, p.b, noise_level=np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -683,12 +683,13 @@ def test_sketch_accepts_numpy_integers():
 @pytest.mark.parametrize(
     "seed, stream, message",
     [
-        (1.5, 1, "seed must be a nonnegative integer, got 1.5"),
-        (True, 1, "seed must be a nonnegative integer, got True"),
-        (-1, 1, "seed must be a nonnegative integer, got -1"),
-        (3, 1.0, "stream must be a nonnegative integer, got 1.0"),
-        (3, -2, "stream must be a nonnegative integer, got -2"),
+        (1.5, 1, "seed must be an integer, got 1.5"),
+        (True, 1, "seed must be an integer, got True"),
+        (-1, 1, "seed must be nonnegative, got -1"),
+        (3, 1.0, "stream must be an integer, got 1.0"),
+        (3, -2, "stream must be nonnegative, got -2"),
     ],
+    ids=["seed-float", "seed-bool", "seed-negative", "stream-float", "stream-negative"],
 )
 def test_derive_seed_rejects_non_integers(seed, stream, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -70,6 +70,9 @@ def test_config_defaults_and_validation():
         SolverConfig(lam=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(sketch_rows=0)
+    # an integer beyond every float is no finite real number either
+    with pytest.raises(ValueError, match="^lam must be finite, got 1000"):
+        SolverConfig(lam=10**400)
 
 
 def test_negative_seeds_rejected_naming_the_seed():
@@ -146,7 +149,7 @@ def test_misshapen_operator_output_rejected(name):
     A = LinearOperator(6, 6, lambda x: (M @ x)[:, None], lambda y: (M.T @ y)[:, None])
     with pytest.raises(
         ValueError,
-        match=r"operator (forward|transpose) returned shape \(6, 1\), expected \(6,\)",
+        match=r"operator (forward|transpose) output must have length 6, got shape \(6, 1\)",
     ):
         SOLVERS[name](A, b, SolverConfig(maxiter=3))
 
@@ -155,7 +158,7 @@ def test_misshapen_operator_output_rejected(name):
 def test_nonfinite_forward_output_rejected(name):
     M, _, b = make_square(45, 6)
     A = LinearOperator(6, 6, lambda x: np.full(6, np.nan), lambda y: M.T @ y)
-    with pytest.raises(ValueError, match="operator forward returned NaN or inf"):
+    with pytest.raises(ValueError, match="operator forward output must be finite; it contains NaN or inf"):
         SOLVERS[name](A, b, SolverConfig(maxiter=3))
 
 
@@ -163,7 +166,7 @@ def test_nonfinite_forward_output_rejected(name):
 def test_nonfinite_transpose_output_rejected(name):
     M, _, b = make_square(46, 6)
     A = LinearOperator(6, 6, lambda x: M @ x, lambda y: np.full(6, np.inf))
-    with pytest.raises(ValueError, match="operator transpose returned NaN or inf"):
+    with pytest.raises(ValueError, match="operator transpose output must be finite; it contains NaN or inf"):
         SOLVERS[name](A, b, SolverConfig(maxiter=3))
 
 
@@ -346,7 +349,7 @@ def test_complex_operator_output_rejected(name, direction):
     plain = maps[direction]
     maps[direction] = lambda v: plain(v) * (1.0 + 1e-3j)
     A = LinearOperator(6, 6, maps["forward"], maps["transpose"])
-    message = f"operator {direction} returned complex values"
+    message = f"operator {direction} output must be real; it has complex dtype complex128"
     with pytest.raises(ValueError, match=message):
         SOLVERS[name](A, b, SolverConfig(maxiter=3))
 

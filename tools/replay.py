@@ -25,9 +25,11 @@ under ``--work`` (a temporary directory unless given).
   ``dump_factorization`` files.
 * The CLI grid runs ``hessketch solve``, ``compare`` and ``sweep`` (over
   each of its four parameters) on deblurring and tomography configs at two
-  sizes, with diagnostics off and on, plus solver failures and config
-  errors.  Each run records its exit code, its stderr and every file it
-  writes.
+  sizes, with diagnostics off and on, plus solver failures, config
+  errors and an output directory whose path a regular file takes.  Each
+  run records its exit code, its stderr and every file it writes; a run
+  that raises out of ``main`` records ``raised <type>`` as its exit code
+  and the exception's message as its stderr.
 
 For each field (a trace column, x, termination, a factorization file, or a
 kind of CLI output) the report gives "byte-identical", or the worst
@@ -285,6 +287,10 @@ def _cli_configs(grid):
     return configs
 
 
+# the case whose output_dir is a regular file, written before it runs
+_OUTPUT_IS_A_FILE = "tomo12-output-is-a-file"
+
+
 def _cli_cases(grid):
     """(case, config text, argv after the config path)."""
     sweeps = {
@@ -317,6 +323,14 @@ def _cli_cases(grid):
     yield "tomo12-bad-seed", bad_seed, ["solve"]
     lambdas = ["sweep", "--param", "lambda", "--values", "0,-1"]
     yield "tomo12-bad-sweep", small, lambdas
+    # one angle, and no pivots to sample from: both are config errors
+    one_angle = small.replace("problem.angles = 8\n", "problem.angles = 1\n")
+    yield "tomo12-bad-angles", one_angle, ["solve"]
+    no_samples = small + (
+        "solver.s3.name = lslu\nsolver.s3.pivot = sampled\nsolver.s3.sample_size = 0\n"
+    )
+    yield "tomo12-bad-sample-size", no_samples, ["solve"]
+    yield _OUTPUT_IS_A_FILE, small, ["solve"]
 
 
 def _run_cli(grid):
@@ -327,9 +341,16 @@ def _run_cli(grid):
         os.makedirs(base)
         cfg = os.path.join(base, "exp.cfg")
         _write(cfg, f"output_dir = {os.path.join(base, 'out')}\n{text}")
+        if case == _OUTPUT_IS_A_FILE:
+            _write(os.path.join(base, "out"), "a regular file\n")
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
-            code = cli.main([args[0], cfg, *args[1:]])
+            try:
+                code = cli.main([args[0], cfg, *args[1:]])
+            except Exception as exc:
+                # a tree whose CLI lets an error escape still replays
+                code = f"raised {type(exc).__name__}"
+                print(exc, file=sys.stderr)
         _write(os.path.join(base, "exit_code"), f"{code}\n")
         _write(os.path.join(base, "stderr"), stderr.getvalue())
 
