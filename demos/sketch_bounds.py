@@ -34,7 +34,7 @@ print(
 )
 violations = 0
 for k, rec in enumerate(res.trace.records, start=1):
-    basis = np.column_stack(state.V_cols[:k])
+    basis = state.V_cols.matrix(k)
     _, oracle = projected_minres_oracle(A, basis, b)
     envelope = (1.0 + rec.eps_embed) / (1.0 - rec.eps_embed) * oracle
     ref_res = ref.trace.records[k - 1].res_norm

@@ -14,8 +14,8 @@ grows a data-space basis D and a solution-space basis L simultaneously:
 with D unit lower triangular under t, L under g, and W upper triangular.
 Both processes return a :class:`KrylovFactorization`, the state shape the
 solver driver also gets from its Arnoldi and Golub-Kahan builders: the
-data basis (L or D) is its ``U_cols``, the solution basis L its ``V_cols``;
-each basis lives in one column-major array (a :class:`ColumnStore`).
+data basis (L or D) is its ``U_cols``, the solution basis L its ``V_cols``.
+Each basis (a :class:`ColumnStore`), H and W are fixed arrays, written in place.
 
 A new column u is eliminated against the k it follows with one triangular
 solve and one GEMV: its k coefficients c solve the unit lower triangular
@@ -33,7 +33,6 @@ breakdown.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +152,10 @@ def _reduce(u, store, perm, tri, strategy, rng):
     remainder u - L_k c is formed in the store's next column by one GEMV,
     and its pivoted rows are set to the exact zeros that unit
     triangularity asks for.  The pivot then divides in place, and its row
-    of L (and a 1) is appended to P.  Returns the k+1 coefficients (the
-    last is the new pivot value, 0 on breakdown), whether the column was
-    added (not when no nonzero entry is left or the basis spans the whole
-    space), and P, reallocated when it had no room for the new row.
+    of L (and a 1) is written into P.  Returns the k+1 coefficients (the
+    last is the new pivot value, 0 on breakdown) and whether the column
+    was added (not when no nonzero entry is left or the basis spans the
+    whole space).
     """
     k = len(store)
     h = np.empty(k + 1)
@@ -175,68 +174,63 @@ def _reduce(u, store, perm, tri, strategy, rng):
         val = 0.0
     h[k] = val
     if val == 0.0:
-        return h, False, tri
+        return h, False
     _swap_to_position(perm, k, idx)
     col /= val
     end = (k + 1) * (k + 2) // 2
-    if tri.size < end:
-        # room for as many rows as the store has columns; keeps P_k
-        tri = np.resize(tri, store.capacity * (store.capacity + 1) // 2)
     tri[end - k - 1 : end - 1] = store.matrix(k)[idx]
     tri[end - 1] = 1.0
     store._commit()
-    return h, True, tri
+    return h, True
 
 
 def _pivoted_start(r0, store, strategy):
     # reduce r0 into the empty store; its scale beta, its pivots, the
-    # packed triangle of its pivot rows (grown from empty) and the sampling
-    # generator; TrivialSolution if r0 = 0
+    # packed triangle of its pivot rows (room for as many as the store has
+    # columns) and the sampling generator; TrivialSolution if r0 = 0
     rng = np.random.default_rng(strategy.seed) if strategy.kind == "sampled" else None
     t = np.arange(r0.size)
-    h, added, tri = _reduce(r0, store, t, np.empty(0), strategy, rng)
+    tri = np.empty(store.capacity * (store.capacity + 1) // 2)
+    h, added = _reduce(r0, store, t, tri, strategy, rng)
     if not added:
         raise TrivialSolution("initial residual is zero; starting point is exact")
     return h[0], t, tri, rng
 
 
-class ColumnStore(Sequence):
-    """Basis columns kept side by side in one Fortran-order array.
+class ColumnStore:
+    """Basis columns kept side by side in one preallocated Fortran-order
+    array of ``capacity`` columns.
 
-    Reads like a list of columns: ``len``, indexing, slicing (which gives a
-    list), ``[-1]`` and iteration return read-only views into the array,
-    never copies.  ``append`` writes the next column, of shape (rows,),
-    into the next free slot, and ``matrix(k)`` is the first k columns
-    (0 <= k <= len) as one (rows, k) view, ready for a single BLAS call.
-    The Hessenberg builders build the next column in place instead.
-    A store made without a ``capacity`` doubles it when full (earlier views
-    stay valid, on the old array); the solver driver passes the most
-    columns a solve can produce.
+    ``append`` writes the next column, of shape (rows,), into the next free
+    slot; a full store raises IndexError.  ``column(j)`` (a negative j
+    counts from the last) and ``matrix(k)``, the first k columns
+    (0 <= k <= len) as one (rows, k) block ready for a single BLAS call,
+    are read-only views into the array, never copies.  The Hessenberg
+    builders build the next column in place instead.
     """
 
-    def __init__(self, rows, capacity=None):
-        self._data = np.empty((rows, capacity or 16), order="F")
-        self._views = []
+    def __init__(self, rows, capacity):
+        capacity = _check_int("capacity", capacity, 1)
+        self._data = np.empty((rows, capacity), order="F")
+        self._len = 0
 
     @classmethod
-    def from_column(cls, column, capacity=None):
+    def from_column(cls, column, capacity):
         store = cls(column.size, capacity)
         store.append(column)
         return store
 
     @property
     def capacity(self):
-        """Columns the current array has room for."""
+        """Columns the array has room for."""
         return self._data.shape[1]
 
     def __len__(self):
-        return len(self._views)
+        return self._len
 
-    def __getitem__(self, index):
-        return self._views[index]
-
-    def __iter__(self):
-        return iter(self._views)
+    def column(self, j):
+        """Column j as a read-only view."""
+        return self.matrix()[:, j]
 
     def append(self, column):
         rows = self._data.shape[0]
@@ -249,31 +243,27 @@ class ColumnStore(Sequence):
 
     def _slot(self):
         # the next free column, writable; a builder fills it, then commits
-        k = len(self._views)
-        if k == self.capacity:
-            data = np.empty((self._data.shape[0], 2 * k), order="F")
-            data[:, :k] = self._data
-            self._data = data
-            self._views = [self._readonly(data[:, j]) for j in range(k)]
-        return self._data[:, k]
+        if self._len == self.capacity:
+            raise IndexError(f"store is full: capacity {self.capacity}")
+        return self._data[:, self._len]
 
     def _commit(self):
-        self._views.append(self._readonly(self._data[:, len(self._views)]))
+        self._len += 1
 
     def matrix(self, k=None):
         """The first k columns (all by default) as one read-only view."""
         if k is None:
-            k = len(self._views)
+            k = self._len
         elif not _is_integer(k):
             raise TypeError(f"column count must be an integer, got {k!r}")
-        elif not 0 <= k <= len(self._views):
-            raise IndexError(f"store holds {len(self._views)} columns, asked for {k}")
-        return self._readonly(self._data[:, :k])
+        elif not 0 <= k <= self._len:
+            raise IndexError(f"store holds {self._len} columns, asked for {k}")
+        return _readonly(self._data[:, :k])
 
-    @staticmethod
-    def _readonly(view):
-        view.flags.writeable = False
-        return view
+
+def _readonly(view):
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -287,30 +277,32 @@ class KrylovFactorization:
       r0 = beta u_1, so r0 itself is not kept;
     * ``V_cols`` holds v_1..v_{k+1} (fewer after a breakdown); the square
       builders pass the same store as ``U_cols``;
-    * ``h_cols`` holds the columns of H_{k+1,k}, column j with its first
-      j+2 entries, so k = len(h_cols).
+    * ``H`` is a zeroed array with one row per ``U_cols`` slot and one
+      column per step the store allows; step j writes H column j in place,
+      and ``k`` counts the steps taken.
 
     ``orthonormal`` marks bases built with inner products; their damped
     block condition number kappa(diag(U_{k+1}, V_k)) is 1.  The remaining
     fields belong to single builders and stay None elsewhere: ``alpha``,
     the scale of A^T r0 (Golub-Kahan then keeps its next diagonal entry
-    there); ``t`` and ``g``, the pivot orders
-    under which U and V are unit lower triangular; ``t_rows`` and
-    ``g_rows``, the unit lower triangles of U's rows at t and V's rows at
-    g, packed by rows, from which each step solves for its elimination
-    coefficients; ``w_cols``, the columns
-    of the generalized process's upper triangular W with
-    A^T U_{k+1} = V_{k+1} W_{k+1}; ``strategy`` and ``rng``, the pivot
-    rule and its sampling generator.
+    there); ``t`` and ``g``, the pivot orders under which U and V are unit
+    lower triangular; ``t_rows`` and ``g_rows``, the unit lower triangles
+    of U's rows at t and V's rows at g, packed by rows, from which each
+    step solves for its elimination coefficients; ``W``, the generalized
+    process's upper triangular W with A^T U_{k+1} = V_{k+1} W_{k+1}, a
+    zeroed square in the store's capacity with one column written per
+    ``U_cols`` column; ``strategy`` and ``rng``, the pivot rule and its
+    sampling generator.
 
-    Both bases are :class:`ColumnStore` objects: their columns are
-    read-only views into one array per basis.
+    ``H_matrix`` and ``W_matrix`` are read-only views of ``H`` and ``W``,
+    never copies.
     """
 
     beta: float
     U_cols: ColumnStore
     V_cols: ColumnStore
-    h_cols: list = field(default_factory=list)
+    H: np.ndarray = field(init=False)
+    k: int = 0
     breakdown: bool = False
     orthonormal: bool = False
     alpha: float = None
@@ -318,33 +310,30 @@ class KrylovFactorization:
     g: np.ndarray = None
     t_rows: np.ndarray = None
     g_rows: np.ndarray = None
-    w_cols: list = None
+    W: np.ndarray = None
     strategy: PivotStrategy = None
     rng: object = None
 
+    def __post_init__(self):
+        slots = self.U_cols.capacity
+        self.H = np.zeros((slots, slots - 1))
+
     def H_matrix(self, rows=None):
-        """Dense H with k+1 rows; pass rows=len(U_cols) at breakdown to
-        drop the structurally zero last row."""
-        k = len(self.h_cols)
-        H = np.zeros((k + 1, k))
-        for j, col in enumerate(self.h_cols):
-            H[: j + 2, j] = col
-        return H if rows is None else H[:rows]
+        """H_{k+1,k} as a read-only view; pass rows=len(U_cols) at
+        breakdown to drop the structurally zero last row."""
+        return _readonly(self.H[: self.k + 1, : self.k][:rows])
 
     def W_matrix(self, rows=None):
-        """Upper triangular W with one column per U column."""
-        cols = len(self.w_cols)
-        W = np.zeros((cols, cols))
-        for j, col in enumerate(self.w_cols):
-            W[: j + 1, j] = col
-        return W if rows is None else W[:rows]
+        """Upper triangular W, one column per U column, as a read-only view."""
+        j = len(self.U_cols)
+        return _readonly(self.W[:j, :j][:rows])
 
 
-def init_square(A, r0, strategy=_FULL, *, capacity=None):
+def init_square(A, r0, strategy=_FULL, *, capacity):
     """Start the square Hessenberg process from the residual r0.
 
     One basis L serves as both ``U_cols`` and ``V_cols``; ``capacity``
-    reserves room for that many columns (see :class:`ColumnStore`).
+    is the most columns it can hold (see :class:`ColumnStore`).
     """
     if not A.is_square:
         raise ValueError("the square Hessenberg process needs a square operator")
@@ -367,8 +356,8 @@ def step_square(state, A):
     if state.breakdown:
         raise RuntimeError("factorization already broke down")
     # A's output is not bound here, so _reduce can drop it once copied
-    h, added, state.t_rows = _reduce(
-        A.apply(state.V_cols[-1]),
+    h, added = _reduce(
+        A.apply(state.V_cols.column(-1)),
         state.U_cols,
         state.t,
         state.t_rows,
@@ -376,27 +365,31 @@ def step_square(state, A):
         state.rng,
     )
     state.breakdown = not added
-    state.h_cols.append(h)
+    state.H[: h.size, state.k] = h
+    state.k += 1
     return state
 
 
-def init_generalized(A, r0, strategy=_FULL, *, capacity=None):
+def init_generalized(A, r0, strategy=_FULL, *, capacity):
     """Start the generalized process from r0 and A^T r0.
 
     Pivots r0 to get the first data column u_1 and scale beta, pivots
     A^T r0 to get the first solution column v_1 and scale alpha, and
-    seeds W with the coefficient of A^T u_1 along v_1.  ``capacity``
-    reserves room for that many columns in each basis.
+    seeds W with the coefficient of A^T u_1 along v_1.  ``capacity`` is
+    the most columns each basis can hold.
     """
     U, V = ColumnStore(r0.size, capacity), ColumnStore(A.cols, capacity)
     beta, t, t_rows, rng = _pivoted_start(r0, U, strategy)
-    g = np.arange(A.cols)
-    h, added, g_rows = _reduce(A.apply_transpose(r0), V, g, np.empty(0), strategy, rng)
+    # V has U's capacity, so its triangle has the size of U's
+    g, g_rows = np.arange(A.cols), np.empty_like(t_rows)
+    h, added = _reduce(A.apply_transpose(r0), V, g, g_rows, strategy, rng)
     if not added:
         raise TrivialSolution(
             "transposed residual is zero; the normal equations already hold"
         )
-    r = A.apply_transpose(U[0])
+    r = A.apply_transpose(U.column(0))
+    W = np.zeros((capacity, capacity))
+    W[0, 0] = r[g[0]]
     return KrylovFactorization(
         beta=beta,
         U_cols=U,
@@ -406,7 +399,7 @@ def init_generalized(A, r0, strategy=_FULL, *, capacity=None):
         g=g,
         t_rows=t_rows,
         g_rows=g_rows,
-        w_cols=[np.array([r[g[0]]])],
+        W=W,
         strategy=strategy,
         rng=rng,
     )
@@ -424,16 +417,15 @@ def step_generalized(state, A):
     step_square(state, A)
     if state.breakdown:
         return state
-    q = state.U_cols[-1]
-    w, added, state.g_rows = _reduce(
-        A.apply_transpose(q),
+    w, added = _reduce(
+        A.apply_transpose(state.U_cols.column(-1)),
         state.V_cols,
         state.g,
         state.g_rows,
         state.strategy,
         state.rng,
     )
-    state.w_cols.append(w)
+    state.W[: w.size, len(state.U_cols) - 1] = w
     state.breakdown = not added
     return state
 
@@ -442,7 +434,7 @@ def dump_factorization(state, directory):
     """Write the factorization pieces as MatrixMarket files for inspection.
 
     ``L.mm`` (the solution basis) and ``H.mm`` always; ``D.mm`` (the data
-    basis) when it is a separate list; ``pivots_t.mm`` when the builder
+    basis) when it is a separate store; ``pivots_t.mm`` when the builder
     pivots; ``W.mm`` and ``pivots_g.mm`` for the generalized process.
     """
     import os
@@ -456,6 +448,6 @@ def dump_factorization(state, directory):
         save_array(path("D.mm"), state.U_cols.matrix())
     if state.t is not None:
         save_array(path("pivots_t.mm"), np.asarray(state.t, dtype=float))
-    if state.w_cols is not None:
+    if state.W is not None:
         save_array(path("W.mm"), state.W_matrix())
         save_array(path("pivots_g.mm"), np.asarray(state.g, dtype=float))

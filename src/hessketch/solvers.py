@@ -420,7 +420,7 @@ def _stacked(state, S, cfg, counters):
     breakdown U lacks its last column, and H's last row is zero), and
     P = S1 V_K, S1 drawn from a seed derived from cfg.seed.
     """
-    K = len(state.h_cols)
+    K = state.k
     # [H | beta e1], without keeping H alive next to it
     C = np.column_stack([state.H_matrix(), np.zeros(K + 1)])
     C[0, -1] = state.beta
@@ -454,7 +454,7 @@ def _unit_start(A, r0):
     return beta, r0 / beta
 
 
-def _init_arnoldi(A, r0, strategy=None, *, capacity=None):
+def _init_arnoldi(A, r0, strategy=None, *, capacity):
     if not A.is_square:
         raise ValueError("gmres needs a square operator")
     beta, v1 = _unit_start(A, r0)
@@ -466,20 +466,21 @@ def _step_arnoldi(state, A):
     # classical Gram-Schmidt twice, each pass two GEMVs on the basis
     c, V = A.counters, state.V_cols
     Vk = V.matrix()
-    w = A.apply(V[-1])
+    w = A.apply(V.column(-1))
     h = tracked_dot(c, Vk, w)
     w = w - Vk @ h  # a new array: A's output is never written
     corr = tracked_dot(c, Vk, w)
     w -= Vk @ corr
     h = np.append(h + corr, tracked_norm(c, w))
-    state.h_cols.append(h)
+    state.H[: h.size, state.k] = h
+    state.k += 1
     # relative test: an exactly-zero norm never survives rounding
     state.breakdown = bool(h[-1] <= 1e-14 * np.linalg.norm(h))
     if not state.breakdown:
         V.append(w / h[-1])
 
 
-def _init_golub_kahan(A, r0, strategy=None, *, capacity=None):
+def _init_golub_kahan(A, r0, strategy=None, *, capacity):
     beta, u = _unit_start(A, r0)
     z = A.apply_transpose(u)
     alpha = tracked_norm(A.counters, z)
@@ -499,20 +500,18 @@ def _init_golub_kahan(A, r0, strategy=None, *, capacity=None):
 def _step_golub_kahan(state, A):
     # H column k is (alpha_k, beta_{k+1}) in rows k, k+1; the same step
     # prepares v_{k+1} and alpha_{k+1}; both sides reorthogonalize once
-    c, U, V = A.counters, state.U_cols, state.V_cols
-    k = len(state.h_cols) + 1
-    w = A.apply(V[-1]) - state.alpha * U[-1]
+    c, U, V, k = A.counters, state.U_cols, state.V_cols, state.k
+    w = A.apply(V.column(-1)) - state.alpha * U.column(-1)
     Uk = U.matrix()
     w -= Uk @ tracked_dot(c, Uk, w)
     beta = tracked_norm(c, w)
-    h = np.zeros(k + 1)
-    h[k - 1 :] = state.alpha, beta
-    state.h_cols.append(h)
+    state.H[k : k + 2, k] = state.alpha, beta
+    state.k += 1
     if beta <= 1e-14 * state.alpha:
         state.breakdown = True
         return
     U.append(w / beta)
-    z = A.apply_transpose(U[-1]) - beta * V[-1]
+    z = A.apply_transpose(U.column(-1)) - beta * V.column(-1)
     Vk = V.matrix()
     z -= Vk @ tracked_dot(c, Vk, z)
     alpha = tracked_norm(c, z)

@@ -44,7 +44,7 @@ def report(num, ok, detail):
 
 
 def unit_triangular_exact(cols, perm):
-    B = np.column_stack(cols)[np.asarray(perm)[: len(cols)], :]
+    B = cols.matrix()[np.asarray(perm)[: len(cols)], :]
     for j in range(B.shape[1]):
         if B[j, j] != 1.0 or np.any(B[:j, j] != 0.0):
             return False
@@ -79,15 +79,15 @@ def test_criterion_01_factorization_fidelity():
         M = rng.standard_normal((n, n))
         b = rng.standard_normal(n)
         A = LinearOperator.from_matrix(M)
-        state = init_square(A, b)
+        state = init_square(A, b, capacity=n + 1)
         scale = np.linalg.norm(M)
         for _ in range(n):
             if state.breakdown:
                 break
             step_square(state, A)
-            Lk = np.column_stack(state.V_cols[: len(state.h_cols)])
+            Lk = state.V_cols.matrix(state.k)
             H = state.H_matrix(rows=len(state.V_cols))
-            gap = np.linalg.norm(M @ Lk - np.column_stack(state.V_cols) @ H)
+            gap = np.linalg.norm(M @ Lk - state.V_cols.matrix() @ H)
             worst = max(worst, gap / (scale * np.linalg.norm(Lk)))
             triangular &= unit_triangular_exact(state.V_cols, state.t)
     for _ in range(10):
@@ -96,20 +96,20 @@ def test_criterion_01_factorization_fidelity():
         M = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
         A = LinearOperator.from_matrix(M)
-        state = init_generalized(A, b)
+        state = init_generalized(A, b, capacity=min(m, n) + 1)
         scale = np.linalg.norm(M)
         for _ in range(min(m, n)):
             if state.breakdown:
                 break
             step_generalized(state, A)
-            Lk = np.column_stack(state.V_cols[: len(state.h_cols)])
-            D = np.column_stack(state.U_cols)
+            Lk = state.V_cols.matrix(state.k)
+            D = state.U_cols.matrix()
             H = state.H_matrix(rows=len(state.U_cols))
             gap = np.linalg.norm(M @ Lk - D @ H)
             worst = max(worst, gap / (scale * np.linalg.norm(Lk)))
             W = state.W_matrix(rows=len(state.V_cols))
             gap_w = np.linalg.norm(
-                M.T @ D - np.column_stack(state.V_cols) @ W[:, : D.shape[1]]
+                M.T @ D - state.V_cols.matrix() @ W[:, : D.shape[1]]
             )
             worst = max(worst, gap_w / (scale * np.linalg.norm(D)))
             triangular &= unit_triangular_exact(state.U_cols, state.t)
@@ -162,7 +162,7 @@ def test_criterion_03_quasi_minimal_sandwich():
         res = cmrh(A, b, SolverConfig(maxiter=10, compute_diagnostics=True))
         state = res.factorization
         for k, rec in enumerate(res.trace.records, start=1):
-            basis = np.column_stack(state.V_cols[:k])
+            basis = state.V_cols.matrix(k)
             _, oracle = projected_minres_oracle(A, basis, b)
             slack = 1e-9 * (1.0 + oracle)
             worst_low = max(worst_low, oracle - rec.res_norm - slack)
@@ -178,7 +178,7 @@ def test_criterion_03_quasi_minimal_sandwich():
         res = lslu(A, b, SolverConfig(maxiter=10, compute_diagnostics=True))
         state = res.factorization
         for k, rec in enumerate(res.trace.records, start=1):
-            basis = np.column_stack(state.V_cols[:k])
+            basis = state.V_cols.matrix(k)
             _, oracle = projected_minres_oracle(A, basis, b)
             slack = 1e-9 * (1.0 + oracle)
             worst_low = max(worst_low, oracle - rec.res_norm - slack)
@@ -216,7 +216,7 @@ def test_criterion_04_sketched_sandwich():
             res = solver(A, b, cfg)
             state = res.factorization
             for k, rec in enumerate(res.trace.records, start=1):
-                basis = np.column_stack(state.V_cols[:k])
+                basis = state.V_cols.matrix(k)
                 _, oracle = projected_minres_oracle(A, basis, b)
                 slack = 1e-9 * (1.0 + oracle)
                 envelope = (1.0 + rec.eps_embed) / (1.0 - rec.eps_embed)

@@ -163,7 +163,7 @@ def axpy_reference(M, b, steps, strategy=FULL, generalized=False):
 
 def run_square(M, b, steps, strategy=FULL):
     A = LinearOperator.from_matrix(M)
-    state = init_square(A, b, strategy=strategy)
+    state = init_square(A, b, strategy=strategy, capacity=steps + 1)
     for _ in range(steps):
         if state.breakdown:
             break
@@ -173,7 +173,7 @@ def run_square(M, b, steps, strategy=FULL):
 
 def run_generalized(M, b, steps, strategy=FULL):
     A = LinearOperator.from_matrix(M)
-    state = init_generalized(A, b, strategy=strategy)
+    state = init_generalized(A, b, strategy=strategy, capacity=steps + 1)
     for _ in range(steps):
         if state.breakdown:
             break
@@ -182,7 +182,7 @@ def run_generalized(M, b, steps, strategy=FULL):
 
 
 def assert_unit_triangular(cols, perm):
-    B = np.column_stack(cols)[np.asarray(perm)[: len(cols)], :]
+    B = cols.matrix()[np.asarray(perm)[: len(cols)], :]
     for j in range(B.shape[1]):
         assert B[j, j] == 1.0
         assert np.all(B[:j, j] == 0.0)
@@ -262,9 +262,9 @@ def test_strategy_validation():
 
 def test_init_square_identity_example():
     A = LinearOperator.identity(3)
-    state = init_square(A, np.array([3.0, -5.0, 2.0]))
+    state = init_square(A, np.array([3.0, -5.0, 2.0]), capacity=1)
     assert state.beta == -5.0
-    assert np.allclose(state.V_cols[0], [-0.6, 1.0, -0.4])
+    assert np.allclose(state.V_cols.column(0), [-0.6, 1.0, -0.4])
     assert list(state.t) == [1, 0, 2]
 
 
@@ -273,20 +273,20 @@ def test_init_square_trivial_when_start_exact():
     # (test_trivial_solve_returns_iteration_zero_record)
     A = LinearOperator.from_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]))
     with pytest.raises(TrivialSolution, match="starting point is exact"):
-        init_square(A, np.zeros(2))
+        init_square(A, np.zeros(2), capacity=3)
 
 
 def test_init_square_rejects_rectangular():
     with pytest.raises(ValueError):
-        init_square(LinearOperator.from_matrix(np.ones((3, 2))), np.ones(3))
+        init_square(LinearOperator.from_matrix(np.ones((3, 2))), np.ones(3), capacity=3)
 
 
 def test_step_square_identity_lucky_breakdown():
     A = LinearOperator.identity(4)
-    state = init_square(A, np.array([1.0, 2.0, -3.0, 0.5]))
+    state = init_square(A, np.array([1.0, 2.0, -3.0, 0.5]), capacity=2)
     step_square(state, A)
     assert state.breakdown
-    assert np.array_equal(state.h_cols[0], [1.0, 0.0])
+    assert np.array_equal(state.H_matrix()[:, 0], [1.0, 0.0])
     assert len(state.V_cols) == 1
 
 
@@ -299,7 +299,7 @@ def test_step_square_diag_hand_computed():
     assert state.breakdown
     H = state.H_matrix()
     assert np.array_equal(H, [[1.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
-    assert np.array_equal(state.V_cols[1], [0.0, 1.0])
+    assert np.array_equal(state.V_cols.column(1), [0.0, 1.0])
 
 
 def test_square_matches_dense_reference():
@@ -310,7 +310,7 @@ def test_square_matches_dense_reference():
         state, _ = run_square(M, b, 5)
         L_ref, H_ref, t_ref = dense_square_reference(M, b, 5)
         assert list(state.t[:6]) == t_ref
-        assert np.allclose(np.column_stack(state.V_cols), L_ref, atol=1e-10)
+        assert np.allclose(state.V_cols.matrix(), L_ref, atol=1e-10)
         assert np.allclose(state.H_matrix(), H_ref, atol=1e-10)
 
 
@@ -320,15 +320,15 @@ def test_square_relation_and_triangularity():
         M = rng.standard_normal((size, size))
         b = rng.standard_normal(size)
         A = LinearOperator.from_matrix(M)
-        state = init_square(A, b)
+        state = init_square(A, b, capacity=steps + 1)
         scale = np.linalg.norm(M)
         for _ in range(steps):
             if state.breakdown:
                 break
             step_square(state, A)
-            k = len(state.h_cols)
-            Lk = np.column_stack(state.V_cols[:k])
-            Lfull = np.column_stack(state.V_cols)
+            k = state.k
+            Lk = state.V_cols.matrix(k)
+            Lfull = state.V_cols.matrix()
             H = state.H_matrix(rows=len(state.V_cols))
             rel = np.linalg.norm(M @ Lk - Lfull @ H)
             assert rel <= 1e-10 * scale * np.linalg.norm(Lk)
@@ -352,7 +352,7 @@ def test_square_sampled_superset_bitwise_equals_full():
     full_state, _ = run_square(M, b, 8)
     samp_state, _ = run_square(M, b, 8, strategy=PivotStrategy.sampled(12, seed=5))
     assert np.array_equal(
-        np.column_stack(full_state.V_cols), np.column_stack(samp_state.V_cols)
+        full_state.V_cols.matrix(), samp_state.V_cols.matrix()
     )
     assert np.array_equal(full_state.H_matrix(), samp_state.H_matrix())
     assert np.array_equal(full_state.t, samp_state.t)
@@ -364,9 +364,9 @@ def test_square_sampled_small_keeps_structure():
     b = rng.standard_normal(15)
     state, A = run_square(M, b, 8, strategy=PivotStrategy.sampled(3, seed=2))
     assert_unit_triangular(state.V_cols, state.t)
-    Lk = np.column_stack(state.V_cols[: len(state.h_cols)])
+    Lk = state.V_cols.matrix(state.k)
     H = state.H_matrix(rows=len(state.V_cols))
-    rel = np.linalg.norm(M @ Lk - np.column_stack(state.V_cols) @ H)
+    rel = np.linalg.norm(M @ Lk - state.V_cols.matrix() @ H)
     assert rel <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(Lk)
     assert A.counters.dot_product_count == 0
 
@@ -379,7 +379,7 @@ def test_square_sampled_zero_subset_falls_back():
     M = np.eye(9)
     for seed in range(5):
         A = LinearOperator.from_matrix(M)
-        state = init_square(A, b, strategy=PivotStrategy.sampled(1, seed=seed))
+        state = init_square(A, b, strategy=PivotStrategy.sampled(1, seed=seed), capacity=1)
         assert state.beta == 7.0
 
 
@@ -394,7 +394,7 @@ def test_square_range_spans_krylov_space():
     for _ in range(5):
         vecs.append(M @ vecs[-1])
     Q, _ = np.linalg.qr(np.column_stack(vecs))
-    for j, l in enumerate(state.V_cols):
+    for j, l in enumerate(state.V_cols.matrix().T):
         Qj = Q[:, : j + 1]
         assert np.linalg.norm(l - Qj @ (Qj.T @ l)) <= 1e-8 * np.linalg.norm(l)
 
@@ -405,14 +405,14 @@ def test_square_range_spans_krylov_space():
 
 def test_init_generalized_hand_example():
     A = LinearOperator.from_matrix(np.array([[1.0], [1.0]]))
-    state = init_generalized(A, np.array([1.0, 3.0]))
+    state = init_generalized(A, np.array([1.0, 3.0]), capacity=1)
     assert state.beta == 3.0
-    assert np.allclose(state.U_cols[0], [1.0 / 3.0, 1.0])
+    assert np.allclose(state.U_cols.column(0), [1.0 / 3.0, 1.0])
     assert list(state.t) == [1, 0]
     assert state.alpha == 4.0
-    assert np.array_equal(state.V_cols[0], [1.0])
+    assert np.array_equal(state.V_cols.column(0), [1.0])
     assert list(state.g) == [0]
-    assert state.w_cols[0][0] == pytest.approx(4.0 / 3.0)
+    assert state.W_matrix()[0, 0] == pytest.approx(4.0 / 3.0)
 
 
 def test_step_generalized_hand_example():
@@ -423,11 +423,11 @@ def test_step_generalized_hand_example():
     state, _ = run_generalized(M, np.array([1.0, 3.0]), 1)
     assert state.breakdown
     assert np.allclose(state.H_matrix(), [[1.0], [2.0 / 3.0]])
-    assert np.array_equal(state.U_cols[1], [1.0, 0.0])
+    assert np.array_equal(state.U_cols.column(1), [1.0, 0.0])
     W = state.W_matrix()
     assert W == pytest.approx(np.array([[4.0 / 3.0, 1.0], [0.0, 0.0]]))
     # relations hold exactly here
-    D, L = np.column_stack(state.U_cols), np.column_stack(state.V_cols)
+    D, L = state.U_cols.matrix(), state.V_cols.matrix()
     assert np.allclose(M @ L, D @ state.H_matrix(), atol=1e-14)
     assert np.allclose(M.T @ D, L @ W[:1], atol=1e-14)
 
@@ -435,7 +435,7 @@ def test_step_generalized_hand_example():
 def test_init_generalized_normal_equations_signal():
     A = LinearOperator.from_matrix(np.array([[1.0], [0.0]]))
     with pytest.raises(TrivialSolution, match="normal equations"):
-        init_generalized(A, np.array([0.0, 1.0]))
+        init_generalized(A, np.array([0.0, 1.0]), capacity=2)
 
 
 def test_generalized_matches_dense_reference():
@@ -447,8 +447,8 @@ def test_generalized_matches_dense_reference():
         D_ref, L_ref, H_ref, W_ref, t_ref, g_ref = dense_generalized_reference(M, b, 4)
         assert list(state.t[: len(t_ref)]) == t_ref
         assert list(state.g[: len(g_ref)]) == g_ref
-        assert np.allclose(np.column_stack(state.U_cols), D_ref, atol=1e-10)
-        assert np.allclose(np.column_stack(state.V_cols), L_ref, atol=1e-10)
+        assert np.allclose(state.U_cols.matrix(), D_ref, atol=1e-10)
+        assert np.allclose(state.V_cols.matrix(), L_ref, atol=1e-10)
         assert np.allclose(state.H_matrix(), H_ref, atol=1e-10)
         assert np.allclose(state.W_matrix(), W_ref, atol=1e-10)
 
@@ -459,19 +459,19 @@ def test_generalized_relations_and_triangularity():
         M = rng.standard_normal(shape)
         b = rng.standard_normal(shape[0])
         A = LinearOperator.from_matrix(M)
-        state = init_generalized(A, b)
+        state = init_generalized(A, b, capacity=steps + 1)
         scale = np.linalg.norm(M)
         for _ in range(steps):
             if state.breakdown:
                 break
             step_generalized(state, A)
-            k = len(state.h_cols)
-            Lk = np.column_stack(state.V_cols[:k])
-            D = np.column_stack(state.U_cols)
+            k = state.k
+            Lk = state.V_cols.matrix(k)
+            D = state.U_cols.matrix()
             H = state.H_matrix(rows=len(state.U_cols))
             assert np.linalg.norm(M @ Lk - D @ H) <= 1e-10 * scale * np.linalg.norm(Lk)
             W = state.W_matrix(rows=len(state.V_cols))
-            L = np.column_stack(state.V_cols)
+            L = state.V_cols.matrix()
             assert (
                 np.linalg.norm(M.T @ D - L @ W[:, : D.shape[1]])
                 <= 1e-10 * scale * np.linalg.norm(D)
@@ -498,8 +498,8 @@ def test_generalized_sampled_superset_bitwise_equals_full():
     samp_state, _ = run_generalized(M, b, 6, strategy=PivotStrategy.sampled(16, seed=3))
     for side in ("U_cols", "V_cols"):
         assert np.array_equal(
-            np.column_stack(getattr(full_state, side)),
-            np.column_stack(getattr(samp_state, side)),
+            getattr(full_state, side).matrix(),
+            getattr(samp_state, side).matrix(),
         )
     assert np.array_equal(full_state.H_matrix(), samp_state.H_matrix())
     assert np.array_equal(full_state.W_matrix(), samp_state.W_matrix())
@@ -510,9 +510,9 @@ def test_generalized_sampled_small_keeps_relations():
     M = rng.standard_normal((20, 12))
     b = rng.standard_normal(20)
     state, A = run_generalized(M, b, 7, strategy=PivotStrategy.sampled(5, seed=8))
-    k = len(state.h_cols)
-    Lk = np.column_stack(state.V_cols[:k])
-    D = np.column_stack(state.U_cols)
+    k = state.k
+    Lk = state.V_cols.matrix(k)
+    D = state.U_cols.matrix()
     H = state.H_matrix(rows=len(state.U_cols))
     assert np.linalg.norm(M @ Lk - D @ H) <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(Lk)
     assert_unit_triangular(state.U_cols, state.t)
@@ -529,14 +529,14 @@ def test_generalized_range_spans_normal_krylov_space():
     for _ in range(4):
         vecs.append(M.T @ (M @ vecs[-1]))
     Q, _ = np.linalg.qr(np.column_stack(vecs))
-    for j, l in enumerate(state.V_cols):
+    for j, l in enumerate(state.V_cols.matrix().T):
         Qj = Q[:, : j + 1]
         assert np.linalg.norm(l - Qj @ (Qj.T @ l)) <= 1e-8 * np.linalg.norm(l)
 
 
 def test_step_after_breakdown_rejected():
     A = LinearOperator.identity(3)
-    state = init_square(A, np.array([1.0, 0.0, 2.0]))
+    state = init_square(A, np.array([1.0, 0.0, 2.0]), capacity=2)
     step_square(state, A)
     assert state.breakdown
     with pytest.raises(RuntimeError):
@@ -548,7 +548,7 @@ def test_dump_factorization_roundtrip(tmp_path):
     M = rng.standard_normal((9, 6))
     state, _ = run_generalized(M, rng.standard_normal(9), 3)
     dump_factorization(state, tmp_path)
-    L, D = np.column_stack(state.V_cols), np.column_stack(state.U_cols)
+    L, D = state.V_cols.matrix(), state.U_cols.matrix()
     assert np.allclose(scipy.io.mmread(tmp_path / "L.mm"), L)
     assert np.allclose(scipy.io.mmread(tmp_path / "D.mm"), D)
     assert np.allclose(scipy.io.mmread(tmp_path / "H.mm"), state.H_matrix())
@@ -566,17 +566,18 @@ def test_column_store_reads_like_a_list_of_views():
     for c in cols:
         store.append(c)
     assert len(store) == 2
-    assert np.array_equal(store[-1], cols[1])
-    assert [c.tolist() for c in store] == [c.tolist() for c in cols]
-    assert isinstance(store[:1], list) and np.array_equal(store[:1][0], cols[0])
-    assert np.shares_memory(store[0], store.matrix())
+    assert np.array_equal(store.column(-1), cols[1])
+    assert np.array_equal(store.column(0), cols[0])
+    assert np.shares_memory(store.column(0), store.matrix())
     assert np.array_equal(store.matrix(), np.column_stack(cols))
     assert store.matrix().flags.f_contiguous
     assert np.array_equal(store.matrix(1), cols[0][:, None])
     with pytest.raises(IndexError):
         store.matrix(3)
+    with pytest.raises(IndexError):
+        store.column(2)
     with pytest.raises(ValueError):
-        store[0][0] = 9.0
+        store.column(0)[0] = 9.0
     with pytest.raises(ValueError):
         store.matrix()[0, 0] = 9.0
 
@@ -601,19 +602,25 @@ def test_column_store_append_rejects_misshapen_columns(column):
     assert len(store) == 0
 
 
-def test_column_store_growth_keeps_earlier_views():
+def test_a_full_store_names_its_capacity():
     store = ColumnStore(2, capacity=1)
     store.append(np.array([1.0, 2.0]))
-    first = store[0]
-    for j in range(2, 6):
-        store.append(np.array([j, -j], dtype=float))
-    assert store.capacity == 8
-    assert np.array_equal(first, [1.0, 2.0])
-    assert np.array_equal(store.matrix()[:, 0], [1.0, 2.0])
-    assert np.array_equal(store.matrix()[:, -1], [5.0, -5.0])
+    with pytest.raises(IndexError, match="capacity 1$"):
+        store.append(np.array([3.0, 4.0]))
+    assert len(store) == 1 and np.array_equal(store.column(0), [1.0, 2.0])
+    # a builder's next column goes to the same full store
+    A = LinearOperator.from_matrix(np.diag([1.0, 2.0, 3.0]))
+    state = init_square(A, np.ones(3), capacity=2)
+    step_square(state, A)
+    with pytest.raises(IndexError, match="capacity 2$"):
+        step_square(state, A)
+    for capacity in (0, True, 2.0):
+        with pytest.raises(ValueError, match="^capacity must be"):
+            ColumnStore(3, capacity)
 
 
-@pytest.mark.parametrize("capacity", [None, 2, 13])
+# the capacity a full-dimension run needs, and more
+@pytest.mark.parametrize("capacity", [13, 40])
 def test_square_views_equal_fresh_stack_at_full_dimension(capacity):
     rng = np.random.default_rng(61)
     M = rng.standard_normal((12, 12))
@@ -622,12 +629,12 @@ def test_square_views_equal_fresh_stack_at_full_dimension(capacity):
     state = init_square(A, b, capacity=capacity)
     while not state.breakdown:
         step_square(state, A)
-    k = len(state.h_cols)
+    k = state.k
     assert k == 12 and state.U_cols is state.V_cols
-    L = np.column_stack([c.copy() for c in state.V_cols])
+    L = np.column_stack([state.V_cols.column(j) for j in range(len(state.V_cols))])
     assert np.array_equal(state.V_cols.matrix(), L)
     reference, _ = run_square(M, b, 12)
-    assert np.array_equal(np.column_stack(reference.V_cols), L)
+    assert np.array_equal(reference.V_cols.matrix(), L)
     assert np.array_equal(reference.H_matrix(), state.H_matrix())
     assert np.array_equal(reference.t, state.t)
     H = state.H_matrix(rows=len(state.V_cols))
@@ -635,7 +642,7 @@ def test_square_views_equal_fresh_stack_at_full_dimension(capacity):
     assert_unit_triangular(state.V_cols, state.t)
 
 
-@pytest.mark.parametrize("capacity", [None, 2, 10])
+@pytest.mark.parametrize("capacity", [10, 40])
 def test_generalized_views_equal_fresh_stack_at_full_dimension(capacity):
     rng = np.random.default_rng(67)
     M = rng.standard_normal((15, 9))
@@ -645,16 +652,16 @@ def test_generalized_views_equal_fresh_stack_at_full_dimension(capacity):
     while not state.breakdown:
         step_generalized(state, A)
     assert len(state.V_cols) == 9
-    D = np.column_stack([c.copy() for c in state.U_cols])
-    L = np.column_stack([c.copy() for c in state.V_cols])
+    D = np.column_stack([state.U_cols.column(j) for j in range(len(state.U_cols))])
+    L = np.column_stack([state.V_cols.column(j) for j in range(len(state.V_cols))])
     assert np.array_equal(state.U_cols.matrix(), D)
     assert np.array_equal(state.V_cols.matrix(), L)
     reference, _ = run_generalized(M, b, 9)
-    assert np.array_equal(np.column_stack(reference.U_cols), D)
-    assert np.array_equal(np.column_stack(reference.V_cols), L)
+    assert np.array_equal(reference.U_cols.matrix(), D)
+    assert np.array_equal(reference.V_cols.matrix(), L)
     assert np.array_equal(reference.H_matrix(), state.H_matrix())
     assert np.array_equal(reference.W_matrix(), state.W_matrix())
-    k = len(state.h_cols)
+    k = state.k
     scale = np.linalg.norm(M)
     H = state.H_matrix(rows=D.shape[1])
     assert np.linalg.norm(M @ L[:, :k] - D @ H) <= 1e-10 * scale * np.linalg.norm(L)
@@ -685,7 +692,7 @@ def test_elimination_agrees_with_the_axpy_loop(shape, pivot):
         M += 12.0 * np.eye(shape[0])
         state, _ = run_square(M, b, 40, pivot)
     U, V, H, W, t, g = axpy_reference(M, b, 40, pivot, generalized)
-    assert len(state.h_cols) == 40 and not state.breakdown
+    assert state.k == 40 and not state.breakdown
     assert np.array_equal(state.t, t)
     assert close(state.H_matrix(), H)
     assert close(state.U_cols.matrix(), U)
@@ -693,47 +700,3 @@ def test_elimination_agrees_with_the_axpy_loop(shape, pivot):
     if generalized:
         assert np.array_equal(state.g, g)
         assert close(state.W_matrix(), W)
-
-
-@settings(derandomize=True, max_examples=12, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(34, 60),
-    extra_steps=st.integers(0, 27),
-    generalized=st.booleans(),
-    pivot=st.sampled_from([FULL, PivotStrategy.sampled(6, seed=4)]),
-)
-def test_store_growth_changes_no_bit(seed, n, extra_steps, generalized, pivot):
-    # a store made without a capacity starts at 16 columns and doubles;
-    # past 16 and 32 columns its basis and pivot triangle are reallocated
-    # and the run must not tell
-    rng = np.random.default_rng(seed)
-    m = n + 7 if generalized else n
-    M = rng.standard_normal((m, n)) + (0.0 if generalized else 8.0 * np.eye(n))
-    b = rng.standard_normal(m)
-    A = LinearOperator.from_matrix(M)
-    init, step = init_square, step_square
-    if generalized:
-        init, step = init_generalized, step_generalized
-    steps = min(33 + extra_steps, n)
-    grown, ample = (init(A, b, pivot, capacity=c) for c in (None, n + 1))
-    for _ in range(steps):
-        for state in (grown, ample):
-            if not state.breakdown:
-                step(state, A)
-    assert grown.U_cols.capacity >= 64 > ample.U_cols.capacity
-    assert np.array_equal(grown.t, ample.t)
-    assert np.array_equal(grown.H_matrix(), ample.H_matrix())
-    for side in ("U_cols", "V_cols"):
-        grown_basis, ample_basis = getattr(grown, side), getattr(ample, side)
-        assert np.array_equal(grown_basis.matrix(), ample_basis.matrix())
-    k = len(grown.h_cols)
-    U, V = grown.U_cols.matrix(), grown.V_cols.matrix()
-    H = grown.H_matrix(rows=U.shape[1])
-    gap = np.linalg.norm(M @ V[:, :k] - U @ H)
-    assert gap <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(V)
-    assert_unit_triangular(grown.U_cols, grown.t)
-    if generalized:
-        assert np.array_equal(grown.g, ample.g)
-        assert np.array_equal(grown.W_matrix(), ample.W_matrix())
-        assert_unit_triangular(grown.V_cols, grown.g)

@@ -49,7 +49,7 @@ HESSENBERG = {"cmrh", "lslu"}
 
 
 def unit_lower_triangular(cols, perm):
-    B = np.column_stack(cols)[np.asarray(perm)[: len(cols)], :]
+    B = cols.matrix()[np.asarray(perm)[: len(cols)], :]
     return np.array_equal(np.diag(B), np.ones(B.shape[1])) and not np.any(
         np.triu(B, 1)
     )
@@ -71,20 +71,29 @@ def test_factorization_relations(name, seed, m, n, pivot):
     A = LinearOperator.from_matrix(M)
     res = SOLVERS[name](A, rng.standard_normal(m), SolverConfig(maxiter=n, pivot=pivot))
     state = res.factorization
-    k = len(state.h_cols)
+    k = state.k
     assert k == len(res.trace.records)
-    Vk = np.column_stack(state.V_cols[:k])
-    U = np.column_stack(state.U_cols)
+    Vk = state.V_cols.matrix(k)
+    U = state.U_cols.matrix()
     gap = np.linalg.norm(M @ Vk - U @ state.H_matrix(rows=U.shape[1]))
     assert gap <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(Vk)
     assert res.trace.final().matvecs == k
+    # each step writes its column of H in place, at the right rows: the
+    # zeroed array would hide an offset everywhere but here
+    H = state.H_matrix()
+    assert H.shape == (k + 1, k) and not np.any(np.tril(H, -2))
+    assert not H.flags.writeable and np.shares_memory(H, state.H)
+    if state.W is not None:
+        W = state.W_matrix()
+        assert W.shape == (U.shape[1],) * 2 and not np.any(np.tril(W, -1))
+        assert not W.flags.writeable and np.shares_memory(W, state.W)
     if name not in HESSENBERG:
         return
     assert res.trace.final().dots == 0
     assert unit_lower_triangular(state.U_cols, state.t)
     if name == "lslu":
         assert unit_lower_triangular(state.V_cols, state.g)
-        V = np.column_stack(state.V_cols)
+        V = state.V_cols.matrix()
         W = state.W_matrix(rows=V.shape[1])
         gap = np.linalg.norm(M.T @ U - V @ W)
         assert gap <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(U)
@@ -125,12 +134,12 @@ def test_remainders_vanish_at_earlier_pivots(builder, pivot, rank, seed, m, n):
         return select(v, admissible, strategy, rng)
 
     with mock.patch.object(hessenberg, "pivot_select", checking):
-        state = init(A, rng.standard_normal(m), pivot)
+        state = init(A, rng.standard_normal(m), pivot, capacity=n + 1)
         bases = [(state.U_cols, state.t), (state.V_cols, state.g)]
         for _ in range(n):
             step(state, A)
             for store, perm in bases[: 2 if builder == "generalized" else 1]:
-                for j, column in enumerate(store):
+                for j, column in enumerate(store.matrix().T):
                     assert vanish_at(column, perm[:j]) and column[perm[j]] == 1.0
             if state.breakdown:
                 break

@@ -412,7 +412,7 @@ def test_kappa_basis_is_condition_of_data_basis(name):
     res = SOLVERS[name](A, b, SolverConfig(maxiter=6, seed=2, compute_diagnostics=True))
     U_cols = res.factorization.U_cols
     for k, rec in enumerate(res.trace.records, start=1):
-        U = np.column_stack(U_cols[: k + 1])
+        U = U_cols.matrix(min(k + 1, len(U_cols)))
         kappa = np.linalg.cond(U)
         # read off the triangle of one QR of the whole basis
         assert abs(rec.kappa_basis - kappa) <= diagnostics_tolerance(U)[0] * kappa
@@ -453,11 +453,11 @@ def test_dump_factorization_of_every_solver(name, tmp_path):
     dump_factorization(state, tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == DUMPED[name]
     stored = {
-        "L.mm": np.column_stack(state.V_cols),
+        "L.mm": state.V_cols.matrix(),
         "H.mm": state.H_matrix(),
-        "D.mm": np.column_stack(state.U_cols),
+        "D.mm": state.U_cols.matrix(),
         "pivots_t.mm": state.t,
-        "W.mm": state.W_matrix() if state.w_cols is not None else None,
+        "W.mm": state.W_matrix() if state.W is not None else None,
         "pivots_g.mm": state.g,
     }
     for file in DUMPED[name]:
@@ -469,15 +469,15 @@ def test_dump_factorization_of_every_solver(name, tmp_path):
 def recomputed_iterate(name, M, b, cfg, state):
     """x_K from the returned factorization: stack V_K, rebuild the projected
     problem from scratch, solve it."""
-    k = len(state.h_cols)
-    Vk = np.column_stack(state.V_cols[:k])
+    k = state.k
+    Vk = state.V_cols.matrix(k)
     if name in ("scmrh", "slslu"):
         ell = cfg.effective_sketch_rows(M.shape[1])
         S = make_gaussian_sketch(ell, M.shape[0], cfg.seed).entries
-        P = np.column_stack([S @ (M @ v) for v in state.V_cols[:k]])
+        P = np.column_stack([S @ (M @ v) for v in Vk.T])
         rhs = S @ b
         S1 = make_gaussian_sketch(ell, M.shape[1], derive_seed(cfg.seed, 1)).entries
-        N = np.column_stack([S1 @ v for v in state.V_cols[:k]])
+        N = np.column_stack([S1 @ v for v in Vk.T])
     else:
         P = state.H_matrix()
         rhs = np.zeros(k + 1)
@@ -724,7 +724,7 @@ def test_cmrh_sandwich_bound():
     res = cmrh(A, b, SolverConfig(maxiter=8, compute_diagnostics=True))
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
-        basis = np.column_stack(state.V_cols[:k])
+        basis = state.V_cols.matrix(k)
         _, oracle = projected_minres_oracle(A, basis, b)
         assert rec.res_norm >= oracle - 1e-9 * (1.0 + oracle)
         assert rec.res_norm <= rec.kappa_basis * oracle + 1e-9 * (1.0 + oracle)
@@ -763,7 +763,7 @@ def test_lslu_sandwich_bound():
     res = lslu(A, b, SolverConfig(maxiter=9, compute_diagnostics=True))
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
-        basis = np.column_stack(state.V_cols[:k])
+        basis = state.V_cols.matrix(k)
         _, oracle = projected_minres_oracle(A, basis, b)
         assert rec.res_norm >= oracle - 1e-9 * (1.0 + oracle)
         assert rec.res_norm <= rec.kappa_basis * oracle + 1e-9 * (1.0 + oracle)
@@ -820,7 +820,7 @@ def test_scmrh_scaled_orthogonal_sketch_is_exact_projection(monkeypatch):
     res = scmrh(A, b, SolverConfig(maxiter=6, sketch_rows=10, compute_diagnostics=True))
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
-        basis = np.column_stack(state.V_cols[:k])
+        basis = state.V_cols.matrix(k)
         _, oracle = projected_minres_oracle(A, basis, b)
         assert abs(rec.res_norm - oracle) <= 1e-9 * (1.0 + oracle)
 
@@ -832,7 +832,7 @@ def test_scmrh_sandwich_and_reference_floor():
     ref = gmres(A, b, SolverConfig(maxiter=8, compute_diagnostics=True))
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
-        basis = np.column_stack(state.V_cols[:k])
+        basis = state.V_cols.matrix(k)
         _, oracle = projected_minres_oracle(A, basis, b)
         envelope = (1.0 + rec.eps_embed) / (1.0 - rec.eps_embed)
         assert rec.res_norm >= oracle - 1e-9 * (1.0 + oracle)
@@ -885,7 +885,7 @@ def test_slslu_reference_floor_and_sandwich():
     ref = lsqr(A, b, SolverConfig(maxiter=8, compute_diagnostics=True))
     state = res.factorization
     for k, rec in enumerate(res.trace.records, start=1):
-        basis = np.column_stack(state.V_cols[:k])
+        basis = state.V_cols.matrix(k)
         _, oracle = projected_minres_oracle(A, basis, b)
         envelope = (1.0 + rec.eps_embed) / (1.0 - rec.eps_embed)
         assert rec.res_norm >= oracle - 1e-9 * (1.0 + oracle)
@@ -982,7 +982,7 @@ def test_slslu_tikhonov_solves_stated_objective():
     ell = cfg.effective_sketch_rows(A.cols)
     S2 = make_gaussian_sketch(ell, 24, cfg.seed)
     S1 = make_gaussian_sketch(ell, 12, derive_seed(cfg.seed, 1))
-    Lk = np.column_stack(state.V_cols[:k])
+    Lk = state.V_cols.matrix(k)
     Z = S2.entries @ (M @ Lk)
     F = S1.entries @ Lk
     sr0 = S2.entries @ b  # r0 = b
@@ -1362,7 +1362,7 @@ def test_res_norm_read_off_the_factorization_matches_the_explicit_residual(
                 assert len(applied) == records[-1].matvecs, case
                 if problem == "shift":
                     assert result.termination == "breakdown", case
-                    assert len(state.U_cols) == len(state.h_cols), case
+                    assert len(state.U_cols) == state.k, case
                 U, V = state.U_cols, state.V_cols
                 H = state.H_matrix(len(U))
                 res, gaps = [], []
@@ -1467,8 +1467,8 @@ def factorization_parts(state):
     # that the remaining steps would refine
     U = state.U_cols.matrix()
     parts = [state.H_matrix(), U, state.V_cols.matrix(), state.t[: U.shape[1]]]
-    if state.w_cols is not None:
-        parts += [state.W_matrix(), state.g[: len(state.w_cols)]]
+    if state.W is not None:
+        parts += [state.W_matrix(), state.g[: U.shape[1]]]
     return [np.asarray(p) for p in parts]
 
 
