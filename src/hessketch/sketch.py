@@ -4,35 +4,61 @@ Reproducibility contract: a sketch is fully determined by
 ``(out_rows, in_rows, seed)``.  Row block r, rows [32 r, 32 r + 32) (the
 last may be shorter), is drawn from
 ``Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))`` panel by panel:
-panel c is columns [1024 c, 1024 c + 1024) (the last may be narrower).
-A panel of ``size`` entries takes p = ceil(size / 2) Box-Muller pairs from
-one ``random`` call of 2 p uniforms, u_1 the first p and u_2 the next p:
-the radius rho = sqrt(-2 log(1 - u_1) / out_rows) in float64, the angle
-2 pi u_2 cast to float32, and the panel, row-major, is the p values of
-rho cos(angle) followed by the p of rho sin(angle), cos and sin taken in
-float32 and the products in float64 (an odd panel drops the last).  The
-entries are i.i.d. N(0, 1/out_rows) to within about 1e-7 relative, the
-same bits whichever thread draws them, on a given machine and numpy
-build: numpy's SIMD dispatch for float32 sin and cos and float64 log
-decides their last bits, as BLAS does the products'.  A problem's noise
-is drawn from ``default_rng(seed)``, the root stream (spawn key ``()``),
-which no block repeats.
+panel c is columns [1024 c, 1024 c + 1024) (the last may be narrower),
+and tile (r, c) is block r's rows of panel c.  A tile of ``size`` entries
+takes p = ceil(size / 2) Box-Muller pairs from one
+``random(dtype=np.float32)`` call of 2 p uniforms, u_1 the first p and
+u_2 the next p: the radius rho = sqrt(-2 log(1 - u_1) / out_rows) and the
+angle 2 pi u_2, and the tile, row-major, is the p values of
+rho cos(angle) followed by the p of rho sin(angle) (an odd tile drops the
+last).  Every step is float32: 1 - u_1 reaches 2**-24, so the tails reach
+5.8 sigma.  The entries are i.i.d. N(0, 1/out_rows) to within float32's
+rounding, about 1e-7 relative, which moves a distortion of about 0.3 by
+O(1e-7).  They are the same bits whichever thread draws them, on a given
+machine and numpy build: numpy's SIMD dispatch for float32 log, sqrt,
+sin and cos decides their last bits, as BLAS does the products'.  A
+problem's noise is drawn from ``default_rng(seed)``, the root stream
+(spawn key ``()``), which no block repeats.
 
-Making a sketch draws nothing.  :func:`sketch_apply` draws the blocks
-again from the seed, on the caller and the process's one helper thread
-(:func:`hessketch.linops.run_blocks`, which waits for a block the helper
-has started): each thread draws a block one 32 x 1,024 tile (256 KiB) at
-a time into its own buffer, which also holds the draw's 128 KiB of
-scratch, and sums the tiles' products with their panels of the input
-into the block's rows of the result.  A sketch of at most 2**19 entries,
-or of one block, is drawn inline.  An apply to b columns holds
-O(tile + out_rows * b) memory, never the matrix; reading ``entries``
-draws the whole matrix for the reader and keeps nothing.
+Making a sketch draws nothing.  :func:`sketch_apply` draws the tiles
+again from the seed, panel by panel.  The caller casts the input's rows
+of each panel to float32 once, into one buffer that both threads read,
+as groups of 16 columns, the last zero-padded, each group held as its
+rows.  The caller and the process's one helper thread
+(:func:`hessketch.linops.run_blocks`, one call per panel, which waits for
+a tile the helper has started) then share that panel's blocks: each
+thread draws a block's next tile from the block's generator into its own
+float32 buffer (a 128 KiB tile and 64 KiB of sines), multiplies each
+group with it in float32, one 16 x 32 product per group, and writes
+the products into the block's rows of the float64 result at panel 0, or
+adds them there after.  Each block's panels are drawn and summed in
+panel order, so the bits do not depend on which thread took which tile;
+and every product has the same shape whatever the input's width, so BLAS
+sums each column's in the same order, and a column's result does not
+depend on the columns applied with it: a block apply is its columns'
+applies, bit for bit, and so is any leading part of it.  A sketch of at
+most 2**19 entries, or of one block, runs the same loop inline.  An
+apply to b columns holds O(tile + 1,024 b + out_rows b) memory, never
+the matrix; reading ``entries`` draws the whole matrix for the reader
+and keeps nothing.
+
+float32 holds magnitudes from 2**-126 to 2**128, float64 from 2**-1022
+to 2**1024.  A column whose largest |entry| lies outside [2**-64, 2**64]
+is cast multiplied by the power of two that brings that entry into
+[1/2, 1), and its result is multiplied back: both steps are exact, so
+such a column's result is the scaled column's times the power of two,
+bit for bit, and every other column keeps its bits.
+
+The float32 products do not weaken what a solve certifies: the computed
+S U is S' U for S' = S + E U^+, E the product's rounding, so the
+distortion read off the triangle of that product is the distortion of
+S', the sketch the solve actually embeds with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,10 +78,16 @@ __all__ = [
 # changing either changes every sketch)
 _BLOCK_ROWS = 32
 _PANEL_COLS = 1024
-# a thread's buffer: one tile, then the draw's scratch of half as many
-# float64 slots, viewed as two float32 arrays of one panel's pairs each
+# a thread's float32 buffer: one tile, then the sines of its pairs
 _TILE = _BLOCK_ROWS * _PANEL_COLS
 _PAIRS = _TILE // 2
+# the columns of one float32 product: every product of a tile has this
+# width, the last group of columns zero-padded, so BLAS sums each column's
+# product in the same order whatever the width of the input
+_GROUP_COLS = 16
+# a column whose largest |entry| lies outside [2**-64, 2**64] is cast to
+# float32 (normal from 2**-126 to 2**128) scaled by a power of two
+_CAST_RANGE = 64
 
 _INLINE_ENTRIES = 1 << 19  # a sketch of at most this many entries is applied inline
 
@@ -64,8 +96,11 @@ _INLINE_ENTRIES = 1 << 19  # a sketch of at most this many entries is applied in
 class SketchOperator:
     """A Gaussian embedding of R^in_rows into R^out_rows, as a descriptor
     of its seeded draw: the three fields determine every entry, so
-    sketches compare by value.  :func:`sketch_apply` draws its 32-row
-    blocks tile by tile from their own streams of the seed; nothing is held.
+    sketches compare by value.  The entries are float32 Box-Muller draws,
+    each 32-row block from its own stream of the seed, one 32 x 1,024
+    tile at a time (see the module docstring).  :func:`sketch_apply` draws
+    them again on every apply, panel by panel, and multiplies them in
+    float32; nothing is held.
     """
 
     out_rows: int
@@ -83,76 +118,85 @@ class SketchOperator:
 
     @property
     def entries(self):
-        """The full matrix, drawn from the seed on each read and kept by
-        no one but the reader: a test and inspection helper."""
+        """The full matrix, the float32 draws widened exactly to float64,
+        drawn from the seed on each read and kept by no one but the
+        reader: a test and inspection helper."""
         entries = np.empty(self.shape)
-        tile = np.empty(_TILE + _PAIRS)
-        for r in range(-(-self.out_rows // _BLOCK_ROWS)):
-            for rows, cols, panel in _block_tiles(self, r, tile):
-                entries[rows, cols] = panel
+        gens, buffer = _block_streams(self), np.empty(_TILE + _PAIRS, np.float32)
+        for c in range(-(-self.in_rows // _PANEL_COLS)):
+            for r in range(len(gens)):
+                rows, cols, tile = _draw_tile(self, gens, r, c, buffer)
+                entries[rows, cols] = tile
         return entries
 
 
-def _block_tiles(S, r, tile):
-    """Block r of S, as ``(rows, cols, panel)`` tiles drawn in panel order
-    from the block's own stream into the head of ``tile``, a flat buffer
-    of 32 * 1,024 + 16,384 whose tail is the draw's scratch; each
-    ``panel`` is valid until the next is drawn.
+def _block_streams(S):
+    """Each row block's generator, block r's from spawn key (r,) of the
+    seed, made afresh for one pass over S."""
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(S.seed, spawn_key=(r,))))
+            for r in range(-(-S.out_rows // _BLOCK_ROWS))]
 
-    Each panel is drawn by Box-Muller (see the module docstring) in place:
-    no ufunc mixes dtypes, which would allocate a cast buffer, so every
-    cast is an ``np.copyto`` into slots whose values are dead.
+
+def _draw_tile(S, gens, r, c, buffer):
+    """Tile (r, c) of S, block r's panel c, as ``(rows, cols, tile)``:
+    ``tile`` is a float32 view of the head of ``buffer``, a flat float32
+    buffer of 32 * 1,024 + 16,384 whose tail holds the draw's sines, and
+    is valid until the next draw into it.
+
+    ``gens[r]`` is block r's generator (:func:`_block_streams`), which
+    each panel draws on from, so a block's panels are drawn in panel
+    order, by whichever thread.  The tile is drawn by Box-Muller (see the
+    module docstring), in place and in float32.
     """
     rows = slice(r * _BLOCK_ROWS, min((r + 1) * _BLOCK_ROWS, S.out_rows))
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(S.seed, spawn_key=(r,))))
-    scratch = tile[_TILE:]
-    first, second = scratch.view(np.float32).reshape(2, _PAIRS)
-    for start in range(0, S.in_rows, _PANEL_COLS):
-        cols = slice(start, min(start + _PANEL_COLS, S.in_rows))
-        size = (rows.stop - rows.start) * (cols.stop - start)
-        p = -(-size // 2)
-        gen.random(out=tile[: 2 * p])
-        rho, angle = tile[:p], tile[p : 2 * p]
-        angle *= 2.0 * np.pi
-        np.copyto(second[:p], angle)
-        # 1 - u is never 0, and as small as 2**-53: tails to 8.6 sigma
-        np.subtract(1.0, rho, out=rho)
-        np.log(rho, out=rho)
-        rho *= -2.0 / S.out_rows
-        np.sqrt(rho, out=rho)
-        np.sin(second[:p], out=first[:p])
-        np.cos(second[:p], out=second[:p])
-        np.copyto(angle, first[:p])
-        angle *= rho
-        # the cosines, half a panel at a time, through the dead sines' slots
-        for half in (slice(0, p // 2), slice(p // 2, p)):
-            cos = scratch[: half.stop - half.start]
-            np.copyto(cos, second[half])
-            rho[half] *= cos
-        yield rows, cols, tile[:size].reshape(-1, cols.stop - start)
+    cols = slice(c * _PANEL_COLS, min((c + 1) * _PANEL_COLS, S.in_rows))
+    size = (rows.stop - rows.start) * (cols.stop - cols.start)
+    p = -(-size // 2)
+    gens[r].random(dtype=np.float32, out=buffer[: 2 * p])
+    rho, angle, sines = buffer[:p], buffer[p : 2 * p], buffer[_TILE : _TILE + p]
+    angle *= 2.0 * np.pi
+    np.sin(angle, out=sines)
+    np.cos(angle, out=angle)
+    # 1 - u is never 0, and as small as 2**-24: tails to 5.8 sigma
+    np.subtract(1.0, rho, out=rho)
+    np.log(rho, out=rho)
+    rho *= -2.0 / S.out_rows
+    np.sqrt(rho, out=rho)
+    sines *= rho
+    rho *= angle
+    angle[...] = sines
+    return rows, cols, buffer[:size].reshape(-1, cols.stop - cols.start)
 
 
-def _apply_blocks(S, v, out, blocks):
-    """Sum each block's tile products with ``v`` into its rows of ``out``,
-    in panel order, for the blocks that ``blocks`` hands this thread."""
-    tile, product = np.empty(_TILE + _PAIRS), np.empty((_BLOCK_ROWS, *v.shape[1:]))
-    # np.matmul multiplies a row slice of an F-order block in place, where
-    # np.dot copies it; np.dot releases the GIL for a vector's short output
-    multiply = np.dot if v.ndim == 1 else np.matmul
+def _apply_tiles(S, gens, c, panel, out, blocks):
+    """Multiply panel c of each block that ``blocks`` hands this thread
+    with ``panel``, the input's rows of that panel cast to float32 and
+    held as groups of 16 columns, one float32 product per group, and
+    write the block's products into its rows of ``out`` at panel 0, or
+    add them there after."""
+    buffer = np.empty(_TILE + _PAIRS, np.float32)
+    product = np.empty(panel.shape[0] * _GROUP_COLS * _BLOCK_ROWS, np.float32)
     for r in blocks:
-        for rows, cols, panel in _block_tiles(S, r, tile):
-            part = product[: len(panel)] if cols.start else out[rows]
-            multiply(panel, v[cols], out=part)
-            if cols.start:
-                out[rows] += part
+        rows, _, tile = _draw_tile(S, gens, r, c, buffer)
+        # part[g] is group g's product, transposed
+        part = product[: product.size // _BLOCK_ROWS * len(tile)].reshape(*panel.shape[:2], len(tile))
+        for group, into in zip(panel, part):
+            # np.dot releases the GIL at every size; np.matmul keeps it
+            # for an output of under 500 entries
+            np.dot(group, tile.T, out=into)
+        part = part.reshape(-1, len(tile))[: out.shape[1]].T
+        if c:
+            out[rows] += part
+        else:
+            out[rows] = part
 
 
 def make_gaussian_sketch(out_rows, in_rows, seed):
     """A Gaussian sketch with i.i.d. N(0, 1/out_rows) entries, as a
     descriptor: nothing is drawn until it is applied or its entries read,
     and then in 32-row blocks, each from its own ``SeedSequence`` spawn
-    of the seed, in 1,024-column panels of Box-Muller pairs, float64
-    radii times float32 cosines and sines (see the module docstring).
+    of the seed, in 1,024-column panels of float32 Box-Muller pairs (see
+    the module docstring).
 
     The scaling makes the map an isometry in expectation:
     ``E[||S v||^2] = ||v||^2`` for any fixed v.  The sizes must be
@@ -167,6 +211,10 @@ def sketch_apply(S, v, counters=None):
 
     A block is one pass over the blocks drawn from the seed, and charges
     b sketch applications; a vector charges one.  A complex v is refused.
+    The products are float32, 16 columns at a time, summed into a
+    float64 result; each column's result is the same bits whichever
+    columns come with it, and a column outside float32's range is scaled
+    into it by a power of two (see the module docstring).
     """
     v = _real("v", v)
     if v.ndim not in (1, 2) or v.shape[0] != S.in_rows:
@@ -176,16 +224,40 @@ def sketch_apply(S, v, counters=None):
         )
     if counters is not None:
         counters.sketch_apply_count += 1 if v.ndim == 1 else v.shape[1]
-    out = np.empty((S.out_rows, *v.shape[1:]))
-    count = -(-S.out_rows // _BLOCK_ROWS)
-    if S.out_rows * S.in_rows <= _INLINE_ENTRIES or count == 1:
-        _apply_blocks(S, v, out, range(count))
-        return out
-    # the helper calls _apply_blocks alone (the draw's ufuncs and the
-    # products), none of the functions that perfbench wraps in spans:
-    # its Tracer is single-threaded (tests/test_benchmark_hooks.py checks it)
-    run_blocks(lambda blocks: _apply_blocks(S, v, out, blocks), count)
-    return out
+    cols = v.reshape(S.in_rows, -1)
+    width = cols.shape[1]
+    out = np.empty((S.out_rows, width))
+    # a power of two scales a column into float32's range, and back, exactly
+    top = np.maximum(cols.max(axis=0), -cols.min(axis=0))
+    shift = -np.frexp(top)[1] * ((top > 2.0**_CAST_RANGE) | ((top < 2.0**-_CAST_RANGE) & (top > 0)))
+    scaled = shift.any()
+    gens = _block_streams(S)
+    inline = S.out_rows * S.in_rows <= _INLINE_ENTRIES or len(gens) == 1
+    # the one float32 cast of each panel of v, which both threads read:
+    # column j of v is row j % 16 of group j // 16, the padding rows zero
+    groups = -(-width // _GROUP_COLS)
+    cast = np.zeros(groups * _GROUP_COLS * min(_PANEL_COLS, S.in_rows), np.float32)
+    for c, start in enumerate(range(0, S.in_rows, _PANEL_COLS)):
+        rows = min(_PANEL_COLS, S.in_rows - start)
+        panel = cast[: groups * _GROUP_COLS * rows].reshape(groups, _GROUP_COLS, rows)
+        flat = panel.reshape(-1, rows)
+        flat[width:] = 0.0
+        if scaled:
+            np.ldexp(cols[start : start + rows].T, shift[:, None], out=flat[:width])
+        else:
+            flat[:width] = cols[start : start + rows].T
+        work = partial(_apply_tiles, S, gens, c, panel, out)
+        if inline:
+            work(range(len(gens)))
+        else:
+            # the helper calls _apply_tiles alone (the draw's ufuncs and
+            # the products), none of the functions that perfbench wraps in
+            # spans: its Tracer is single-threaded
+            # (tests/test_benchmark_hooks.py checks it)
+            run_blocks(work, len(gens))
+    if scaled:
+        np.ldexp(out, -shift, out=out)
+    return out if v.ndim == 2 else out[:, 0]
 
 
 def sketch_and_solve_ls(S, M, rhs, counters=None):

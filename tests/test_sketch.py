@@ -31,21 +31,21 @@ def test_sketch_shape_and_determinism():
 
 
 def box_muller(gen, size, out_rows):
-    # one panel of the contract, in fresh contiguous arrays: p pairs from
-    # 2 p uniforms, the float64 radius sqrt(-2 log(1 - u_1) / out_rows),
-    # the angle 2 pi u_2 in float32, the p cosine products and then the p
-    # sine products; an odd panel drops the last
+    # one tile of the contract, in fresh contiguous float32 arrays: p pairs
+    # from one call of 2 p float32 uniforms, the radius
+    # sqrt(-2 log(1 - u_1) / out_rows) and the angle 2 pi u_2, the p cosine
+    # products and then the p sine products; an odd tile drops the last
     p = -(-size // 2)
-    u = gen.random(2 * p)
-    rho = np.sqrt(np.log(1.0 - u[:p]) * (-2.0 / out_rows))
-    angle = (u[p:] * (2.0 * np.pi)).astype(np.float32)
-    return np.concatenate([rho * np.cos(angle).astype(float), rho * np.sin(angle).astype(float)])[:size]
+    u = gen.random(2 * p, dtype=np.float32)
+    rho = np.sqrt(np.log(1 - u[:p]) * np.float32(-2.0 / out_rows))
+    angle = u[p:] * np.float32(2.0 * np.pi)
+    return np.concatenate([rho * np.cos(angle), rho * np.sin(angle)])[:size]
 
 
 def gaussian_blocks(out_rows, in_rows, seed):
     # the reproducibility contract, spelled out: 32-row blocks, block r
     # drawn from spawn key (r,) of the seed, 1,024-column panel after
-    # panel, each a row-major Box-Muller panel
+    # panel, each a row-major float32 Box-Muller tile
     blocks = []
     for r, start in enumerate(range(0, out_rows, 32)):
         seq = np.random.SeedSequence(seed, spawn_key=(r,))
@@ -96,15 +96,15 @@ class Constant:
     def __call__(self, bit_generator):
         return self
 
-    def random(self, out):
+    def random(self, dtype, out):
         out[...] = self.value
 
 
-@pytest.mark.parametrize("u, radius", [(0.0, 0.0), (1 - 2.0**-53, np.sqrt(2 * 53 * np.log(2) / 4))])
+@pytest.mark.parametrize("u, radius", [(0.0, 0.0), (1 - 2.0**-24, np.sqrt(2 * 24 * np.log(2) / 4))])
 def test_extreme_uniforms_give_finite_radii(monkeypatch, u, radius):
-    # 1 - u is never 0: the largest uniform below 1 gives the largest
-    # radius, sqrt(2 * 53 ln 2 / out_rows), 8.6 standard deviations; a
-    # 4 x 6 panel is 12 pairs, cosines first
+    # 1 - u is never 0: the largest float32 uniform below 1 gives the
+    # largest radius, sqrt(2 * 24 ln 2 / out_rows), 5.8 standard
+    # deviations; a 4 x 6 tile is 12 pairs, cosines first
     monkeypatch.setattr(np.random, "Generator", Constant(u))
     E = make_gaussian_sketch(4, 6, 0).entries.ravel()
     assert np.isfinite(E).all()
@@ -125,23 +125,44 @@ def test_block_streams_differ_from_the_root_stream():
 
 def test_make_gaussian_sketch_draws_nothing(monkeypatch):
     calls = []
-    monkeypatch.setattr(sketch, "_block_tiles", lambda *args: calls.append(args))
+    monkeypatch.setattr(sketch, "_draw_tile", lambda *args: calls.append(args))
     S = make_gaussian_sketch(1000, 1000, 0)
     assert calls == [] and "entries" not in vars(S)
 
 
 def by_panel(E, v):
-    # the loop reference: each 32-row block's products with its
-    # 1,024-column panels, summed in panel order
+    # the loop reference: each 32-row block's float32 products of its
+    # 1,024-column panels of E, the float32 draws, with the float32 cast
+    # of v's rows of that panel, 16 columns of v at a time (the last group
+    # zero-padded, each group held as its rows and multiplied as
+    # group @ tile.T), summed into float64 in panel order
     out_rows, in_rows = E.shape
+    assert E.dtype == np.float32
+    cols = v.reshape(in_rows, -1)
+    width = cols.shape[1]
+    groups = np.zeros((-(-width // 16) * 16, in_rows), np.float32)
+    groups[:width] = cols.T
     blocks = []
     for start in range(0, out_rows, 32):
-        rows = E[start : start + 32]
-        block = rows[:, :1024] @ v[:1024]
-        for c in range(1024, in_rows, 1024):
-            block += rows[:, c : c + 1024] @ v[c : c + 1024]
+        block = np.zeros((min(32, out_rows - start), width))
+        for c in range(0, in_rows, 1024):
+            tile = np.ascontiguousarray(E[start : start + 32, c : c + 1024])
+            for g in range(0, width, 16):
+                group = np.ascontiguousarray(groups[g : g + 16, c : c + 1024])
+                block[:, g : g + 16] += np.dot(group, tile.T).T[:, : width - g]
         blocks.append(block)
-    return np.concatenate(blocks)
+    out = np.concatenate(blocks)
+    return out if v.ndim == 2 else out[:, 0]
+
+
+def envelope(E, v):
+    # how far the float32 products summed in float64 may lie from E v:
+    # each of the in_rows terms of an entry carries the rounding of v to
+    # float32 and of the float32 products and sums (gamma_{w+1} in float32
+    # for a panel of w columns), and the float64 sum of the panels less
+    # than one more float32 unit roundoff u: gamma_{in_rows+2} |E| |v|
+    m, u = E.shape[1] + 2, np.finfo(np.float32).eps / 2
+    return m * u / (1 - m * u) * (np.abs(E).astype(float) @ np.abs(v))
 
 
 # (out_rows, in_rows, columns, two threads): a ragged last block of 11
@@ -181,18 +202,19 @@ def test_streamed_apply_is_exact(monkeypatch, out_rows, in_rows, cols, threads):
     # a read draws the matrix but changes no apply
     assert np.array_equal(S.entries, E)
     assert np.array_equal(sketch_apply(S, v), streamed)
-    # the unpanelled product is one GEMM over all rows, which BLAS may
-    # group differently; both products lie within gamma_m |E| |v| of the
-    # exact one (m = in_rows terms per entry, unit roundoff u)
+    # the unpanelled float64 product lies within gamma_m |E| |v| of the
+    # exact one (m = in_rows terms per entry, unit roundoff u), and the
+    # streamed one within the float32 envelope
     u = np.finfo(float).eps / 2
     gamma = in_rows * u / (1 - in_rows * u)
-    assert np.all(np.abs(streamed - E @ v) <= 2 * gamma * (np.abs(E) @ np.abs(v)))
+    exact = E.astype(float) @ v
+    assert np.all(np.abs(streamed - exact) <= envelope(E, v) + gamma * (np.abs(E) @ np.abs(v)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_reading_entries_changes_no_apply(seed):
-    # one product with the whole drawn matrix groups the sums differently
-    # from the per-block products: at these seeds the two differ by 1.1e-16
+    # one float64 product with the whole drawn matrix differs from the
+    # float32 per-tile products, at these seeds by up to 1e-7 relative
     S = make_gaussian_sketch(97, 30, seed)
     v = np.random.default_rng(seed).standard_normal((30, 3))
     before = sketch_apply(S, v)
@@ -210,13 +232,52 @@ def test_entries_are_the_rows_an_apply_draws(in_rows):
     assert np.array_equal(applied, make_gaussian_sketch(97, in_rows, 3).entries[:, cols])
 
 
+@pytest.mark.parametrize("out_rows, in_rows", [(43, 2500), (97, 6000), (100, 1025), (70, 30)])
+def test_shuffled_blocks_give_the_inline_bits(monkeypatch, out_rows, in_rows):
+    # each panel's blocks are handed out in a shuffled order, to both
+    # threads: the caller waits at each panel until the helper has drawn a
+    # tile of it.  Each block still sums its panels in panel order, so the
+    # result is the inline apply's bit for bit, and through columns of
+    # the identity it reads back the entries
+    S = make_gaussian_sketch(out_rows, in_rows, 6)
+    cols = np.unique(np.minimum([0, 1, 1023, 1024, 2047, 2048, in_rows - 1], in_rows - 1))
+    identity = np.zeros((in_rows, len(cols)))
+    identity[cols, np.arange(len(cols))] = 1.0
+    v = np.column_stack([np.random.default_rng(6).standard_normal((in_rows, 4)), identity])
+    monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 1 << 62)
+    inline = sketch_apply(S, v)
+    monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
+    rng, caller, helped = np.random.default_rng(0), threading.get_ident(), set()
+    run_blocks, draw_tile = linops.run_blocks, sketch._draw_tile
+
+    def shuffled(work, count):
+        order = rng.permutation(count)
+        return run_blocks(lambda blocks: work(order[i] for i in blocks), count)
+
+    def shared(S, gens, r, c, buffer):
+        if threading.get_ident() == caller:
+            wait_for(lambda: c in helped)
+        else:
+            helped.add(c)
+        return draw_tile(S, gens, r, c, buffer)
+
+    monkeypatch.setattr(sketch, "run_blocks", shuffled)
+    monkeypatch.setattr(sketch, "_draw_tile", shared)
+    threaded = sketch_apply(S, v)
+    assert helped == set(range(-(-in_rows // 1024)))
+    assert np.array_equal(threaded, inline)
+    assert np.array_equal(threaded[:, 4:], S.entries[:, cols])
+
+
 def test_streamed_apply_holds_two_tiles():
     # A 96 x 65,536 sketch is 48 MiB, in three blocks, so the apply runs on
     # two threads.  Applied to 4 columns it allocates on each thread one
-    # 32 x 1,024 tile (256 KiB) with the draw's 128 KiB of scratch and one
-    # 32 x 4 product, the 96 x 4 result, and interpreter-sized objects:
-    # the generators, views.  64 KiB covers those many times over; the
-    # bound, about 0.82 MiB, does not grow with in_rows
+    # float32 32 x 1,024 tile (128 KiB) with its 64 KiB of sines and one
+    # float32 16 x 32 product, the shared float32 panel of one group of 16
+    # columns by 1,024 rows (64 KiB), the 96 x 4 result, and
+    # interpreter-sized objects: the generators, views.  64 KiB covers
+    # those many times over; the bound, about 0.51 MiB, does not grow with
+    # in_rows, and is under the 0.82 MiB of float64 tiles
     S = make_gaussian_sketch(96, 65536, 0)
     v = np.random.default_rng(0).standard_normal((65536, 4))
     tracemalloc.start()
@@ -225,27 +286,32 @@ def test_streamed_apply_holds_two_tiles():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tile, scratch, product = 32 * 1024 * 8, 16384 * 8, 32 * 4 * 8
-    assert peak <= 2 * tile + 2 * scratch + 2 * product + out.nbytes + (64 << 10)
+    tile, sines, product, panel = 32 * 1024 * 4, 16384 * 4, 16 * 32 * 4, 16 * 1024 * 4
+    assert peak <= 2 * tile + 2 * sines + 2 * product + panel + out.nbytes + (64 << 10)
     assert "entries" not in vars(S)
 
 
-def block_draws(monkeypatch, before=None):
-    # every block drawn, as (index, thread, rows copied), in the order the
-    # draws finish; ``before(r)``, if given, runs as block r starts
+def tile_draws(monkeypatch, before=None):
+    # every tile drawn, as (block, panel, thread, tile copied), in the
+    # order the draws finish; ``before(r)``, if given, runs as a tile of
+    # block r starts
     draws = []
-    block_tiles = sketch._block_tiles
+    draw_tile = sketch._draw_tile
 
-    def recording(S, r, tile):
+    def recording(S, gens, r, c, buffer):
         if before is not None:
             before(r)
-        tiles = [(rows, cols, panel.copy()) for rows, cols, panel in block_tiles(S, r, tile)]
-        draws.append((r, threading.get_ident(), np.hstack([panel for _, _, panel in tiles])))
-        # the caller multiplies the copies: tile is not read again
-        yield from tiles
+        rows, cols, tile = draw_tile(S, gens, r, c, buffer)
+        draws.append((r, c, threading.get_ident(), tile.copy()))
+        return rows, cols, tile
 
-    monkeypatch.setattr(sketch, "_block_tiles", recording)
+    monkeypatch.setattr(sketch, "_draw_tile", recording)
     return draws
+
+
+def tiles_of(draws):
+    # the (block, panel) of each draw, in draw order
+    return [(r, c) for r, c, _, _ in draws]
 
 
 def wait_for(condition):
@@ -256,25 +322,32 @@ def wait_for(condition):
 
 
 def test_blocks_are_shared_by_the_caller_and_one_helper(monkeypatch):
-    # 20 blocks of two panels: the caller holds its first block until the
-    # helper has drawn one, so both take part.  Each block is drawn once,
-    # on one of two threads, and the result is the loop reference
+    # 20 blocks of two panels: the caller holds its first tile until the
+    # helper has drawn one, so both take part.  Each tile is drawn once,
+    # on one of two threads, a block's panels in panel order, and the
+    # result is the loop reference
     monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
     caller = threading.get_ident()
 
-    def hold(r):
-        if threading.get_ident() == caller and not any(t != caller for _, t, _ in draws):
-            wait_for(lambda: any(t != caller for _, t, _ in draws))
+    def helped():
+        return any(t != caller for _, _, t, _ in draws)
 
-    draws = block_draws(monkeypatch, hold)
+    def hold(r):
+        if threading.get_ident() == caller and not helped():
+            wait_for(helped)
+
+    draws = tile_draws(monkeypatch, hold)
     E = gaussian_blocks(640, 1100, 4)
     v = np.random.default_rng(4).standard_normal((1100, 5))
     before = threading.active_count()
     assert np.array_equal(sketch_apply(make_gaussian_sketch(640, 1100, 4), v), by_panel(E, v))
     assert threading.active_count() <= before + 1
-    assert sorted(r for r, _, _ in draws) == list(range(20))
-    assert len({t for _, t, _ in draws}) == 2
-    assert all(np.array_equal(rows, E[32 * r : 32 * r + 32]) for r, _, rows in draws)
+    tiles = tiles_of(draws)
+    assert sorted(tiles) == [(r, c) for r in range(20) for c in range(2)]
+    assert all(tiles.index((r, 0)) < tiles.index((r, 1)) for r in range(20))
+    assert len({t for _, _, t, _ in draws}) == 2
+    assert all(np.array_equal(tile, E[32 * r : 32 * r + 32, 1024 * c : 1024 * c + 1024])
+               for r, c, _, tile in draws)
 
 
 class Stalled:
@@ -286,27 +359,31 @@ class Stalled:
 
 
 def test_draws_the_worker_has_not_started_are_drawn_by_the_caller(monkeypatch):
-    # the caller takes every block, then cancels the helper, which never ran
+    # the caller takes every tile of each panel, then cancels the helper,
+    # which never ran
     monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
     monkeypatch.setattr(linops, "_helper_pool", Stalled)
-    draws = block_draws(monkeypatch)
-    E = gaussian_blocks(100, 30, 4)
-    v = np.random.default_rng(4).standard_normal((30, 5))
-    assert np.array_equal(sketch_apply(make_gaussian_sketch(100, 30, 4), v), by_panel(E, v))
-    assert [(r, t) for r, t, _ in draws] == [(r, threading.get_ident()) for r in range(4)]
+    draws = tile_draws(monkeypatch)
+    E = gaussian_blocks(100, 1100, 4)
+    v = np.random.default_rng(4).standard_normal((1100, 5))
+    assert np.array_equal(sketch_apply(make_gaussian_sketch(100, 1100, 4), v), by_panel(E, v))
+    assert tiles_of(draws) == [(r, c) for c in range(2) for r in range(4)]
+    assert {t for _, _, t, _ in draws} == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("out_rows, in_rows", [(40, 30), (40, 13107), (32, 20000)])
 def test_small_sketch_starts_no_thread(monkeypatch, out_rows, in_rows):
     # at most 2**19 entries (two blocks of 30 columns, or of 13,107, just
-    # under) or one block (32 x 20,000, over it): drawn inline, in order
-    draws = block_draws(monkeypatch)
+    # under) or one block (32 x 20,000, over it): drawn inline, panel by
+    # panel and block by block within each
+    draws = tile_draws(monkeypatch)
     monkeypatch.setattr(linops, "_helper_pool", None)  # would raise if called
     S = make_gaussian_sketch(out_rows, in_rows, 4)
     v = np.random.default_rng(4).standard_normal((in_rows, 5))
     assert np.array_equal(sketch_apply(S, v), by_panel(gaussian_blocks(out_rows, in_rows, 4), v))
-    count = -(-out_rows // 32)
-    assert [(r, t) for r, t, _ in draws] == [(r, threading.get_ident()) for r in range(count)]
+    count, panels = -(-out_rows // 32), -(-in_rows // 1024)
+    assert tiles_of(draws) == [(r, c) for c in range(panels) for r in range(count)]
+    assert {t for _, _, t, _ in draws} == {threading.get_ident()}
 
 
 class Stop(Exception):
@@ -325,9 +402,9 @@ STOPS = {
 @pytest.mark.parametrize("stop", STOPS)
 def test_stopped_pass_stops_the_worker(monkeypatch, stop):
     # a failure on either thread propagates out of the apply, the other
-    # thread takes no new block, and no thread is left but the shared
+    # thread takes no new tile, and no thread is left but the shared
     # helper; the next apply starts from the seed and gives the same bits.
-    # The failing thread waits until the other has started a block, which
+    # The failing thread waits until the other has started a tile, which
     # in turn waits until the failure has drained the indices, so both
     # are mid-pass when it happens
     where, what = STOPS[stop]
@@ -336,34 +413,33 @@ def test_stopped_pass_stops_the_worker(monkeypatch, stop):
     v = np.random.default_rng(4).standard_normal((30, 5))
     expected = sketch_apply(S, v)
     caller, started, failed, taken = threading.get_ident(), set(), threading.Event(), []
-    block_tiles, drain = sketch._block_tiles, linops._drain
+    draw_tile, drain = sketch._draw_tile, linops._drain
 
     def draining(blocks):
         drain(blocks)
         failed.set()
 
-    def failing(S, r, tile):
+    def failing(S, gens, r, c, buffer):
         me = "caller" if threading.get_ident() == caller else "helper"
         taken.append(r)
         started.add(me)
         if me != where:
             assert failed.wait(10)
-            yield from block_tiles(S, r, tile)
-            return
+            return draw_tile(S, gens, r, c, buffer)
         wait_for(lambda: len(started) == 2)
         if what == "draw":
             raise Stop
-        for rows, cols, panel in block_tiles(S, r, tile):
-            yield rows, cols, panel[:, :-1]  # np.matmul raises on the shapes
+        rows, cols, tile = draw_tile(S, gens, r, c, buffer)
+        return rows, cols, tile[:, :-1]  # np.dot raises on the shapes
 
     before = threading.active_count()
     with monkeypatch.context() as patch:
-        patch.setattr(sketch, "_block_tiles", failing)
+        patch.setattr(sketch, "_draw_tile", failing)
         patch.setattr(linops, "_drain", draining)
         with pytest.raises(Stop if what == "draw" else ValueError):
             sketch_apply(S, v)
     assert threading.active_count() <= before + 1
-    # the two first blocks, and at most one the other thread took before
+    # the two first tiles, and at most one the other thread took before
     # the failing one drained the indices
     assert len(taken) <= 3
     assert np.array_equal(sketch_apply(S, v), expected)
@@ -445,6 +521,51 @@ def test_sketch_apply_block_charges_each_column():
     assert c.sketch_apply_count == 4
 
 
+@pytest.mark.parametrize("power", [130, -133])
+def test_columns_outside_float32s_range_are_scaled_exactly(power):
+    # float32 is normal from 2**-126 to 2**128: a column of about 1e39 or
+    # 1e-40 is cast scaled by a power of two and its product scaled back,
+    # so it is the in-range column's product times 2**power, bit for bit,
+    # and the other columns keep their bits
+    S = make_gaussian_sketch(40, 1100, 3)
+    v = np.random.default_rng(3).standard_normal((1100, 3))
+    out_of_range = v.copy()
+    out_of_range[:, 1] *= 2.0**power
+    before, after = sketch_apply(S, v), sketch_apply(S, out_of_range)
+    assert np.array_equal(after[:, 1], before[:, 1] * 2.0**power)
+    assert np.array_equal(after[:, [0, 2]], before[:, [0, 2]])
+
+
+@pytest.mark.parametrize("scale", [1e39, 1e-40, 1e300])
+def test_columns_outside_float32s_range_keep_the_envelope(scale):
+    S = make_gaussian_sketch(40, 1100, 3)
+    v = np.random.default_rng(3).standard_normal((1100, 2)) * [1.0, scale]
+    E = gaussian_blocks(40, 1100, 3)
+    streamed = sketch_apply(S, v)
+    u = np.finfo(float).eps / 2
+    gamma = 1100 * u / (1 - 1100 * u)
+    exact = E.astype(float) @ v
+    assert np.isfinite(streamed).all() and np.all(streamed[:, 1] != 0.0)
+    assert np.all(np.abs(streamed - exact) <= envelope(E, v) + gamma * (np.abs(E) @ np.abs(v)))
+
+
+@pytest.mark.parametrize("out_rows, in_rows", [(43, 2500), (70, 30), (33, 1025)])
+@pytest.mark.parametrize("threads", [False, True], ids=["inline", "threads"])
+def test_columns_give_the_same_bits_at_every_width(monkeypatch, out_rows, in_rows, threads):
+    # every float32 product is one group of 16 columns against one tile,
+    # whatever the width of the input, so a column's result does not
+    # depend on the columns applied with it: each leading part of a block,
+    # and each column alone, gives the block's bits
+    if threads:
+        monkeypatch.setattr(sketch, "_INLINE_ENTRIES", 0)
+    S = make_gaussian_sketch(out_rows, in_rows, 8)
+    V = np.random.default_rng(8).standard_normal((in_rows, 40))
+    block = sketch_apply(S, V)
+    for k in (1, 2, 15, 16, 17, 31, 32, 33):
+        assert np.array_equal(sketch_apply(S, V[:, :k]), block[:, :k]), k
+    assert all(np.array_equal(sketch_apply(S, v), column) for v, column in zip(V.T, block.T))
+
+
 def test_sketch_apply_block_agrees_with_columns():
     S = make_gaussian_sketch(30, 200, seed=2)
     V = np.random.default_rng(2).standard_normal((200, 7))
@@ -520,21 +641,22 @@ def test_sketch_and_solve_counts():
 def test_sketch_and_solve_makes_one_pass(monkeypatch):
     # M and rhs are sketched together: S's one block is drawn once, in
     # three panels, and the solution is that of the two sketched halves
-    draws = block_draws(monkeypatch)
+    draws = tile_draws(monkeypatch)
     rng = np.random.default_rng(5)
     M = rng.standard_normal((2500, 4))
     rhs = rng.standard_normal(2500)
     S = make_gaussian_sketch(10, 2500, seed=2)
     y = sketch_and_solve_ls(S, M, rhs)
     E, Mr = gaussian_blocks(10, 2500, 2), np.column_stack([M, rhs])
-    assert [r for r, _, _ in draws] == [0] and np.array_equal(draws[0][2], E)
+    assert tiles_of(draws) == [(0, 0), (0, 1), (0, 2)]
+    assert np.array_equal(np.hstack([tile for _, _, _, tile in draws]), E)
     SMr = by_panel(E, Mr)
     assert np.array_equal(y, dense_qr_ls(SMr[:, :4], SMr[:, 4]))
 
 
 @pytest.mark.parametrize("shape", [(12,), (40, 1), (40, 2)])
 def test_sketch_and_solve_rejects_a_misshapen_rhs(monkeypatch, shape):
-    draws = block_draws(monkeypatch)
+    draws = tile_draws(monkeypatch)
     S = make_gaussian_sketch(10, 40, seed=2)
     with pytest.raises(ValueError, match=re.escape("rhs must be a vector of length 40")):
         sketch_and_solve_ls(S, np.ones((40, 4)), np.ones(shape))

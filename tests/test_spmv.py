@@ -453,18 +453,18 @@ def test_sparse_and_sketch_applies_share_one_helper(split, monkeypatch):
         elif len(workers) == start[0]:
             wait_for(lambda: len(workers) > start[0])
 
-    matvec, block_tiles = linops._sparsetools.csr_matvec, sketch._block_tiles
+    matvec, draw_tile = linops._sparsetools.csr_matvec, sketch._draw_tile
 
     def held_matvec(*args):
         hold()
         matvec(*args)
 
-    def held_block_tiles(*args):
+    def held_draw_tile(*args):
         hold()
-        yield from block_tiles(*args)
+        return draw_tile(*args)
 
     monkeypatch.setattr(linops, "_sparsetools", types.SimpleNamespace(csr_matvec=held_matvec))
-    monkeypatch.setattr(sketch, "_block_tiles", held_block_tiles)
+    monkeypatch.setattr(sketch, "_draw_tile", held_draw_tile)
     for _ in range(5):
         for apply, want in applies:
             start[0] = len(workers)
