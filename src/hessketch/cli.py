@@ -432,9 +432,9 @@ def cmd_solve(config_path):
 
 
 def _compare_rows(label, trace):
-    # every column but the volatile wall_ms, so compare.csv replays
+    # one row per filled field of every record, past its iteration
     for rec in trace.records:
-        for name in CSV_COLUMNS[1:-1]:
+        for name in CSV_COLUMNS[1:]:
             value = getattr(rec, name)
             if value is not None:
                 yield f"{label},{rec.iteration},{name},{_cell(value)}"

@@ -49,7 +49,7 @@ returned x, does see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.blas import dtrmm, dtrsm
@@ -95,23 +95,6 @@ __all__ = [
     "SOLVERS",
 ]
 
-CSV_COLUMNS = [
-    "iter",
-    "res_norm",
-    "sres_norm",
-    "proj_obj",
-    "rel_err",
-    "kappa_basis",
-    "kappa_dbar",
-    "eps_embed",
-    "matvecs",
-    "tmatvecs",
-    "dots",
-    "sketches",
-    "wall_ms",
-]
-
-
 @dataclass
 class SolverConfig:
     """Knobs shared by all solvers.
@@ -153,7 +136,9 @@ class SolverConfig:
 
 @dataclass
 class TraceRecord:
-    """One iteration's worth of observable state.
+    """One iteration's worth of observable state, and the trace's schema:
+    its fields, in declaration order, are the CSV's columns, so a new field
+    is a new column.
 
     Optional floats are None when not computed (serialized as empty CSV
     fields).  ``rank_fallback`` marks iterations whose projected problem
@@ -173,6 +158,11 @@ class TraceRecord:
     dots: int = 0
     sketches: int = 0
     rank_fallback: bool = False
+
+
+# the trace's columns: TraceRecord's fields in declaration order, with
+# ``iteration`` headed ``iter``
+CSV_COLUMNS = ["iter", *(f.name for f in fields(TraceRecord)[1:])]
 
 
 @dataclass
@@ -203,16 +193,14 @@ def _cell(value):
 
 
 def trace_to_csv(trace, target):
-    """Serialize a trace with the fixed column order.
-
-    The last column, ``wall_ms``, is always empty: no record carries a
-    time, so identical runs replay byte-identically.
+    """Serialize a trace, one row per record and one column per field
+    (:data:`CSV_COLUMNS`): None as an empty cell, ``rank_fallback`` as 0/1.
+    No record carries a time, so identical runs replay byte-identically.
     """
+    names = [f.name for f in fields(TraceRecord)]
     lines = [",".join(CSV_COLUMNS)]
     for r in trace.records:
-        cells = [str(r.iteration)]
-        cells += [_cell(getattr(r, name)) for name in CSV_COLUMNS[1:-1]]
-        lines.append(",".join(cells) + ",")
+        lines.append(",".join(_cell(getattr(r, name)) for name in names))
     content = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
         target.write(content)

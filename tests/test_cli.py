@@ -464,7 +464,13 @@ def test_compare_rerun_is_byte_identical(tmp_path):
     assert cli.main(["compare", cfg2]) == 0
     for name in ("compare.csv", "summary.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    assert ",wall_ms," not in (out1 / "compare.csv").read_text()
+    # every metric a trace column, and one rank_fallback row per record
+    text = (out1 / "compare.csv").read_text()
+    rows = [line.split(",") for line in text.strip().split("\n")[1:]]
+    assert {metric for _, _, metric, _ in rows} <= set(CSV_COLUMNS[1:])
+    records = {(label, it) for label, it, _, _ in rows}
+    flags = [(label, it) for label, it, metric, _ in rows if metric == "rank_fallback"]
+    assert sorted(flags) == sorted(records)
 
 
 def test_compare_single_solver_rejected(tmp_path, capsys):

@@ -52,6 +52,28 @@ def test_a_difference_beyond_the_gate_is_printed_as_a_miss(tmp_path):
     assert "byte-identical" in lines["matvecs"]
 
 
+def test_a_column_only_one_side_writes_is_a_miss_naming_the_side(tmp_path):
+    replay = load_tool()
+    # a column the new tree no longer writes, and one it adds
+    traces = {
+        "old": "iter,matvecs,dropped\n1,2,\n2,3,\n",
+        "new": "iter,matvecs,rank_fallback\n1,2,0\n2,3,1\n",
+    }
+    for side, trace in traces.items():
+        case = tmp_path / side / "lib" / "rank3-scmrh"
+        case.mkdir(parents=True)
+        (case / "trace.csv").write_text(trace)
+    out = io.StringIO()
+    groups = replay.compare(str(tmp_path / "old"), str(tmp_path / "new"))
+    assert replay.report(groups, out) == 2
+    lines = {line.split()[0]: line for line in out.getvalue().splitlines()[1:]}
+    assert lines["dropped"].endswith("MISS 1 of 1 differ, worst inf at "
+                                     "rank3-scmrh: dropped only in OLD")
+    assert lines["rank_fallback"].endswith("MISS 1 of 1 differ, worst inf at "
+                                           "rank3-scmrh: rank_fallback only in NEW")
+    assert "byte-identical" in lines["matvecs"]
+
+
 def write_trace_case(root, case, res_norms, b_norm):
     # one library case: a trace with a residual column, and its ||b||
     path = root / "lib" / case

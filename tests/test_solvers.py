@@ -1,8 +1,9 @@
+import csv
 import io
 import itertools
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hessketch.solvers import (
     CSV_COLUMNS,
     SOLVERS,
     SolverConfig,
+    TraceRecord,
     cmrh,
     gmres,
     lslu,
@@ -1664,11 +1666,44 @@ def test_trace_csv_layout_and_determinism():
     trace_to_csv(slslu(A, b, cfg).trace, buf2)
     text = buf1.getvalue()
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ",".join(CSV_COLUMNS) == (
+        "iter,res_norm,sres_norm,proj_obj,rel_err,kappa_basis,kappa_dbar,"
+        "eps_embed,matvecs,tmatvecs,dots,sketches,rank_fallback"
+    )
     assert len(lines) == 5
-    # wall_ms is always blank, so reruns are byte-identical
-    assert all(line.endswith(",") for line in lines[1:])
+    # one cell per column, the last the 0/1 rank_fallback flag
+    assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in lines[1:])
+    assert all(line.endswith(",0") for line in lines[1:])
     assert text == buf2.getvalue()
+
+
+def test_trace_csv_round_trips_every_record_field():
+    # a rank-3 operator with b off its range: later steps fall back
+    A, b, maxiter = rank3_problems()["scmrh"][0]
+    cfg = SolverConfig(maxiter=maxiter, seed=6, compute_diagnostics=True)
+    res = scmrh(A, b, cfg, x_true=np.ones(A.cols))
+    assert any(res.trace.column("rank_fallback"))
+    buf = io.StringIO()
+    trace_to_csv(res.trace, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0] == CSV_COLUMNS
+    assert len(rows) == len(res.trace.records) + 1
+    names = [f.name for f in fields(TraceRecord)]
+    cells = {name: set() for name in names}
+    for rec, row in zip(res.trace.records, rows[1:]):
+        assert len(row) == len(names)
+        for name, cell in zip(names, row):
+            value = getattr(rec, name)
+            cells[name].add(cell)
+            if value is None:
+                assert cell == "", (name, cell)
+            elif isinstance(value, (bool, int, np.integer)):
+                assert cell == str(int(value)), (name, cell)
+            else:
+                # repr round-trips a float to its bits
+                assert float(cell).hex() == float(value).hex(), (name, cell)
+    assert cells["rank_fallback"] == {"0", "1"}
+    assert cells["kappa_dbar"] == {""}
 
 
 def test_trace_csv_empty_fields_without_diagnostics():

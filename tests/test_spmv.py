@@ -344,6 +344,10 @@ def two_core_sketch(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+# Python 3.12+ warns on fork() in a process with threads, as this one is
+@pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning"
+)
 @pytest.mark.parametrize("kind", ["sparse", "sketch"])
 def test_forked_child_starts_its_own_helper(split, monkeypatch, kind):
     if kind == "sparse":

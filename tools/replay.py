@@ -20,9 +20,7 @@ under ``--work`` (a temporary directory unless given).
   with diagnostics, and a 64-grid, 60-angle tomography problem, large
   enough for the sparse operator to run on two cores, runs lsqr, lslu and
   slslu the same way at maxiter 20.  Each solve writes its trace CSV, x, its
-  termination, the ``rank_fallback`` flag of every trace record (one 0/1
-  line each; the CSV does not carry it), ||b|| and the
-  ``dump_factorization`` files.
+  termination, ||b|| and the ``dump_factorization`` files.
 * The CLI grid runs ``hessketch solve``, ``compare`` and ``sweep`` (over
   each of its four parameters) on deblurring and tomography configs at two
   sizes, with diagnostics off and on, plus solver failures, config
@@ -42,12 +40,11 @@ measured as rounding noise is compared relative to ||b||.  A MatrixMarket
 file is compared relative to its largest entry, and its header (comments
 and size line) must match exactly.  ``TOLERANCES`` holds the
 gates.  A field that misses its gate is printed as MISS, never skipped,
-and then the exit status is 1.  A pivot order that differs also names the
-first position (counted from 0) at which any case's order differs, and
-that case.  Timings are volatile and never written:
-``trace_to_csv`` leaves ``wall_ms`` empty, and ``compare.csv`` has no
-``wall_ms`` rows.  No golden outputs are kept, since BLAS builds differ
-between machines; the two trees run on the same one.
+and then the exit status is 1.  A file or a trace column that only one
+tree writes is a miss that names the side that has it.  A pivot order
+that differs also names the first position (counted from 0) at which any
+case's order differs, and that case.  No golden outputs are kept, since
+BLAS builds differ between machines; the two trees run on the same one.
 """
 
 from __future__ import annotations
@@ -228,8 +225,6 @@ def _run_library(grid):
             _write(os.path.join(out, "error"), f"{type(exc).__name__}: {exc}\n")
             continue
         trace_to_csv(result.trace, os.path.join(out, "trace.csv"))
-        flags = "".join(f"{int(r.rank_fallback)}\n" for r in result.trace.records)
-        _write(os.path.join(out, "rank_fallback"), flags)
         _write(os.path.join(out, "b_norm"), f"{float(np.linalg.norm(b))!r}\n")
         np.save(os.path.join(out, "x.npy"), result.x)
         _write(os.path.join(out, "termination"), result.termination + "\n")
@@ -558,7 +553,12 @@ def compare(old_root, new_root):
             b_norm = _b_norm(os.path.join(old_root, os.path.dirname(rel)))
             for column in sorted(set(a) | set(b)):
                 tol = TOLERANCES.get(column, DEFAULT_TOLERANCE)
-                ca, cb = a.get(column, []), b.get(column, [])
+                if column not in a or column not in b:
+                    side = "NEW" if column in b else "OLD"
+                    label = f"{case}: {column} only in {side}"
+                    field(group, column, tol).add(label, False, np.inf)
+                    continue
+                ca, cb = a[column], b[column]
                 diff = _column_diff(
                     ca, cb, b_norm if column in RESIDUAL_COLUMNS else 0.0
                 )
